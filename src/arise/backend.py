@@ -25,9 +25,9 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import requests
-import yaml
 
 from .sampling import TrialOutcome
+from .store import read_mapping
 
 __all__ = [
     "BackendError",
@@ -298,10 +298,7 @@ class BackendConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BackendConfig":
-        data = yaml.safe_load(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError(f"backend config {path} is not a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(read_mapping(path, "backend config"))
 
 
 class RequestLimiter:

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import click
-import yaml
 
 from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
 from .sampling import (
@@ -37,6 +36,7 @@ from .store import (
     RunManifest,
     TraceStore,
     TrialRecordLine,
+    read_mapping,
     write_atomic,
     write_curve_csv,
     write_results_csv,
@@ -193,10 +193,7 @@ def compute(opts: Options, traces: Path, run_id: str | None, out: Path | None) -
 
 
 def _load_run_config(path: Path) -> dict:
-    data = yaml.safe_load(path.read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"run config {path} is not a mapping")
-    return data
+    return read_mapping(path, "run config")
 
 
 def _pick_mode(adaptive: bool, budget: int | None, naive: int | None) -> RunMode:
@@ -299,9 +296,15 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if adaptive or budget is not None or naive is not None:
             raise ValueError("--resume takes the mode from the stored manifest; drop the mode flags")
         manifest = store.read_manifest(run_id)
+        # a simulator spec always has a seed; an HTTP run has one only from --seed
+        if seed is not None and seed != manifest.seed:
+            raise ValueError(
+                f"run {run_id!r} was started with seed {manifest.seed}; "
+                f"resuming it with seed {seed} would mix draws from both seeds"
+            )
         cfg = manifest.cfg
         mode = _manifest_mode(manifest)
-        preloaded = store.completed_trials(run_id)
+        preloaded = store.completed_trials(run_id, drop_torn_tail=True)
         manifest = dataclasses.replace(manifest, status="running")
     else:
         if run_id is None:

@@ -15,11 +15,9 @@ import hashlib
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-
-import yaml
 
 from .metrics import (
     LevelOutcome,
@@ -35,6 +33,7 @@ from .sampling import (
     TrialOutcome,
     run_evaluation,
 )
+from .store import read_mapping
 
 __all__ = [
     "LevelParams",
@@ -80,13 +79,15 @@ class SyntheticModelSpec:
 
     seed: int
     samples: tuple[SyntheticSample, ...]
+    _by_id: dict[str, SyntheticSample] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValueError("spec needs at least one sample")
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        by_id = {s.id: s for s in self.samples}
+        if len(by_id) != len(self.samples):
             raise ValueError("sample ids must be unique")
+        object.__setattr__(self, "_by_id", by_id)
         widths = {len(s.levels) for s in self.samples}
         if len(widths) != 1:
             raise ValueError(f"samples disagree on level count: {sorted(widths)}")
@@ -116,14 +117,12 @@ class SyntheticModelSpec:
         return tuple(s.id for s in self.samples)
 
     def params(self, sample_id: str, level_index: int) -> LevelParams:
-        for sample in self.samples:
-            if sample.id == sample_id:
-                if not 0 <= level_index < len(sample.levels):
-                    raise ValueError(
-                        f"level index {level_index} out of range for sample {sample_id!r}"
-                    )
-                return sample.levels[level_index]
-        raise ValueError(f"unknown sample id {sample_id!r}")
+        sample = self._by_id.get(sample_id)
+        if sample is None:
+            raise ValueError(f"unknown sample id {sample_id!r}")
+        if not 0 <= level_index < len(sample.levels):
+            raise ValueError(f"level index {level_index} out of range for sample {sample_id!r}")
+        return sample.levels[level_index]
 
     def to_dict(self) -> dict:
         return {
@@ -167,11 +166,7 @@ class SyntheticModelSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticModelSpec":
-        # YAML is a JSON superset, so one parser covers both file kinds.
-        data = yaml.safe_load(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError(f"simulator spec {path} is not a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(read_mapping(path, "simulator spec"))
 
 
 def simulate_trial(

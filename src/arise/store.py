@@ -2,9 +2,11 @@
 
 One run maps to two files under the store root: `<run_id>.jsonl` with one
 trial record per line, and `<run_id>.manifest.json` describing the run.
-Appends flush per line, so a crash loses at most the in-flight record;
-nothing ever rewrites or deletes an existing line. Floats survive the
-round trip exactly (JSON serialization preserves 17 significant digits).
+Appends flush per line, so a crash loses at most the in-flight record: a
+torn final line makes readers raise `TornRecordError`, and a resume cuts
+it off before appending; no other line is ever rewritten or deleted.
+Floats survive the round trip exactly (JSON serialization preserves 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .metrics import (
     LevelOutcome,
@@ -40,6 +42,8 @@ __all__ = [
     "RecordValidationError",
     "DuplicateTrialError",
     "IncompleteRunError",
+    "TornRecordError",
+    "read_mapping",
     "write_atomic",
     "write_results_csv",
     "write_curve_csv",
@@ -68,12 +72,52 @@ class IncompleteRunError(RuntimeError):
         self.gaps = tuple(gaps)  # (sample_id, level_index) pairs with no trials
 
 
+class TornRecordError(IncompleteRunError):
+    """The last line of a record file is cut short: the record in flight when the writer stopped."""
+
+    def __init__(self, run_id: str, offset: int):
+        super().__init__(
+            run_id,
+            f"record file ends in a torn line at byte {offset}; `run --resume` drops it",
+        )
+        self.offset = offset  # where the torn line starts: the length of the intact prefix
+
+
+def read_mapping(path: str | Path, what: str) -> dict:
+    """Load a config file that must hold a mapping: JSON via stdlib json, anything else via PyYAML.
+
+    Stdlib json reads a large simulator spec about a hundred times faster
+    than PyYAML, and it reads numbers such as 1e-3 as floats, where PyYAML
+    would return strings.
+    """
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        import yaml  # only non-JSON configs need PyYAML
+
+        data = yaml.safe_load(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} is not a mapping")
+    return data
+
+
 def write_atomic(path: str | Path, text: str) -> None:
     """Write a whole file via a temp sibling and rename, so failures leave no partial output."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _open_for_append(path: Path) -> BinaryIO:
+    """Open a record file for appending; a final line cut off just before its newline gets one."""
+    handle = open(path, "ab+")
+    if handle.seek(0, os.SEEK_END) > 0:
+        handle.seek(-1, os.SEEK_END)
+        if handle.read(1) != b"\n":
+            handle.write(b"\n")
+    return handle
 
 
 @dataclass(frozen=True)
@@ -357,7 +401,7 @@ class TraceStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._handles: dict[str, io.TextIOWrapper] = {}
+        self._handles: dict[str, BinaryIO] = {}
         self._seen: dict[str, set[tuple[str, str, int, int]]] = {}
 
     def trial_path(self, run_id: str) -> Path:
@@ -401,9 +445,9 @@ class TraceStore:
                 raise DuplicateTrialError(f"trial already stored: {record.key()!r}")
             handle = self._handles.get(record.run_id)
             if handle is None:
-                handle = open(self.trial_path(record.run_id), "a", encoding="utf-8")
+                handle = _open_for_append(self.trial_path(record.run_id))
                 self._handles[record.run_id] = handle
-            handle.write(record.to_json() + "\n")
+            handle.write(record.to_json().encode() + b"\n")
             handle.flush()
             seen.add(record.key())
 
@@ -423,24 +467,43 @@ class TraceStore:
         path = self.trial_path(run_id)
         if not path.exists():
             return
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+        offset = 0
+        with open(path, "rb") as fh:
+            for raw in fh:
+                line = raw.strip()
                 if line:
-                    yield TrialRecordLine.from_json(line)
+                    try:
+                        record = TrialRecordLine.from_json(line.decode())
+                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                        # only the final line can lack its newline
+                        if raw.endswith(b"\n"):
+                            raise
+                        raise TornRecordError(run_id, offset) from exc
+                    yield record
+                offset += len(raw)
 
     def iter_trials(self, run_id: str) -> Iterator[TrialRecordLine]:
         yield from self._iter_unlocked(run_id)
 
-    def completed_trials(self, run_id: str) -> dict[tuple[str, int], list[TrialOutcome]]:
+    def completed_trials(
+        self, run_id: str, drop_torn_tail: bool = False
+    ) -> dict[tuple[str, int], list[TrialOutcome]]:
         """Replay stored outcomes per configuration, in trial-index order.
 
-        Feed the result to run_evaluation(preloaded=...) to resume a run
-        without re-drawing finished work.
+        Keys follow the first appearance of each configuration in the
+        record file. Feed the result to run_evaluation(preloaded=...) to
+        resume a run without re-drawing finished work; with drop_torn_tail
+        a torn final line is cut from the file instead of raising
+        TornRecordError, so appends start after the last whole record.
         """
         grouped: dict[tuple[str, int], list[TrialRecordLine]] = {}
-        for record in self.iter_trials(run_id):
-            grouped.setdefault((record.sample_id, record.level_index), []).append(record)
+        try:
+            for record in self.iter_trials(run_id):
+                grouped.setdefault((record.sample_id, record.level_index), []).append(record)
+        except TornRecordError as exc:
+            if not drop_torn_tail:
+                raise
+            os.truncate(self.trial_path(run_id), exc.offset)
         out: dict[tuple[str, int], list[TrialOutcome]] = {}
         for key, records in grouped.items():
             records.sort(key=lambda r: r.trial_index)
@@ -460,10 +523,8 @@ class TraceStore:
         self, run_id: str, manifest: RunManifest
     ) -> tuple[list[str], dict[tuple[str, int], list[TrialOutcome]]]:
         per_config = self.completed_trials(run_id)
-        order: list[str] = []
-        for record in self.iter_trials(run_id):
-            if record.sample_id not in order:
-                order.append(record.sample_id)
+        # samples in order of first appearance in the record file
+        order = list(dict.fromkeys(sid for sid, _ in per_config))
         if not order:
             raise IncompleteRunError(run_id, "no trial records stored")
         J = len(manifest.levels)

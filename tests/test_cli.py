@@ -166,6 +166,30 @@ class TestCompute:
         result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
         assert result.exit_code == 2
 
+    def test_torn_final_line_exits_two_naming_its_offset(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        data = trial_file.read_bytes()
+        trial_file.write_bytes(data[:-20])
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 2
+        offset = data.rindex(b"\n", 0, len(data) - 1) + 1
+        assert f"byte {offset}" in all_text(result)
+
+    def test_bad_line_ending_in_a_newline_exits_one(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        damaged = trial_file.read_bytes()[:-20] + b"\n"
+        trial_file.write_bytes(damaged)
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+        assert trial_file.read_bytes() == damaged
+
     def test_ambiguous_store_requires_run_id(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -199,6 +223,51 @@ class TestResume:
         assert (cut_dir / "r1.bundle.json").read_bytes() == (
             full_dir / "r1.bundle.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("seed_args", [["--seed", "8"], []])
+    def test_resume_refuses_a_different_seed(self, runner, spec_file, tmp_path, seed_args):
+        # the spec file's own seed is 42, so resuming without --seed also conflicts
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1", seed="7")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        before = trial_file.read_bytes()
+        result = runner.invoke(
+            main, [*seed_args, "run", str(spec_file), "--out", str(out), "--run-id", "r1", "--resume"]
+        )
+        assert result.exit_code == 1
+        text = all_text(result)
+        assert "seed 7" in text
+        assert f"seed {seed_args[1] if seed_args else 42}" in text
+        assert trial_file.read_bytes() == before
+
+    @pytest.mark.parametrize("keep", [1, 90, -1])
+    def test_resume_drops_a_torn_final_line(self, runner, spec_file, tmp_path, keep):
+        full_dir = tmp_path / "full"
+        do_run(runner, spec_file, full_dir, "--naive", "2", "--run-id", "r1")
+        data = (full_dir / "r1.jsonl").read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        # keep -1 leaves the whole last record but not its newline
+        cut = last + keep if keep > 0 else len(data) + keep
+
+        cut_dir = tmp_path / "cut"
+        cut_dir.mkdir()
+        (cut_dir / "r1.manifest.json").write_text((full_dir / "r1.manifest.json").read_text())
+        (cut_dir / "r1.jsonl").write_bytes(data[:cut])
+        result = runner.invoke(
+            main,
+            ["--seed", "42", "run", str(spec_file), "--out", str(cut_dir),
+             "--run-id", "r1", "--resume"],
+        )
+        assert result.exit_code == 0, result.output
+
+        def bundle(path: Path) -> dict:
+            loaded = json.loads(path.read_text())
+            del loaded["manifest"]["started_at"]
+            return loaded
+
+        assert bundle(cut_dir / "r1.bundle.json") == bundle(full_dir / "r1.bundle.json")
 
     def test_resume_requires_run_id(self, runner, spec_file, tmp_path):
         result = do_run(runner, spec_file, tmp_path / "runs", "--resume")

@@ -9,6 +9,7 @@ import statistics
 from pathlib import Path
 
 import pytest
+import yaml
 
 from arise import (
     AdaptiveMode,
@@ -122,6 +123,10 @@ class TestSimulateTrial:
             simulate_trial(spec, "nope", 0, 0)
         with pytest.raises(ValueError, match="level"):
             simulate_trial(spec, "a", 5, 0)
+        for level in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                spec.params("b", level)
+        assert spec.params("b", 1) == LevelParams(0.4, 5.3, 0.2)
 
     def test_backend_wraps_spec(self):
         spec = tiny_spec()
@@ -236,6 +241,10 @@ class TestSpecSerialization:
         as_json = tmp_path / "spec.json"
         as_json.write_text(json.dumps(spec.to_dict()))
         assert SyntheticModelSpec.from_file(as_json) == spec
+        as_yaml = tmp_path / "spec.yaml"
+        as_yaml.write_text(yaml.safe_dump(spec.to_dict()))
+        assert not as_yaml.read_text().lstrip().startswith("{")
+        assert SyntheticModelSpec.from_file(as_yaml) == spec
 
     def test_committed_reference_file_matches_builtin(self):
         committed = Path(__file__).parent.parent / "configs" / "reference_spec.json"

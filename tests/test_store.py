@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from arise import (
+    BackendConfig,
     ConvergenceConfig,
     DuplicateTrialError,
     IncompleteRunError,
@@ -17,13 +18,16 @@ from arise import (
     ResultBundle,
     RunManifest,
     SimulatorBackend,
+    SyntheticModelSpec,
     TraceStore,
     TrialRecordLine,
     arise_aggregate,
+    read_mapping,
     reference_spec,
     run_evaluation,
     write_atomic,
 )
+from arise.cli import _load_run_config
 
 
 def record(**overrides) -> TrialRecordLine:
@@ -189,6 +193,34 @@ class TestCompletedTrials:
             store.completed_trials("r1")
 
 
+class TestTornTail:
+    """A crash can cut the final line short; only that line is forgiven, and only by a resume."""
+
+    def seed_store(self, tmp_path: Path) -> tuple[TraceStore, bytes]:
+        store = TraceStore(tmp_path)
+        for k in range(3):
+            store.append_trial(record(trial_index=k))
+        store.close()
+        return store, store.trial_path("r1").read_bytes()
+
+    def test_drop_torn_tail_cuts_the_file_at_the_last_newline(self, tmp_path: Path):
+        store, data = self.seed_store(tmp_path)
+        start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        store.trial_path("r1").write_bytes(data[: start + 30])
+        replayed = store.completed_trials("r1", drop_torn_tail=True)
+        assert len(replayed[("s01", 0)]) == 2
+        assert store.trial_path("r1").read_bytes() == data[:start]
+
+    def test_append_after_a_record_missing_its_newline_starts_a_new_line(self, tmp_path: Path):
+        store, data = self.seed_store(tmp_path)
+        store.trial_path("r1").write_bytes(data[:-1])
+        fresh = TraceStore(tmp_path)
+        assert len(fresh.completed_trials("r1")[("s01", 0)]) == 3
+        fresh.append_trial(record(trial_index=3))
+        fresh.close()
+        assert [r.trial_index for r in fresh.iter_trials("r1")] == [0, 1, 2, 3]
+
+
 class TestRecompute:
     def seed_store(self, tmp_path: Path) -> TraceStore:
         store = TraceStore(tmp_path)
@@ -249,6 +281,38 @@ class TestRecompute:
         store.write_manifest(manifest())
         with pytest.raises(IncompleteRunError, match="no trial records"):
             store.recompute("r1")
+
+    def test_recompute_parses_each_line_once(self, tmp_path: Path, monkeypatch):
+        store = self.seed_store(tmp_path)
+        parse = TrialRecordLine.from_json
+        lines: list[str] = []
+
+        def counting(cls, line: str) -> TrialRecordLine:
+            lines.append(line)
+            return parse(line)
+
+        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting))
+        store.recompute("r1")
+        assert len(lines) == 6
+
+    def test_sample_order_follows_first_appearance(self, tmp_path: Path):
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest(n_samples=3))
+        for sid, level in [("s03", 0), ("s01", 0), ("s03", 1), ("s02", 0), ("s01", 1), ("s02", 1)]:
+            store.append_trial(
+                record(
+                    sample_id=sid,
+                    level_index=level,
+                    level_label=("low", "high")[level],
+                    completion_tokens=100 * (level + 1),
+                )
+            )
+        store.close()
+        bundle = store.recompute("r1")
+        assert [s.sample_id for s in bundle.sample_scores] == ["s03", "s01", "s02"]
+        assert [c.sample_id for c in bundle.configurations] == [
+            "s03", "s03", "s01", "s01", "s02", "s02"
+        ]
 
     def test_sample_count_mismatch_rejected(self, tmp_path: Path):
         store = TraceStore(tmp_path)
@@ -317,6 +381,25 @@ class TestBundleSerialization:
         bundle = store.recompute("r1")
         parsed = ResultBundle.from_json(bundle.to_json())
         assert parsed == bundle
+
+
+class TestReadMapping:
+    def test_json_exponent_number_is_a_float(self, tmp_path: Path):
+        path = tmp_path / "config.json"
+        path.write_text('{"tau": 1e-3}')
+        data = read_mapping(path, "config")
+        assert data == {"tau": 0.001}
+        assert isinstance(data["tau"], float)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "- a\n- b\n", "7", ""])
+    @pytest.mark.parametrize(
+        "loader", [_load_run_config, SyntheticModelSpec.from_file, BackendConfig.from_file]
+    )
+    def test_every_loader_rejects_a_non_mapping(self, tmp_path: Path, loader, text: str):
+        path = tmp_path / "config"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a mapping"):
+            loader(path)
 
 
 class TestAtomicWrites:

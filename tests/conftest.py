@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator
 
 import pytest
 
@@ -68,8 +70,9 @@ class MockModelServer:
         }
 
 
-@pytest.fixture()
-def mock_server():
+@contextmanager
+def serve_mock_model() -> Iterator[MockModelServer]:
+    """An in-process chat-completions endpoint on a free local port, for one `with` block."""
     state = MockModelServer()
 
     class Handler(BaseHTTPRequestHandler):
@@ -111,6 +114,12 @@ def mock_server():
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+@pytest.fixture()
+def mock_server():
+    with serve_mock_model() as state:
+        yield state
 
 
 def backend_config_dict(url: str, **overrides) -> dict:

@@ -1,0 +1,165 @@
+"""Golden outputs: what `arise` writes for fixed inputs, compared byte for byte.
+
+Each case runs CLI commands at a fixed seed and returns the files and
+stdout they produce. Every output must equal its checked-in copy under
+`tests/golden/<case>/`, except for wall-clock values (`started_at` in manifests
+and bundles, `timestamp` in trial records), which are masked on both
+sides. HTTP cases run against the in-process mock server, whose reply
+is a function of the request body and of how many times that body was
+seen before, so a configuration's n-th trial always gets the same reply.
+
+Regenerate the fixtures (only when an output is meant to change) with
+`PYTHONPATH=src:tests python tests/test_golden.py`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+from typing import Callable
+
+from click.testing import CliRunner
+
+from arise.cli import main
+
+from conftest import MockModelServer, backend_config_dict, serve_mock_model
+
+GOLDEN = Path(__file__).parent / "golden"
+SPEC = Path(__file__).parent.parent / "configs" / "reference_spec.json"
+API_KEY_VAR = "MOCK_API_KEY"
+_WALL_CLOCK = re.compile(rb'"(started_at|timestamp)": "[^"]*"')
+
+
+def masked(data: bytes) -> bytes:
+    return _WALL_CLOCK.sub(rb'"\1": "*"', data)
+
+
+def invoke(*args: str) -> str:
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 0, result.output
+    return result.stdout
+
+
+def run_files(out: Path, run_id: str, prefix: str, stdout: str) -> dict[str, bytes]:
+    return {
+        f"{prefix}.stdout": stdout.encode(),
+        f"{prefix}.jsonl": (out / f"{run_id}.jsonl").read_bytes(),
+        f"{prefix}.manifest.json": (out / f"{run_id}.manifest.json").read_bytes(),
+        f"{prefix}.bundle.json": (out / f"{run_id}.bundle.json").read_bytes(),
+    }
+
+
+def sim_runs(tmp: Path) -> dict[str, bytes]:
+    """Adaptive, naive:3 and budget runs of the reference spec, one table format each, then `report`."""
+    out = tmp / "runs"
+    files: dict[str, bytes] = {}
+    for prefix, fmt, mode in (("sim_adaptive", "markdown", ()),
+                              ("sim_naive3", "csv", ("--naive", "3")),
+                              ("sim_budget", "json", ("--budget", "150"))):
+        stdout = invoke("--seed", "7", "--format", fmt, "run", str(SPEC), *mode,
+                        "--out", str(out), "--run-id", prefix)
+        files.update(run_files(out, prefix, prefix, stdout))
+    exports = tmp / "exports"
+    bundles = [str(out / f"{p}.bundle.json") for p in ("sim_adaptive", "sim_naive3", "sim_budget")]
+    files["report.stdout"] = invoke(
+        "--sm-x1000", "report", *bundles, "--curves", "--transitions",
+        "--results-csv", str(exports / "results.csv"), "--out-dir", str(exports),
+    ).encode()
+    for path in sorted(exports.iterdir()):
+        files[f"report.{path.name}"] = path.read_bytes()
+    return files
+
+
+def simulate_outputs(tmp: Path) -> dict[str, bytes]:
+    """`simulate` in every table format, with the per-run CSV."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    files: dict[str, bytes] = {}
+    for fmt in ("markdown", "csv", "json"):
+        csv_path = tmp / f"simulate.{fmt}.csv"
+        files[f"simulate.{fmt}.stdout"] = invoke(
+            "--seed", "11", "--format", fmt, "simulate", str(SPEC), "--runs", "3",
+            "-m", "adaptive", "-m", "naive:1", "-m", "budget", "-m", "budget:100",
+            "--out", str(csv_path),
+        ).encode()
+        per_run = csv_path.read_bytes()
+        assert files.setdefault("simulate.out.csv", per_run) == per_run  # the format is stdout's only
+    return files
+
+
+def keyed_reply(server: MockModelServer) -> Callable[[dict], dict]:
+    """A reply that depends only on the body and on how often that body was seen before."""
+    seen: dict[str, int] = {}
+
+    def reply(body: dict) -> dict:
+        key = json.dumps(body, sort_keys=True)
+        with server.lock:
+            occurrence = seen[key] = seen.get(key, -1) + 1
+        digest = hashlib.sha256(f"{key}|{occurrence}".encode()).digest()
+        scale = 4 if body.get("reasoning_effort") == "high" else 1
+        return {
+            "choices": [{"message": {"content": "42" if digest[0] % 3 else "41"}}],
+            "usage": {"completion_tokens": scale * (40 + digest[1])},
+        }
+
+    return reply
+
+
+def http_runs(tmp: Path, server: MockModelServer) -> dict[str, bytes]:
+    """A naive and a --budget run against the mock server."""
+    config = {
+        "backend": backend_config_dict(server.url, retry={"max_attempts": 3, "backoff_base": 0.0}),
+        "tasks": [
+            {"sample_id": f"q{i}", "prompt": f"Question {i}: what is six times seven?",
+             "judge": {"type": "exact_match", "expected": "42"}}
+            for i in range(3)
+        ],
+    }
+    tmp.mkdir(parents=True, exist_ok=True)
+    path = tmp / "mock_backend.json"
+    path.write_text(json.dumps(config))
+    out = tmp / "runs"
+    files: dict[str, bytes] = {}
+    for prefix, mode in (("http_naive", ("--naive", "4")), ("http_budget", ("--budget", "30"))):
+        server.reply = keyed_reply(server)
+        stdout = invoke("run", str(path), *mode, "--out", str(out), "--run-id", prefix)
+        files.update(run_files(out, prefix, prefix, stdout))
+    return files
+
+
+def compare(case: str, actual: dict[str, bytes]) -> None:
+    expected_dir = GOLDEN / case
+    assert sorted(actual) == sorted(p.name for p in expected_dir.iterdir())
+    for name, data in actual.items():
+        expected = (expected_dir / name).read_bytes()
+        assert masked(data) == masked(expected), f"{case}/{name} differs from its golden copy"
+
+
+def test_simulator_runs_and_report_match_golden(tmp_path):
+    compare("sim", sim_runs(tmp_path))
+
+
+def test_simulate_matches_golden(tmp_path):
+    compare("simulate", simulate_outputs(tmp_path))
+
+
+def test_http_runs_match_golden(tmp_path, mock_server, api_key):
+    compare("http", http_runs(tmp_path, mock_server))
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.setdefault(API_KEY_VAR, "sk-golden")
+    with tempfile.TemporaryDirectory() as tmp, serve_mock_model() as server:
+        root = Path(tmp)
+        cases = {"sim": sim_runs(root / "sim"), "simulate": simulate_outputs(root / "simulate"),
+                 "http": http_runs(root / "http", server)}
+    for case, outputs in cases.items():
+        (GOLDEN / case).mkdir(parents=True, exist_ok=True)
+        for name, data in sorted(outputs.items()):
+            (GOLDEN / case / name).write_bytes(data)
+            sys.stdout.write(f"wrote {GOLDEN / case / name} ({len(data)} bytes)\n")

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import click
 
@@ -26,6 +26,7 @@ from .sampling import (
     FixedBudgetMode,
     NaiveMode,
     RunMode,
+    check_mode,
     parse_mode,
     run_evaluation,
 )
@@ -37,22 +38,13 @@ from .store import (
     TraceStore,
     TrialRecordLine,
     read_mapping,
+    render_table,
+    summary_table,
     write_atomic,
     write_curve_csv,
     write_results_csv,
     write_transitions_csv,
 )
-
-TABLE_COLUMNS = (
-    "model",
-    "benchmark",
-    "arise",
-    "scaling_metric",
-    "n_samples",
-    "n_levels",
-    "unconverged_count",
-)
-
 
 @dataclass
 class Options:
@@ -60,67 +52,9 @@ class Options:
     fmt: str
     sm_x1000: bool
 
-
-@dataclass(frozen=True)
-class ReportTable:
-    """Bundle summaries rendered as csv, markdown, or json."""
-
-    rows: tuple[tuple[str, str, float, float, int, int, int], ...]
-
-    @classmethod
-    def from_bundles(cls, bundles: Sequence[ResultBundle], sm_scale: float = 1.0) -> "ReportTable":
-        return cls(
-            tuple(
-                (
-                    b.manifest.model or "unknown",
-                    b.manifest.benchmark or "unknown",
-                    b.aggregate_arise,
-                    b.scaling_metric * sm_scale,
-                    b.n_samples,
-                    b.n_levels,
-                    b.unconverged_count,
-                )
-                for b in bundles
-            )
-        )
-
-    def render(self, fmt: str) -> str:
-        # metric columns always carry 6 decimal places
-        formatted = [
-            (model, bench, f"{arise:.6f}", f"{sm:.6f}", str(ns), str(nl), str(uc))
-            for model, bench, arise, sm, ns, nl, uc in self.rows
-        ]
-        if fmt == "csv":
-            lines = [",".join(TABLE_COLUMNS)]
-            lines += [",".join(row) for row in formatted]
-            return "\n".join(lines)
-        if fmt == "json":
-            return json.dumps(
-                [
-                    {col: _json_cell(col, cell) for col, cell in zip(TABLE_COLUMNS, row)}
-                    for row in formatted
-                ],
-                indent=2,
-            )
-        widths = [
-            max(len(col), *(len(row[i]) for row in formatted)) if formatted else len(col)
-            for i, col in enumerate(TABLE_COLUMNS)
-        ]
-        header = "| " + " | ".join(col.ljust(w) for col, w in zip(TABLE_COLUMNS, widths)) + " |"
-        rule = "| " + " | ".join("-" * w for w in widths) + " |"
-        body = [
-            "| " + " | ".join(cell.ljust(w) for cell, w in zip(row, widths)) + " |"
-            for row in formatted
-        ]
-        return "\n".join([header, rule, *body])
-
-
-def _json_cell(column: str, cell: str) -> object:
-    if column in ("arise", "scaling_metric"):
-        return float(cell)
-    if column in ("n_samples", "n_levels", "unconverged_count"):
-        return int(cell)
-    return cell
+    @property
+    def sm_scale(self) -> float:
+        return 1000.0 if self.sm_x1000 else 1.0
 
 
 def _now_rfc3339() -> str:
@@ -187,8 +121,7 @@ def compute(opts: Options, traces: Path, run_id: str | None, out: Path | None) -
     bundle = store.recompute(rid)
     destination = out if out is not None else store.bundle_path(rid)
     write_atomic(destination, bundle.to_json())
-    scale = 1000.0 if opts.sm_x1000 else 1.0
-    click.echo(ReportTable.from_bundles([bundle], scale).render(opts.fmt))
+    click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"bundle written to {destination}", err=True)
 
 
@@ -205,22 +138,6 @@ def _pick_mode(adaptive: bool, budget: int | None, naive: int | None) -> RunMode
         return FixedBudgetMode(budget)
     if naive is not None:
         return NaiveMode(naive)
-    return AdaptiveMode()
-
-
-def _mode_fields(mode: RunMode) -> tuple[str, int | None, int | None]:
-    if isinstance(mode, FixedBudgetMode):
-        return "fixed_budget", mode.budget, None
-    if isinstance(mode, NaiveMode):
-        return "naive", None, mode.trials
-    return "adaptive", None, None
-
-
-def _manifest_mode(manifest: RunManifest) -> RunMode:
-    if manifest.mode == "fixed_budget":
-        return FixedBudgetMode(manifest.budget)
-    if manifest.mode == "naive":
-        return NaiveMode(manifest.trials if manifest.trials is not None else 1)
     return AdaptiveMode()
 
 
@@ -289,7 +206,6 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         model = model or backend_cfg.model
     benchmark = benchmark or config.stem
 
-    preloaded = None
     if resume:
         if run_id is None:
             raise ValueError("--resume needs --run-id")
@@ -303,38 +219,27 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                 f"resuming it with seed {seed} would mix draws from both seeds"
             )
         cfg = manifest.cfg
-        mode = _manifest_mode(manifest)
-        preloaded = store.completed_trials(run_id, drop_torn_tail=True)
+        mode = manifest.run_mode
         manifest = dataclasses.replace(manifest, status="running")
     else:
         if run_id is None:
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
-        mode_name, mode_budget, mode_trials = _mode_fields(mode)
-        manifest = RunManifest(
+        manifest = RunManifest.for_mode(
+            mode,
             run_id=run_id,
-            mode=mode_name,
             cfg=cfg,
             levels=tuple(labels),
             n_samples=len(samples),
             started_at=_now_rfc3339(),
             status="running",
-            budget=mode_budget,
-            trials=mode_trials,
             seed=seed,
             model=model,
             benchmark=benchmark,
         )
     run_id = manifest.run_id
 
-    # fail fast on infeasible budgets, before any state is written
-    if isinstance(mode, FixedBudgetMode) and mode.budget is not None:
-        minimum = len(samples) * len(labels) * cfg.m_min
-        if mode.budget < minimum:
-            raise ValueError(
-                f"budget {mode.budget} is below the minimum feasible {minimum} "
-                f"(n*J*m_min = {len(samples)}*{len(labels)}*{cfg.m_min})"
-            )
-
+    check_mode(mode, len(samples), len(labels), cfg)  # fail fast, before any state is written
+    preloaded = store.completed_trials(run_id, drop_torn_tail=True) if resume else None
     store.write_manifest(manifest)
 
     def on_trial(sample_id: str, level_index: int, trial_index: int, outcome) -> None:
@@ -364,8 +269,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     store.write_manifest(dataclasses.replace(manifest, status="complete"))
     bundle = store.recompute(run_id)
     write_atomic(store.bundle_path(run_id), bundle.to_json())
-    scale = 1000.0 if opts.sm_x1000 else 1.0
-    click.echo(ReportTable.from_bundles([bundle], scale).render(opts.fmt))
+    click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"run {run_id} complete; bundle at {store.bundle_path(run_id)}", err=True)
 
 
@@ -390,7 +294,6 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
     parsed = [parse_mode(m) for m in modes]
     report = replicate_study(model_spec, cfg, parsed, runs, base_seed=opts.seed)
 
-    sm_scale = 1000.0 if opts.sm_x1000 else 1.0
     headers = ("mode", "arise_mean", "arise_std", "arise_cv",
                "sm_mean", "sm_std", "sm_cv", "total_trials", "unconverged")
     rows = [
@@ -399,15 +302,15 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
             f"{study.arise_mean:.6f}",
             f"{study.arise_std:.6f}",
             f"{study.arise_cv:.6f}",
-            f"{study.scaling_mean * sm_scale:.6f}",
-            f"{study.scaling_std * sm_scale:.6f}",
+            f"{study.scaling_mean * opts.sm_scale:.6f}",
+            f"{study.scaling_std * opts.sm_scale:.6f}",
             f"{study.scaling_cv:.6f}",
             str(study.total_trials),
             str(sum(study.unconverged)),
         )
         for study in report.modes
     ]
-    click.echo(_render_rows(headers, rows, opts.fmt))
+    click.echo(render_table(headers, rows, opts.fmt))
 
     if out is not None:
         lines = ["mode,run,arise,scaling_metric,trials,unconverged"]
@@ -419,19 +322,6 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
                 )
         write_atomic(out, "\n".join(lines) + "\n")
         click.echo(f"per-run rows written to {out}", err=True)
-
-
-def _render_rows(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join([",".join(headers), *(",".join(r) for r in rows)])
-    if fmt == "json":
-        return json.dumps([dict(zip(headers, r)) for r in rows], indent=2)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    out = ["| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |",
-           "| " + " | ".join("-" * w for w in widths) + " |"]
-    out += ["| " + " | ".join(c.ljust(w) for c, w in zip(r, widths)) + " |" for r in rows]
-    return "\n".join(out)
 
 
 @main.command()
@@ -448,11 +338,10 @@ def report(opts: Options, bundles: tuple[Path, ...], curves: bool, transitions: 
            results_csv: Path | None, out_dir: Path) -> None:
     """Render bundle summaries and export curve/transition CSVs."""
     loaded = [ResultBundle.from_json(p.read_text()) for p in bundles]
-    scale = 1000.0 if opts.sm_x1000 else 1.0
-    click.echo(ReportTable.from_bundles(loaded, scale).render(opts.fmt))
+    click.echo(summary_table(loaded, opts.fmt, opts.sm_scale))
     out_dir.mkdir(parents=True, exist_ok=True)
     if results_csv is not None:
-        write_results_csv(results_csv, loaded, sm_scale=scale)
+        write_results_csv(results_csv, loaded, sm_scale=opts.sm_scale)
         click.echo(f"results table written to {results_csv}", err=True)
     for bundle in loaded:
         rid = bundle.manifest.run_id

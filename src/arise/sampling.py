@@ -36,9 +36,11 @@ __all__ = [
     "update_statistics",
     "combined_cv",
     "should_continue",
+    "finalize_configuration",
     "run_configuration",
     "allocate_budget",
     "run_evaluation",
+    "check_mode",
     "parse_mode",
 ]
 
@@ -58,11 +60,12 @@ class InfeasibleBudgetError(ValueError):
 
 
 class ConfigurationError(RuntimeError):
-    """One configuration aborted after exhausting its trial retries."""
+    """A backend call failed, so one configuration aborted; retrying is the backend's job."""
 
     def __init__(self, sample_id: str, level_index: int, stats: "LevelStatistics", cause: BaseException):
         super().__init__(
-            f"configuration ({sample_id!r}, level {level_index}) failed after retries: {cause}"
+            f"configuration ({sample_id!r}, level {level_index}) failed at trial {stats.count}: "
+            f"{cause}"
         )
         self.sample_id = sample_id
         self.level_index = level_index
@@ -155,6 +158,11 @@ class LevelStatistics:
         """Finalized outcome: the means over all retained trials."""
         return LevelOutcome(self.mean_acc, self.mean_tok)
 
+    def probe_cv(self, m_min: int) -> float:
+        """Combined CV of the first m_min trials, the probe phase (all trials when fewer)."""
+        probe = self if self.count <= m_min else LevelStatistics(self.trials[:m_min], self.epsilon)
+        return probe.cv_combined
+
 
 def update_statistics(stats: LevelStatistics, trial: TrialOutcome) -> LevelStatistics:
     """Fold one more trial into the statistics (returns a new instance)."""
@@ -217,39 +225,13 @@ class ConfigurationResult:
 TrialCallback = Callable[[str, int, int, TrialOutcome], None]
 
 
-def _draw_trial(
-    backend: EvaluationBackend,
-    sample_id: str,
-    level_index: int,
-    trial_index: int,
-    retries: int,
-    trials_so_far: Sequence[TrialOutcome],
-    epsilon: float,
-) -> TrialOutcome:
-    # Failed attempts are re-tried with the same trial index and never count
-    # toward the retained trial total.
-    attempt = 0
-    while True:
-        try:
-            return backend.evaluate(sample_id, level_index, trial_index)
-        except Exception as exc:
-            attempt += 1
-            if attempt > retries:
-                partial = LevelStatistics(tuple(trials_so_far), epsilon)
-                raise ConfigurationError(sample_id, level_index, partial, exc) from exc
-
-
-def _probe_is_flat(trials: Sequence[TrialOutcome], cfg: ConvergenceConfig) -> bool:
-    probe = LevelStatistics(tuple(trials[: min(cfg.m_min, len(trials))]), cfg.epsilon)
-    return probe.cv_combined == 0.0
-
-
-def _finalize(
+def finalize_configuration(
     sample_id: str,
     level_index: int,
     trials: Sequence[TrialOutcome],
     cfg: ConvergenceConfig,
 ) -> ConfigurationResult:
+    """Summarize one configuration's trials; a live run and a replay of its records agree."""
     stats = LevelStatistics(tuple(trials), cfg.epsilon)
     return ConfigurationResult(
         sample_id=sample_id,
@@ -258,7 +240,7 @@ def _finalize(
         final=stats.final,
         stats=stats,
         converged=stats.cv_combined < cfg.tau,
-        zero_variance_probe=_probe_is_flat(trials, cfg),
+        zero_variance_probe=stats.probe_cv(cfg.m_min) == 0.0,
     )
 
 
@@ -269,31 +251,40 @@ def run_configuration(
     cfg: ConvergenceConfig,
     *,
     preloaded: Sequence[TrialOutcome] = (),
-    trial_retries: int = 3,
+    target: int | None = None,
     on_trial: TrialCallback | None = None,
 ) -> ConfigurationResult:
-    """Adaptively sample one configuration to convergence.
+    """Sample one configuration until its stop rule holds.
 
-    Probes `cfg.m_min` trials, then keeps drawing while `should_continue`
-    says so. `preloaded` outcomes (e.g. replayed from a trace store) count
-    as the earliest trials and are not re-drawn, which makes an interrupted
-    run resumable without perturbing its decisions. `on_trial` fires once
-    per fresh outcome.
+    Without `target` the rule is adaptive: probe `cfg.m_min` trials, then
+    keep drawing while `should_continue` says so. With `target` it draws
+    until exactly that many trials are held (naive and budget modes).
+    `preloaded` outcomes (e.g. replayed from a trace store) count as the
+    earliest trials and are not re-drawn, which makes an interrupted run
+    resumable without perturbing its decisions. `on_trial` fires once per
+    fresh outcome. The first exception from the backend aborts the
+    configuration with a ConfigurationError holding the trials so far.
     """
     trials: list[TrialOutcome] = list(preloaded)
 
-    def draw() -> None:
+    def more() -> bool:
+        if target is not None:
+            return len(trials) < target
+        if len(trials) < cfg.m_min:
+            return True
+        return should_continue(LevelStatistics(tuple(trials), cfg.epsilon), cfg)
+
+    while more():
         idx = len(trials)
-        outcome = _draw_trial(backend, sample_id, level_index, idx, trial_retries, trials, cfg.epsilon)
+        try:
+            outcome = backend.evaluate(sample_id, level_index, idx)
+        except Exception as exc:
+            partial = LevelStatistics(tuple(trials), cfg.epsilon)
+            raise ConfigurationError(sample_id, level_index, partial, exc) from exc
         trials.append(outcome)
         if on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
-
-    while len(trials) < cfg.m_min:
-        draw()
-    while should_continue(LevelStatistics(tuple(trials), cfg.epsilon), cfg):
-        draw()
-    return _finalize(sample_id, level_index, trials, cfg)
+    return finalize_configuration(sample_id, level_index, trials, cfg)
 
 
 @dataclass(frozen=True)
@@ -320,14 +311,10 @@ def allocate_budget(
     index) until exhausted. If every CV is zero the residual is spread
     uniformly instead.
     """
-    minimum = n * J * cfg.m_min
-    if B < minimum:
-        raise InfeasibleBudgetError(
-            f"budget {B} is below the minimum feasible {minimum} (n*J*m_min = {n}*{J}*{cfg.m_min})"
-        )
+    check_mode(FixedBudgetMode(B), n, J, cfg)
     if len(probe_cvs) != n * J:
         raise ValueError(f"expected probe CVs for {n * J} configurations, got {len(probe_cvs)}")
-    residual = B - minimum
+    residual = B - n * J * cfg.m_min
     total_cv = sum(probe_cvs[key] for key in sorted(probe_cvs))
     allocations: dict[tuple[str, int], int] = {}
     for key in sorted(probe_cvs):
@@ -381,6 +368,29 @@ class NaiveMode:
 RunMode = AdaptiveMode | FixedBudgetMode | NaiveMode
 
 
+def check_mode(mode: RunMode, n: int, J: int, cfg: ConvergenceConfig) -> RunMode:
+    """Refuse a mode that cannot run on n samples x J levels; resolve the default budget.
+
+    Naive mode needs at least one trial per configuration; a budget must
+    cover the n*J*m_min probe trials (InfeasibleBudgetError otherwise).
+    Returns the mode with a budget of None replaced by 5*n*J.
+    """
+    if isinstance(mode, NaiveMode) and mode.trials < 1:
+        raise ValueError(f"naive mode needs at least 1 trial, got {mode.trials}")
+    if isinstance(mode, FixedBudgetMode):
+        budget = 5 * n * J if mode.budget is None else mode.budget
+        minimum = n * J * cfg.m_min
+        if budget < minimum:
+            raise InfeasibleBudgetError(
+                f"budget {budget} is below the minimum feasible {minimum} "
+                f"(n*J*m_min = {n}*{J}*{cfg.m_min})"
+            )
+        return FixedBudgetMode(budget)
+    if not isinstance(mode, (AdaptiveMode, NaiveMode)):
+        raise ValueError(f"unknown run mode: {mode!r}")
+    return mode
+
+
 def parse_mode(text: str) -> RunMode:
     """Parse a mode string: 'adaptive', 'naive:K', or 'budget:B'."""
     name, _, arg = text.partition(":")
@@ -415,25 +425,19 @@ class EvaluationRun:
     def unconverged_count(self) -> int:
         return sum(1 for r in self.configurations.values() if not r.converged)
 
-
-def _run_fixed(
-    backend: EvaluationBackend,
-    sample_id: str,
-    level_index: int,
-    target: int,
-    cfg: ConvergenceConfig,
-    preloaded: Sequence[TrialOutcome],
-    trial_retries: int,
-    on_trial: TrialCallback | None,
-) -> ConfigurationResult:
-    trials: list[TrialOutcome] = list(preloaded)
-    while len(trials) < target:
-        idx = len(trials)
-        outcome = _draw_trial(backend, sample_id, level_index, idx, trial_retries, trials, cfg.epsilon)
-        trials.append(outcome)
-        if on_trial is not None:
-            on_trial(sample_id, level_index, idx, outcome)
-    return _finalize(sample_id, level_index, trials, cfg)
+    @classmethod
+    def collect(
+        cls,
+        samples: Sequence[str],
+        levels: Sequence[str],
+        configurations: Mapping[tuple[str, int], ConfigurationResult],
+    ) -> "EvaluationRun":
+        """Assemble per-sample trajectories, levels in index order, from finished configurations."""
+        trajectories = tuple(
+            SampleTrajectory(sid, tuple(configurations[(sid, j)].final for j in range(len(levels))))
+            for sid in samples
+        )
+        return cls(tuple(samples), tuple(levels), configurations, trajectories)
 
 
 def run_evaluation(
@@ -444,7 +448,6 @@ def run_evaluation(
     mode: RunMode,
     *,
     preloaded: Mapping[tuple[str, int], Sequence[TrialOutcome]] | None = None,
-    trial_retries: int = 3,
     on_trial: TrialCallback | None = None,
     max_workers: int = 1,
 ) -> EvaluationRun:
@@ -466,63 +469,32 @@ def run_evaluation(
         raise ValueError(f"need at least 2 levels, got {len(levels)}")
     if len(set(samples)) != len(samples):
         raise ValueError("sample ids must be unique")
+    n, J = len(samples), len(levels)
+    mode = check_mode(mode, n, J, cfg)
     pre = dict(preloaded) if preloaded else {}
-    keys = [(sid, j) for sid in samples for j in range(len(levels))]
+    keys = [(sid, j) for sid in samples for j in range(J)]
 
-    def run_all(fn: Callable[[tuple[str, int]], ConfigurationResult]) -> dict[tuple[str, int], ConfigurationResult]:
+    def run_all(
+        target: Callable[[tuple[str, int]], int | None],
+        start: Mapping[tuple[str, int], Sequence[TrialOutcome]],
+    ) -> dict[tuple[str, int], ConfigurationResult]:
+        def one(key: tuple[str, int]) -> ConfigurationResult:
+            return run_configuration(backend, key[0], key[1], cfg, preloaded=start.get(key, ()),
+                                     target=target(key), on_trial=on_trial)
+
         if max_workers > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                found = dict(zip(keys, pool.map(fn, keys)))
-        else:
-            found = {key: fn(key) for key in keys}
-        return found
+                return dict(zip(keys, pool.map(one, keys)))
+        return {key: one(key) for key in keys}
 
     if isinstance(mode, AdaptiveMode):
-        results = run_all(
-            lambda key: run_configuration(
-                backend, key[0], key[1], cfg,
-                preloaded=pre.get(key, ()), trial_retries=trial_retries, on_trial=on_trial,
-            )
-        )
+        results = run_all(lambda key: None, pre)
     elif isinstance(mode, NaiveMode):
-        if mode.trials < 1:
-            raise ValueError(f"naive mode needs at least 1 trial, got {mode.trials}")
-        results = run_all(
-            lambda key: _run_fixed(
-                backend, key[0], key[1], mode.trials, cfg,
-                pre.get(key, ()), trial_retries, on_trial,
-            )
-        )
-    elif isinstance(mode, FixedBudgetMode):
-        n, J = len(samples), len(levels)
-        budget = mode.budget if mode.budget is not None else 5 * n * J
-        if budget < n * J * cfg.m_min:
-            raise InfeasibleBudgetError(
-                f"budget {budget} is below the minimum feasible {n * J * cfg.m_min} "
-                f"(n*J*m_min = {n}*{J}*{cfg.m_min})"
-            )
-        probed = run_all(
-            lambda key: _run_fixed(
-                backend, key[0], key[1], cfg.m_min, cfg,
-                pre.get(key, ()), trial_retries, on_trial,
-            )
-        )
-        probe_cvs = {
-            key: LevelStatistics(r.stats.trials[: cfg.m_min], cfg.epsilon).cv_combined
-            for key, r in probed.items()
-        }
-        plan = allocate_budget(probe_cvs, n, J, cfg, budget)
-        results = run_all(
-            lambda key: _run_fixed(
-                backend, key[0], key[1], plan.allocations[key], cfg,
-                probed[key].stats.trials, trial_retries, on_trial,
-            )
-        )
+        results = run_all(lambda key: mode.trials, pre)
     else:
-        raise ValueError(f"unknown run mode: {mode!r}")
-
-    trajectories = tuple(
-        SampleTrajectory(sid, tuple(results[(sid, j)].final for j in range(len(levels))))
-        for sid in samples
-    )
-    return EvaluationRun(tuple(samples), tuple(levels), results, trajectories)
+        probed = run_all(lambda key: cfg.m_min, pre)
+        probe_cvs = {key: r.stats.probe_cv(cfg.m_min) for key, r in probed.items()}
+        plan = allocate_budget(probe_cvs, n, J, cfg, mode.budget)
+        probed_trials = {key: r.stats.trials for key, r in probed.items()}
+        results = run_all(lambda key: plan.allocations[key], probed_trials)
+    return EvaluationRun.collect(samples, levels, results)

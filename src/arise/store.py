@@ -11,7 +11,6 @@ significant digits).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -21,7 +20,6 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
 from .metrics import (
-    LevelOutcome,
     SampleTrajectory,
     TransitionMatrix,
     arise_aggregate,
@@ -30,7 +28,16 @@ from .metrics import (
     scaling_metric,
     transition_matrix,
 )
-from .sampling import ConvergenceConfig, LevelStatistics, TrialOutcome
+from .sampling import (
+    AdaptiveMode,
+    ConvergenceConfig,
+    EvaluationRun,
+    FixedBudgetMode,
+    NaiveMode,
+    RunMode,
+    TrialOutcome,
+    finalize_configuration,
+)
 
 __all__ = [
     "TrialRecordLine",
@@ -44,6 +51,8 @@ __all__ = [
     "IncompleteRunError",
     "TornRecordError",
     "read_mapping",
+    "render_table",
+    "summary_table",
     "write_atomic",
     "write_results_csv",
     "write_curve_csv",
@@ -213,6 +222,24 @@ class RunManifest:
     seed: int | None = None
     model: str | None = None
     benchmark: str | None = None
+
+    @classmethod
+    def for_mode(cls, mode: RunMode, **fields: object) -> "RunManifest":
+        """A manifest whose mode fields record `mode`; `fields` fill in the rest."""
+        if isinstance(mode, FixedBudgetMode):
+            return cls(mode="fixed_budget", budget=mode.budget, **fields)
+        if isinstance(mode, NaiveMode):
+            return cls(mode="naive", trials=mode.trials, **fields)
+        return cls(mode="adaptive", **fields)
+
+    @property
+    def run_mode(self) -> RunMode:
+        """The mode the manifest records, for a resume."""
+        if self.mode == "fixed_budget":
+            return FixedBudgetMode(self.budget)
+        if self.mode == "naive":
+            return NaiveMode(self.trials if self.trials is not None else 1)
+        return AdaptiveMode()
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -439,7 +466,7 @@ class TraceStore:
         with self._lock:
             seen = self._seen.get(record.run_id)
             if seen is None:
-                seen = {r.key() for r in self._iter_unlocked(record.run_id)}
+                seen = {r.key() for r in self.iter_trials(record.run_id)}
                 self._seen[record.run_id] = seen
             if record.key() in seen:
                 raise DuplicateTrialError(f"trial already stored: {record.key()!r}")
@@ -463,7 +490,8 @@ class TraceStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _iter_unlocked(self, run_id: str) -> Iterator[TrialRecordLine]:
+    def iter_trials(self, run_id: str) -> Iterator[TrialRecordLine]:
+        """Stored records in file order; a torn final line raises TornRecordError."""
         path = self.trial_path(run_id)
         if not path.exists():
             return
@@ -481,9 +509,6 @@ class TraceStore:
                         raise TornRecordError(run_id, offset) from exc
                     yield record
                 offset += len(raw)
-
-    def iter_trials(self, run_id: str) -> Iterator[TrialRecordLine]:
-        yield from self._iter_unlocked(run_id)
 
     def completed_trials(
         self, run_id: str, drop_torn_tail: bool = False
@@ -519,9 +544,8 @@ class TraceStore:
     # ------------------------------------------------------------------
     # trajectory assembly and recomputation
 
-    def _assemble(
-        self, run_id: str, manifest: RunManifest
-    ) -> tuple[list[str], dict[tuple[str, int], list[TrialOutcome]]]:
+    def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
+        """Every configuration's summary, rebuilt from the stored records as the live run built it."""
         per_config = self.completed_trials(run_id)
         # samples in order of first appearance in the record file
         order = list(dict.fromkeys(sid for sid, _ in per_config))
@@ -540,43 +564,29 @@ class TraceStore:
                 run_id,
                 f"manifest expects {manifest.n_samples} samples, found {len(order)}",
             )
-        return order, per_config
+        # popping drops each trial list once its statistics hold a copy
+        results = {
+            (sid, j): finalize_configuration(sid, j, per_config.pop((sid, j)), manifest.cfg)
+            for sid in order
+            for j in range(J)
+        }
+        return EvaluationRun.collect(order, manifest.levels, results)
 
     def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
         """Mean accuracy and tokens per configuration, levels ordered by index."""
-        manifest = self.read_manifest(run_id)
-        order, per_config = self._assemble(run_id, manifest)
-        J = len(manifest.levels)
-        trajectories = []
-        for sid in order:
-            levels = []
-            for j in range(J):
-                trials = per_config[(sid, j)]
-                stats = LevelStatistics(tuple(trials), manifest.cfg.epsilon)
-                levels.append(stats.final)
-            trajectories.append(SampleTrajectory(sid, tuple(levels)))
-        return trajectories
+        return list(self._evaluation(run_id, self.read_manifest(run_id)).trajectories)
 
     def recompute(self, run_id: str) -> ResultBundle:
         """Re-derive the full result bundle from stored records and manifest."""
         manifest = self.read_manifest(run_id)
-        order, per_config = self._assemble(run_id, manifest)
-        J = len(manifest.levels)
-
-        trajectories = []
+        run = self._evaluation(run_id, manifest)
+        trajectories = list(run.trajectories)
         scores = []
-        for sid in order:
-            trials_by_level = [per_config[(sid, j)] for j in range(J)]
-            levels = tuple(
-                LevelStatistics(tuple(trials), manifest.cfg.epsilon).final
-                for trials in trials_by_level
-            )
-            traj = SampleTrajectory(sid, levels)
-            trajectories.append(traj)
+        for traj in trajectories:
             score, diags = arise_sample(traj)
             scores.append(
                 SampleScore(
-                    sample_id=sid,
+                    sample_id=traj.sample_id,
                     arise=score,
                     non_monotone_tokens=diags.non_monotone_tokens,
                     improve=diags.improve,
@@ -584,26 +594,17 @@ class TraceStore:
                     unchanged=diags.unchanged,
                 )
             )
-
-        configurations = []
-        for sid in order:
-            for j in range(J):
-                trials = per_config[(sid, j)]
-                stats = LevelStatistics(tuple(trials), manifest.cfg.epsilon)
-                probe = LevelStatistics(
-                    tuple(trials[: min(manifest.cfg.m_min, len(trials))]), manifest.cfg.epsilon
-                )
-                configurations.append(
-                    ConfigurationSummary(
-                        sample_id=sid,
-                        level_index=j,
-                        k_star=stats.count,
-                        cv_combined=stats.cv_combined,
-                        converged=stats.cv_combined < manifest.cfg.tau,
-                        zero_variance_probe=probe.cv_combined == 0.0,
-                    )
-                )
-
+        configurations = tuple(
+            ConfigurationSummary(
+                sample_id=r.sample_id,
+                level_index=r.level_index,
+                k_star=r.k_star,
+                cv_combined=r.stats.cv_combined,
+                converged=r.converged,
+                zero_variance_probe=r.zero_variance_probe,
+            )
+            for r in run.configurations.values()
+        )
         curve = build_scaling_curve(trajectories)
         return ResultBundle(
             manifest=manifest,
@@ -611,28 +612,61 @@ class TraceStore:
             aggregate_arise=arise_aggregate(trajectories),
             curve=curve.points,
             scaling_metric=scaling_metric(curve),
-            configurations=tuple(configurations),
+            configurations=configurations,
             transitions=tuple(
-                transition_matrix(trajectories, (j - 1, j)) for j in range(1, J)
+                transition_matrix(trajectories, (j - 1, j)) for j in range(1, len(manifest.levels))
             ),
         )
 
 
 # ----------------------------------------------------------------------
-# CSV exports
+# tables and CSV exports
+
+_SUMMARY_COLUMNS = (
+    "model",
+    "benchmark",
+    "arise",
+    "scaling_metric",
+    "n_samples",
+    "n_levels",
+    "unconverged_count",
+)
+# json keeps the summary's types: names are strings, metrics floats, counts integers
+_SUMMARY_JSON_TYPES = (str, str, float, float, int, int, int)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(cell) for cell in row) + "\n")
-    return buf.getvalue()
+def render_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    fmt: str,
+    json_types: Sequence[type] = (),
+) -> str:
+    """Render rows as csv, json (a list of objects) or a markdown table.
+
+    Cells are written with str(); in json, column i holds json_types[i](cell),
+    a string by default.
+    """
+    cells = [[str(cell) for cell in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join([",".join(headers), *(",".join(row) for row in cells)])
+    if fmt == "json":
+        types = json_types or (str,) * len(headers)
+        return json.dumps(
+            [{h: t(cell) for h, t, cell in zip(headers, types, row)} for row in cells], indent=2
+        )
+    widths = [
+        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
+        for i, h in enumerate(headers)
+    ]
+    return "\n".join(
+        "| " + " | ".join(cell.ljust(w) for cell, w in zip(line, widths)) + " |"
+        for line in [headers, ["-" * w for w in widths], *cells]
+    )
 
 
-def write_results_csv(path: str | Path, bundles: Sequence[ResultBundle], sm_scale: float = 1.0) -> None:
-    """One row per bundle: model, benchmark, arise, scaling_metric, n_samples, levels."""
-    rows = [
+def _summary_rows(bundles: Sequence[ResultBundle], sm_scale: float) -> list[tuple[object, ...]]:
+    # metric columns always carry 6 decimal places
+    return [
         (
             b.manifest.model or "unknown",
             b.manifest.benchmark or "unknown",
@@ -640,9 +674,24 @@ def write_results_csv(path: str | Path, bundles: Sequence[ResultBundle], sm_scal
             f"{b.scaling_metric * sm_scale:.6f}",
             b.n_samples,
             b.n_levels,
+            b.unconverged_count,
         )
         for b in bundles
     ]
+
+
+def summary_table(bundles: Sequence[ResultBundle], fmt: str, sm_scale: float = 1.0) -> str:
+    """One row of _SUMMARY_COLUMNS per bundle, rendered as csv, markdown or json."""
+    return render_table(_SUMMARY_COLUMNS, _summary_rows(bundles, sm_scale), fmt, _SUMMARY_JSON_TYPES)
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    return render_table(header, rows, "csv") + "\n"
+
+
+def write_results_csv(path: str | Path, bundles: Sequence[ResultBundle], sm_scale: float = 1.0) -> None:
+    """One row per bundle: model, benchmark, arise, scaling_metric, n_samples, levels."""
+    rows = [row[:6] for row in _summary_rows(bundles, sm_scale)]
     write_atomic(
         path,
         _csv_text(("model", "benchmark", "arise", "scaling_metric", "n_samples", "levels"), rows),

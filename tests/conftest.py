@@ -31,19 +31,18 @@ class ScriptedBackend:
         return seq[trial_index] if trial_index < len(seq) else seq[-1]
 
 
-class FlakyBackend:
-    """Fails the first `failures` calls per configuration, then succeeds."""
+class FailingBackend:
+    """Raises on trial `fail_at` of every configuration and succeeds on the others."""
 
-    def __init__(self, failures: int, outcome: TrialOutcome = TrialOutcome(1.0, 100.0)):
-        self.failures = failures
+    def __init__(self, fail_at: int, outcome: TrialOutcome = TrialOutcome(1.0, 100.0)):
+        self.fail_at = fail_at
         self.outcome = outcome
-        self.attempts: dict[tuple[str, int, int], int] = {}
+        self.calls: list[tuple[str, int, int]] = []
 
     def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
-        key = (sample_id, level_index, trial_index)
-        self.attempts[key] = self.attempts.get(key, 0) + 1
-        if self.attempts[key] <= self.failures:
-            raise ConnectionError(f"transient failure {self.attempts[key]} for {key}")
+        self.calls.append((sample_id, level_index, trial_index))
+        if trial_index == self.fail_at:
+            raise ConnectionError(f"backend failure at {(sample_id, level_index, trial_index)}")
         return self.outcome
 
 
@@ -55,7 +54,6 @@ class MockModelServer:
         self.url = ""
         self.bodies: list[dict] = []
         self.headers: list[dict[str, str]] = []
-        self.start_times: list[float] = []
         self.in_flight = 0
         self.max_in_flight = 0
         self.status_queue: list[int] = []  # consumed per request; empty means 200
@@ -80,7 +78,6 @@ def serve_mock_model() -> Iterator[MockModelServer]:
             with state.lock:
                 state.in_flight += 1
                 state.max_in_flight = max(state.max_in_flight, state.in_flight)
-                state.start_times.append(time.monotonic())
                 status = state.status_queue.pop(0) if state.status_queue else 200
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -105,7 +102,8 @@ def serve_mock_model() -> Iterator[MockModelServer]:
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return quickly
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     state.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     try:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import logging
 import sys
+import threading
 import time
+import types
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,6 +23,7 @@ from arise import (
     dry_run,
     merge_patch,
     parse_judge,
+    RequestLimiter,
     parse_tasks,
     render_template,
     resolve_pointer,
@@ -285,14 +289,34 @@ class TestPacing:
             list(pool.map(lambda k: backend.evaluate("q1", 0, k), range(8)))
         assert mock_server.max_in_flight <= 2
 
-    def test_request_starts_are_spaced_out(self, mock_server, api_key):
+    def test_request_starts_are_spaced_out(self, mock_server, api_key, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
+        import arise.backend
+
+        # The limiter sees a clock that stands still, so each start it grants is
+        # the clock's reading plus the sleep it asks for, whatever the threads do.
+        local = threading.local()
+        frozen = types.SimpleNamespace(monotonic=lambda: 100.0,
+                                       sleep=lambda delay: setattr(local, "slept", delay))
+        monkeypatch.setattr(arise.backend, "time", frozen)
+        starts: list[float] = []
+        slot = RequestLimiter.slot
+
+        @contextmanager
+        def recording_slot(limiter):
+            local.slept = 0.0
+            with slot(limiter):
+                starts.append(100.0 + local.slept)
+                yield
+
+        monkeypatch.setattr(RequestLimiter, "slot", recording_slot)
         interval = 0.05
         backend = make_backend(mock_server, max_in_flight=4, min_request_interval=interval)
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(pool.map(lambda k: backend.evaluate("q1", 0, k), range(6)))
-        starts = sorted(mock_server.start_times)
+        assert len(starts) == len(mock_server.bodies) == 6
+        starts.sort()
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert all(gap >= interval - 0.005 for gap in gaps)
 

@@ -72,6 +72,15 @@ class TestRun:
         assert "minimum feasible 72" in all_text(result)  # 8 samples * 3 levels * 3
         assert not (out / "r1.manifest.json").exists()  # nothing was written
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_naive_without_a_trial_writes_nothing(self, runner, spec_file, tmp_path, count):
+        out = tmp_path / "runs"
+        result = do_run(runner, spec_file, out, "--naive", count, "--run-id", "r1")
+        assert result.exit_code == 1
+        assert "at least 1 trial" in all_text(result)
+        assert not (out / "r1.manifest.json").exists()  # nothing was written
+        assert not (out / "r1.jsonl").exists()
+
     def test_seed_override_reproduces_bundles(self, runner, spec_file, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -119,6 +128,27 @@ class TestHttpRun:
         bundle = json.loads((out / "h1.bundle.json").read_text())
         assert bundle["manifest"]["model"] == "mock-model"
         assert bundle["curve"] == [[64.0, 0.5], [256.0, 0.5]]
+
+    def test_a_trial_the_backend_cannot_finish_aborts_the_run(self, runner, tmp_path, mock_server,
+                                                                api_key):
+        mock_server.status_queue = [503] * 50
+        config = {
+            "backend": backend_config_dict(mock_server.url,
+                                           retry={"max_attempts": 3, "backoff_base": 0.0}),
+            "tasks": [{"sample_id": "q1", "prompt": "?",
+                       "judge": {"type": "exact_match", "expected": "42"}}],
+        }
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        result = runner.invoke(
+            main, ["run", str(path), "--naive", "1", "--out", str(out), "--run-id", "h1"],
+        )
+        assert result.exit_code == 2
+        assert len(mock_server.bodies) == 3  # the backend's max_attempts, and no more
+        manifest = json.loads((out / "h1.manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not (out / "h1.jsonl").exists()
 
     def test_dry_run_renders_without_contacting_the_server(self, runner, tmp_path, mock_server):
         config = {"backend": backend_config_dict(mock_server.url), "tasks": []}

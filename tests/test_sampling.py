@@ -21,6 +21,7 @@ from arise import (
     SimulatorBackend,
     TrialOutcome,
     allocate_budget,
+    check_mode,
     combined_cv,
     parse_mode,
     reference_spec,
@@ -30,7 +31,7 @@ from arise import (
     update_statistics,
 )
 
-from conftest import FlakyBackend, ScriptedBackend
+from conftest import FailingBackend, ScriptedBackend
 
 
 def outcomes(*pairs: tuple[float, float]) -> tuple[TrialOutcome, ...]:
@@ -217,22 +218,71 @@ class TestRunConfiguration:
         )
         assert seen == [1, 2]
 
-    def test_transient_failures_are_retried(self):
-        backend = FlakyBackend(failures=3)
-        result = run_configuration(backend, "s", 0, ConvergenceConfig(), trial_retries=3)
-        assert result.k_star == 3
+    def test_first_backend_exception_aborts_with_partial_statistics(self):
+        for fail_at in (0, 4):
+            backend = FailingBackend(fail_at=fail_at)
+            fired: list[int] = []
+            with pytest.raises(ConfigurationError) as err:
+                run_configuration(backend, "s", 0, ConvergenceConfig(), target=6,
+                                  on_trial=lambda s, j, k, o: fired.append(k))
+            assert (err.value.sample_id, err.value.level_index) == ("s", 0)
+            assert err.value.stats.count == fail_at == len(fired)
+            assert isinstance(err.value.__cause__, ConnectionError)
+            # retrying is the backend's job: the failed trial is not drawn again
+            assert [call[2] for call in backend.calls] == list(range(fail_at + 1))
 
-    def test_exhausted_retries_abort_with_partial_statistics(self):
-        backend = FlakyBackend(failures=4)
-        with pytest.raises(ConfigurationError) as err:
-            run_configuration(backend, "s", 0, ConvergenceConfig(), trial_retries=3)
-        assert err.value.sample_id == "s"
-        assert err.value.level_index == 0
-        assert err.value.stats.count == 0  # first trial never landed
+    def test_target_draws_exactly_that_many_without_stop_checks(self, monkeypatch):
+        import arise.sampling
+
+        checks: list[int] = []
+        real = arise.sampling.should_continue
+        monkeypatch.setattr(arise.sampling, "should_continue",
+                            lambda stats, cfg: checks.append(stats.count) or real(stats, cfg))
+        noisy = {("s", 0): [TrialOutcome(float(i % 2), 100.0 * (i + 1)) for i in range(12)]}
+        fixed = run_configuration(ScriptedBackend(noisy), "s", 0, ConvergenceConfig(), target=12)
+        assert fixed.k_star == 12 and checks == []  # fixed counts may pass m_max
+        adaptive = run_configuration(ScriptedBackend(noisy), "s", 0, ConvergenceConfig())
+        assert adaptive.k_star == 10
+        assert checks == list(range(3, 11))  # one check per stop decision, from m_min on
+
+    def test_probe_cv_covers_the_first_m_min_trials(self):
+        stats = LevelStatistics(PROBE + outcomes((1.0, 100.0)) * 5)
+        assert stats.probe_cv(3) == LevelStatistics(PROBE).cv_combined
+        assert LevelStatistics(PROBE[:2]).probe_cv(3) == LevelStatistics(PROBE[:2]).cv_combined
 
 
 # ----------------------------------------------------------------------
 # budget allocation
+
+
+class TestCheckMode:
+    CFG = ConvergenceConfig(m_min=3, m_max=10, tau=0.5)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_naive_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            check_mode(NaiveMode(trials), 2, 2, self.CFG)
+
+    def test_default_budget_resolves_to_five_per_configuration(self):
+        assert check_mode(FixedBudgetMode(), 4, 3, self.CFG) == FixedBudgetMode(60)
+
+    def test_budget_below_the_probes_is_infeasible(self):
+        assert check_mode(FixedBudgetMode(12), 2, 2, self.CFG) == FixedBudgetMode(12)
+        with pytest.raises(InfeasibleBudgetError, match="minimum feasible 12"):
+            check_mode(FixedBudgetMode(11), 2, 2, self.CFG)
+
+    def test_other_modes_pass_unchanged(self):
+        assert check_mode(AdaptiveMode(), 1, 2, self.CFG) == AdaptiveMode()
+        assert check_mode(NaiveMode(1), 1, 2, self.CFG) == NaiveMode(1)
+        with pytest.raises(ValueError, match="unknown run mode"):
+            check_mode("adaptive", 1, 2, self.CFG)
+
+    def test_run_evaluation_checks_before_drawing(self):
+        backend = ScriptedBackend({("s", 0): [TrialOutcome(1.0, 100.0)]})
+        for mode in (NaiveMode(0), FixedBudgetMode(5)):
+            with pytest.raises(ValueError):
+                run_evaluation(backend, ["s"], ["a", "b"], self.CFG, mode)
+        assert backend.calls == []
 
 
 class TestAllocateBudget:

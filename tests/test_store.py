@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from arise import (
+    AdaptiveMode,
     BackendConfig,
     ConvergenceConfig,
     DuplicateTrialError,
+    FixedBudgetMode,
     IncompleteRunError,
     NaiveMode,
     RecordValidationError,
@@ -119,6 +121,20 @@ class TestManifest:
     def test_optional_keys_omitted_when_absent(self):
         data = manifest(budget=None, trials=None, seed=None, model=None, benchmark=None).to_dict()
         assert not {"budget", "trials", "seed", "model", "benchmark"} & set(data)
+
+    @pytest.mark.parametrize("mode, name, budget, trials", [
+        (AdaptiveMode(), "adaptive", None, None),
+        (NaiveMode(3), "naive", None, 3),
+        (FixedBudgetMode(120), "fixed_budget", 120, None),
+    ])
+    def test_mode_fields_round_trip(self, mode, name, budget, trials):
+        fields = {k: v for k, v in vars(manifest()).items() if k not in ("mode", "budget", "trials")}
+        m = RunManifest.for_mode(mode, **fields)
+        assert (m.mode, m.budget, m.trials) == (name, budget, trials)
+        assert RunManifest.from_dict(m.to_dict()).run_mode == mode
+
+    def test_naive_manifest_without_a_count_resumes_single_sampling(self):
+        assert manifest(trials=None).run_mode == NaiveMode(1)
 
 
 class TestAppend:

@@ -521,24 +521,27 @@ class TraceStore:
         a torn final line is cut from the file instead of raising
         TornRecordError, so appends start after the last whole record.
         """
-        grouped: dict[tuple[str, int], list[TrialRecordLine]] = {}
+        # keep only (trial index, outcome) per record, so whole records never pile up
+        grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         try:
-            for record in self.iter_trials(run_id):
-                grouped.setdefault((record.sample_id, record.level_index), []).append(record)
+            for r in self.iter_trials(run_id):
+                grouped.setdefault((r.sample_id, r.level_index), []).append(
+                    (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
+                )
         except TornRecordError as exc:
             if not drop_torn_tail:
                 raise
             os.truncate(self.trial_path(run_id), exc.offset)
         out: dict[tuple[str, int], list[TrialOutcome]] = {}
-        for key, records in grouped.items():
-            records.sort(key=lambda r: r.trial_index)
-            indices = [r.trial_index for r in records]
-            if indices != list(range(len(records))):
+        for key, indexed in grouped.items():
+            indexed.sort(key=lambda pair: pair[0])
+            indices = [index for index, _ in indexed]
+            if indices != list(range(len(indexed))):
                 raise IncompleteRunError(
                     run_id,
                     f"configuration {key!r} has non-contiguous trial indices {indices}",
                 )
-            out[key] = [TrialOutcome(r.correct, float(r.completion_tokens)) for r in records]
+            out[key] = [outcome for _, outcome in indexed]
         return out
 
     # ------------------------------------------------------------------

@@ -305,22 +305,22 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
             f"{study.scaling_mean * opts.sm_scale:.6f}",
             f"{study.scaling_std * opts.sm_scale:.6f}",
             f"{study.scaling_cv:.6f}",
-            str(study.total_trials),
-            str(sum(study.unconverged)),
+            study.total_trials,
+            sum(study.unconverged),
         )
         for study in report.modes
     ]
     click.echo(render_table(headers, rows, opts.fmt))
 
     if out is not None:
-        lines = ["mode,run,arise,scaling_metric,trials,unconverged"]
-        for study in report.modes:
-            for r in range(report.replications):
-                lines.append(
-                    f"{study.mode},{r},{study.arise[r]!r},{study.scaling[r]!r},"
-                    f"{study.trials[r]},{study.unconverged[r]}"
-                )
-        write_atomic(out, "\n".join(lines) + "\n")
+        per_run = [
+            (study.mode, r, repr(study.arise[r]), repr(study.scaling[r]),
+             study.trials[r], study.unconverged[r])
+            for study in report.modes
+            for r in range(report.replications)
+        ]
+        headers = ("mode", "run", "arise", "scaling_metric", "trials", "unconverged")
+        write_atomic(out, render_table(headers, per_run, "csv") + "\n")
         click.echo(f"per-run rows written to {out}", err=True)
 
 

@@ -657,10 +657,7 @@ def render_table(
         return json.dumps(
             [{h: t(cell) for h, t, cell in zip(headers, types, row)} for row in cells], indent=2
         )
-    widths = [
-        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
+    widths = [max([len(h), *(len(row[i]) for row in cells)]) for i, h in enumerate(headers)]
     return "\n".join(
         "| " + " | ".join(cell.ljust(w) for cell, w in zip(line, widths)) + " |"
         for line in [headers, ["-" * w for w in widths], *cells]

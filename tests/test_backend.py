@@ -19,11 +19,11 @@ from arise import (
     HttpBackend,
     JudgeError,
     NumericMatchJudge,
+    RequestLimiter,
     TokenExtractionError,
     dry_run,
     merge_patch,
     parse_judge,
-    RequestLimiter,
     parse_tasks,
     render_template,
     resolve_pointer,

@@ -10,9 +10,11 @@ import pytest
 
 from arise import (
     AdaptiveMode,
+    BackendConfig,
     ConfigurationError,
     ConvergenceConfig,
     FixedBudgetMode,
+    HttpBackend,
     InfeasibleBudgetError,
     LevelOutcome,
     LevelStatistics,
@@ -24,6 +26,7 @@ from arise import (
     check_mode,
     combined_cv,
     parse_mode,
+    parse_tasks,
     reference_spec,
     run_configuration,
     run_evaluation,
@@ -31,7 +34,7 @@ from arise import (
     update_statistics,
 )
 
-from conftest import FailingBackend, ScriptedBackend
+from conftest import FailingBackend, ScriptedBackend, backend_config_dict
 
 
 def outcomes(*pairs: tuple[float, float]) -> tuple[TrialOutcome, ...]:
@@ -218,7 +221,19 @@ class TestRunConfiguration:
         )
         assert seen == [1, 2]
 
-    def test_first_backend_exception_aborts_with_partial_statistics(self):
+    def test_transient_failures_are_retried(self, mock_server, api_key):
+        # the backend's retry policy absorbs transient statuses; the sampler never sees them
+        cfg = BackendConfig.from_dict(backend_config_dict(
+            mock_server.url, retry={"max_attempts": 3, "backoff_base": 0.0}))
+        tasks = parse_tasks([{"sample_id": "s", "prompt": "What is the answer?",
+                              "judge": {"type": "exact_match", "expected": "42"}}])
+        mock_server.status_queue = [503, 429]
+        result = run_configuration(HttpBackend(cfg, tasks), "s", 0, ConvergenceConfig())
+        assert result.k_star == 3 and result.converged
+        assert len(mock_server.bodies) == 3 + 2  # one POST per trial plus one per transient status
+
+    def test_exhausted_retries_abort_with_partial_statistics(self):
+        # a backend that gave up raises; the first exception aborts the configuration
         for fail_at in (0, 4):
             backend = FailingBackend(fail_at=fail_at)
             fired: list[int] = []

@@ -30,7 +30,7 @@ from .sampling import (
     parse_mode,
     run_evaluation,
 )
-from .simulator import SimulatorBackend, SyntheticModelSpec, replicate_study
+from .simulator import SimulatorBackend, SyntheticModelSpec, check_study, replicate_study
 from .store import (
     IncompleteRunError,
     ResultBundle,
@@ -292,6 +292,9 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
     model_spec = SyntheticModelSpec.from_file(spec)
     cfg = ConvergenceConfig(m_min=m_min, m_max=m_max, tau=tau)
     parsed = [parse_mode(m) for m in modes]
+    check_study(model_spec, cfg, parsed, runs)
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)  # fail before any draw, not after the study
     report = replicate_study(model_spec, cfg, parsed, runs, base_seed=opts.seed)
 
     headers = ("mode", "arise_mean", "arise_std", "arise_cv",

@@ -199,12 +199,106 @@ def should_continue(stats: LevelStatistics, cfg: ConvergenceConfig) -> bool:
 
     Continues while the combined CV is still at or above tau and fewer than
     m_max trials have run; total trials therefore never exceed m_max.
+    `stats` may be any object with `.count` and `.cv_combined`, such as the
+    running accumulator that `run_configuration` keeps.
     """
     if stats.count < cfg.m_min:
         raise SamplingStateError(
             f"probing incomplete: {stats.count} of {cfg.m_min} trials collected"
         )
     return stats.cv_combined >= cfg.tau and stats.count < cfg.m_max
+
+
+# Guard band of the running stop check (_RunningCV). For one stream x_1..x_k
+# (correct or tokens) let mu and sigma be the exact mean and population std,
+# m = max|x_i|, u = 2^-53 and g = (3k + 6)u. Rounding-error bounds for
+# recursive summation (error <= (k-1)u sum|x|; Neumaier's sum() on Python
+# >= 3.12 stays inside it) give:
+# - two-pass (LevelStatistics): the mean is off by at most k u m, and
+#   sqrt(sigma^2 + mean error^2) carries a relative error of (k/2 + 3)u,
+#   so |std_e - sigma| <= (1.5k + 4)u m;
+# - running sums S, Q: |Q/k - (S/k)^2 - sigma^2| <= E = (3k + 4)u m^2, so
+#   |std_r - sigma| <= E / sqrt(max(var_r, E)). That is E / sqrt(var_r) while
+#   var_r resolves sigma^2 and sqrt(E) in the cancellation region var_r < E,
+#   where the sum of squares cancels against k mean^2 and var_r has no digits.
+# Hence |std_r - std_e| <= G = g m (1 + m / sqrt(max(var_r, g m^2))). Both
+# denominators mean + eps lie within dD = g (m + eps) of each other; with
+# D_r >= 4 dD this gives |cv_r - cv_e| <= (4/3)(G + cv_r dD) / D_r + 2u cv_r per
+# stream, and the final addition adds 2u cv. The band doubles the per-stream
+# (G + cv_r dD) / D_r plus 4u cv, which also covers the second-order terms
+# (g <= 2^-20) and the band's own rounding. Outside 2^-400 <= m <= 2^400, or
+# with D_r < 4 dD, the bound is not claimed and the exact path decides; inside,
+# underflow errors (at most k 2^-1074) stay below u m^2. m == 0 means every
+# value is zero, and both paths give a CV of exactly 0.
+_U = 2.0 ** -53
+_M_MIN, _M_MAX = 2.0 ** -400, 2.0 ** 400
+_MAX_G = 2.0 ** -20
+
+
+def _stream_cv(k: int, s: float, q: float, m: float, g: float, eps: float) -> tuple[float, float]:
+    """One stream's CV from running sums and its guard band (inf when the bound does not hold)."""
+    if m == 0.0 and q == 0.0:  # q is NaN when a value is
+        return 0.0, 0.0
+    if not _M_MIN <= m <= _M_MAX:
+        return math.nan, math.inf
+    mean = s / k
+    var = q / k - mean * mean
+    den = mean + eps
+    d_den = g * (m + eps)
+    if not den >= 4.0 * d_den:
+        return math.nan, math.inf
+    cv = math.sqrt(var) / den if var > 0.0 else 0.0
+    gap = g * m * (1.0 + m / math.sqrt(max(var, g * m * m)))
+    return cv, (gap + cv * d_den) / den
+
+
+class _RunningCV:
+    """The trials of one configuration with running sums, for O(1) stop checks.
+
+    Exposes `.count` and `.cv_combined` to `should_continue`. The combined
+    CV comes from running sums when it lies farther from tau than the guard
+    band above; otherwise it is the exact two-pass `LevelStatistics` value,
+    so every stop decision equals the two-pass one on every interpreter.
+    """
+
+    __slots__ = ("trials", "_tau", "_eps", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok", "_m_tok")
+
+    def __init__(self, preloaded: Sequence[TrialOutcome], cfg: ConvergenceConfig):
+        self.trials: list[TrialOutcome] = []
+        self._tau = cfg.tau
+        self._eps = cfg.epsilon
+        self._s_acc = self._q_acc = self._m_acc = 0.0
+        self._s_tok = self._q_tok = self._m_tok = 0.0
+        for trial in preloaded:
+            self.append(trial)
+
+    def append(self, trial: TrialOutcome) -> None:
+        self.trials.append(trial)
+        c, t = trial.correct, trial.tokens
+        self._s_acc += c
+        self._q_acc += c * c
+        self._m_acc = max(self._m_acc, abs(c))
+        self._s_tok += t
+        self._q_tok += t * t
+        self._m_tok = max(self._m_tok, abs(t))
+
+    @property
+    def count(self) -> int:
+        return len(self.trials)
+
+    @property
+    def cv_combined(self) -> float:
+        k = len(self.trials)
+        g = (3 * k + 6) * _U
+        cv_acc, band_acc = _stream_cv(k, self._s_acc, self._q_acc, self._m_acc, g, self._eps)
+        cv_tok, band_tok = _stream_cv(k, self._s_tok, self._q_tok, self._m_tok, g, self._eps)
+        cv = cv_acc + cv_tok
+        if g <= _MAX_G and abs(cv - self._tau) > 2.0 * (band_acc + band_tok + 4.0 * _U * cv):
+            return cv
+        return self.exact_cv()
+
+    def exact_cv(self) -> float:
+        return LevelStatistics(tuple(self.trials), self._eps).cv_combined
 
 
 @dataclass(frozen=True)
@@ -265,14 +359,15 @@ def run_configuration(
     fresh outcome. The first exception from the backend aborts the
     configuration with a ConfigurationError holding the trials so far.
     """
-    trials: list[TrialOutcome] = list(preloaded)
+    running = _RunningCV(preloaded, cfg)
+    trials = running.trials
 
     def more() -> bool:
         if target is not None:
             return len(trials) < target
         if len(trials) < cfg.m_min:
             return True
-        return should_continue(LevelStatistics(tuple(trials), cfg.epsilon), cfg)
+        return should_continue(running, cfg)
 
     while more():
         idx = len(trials)
@@ -281,7 +376,7 @@ def run_configuration(
         except Exception as exc:
             partial = LevelStatistics(tuple(trials), cfg.epsilon)
             raise ConfigurationError(sample_id, level_index, partial, exc) from exc
-        trials.append(outcome)
+        running.append(outcome)
         if on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
     return finalize_configuration(sample_id, level_index, trials, cfg)

@@ -31,6 +31,7 @@ from .sampling import (
     ConvergenceConfig,
     RunMode,
     TrialOutcome,
+    check_mode,
     run_evaluation,
 )
 from .store import read_mapping
@@ -47,6 +48,7 @@ __all__ = [
     "simulate_trial",
     "ground_truth",
     "ground_truth_trajectories",
+    "check_study",
     "replicate_study",
     "reference_spec",
 ]
@@ -281,6 +283,16 @@ class StudyReport:
     modes: tuple[ModeStudy, ...]
 
 
+def check_study(
+    spec: SyntheticModelSpec, cfg: ConvergenceConfig, modes: Sequence[RunMode], replications: int
+) -> None:
+    """Refuse a study that cannot run to the end: no replications, or a mode `check_mode` rejects."""
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
+    for mode in modes:
+        check_mode(mode, len(spec.sample_ids), spec.n_levels, cfg)
+
+
 def replicate_study(
     spec: SyntheticModelSpec,
     cfg: ConvergenceConfig,
@@ -293,10 +305,9 @@ def replicate_study(
     Replication r reseeds the spec with a value derived from
     (base_seed or spec.seed, r), so the same replication index sees
     identical trial draws in every mode and across-mode comparisons are
-    paired.
+    paired. Every mode is checked before the first draw.
     """
-    if replications < 1:
-        raise ValueError(f"need at least 1 replication, got {replications}")
+    check_study(spec, cfg, modes, replications)
     root = spec.seed if base_seed is None else base_seed
     labels = [f"level{j}" for j in range(spec.n_levels)]
     studies = []

@@ -422,11 +422,14 @@ class ResultBundle:
 
 
 class TraceStore:
-    """Filesystem store rooted at one directory; single writer per run."""
+    """Filesystem store rooted at one directory; single writer per run.
+
+    The root is created by the first write (a manifest or a record), so a
+    command that fails validation leaves no directory behind.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._handles: dict[str, BinaryIO] = {}
         self._seen: dict[str, set[tuple[str, str, int, int]]] = {}
@@ -449,6 +452,7 @@ class TraceStore:
     # manifests
 
     def write_manifest(self, manifest: RunManifest) -> None:
+        self.root.mkdir(parents=True, exist_ok=True)
         write_atomic(self.manifest_path(manifest.run_id), json.dumps(manifest.to_dict(), indent=2))
 
     def read_manifest(self, run_id: str) -> RunManifest:
@@ -472,6 +476,7 @@ class TraceStore:
                 raise DuplicateTrialError(f"trial already stored: {record.key()!r}")
             handle = self._handles.get(record.run_id)
             if handle is None:
+                self.root.mkdir(parents=True, exist_ok=True)
                 handle = _open_for_append(self.trial_path(record.run_id))
                 self._handles[record.run_id] = handle
             handle.write(record.to_json().encode() + b"\n")

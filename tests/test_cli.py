@@ -81,6 +81,13 @@ class TestRun:
         assert not (out / "r1.manifest.json").exists()  # nothing was written
         assert not (out / "r1.jsonl").exists()
 
+    @pytest.mark.parametrize("mode", [("--naive", "0"), ("--budget", "5")])
+    def test_failed_validation_leaves_no_out_directory(self, runner, spec_file, tmp_path, mode):
+        out = tmp_path / "nz" / "runs"
+        result = do_run(runner, spec_file, out, *mode)
+        assert result.exit_code == 1
+        assert not (tmp_path / "nz").exists()
+
     def test_seed_override_reproduces_bundles(self, runner, spec_file, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -372,6 +379,32 @@ class TestSimulate:
     def test_rejects_unknown_mode(self, runner, spec_file):
         result = runner.invoke(main, ["simulate", str(spec_file), "-m", "wat"])
         assert result.exit_code == 1
+
+    def test_missing_out_parent_is_created(self, runner, spec_file, tmp_path):
+        rows_path = tmp_path / "new" / "deeper" / "rows.csv"
+        result = runner.invoke(main, ["simulate", str(spec_file), "--runs", "1",
+                                      "-m", "naive:1", "--out", str(rows_path)])
+        assert result.exit_code == 0, result.output
+        assert rows_path.read_text().startswith("mode,run,arise,scaling_metric,trials,unconverged")
+
+    @pytest.mark.parametrize("args", [
+        ["--runs", "1", "-m", "naive:1", "--out", "blocker/rows.csv"],  # the parent is a file
+        ["--runs", "1", "-m", "adaptive", "-m", "naive:0", "--out", "new/rows.csv"],
+        ["--runs", "0", "-m", "naive:1", "--out", "new/rows.csv"],
+    ])
+    def test_unusable_out_or_study_fails_before_any_draw(self, runner, spec_file, tmp_path,
+                                                         monkeypatch, args):
+        import arise.cli
+
+        draws: list[object] = []
+        monkeypatch.setattr(arise.cli, "replicate_study", lambda *a, **k: draws.append(a))
+        (tmp_path / "blocker").write_text("")
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["simulate", str(spec_file), *args])
+        assert result.exit_code == 1
+        assert draws == []
+        assert "arise_mean" not in result.output  # no table was printed
+        assert not (tmp_path / "new").exists()
 
 
 class TestReport:

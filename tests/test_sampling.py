@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import arise.sampling
 
 from arise import (
     AdaptiveMode,
@@ -34,6 +39,7 @@ from arise import (
     update_statistics,
 )
 
+from arise.sampling import _RunningCV
 from conftest import FailingBackend, ScriptedBackend, backend_config_dict
 
 
@@ -264,6 +270,145 @@ class TestRunConfiguration:
         stats = LevelStatistics(PROBE + outcomes((1.0, 100.0)) * 5)
         assert stats.probe_cv(3) == LevelStatistics(PROBE).cv_combined
         assert LevelStatistics(PROBE[:2]).probe_cv(3) == LevelStatistics(PROBE[:2]).cv_combined
+
+
+# ----------------------------------------------------------------------
+# running stop checks
+
+
+def neumaier_sum(xs, start=0):
+    """The compensated float sum that builtin sum() performs on Python >= 3.12."""
+    total, comp = float(start), 0.0
+    for x in xs:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@contextmanager
+def two_pass_sums(summation):
+    """Run LevelStatistics' two-pass sums with `summation` in place of the builtin sum."""
+    if summation is sum:
+        yield
+        return
+    arise.sampling.sum = summation
+    try:
+        yield
+    finally:
+        del arise.sampling.sum
+
+
+class CountingRunningCV(_RunningCV):
+    """Records the trial count at every call of the exact two-pass fallback."""
+
+    __slots__ = ("exact_at",)
+
+    def __init__(self, preloaded, cfg, exact_at: list[int]):
+        super().__init__(preloaded, cfg)
+        self.exact_at = exact_at
+
+    def exact_cv(self) -> float:
+        self.exact_at.append(self.count)
+        return super().exact_cv()
+
+
+def two_pass_k_star(trials, cfg, prefix: int) -> int:
+    """The stop rule as it reads with the statistics rebuilt from every trial at each check."""
+    k = prefix
+    while k < cfg.m_min or should_continue(LevelStatistics(tuple(trials[:k]), cfg.epsilon), cfg):
+        k += 1
+    return k
+
+
+CORRECT = {
+    "bernoulli": lambda n: st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+    "fractional": lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+    "constant": lambda n: st.floats(0.0, 1.0).map(lambda c: [c] * n),
+}
+TOKENS = {
+    "integer": lambda n: st.lists(st.integers(1, 5000).map(float), min_size=n, max_size=n),
+    "fractional": lambda n: st.lists(st.floats(0.5, 1e4), min_size=n, max_size=n),
+    "constant": lambda n: st.floats(1.0, 1e6).map(lambda t: [t] * n),
+    "near_constant_large": lambda n: st.lists(
+        st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0), min_size=n, max_size=n
+    ).map(lambda ds: [1e6 + d for d in ds]),
+}
+
+
+@st.composite
+def stop_cases(draw):
+    """(trials, cfg, preloaded prefix length, index where tau equals the exact CV or None, summation)."""
+    n = draw(st.integers(1, 40))
+    correct = draw(st.sampled_from(sorted(CORRECT)).flatmap(lambda kind: CORRECT[kind](n)))
+    tokens = draw(st.sampled_from(sorted(TOKENS)).flatmap(lambda kind: TOKENS[kind](n)))
+    trials = [TrialOutcome(c, t) for c, t in zip(correct, tokens)]
+    m_min = draw(st.integers(1, min(5, n)))
+    m_max = draw(st.integers(m_min, n))
+    summation = draw(st.sampled_from([sum, neumaier_sum]))
+    observed_at = draw(st.none() | st.integers(m_min, m_max))
+    tau = draw(st.floats(1e-3, 3.0))
+    if observed_at is not None:
+        with two_pass_sums(summation):
+            cv = LevelStatistics(tuple(trials[:observed_at])).cv_combined
+        if cv > 0:
+            tau = cv
+        else:
+            observed_at = None
+    prefix = draw(st.integers(0, m_max))
+    return trials, ConvergenceConfig(m_min=m_min, m_max=m_max, tau=tau), prefix, observed_at, summation
+
+
+def pinned_case(pairs, tau_at: int, summation=sum):
+    trials = [TrialOutcome(c, t) for c, t in pairs]
+    with two_pass_sums(summation):
+        tau = LevelStatistics(tuple(trials[:tau_at])).cv_combined
+    return trials, ConvergenceConfig(m_min=1, m_max=len(trials), tau=tau), 0, tau_at, summation
+
+
+class TestRunningStopCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(stop_cases())
+    @example(pinned_case([(0.1, 1e6 + 1), (0.7, 1e6), (0.3, 1e6 - 1), (0.9, 1e6 + 1)], 4))
+    @example(pinned_case([(0.1, 1e6 + 1), (0.7, 1e6), (0.3, 1e6 - 1), (0.9, 1e6 + 1)], 4,
+                         neumaier_sum))
+    @example(pinned_case([(0.6, 1e6), (0.2, 1e6)], 2))
+    def test_decision_equals_the_two_pass_decision_at_every_k(self, case):
+        trials, cfg, prefix, observed_at, summation = case
+        exact_at: list[int] = []
+        with two_pass_sums(summation):
+            grown = CountingRunningCV(trials[:prefix], cfg, exact_at)
+            for k in range(cfg.m_min, cfg.m_max + 1):
+                if k < prefix:
+                    running = CountingRunningCV(trials[:k], cfg, exact_at)
+                else:
+                    while grown.count < k:
+                        grown.append(trials[grown.count])
+                    running = grown
+                two_pass = LevelStatistics(tuple(trials[:k]), cfg.epsilon)
+                assert should_continue(running, cfg) == should_continue(two_pass, cfg), k
+            result = run_configuration(ScriptedBackend({("s", 0): trials}), "s", 0, cfg,
+                                       preloaded=trials[:prefix])
+            assert result.k_star == two_pass_k_star(trials, cfg, prefix)
+        if observed_at is not None:
+            # tau equals the exact CV there, which no running estimate may decide alone
+            assert observed_at in exact_at
+
+    def test_far_from_tau_decides_without_the_two_pass(self):
+        trials = [TrialOutcome(float(i % 2), 100.0 * (i + 1)) for i in range(100)]
+        cfg = ConvergenceConfig(m_max=1000, tau=0.05)
+        exact_at: list[int] = []
+        assert should_continue(CountingRunningCV(trials, cfg, exact_at), cfg)
+        assert exact_at == []
+
+    def test_run_configuration_checks_the_running_accumulator(self, monkeypatch):
+        seen: list[type] = []
+        real = arise.sampling.should_continue
+        monkeypatch.setattr(arise.sampling, "should_continue",
+                            lambda stats, cfg: seen.append(type(stats)) or real(stats, cfg))
+        script = {("s", 0): list(PROBE) + [TrialOutcome(1.0, 200.0)] * 7}
+        assert run_configuration(ScriptedBackend(script), "s", 0, ConvergenceConfig()).k_star == 10
+        assert seen == [_RunningCV] * 8
 
 
 # ----------------------------------------------------------------------

@@ -281,6 +281,20 @@ class TestReplication:
         report = replicate_study(tiny_spec(), ConvergenceConfig(), [AdaptiveMode()], 1)
         assert report.modes[0].arise_std == 0.0
 
+    @pytest.mark.parametrize("modes, replications", [
+        ([AdaptiveMode(), NaiveMode(0)], 2),  # the invalid mode comes after a valid one
+        ([AdaptiveMode()], 0),
+    ])
+    def test_an_impossible_study_fails_before_the_first_draw(self, monkeypatch, modes,
+                                                              replications):
+        import arise.simulator
+
+        draws: list[object] = []
+        monkeypatch.setattr(arise.simulator, "run_evaluation", lambda *a, **k: draws.append(a))
+        with pytest.raises(ValueError):
+            replicate_study(tiny_spec(), ConvergenceConfig(), modes, replications)
+        assert draws == []
+
 
 class TestReferenceSpec:
     def test_shape_and_seed(self):

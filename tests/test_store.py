@@ -147,6 +147,17 @@ class TestAppend:
         assert len(stored) == 2
         assert stored[0] == record()
 
+    @pytest.mark.parametrize("first_write", ["manifest", "record"])
+    def test_root_is_created_by_the_first_write(self, tmp_path: Path, first_write):
+        root = tmp_path / "a" / "b"
+        with TraceStore(root) as store:
+            assert store.run_ids() == [] and not root.exists()
+            if first_write == "manifest":
+                store.write_manifest(manifest())
+            else:
+                store.append_trial(record())
+        assert TraceStore(root).run_ids() == ["r1"]
+
     def test_duplicate_key_conflicts(self, tmp_path: Path):
         with TraceStore(tmp_path) as store:
             store.append_trial(record())

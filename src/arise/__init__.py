@@ -7,188 +7,21 @@ metric reports the average accuracy-per-token gradient. An adaptive
 sampling loop keeps drawing trials per (sample, level) configuration
 until the combined coefficient of variation falls below a threshold,
 so noisy configurations get more trials than stable ones.
+
+Every name in a submodule's `__all__`, its one export list, is `arise.<name>`.
 """
 
-from .backend import (
-    BackendConfig,
-    BackendError,
-    DryRunReport,
-    ExactMatchJudge,
-    ExternalJudge,
-    HttpBackend,
-    JudgeError,
-    JudgedTask,
-    LevelSpec,
-    NumericMatchJudge,
-    RequestLimiter,
-    RetryPolicy,
-    TokenExtractionError,
-    dry_run,
-    merge_patch,
-    parse_judge,
-    parse_tasks,
-    render_template,
-    resolve_pointer,
-)
-from .metrics import (
-    LevelOutcome,
-    SampleTrajectory,
-    ScalingCurve,
-    TrajectoryDiagnostics,
-    TransitionMatrix,
-    arise_aggregate,
-    arise_sample,
-    build_scaling_curve,
-    scaling_metric,
-    transition_contribution,
-    transition_matrix,
-    transition_weight,
-)
-from .sampling import (
-    EPSILON,
-    AdaptiveMode,
-    BudgetPlan,
-    ConfigurationError,
-    ConfigurationResult,
-    ConvergenceConfig,
-    EvaluationRun,
-    FixedBudgetMode,
-    InfeasibleBudgetError,
-    LevelStatistics,
-    NaiveMode,
-    RunMode,
-    SamplingStateError,
-    TrialOutcome,
-    allocate_budget,
-    check_mode,
-    combined_cv,
-    parse_mode,
-    run_configuration,
-    run_evaluation,
-    should_continue,
-    update_statistics,
-)
-from .simulator import (
-    GroundTruthTrajectory,
-    LevelParams,
-    ModeStudy,
-    SimulatorBackend,
-    StudyReport,
-    SyntheticModelSpec,
-    SyntheticSample,
-    derive_seed,
-    ground_truth,
-    ground_truth_trajectories,
-    reference_spec,
-    replicate_study,
-    simulate_trial,
-)
-from .store import (
-    ConfigurationSummary,
-    DuplicateTrialError,
-    IncompleteRunError,
-    RecordValidationError,
-    ResultBundle,
-    RunManifest,
-    SampleScore,
-    TornRecordError,
-    TraceStore,
-    TrialRecordLine,
-    read_mapping,
-    write_atomic,
-    write_curve_csv,
-    write_results_csv,
-    write_transitions_csv,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # metrics
-    "LevelOutcome",
-    "SampleTrajectory",
-    "ScalingCurve",
-    "TrajectoryDiagnostics",
-    "TransitionMatrix",
-    "arise_aggregate",
-    "arise_sample",
-    "build_scaling_curve",
-    "scaling_metric",
-    "transition_contribution",
-    "transition_matrix",
-    "transition_weight",
-    # sampling
-    "EPSILON",
-    "AdaptiveMode",
-    "BudgetPlan",
-    "ConfigurationError",
-    "ConfigurationResult",
-    "ConvergenceConfig",
-    "EvaluationRun",
-    "FixedBudgetMode",
-    "InfeasibleBudgetError",
-    "LevelStatistics",
-    "NaiveMode",
-    "RunMode",
-    "SamplingStateError",
-    "TrialOutcome",
-    "allocate_budget",
-    "check_mode",
-    "combined_cv",
-    "parse_mode",
-    "run_configuration",
-    "run_evaluation",
-    "should_continue",
-    "update_statistics",
-    # simulator
-    "GroundTruthTrajectory",
-    "LevelParams",
-    "ModeStudy",
-    "SimulatorBackend",
-    "StudyReport",
-    "SyntheticModelSpec",
-    "SyntheticSample",
-    "derive_seed",
-    "ground_truth",
-    "ground_truth_trajectories",
-    "reference_spec",
-    "replicate_study",
-    "simulate_trial",
-    # store
-    "ConfigurationSummary",
-    "DuplicateTrialError",
-    "IncompleteRunError",
-    "RecordValidationError",
-    "ResultBundle",
-    "RunManifest",
-    "SampleScore",
-    "TornRecordError",
-    "TraceStore",
-    "TrialRecordLine",
-    "read_mapping",
-    "write_atomic",
-    "write_curve_csv",
-    "write_results_csv",
-    "write_transitions_csv",
-    # backend
-    "BackendConfig",
-    "BackendError",
-    "DryRunReport",
-    "ExactMatchJudge",
-    "ExternalJudge",
-    "HttpBackend",
-    "JudgeError",
-    "JudgedTask",
-    "LevelSpec",
-    "NumericMatchJudge",
-    "RequestLimiter",
-    "RetryPolicy",
-    "TokenExtractionError",
-    "dry_run",
-    "merge_patch",
-    "parse_judge",
-    "parse_tasks",
-    "render_template",
-    "resolve_pointer",
-]
+_MODULES = ("metrics", "sampling", "simulator", "store", "backend")
+
+
+def _export(module_name: str) -> list[str]:
+    module = _import_module(f".{module_name}", __name__)
+    globals().update((name, getattr(module, name)) for name in module.__all__)
+    return module.__all__
+
+
+__all__ = ["__version__", *(name for module_name in _MODULES for name in _export(module_name))]

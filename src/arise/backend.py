@@ -39,6 +39,7 @@ __all__ = [
     "JudgedTask",
     "LevelSpec",
     "RetryPolicy",
+    "RequestLimiter",
     "BackendConfig",
     "HttpBackend",
     "DryRunReport",

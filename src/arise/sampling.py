@@ -33,8 +33,6 @@ __all__ = [
     "SamplingStateError",
     "InfeasibleBudgetError",
     "ConfigurationError",
-    "update_statistics",
-    "combined_cv",
     "should_continue",
     "finalize_configuration",
     "run_configuration",
@@ -107,11 +105,10 @@ class LevelStatistics:
     Every derived value is recomputed from the retained trial tuple on
     access, so an instance built trial-by-trial is bit-identical to one
     built from the full list at once. Standard deviations are population
-    (divisor k) estimates; CVs divide by mean + epsilon.
+    (divisor k) estimates; CVs divide by mean + EPSILON.
     """
 
     trials: tuple[TrialOutcome, ...] = ()
-    epsilon: float = EPSILON
 
     def _require_trials(self) -> None:
         if not self.trials:
@@ -143,11 +140,11 @@ class LevelStatistics:
 
     @property
     def cv_acc(self) -> float:
-        return self.std_acc / (self.mean_acc + self.epsilon)
+        return self.std_acc / (self.mean_acc + EPSILON)
 
     @property
     def cv_tok(self) -> float:
-        return self.std_tok / (self.mean_tok + self.epsilon)
+        return self.std_tok / (self.mean_tok + EPSILON)
 
     @property
     def cv_combined(self) -> float:
@@ -160,20 +157,8 @@ class LevelStatistics:
 
     def probe_cv(self, m_min: int) -> float:
         """Combined CV of the first m_min trials, the probe phase (all trials when fewer)."""
-        probe = self if self.count <= m_min else LevelStatistics(self.trials[:m_min], self.epsilon)
+        probe = self if self.count <= m_min else LevelStatistics(self.trials[:m_min])
         return probe.cv_combined
-
-
-def update_statistics(stats: LevelStatistics, trial: TrialOutcome) -> LevelStatistics:
-    """Fold one more trial into the statistics (returns a new instance)."""
-    return LevelStatistics(stats.trials + (trial,), stats.epsilon)
-
-
-def combined_cv(stats: LevelStatistics) -> float:
-    """Sum of the accuracy CV and the token CV."""
-    if stats.count == 0:
-        raise SamplingStateError("combined CV undefined with zero trials")
-    return stats.cv_combined
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,6 @@ class ConvergenceConfig:
     m_min: int = 3
     m_max: int = 10
     tau: float = 0.5
-    epsilon: float = EPSILON  # fixed in practice; exposed for completeness
 
     def __post_init__(self) -> None:
         if self.m_min < 1:
@@ -235,7 +219,7 @@ _M_MIN, _M_MAX = 2.0 ** -400, 2.0 ** 400
 _MAX_G = 2.0 ** -20
 
 
-def _stream_cv(k: int, s: float, q: float, m: float, g: float, eps: float) -> tuple[float, float]:
+def _stream_cv(k: int, s: float, q: float, m: float, g: float) -> tuple[float, float]:
     """One stream's CV from running sums and its guard band (inf when the bound does not hold)."""
     if m == 0.0 and q == 0.0:  # q is NaN when a value is
         return 0.0, 0.0
@@ -243,8 +227,8 @@ def _stream_cv(k: int, s: float, q: float, m: float, g: float, eps: float) -> tu
         return math.nan, math.inf
     mean = s / k
     var = q / k - mean * mean
-    den = mean + eps
-    d_den = g * (m + eps)
+    den = mean + EPSILON
+    d_den = g * (m + EPSILON)
     if not den >= 4.0 * d_den:
         return math.nan, math.inf
     cv = math.sqrt(var) / den if var > 0.0 else 0.0
@@ -261,12 +245,11 @@ class _RunningCV:
     so every stop decision equals the two-pass one on every interpreter.
     """
 
-    __slots__ = ("trials", "_tau", "_eps", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok", "_m_tok")
+    __slots__ = ("trials", "_tau", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok", "_m_tok")
 
     def __init__(self, preloaded: Sequence[TrialOutcome], cfg: ConvergenceConfig):
         self.trials: list[TrialOutcome] = []
         self._tau = cfg.tau
-        self._eps = cfg.epsilon
         self._s_acc = self._q_acc = self._m_acc = 0.0
         self._s_tok = self._q_tok = self._m_tok = 0.0
         for trial in preloaded:
@@ -290,15 +273,15 @@ class _RunningCV:
     def cv_combined(self) -> float:
         k = len(self.trials)
         g = (3 * k + 6) * _U
-        cv_acc, band_acc = _stream_cv(k, self._s_acc, self._q_acc, self._m_acc, g, self._eps)
-        cv_tok, band_tok = _stream_cv(k, self._s_tok, self._q_tok, self._m_tok, g, self._eps)
+        cv_acc, band_acc = _stream_cv(k, self._s_acc, self._q_acc, self._m_acc, g)
+        cv_tok, band_tok = _stream_cv(k, self._s_tok, self._q_tok, self._m_tok, g)
         cv = cv_acc + cv_tok
         if g <= _MAX_G and abs(cv - self._tau) > 2.0 * (band_acc + band_tok + 4.0 * _U * cv):
             return cv
         return self.exact_cv()
 
     def exact_cv(self) -> float:
-        return LevelStatistics(tuple(self.trials), self._eps).cv_combined
+        return LevelStatistics(tuple(self.trials)).cv_combined
 
 
 @dataclass(frozen=True)
@@ -326,7 +309,7 @@ def finalize_configuration(
     cfg: ConvergenceConfig,
 ) -> ConfigurationResult:
     """Summarize one configuration's trials; a live run and a replay of its records agree."""
-    stats = LevelStatistics(tuple(trials), cfg.epsilon)
+    stats = LevelStatistics(tuple(trials))
     return ConfigurationResult(
         sample_id=sample_id,
         level_index=level_index,
@@ -374,7 +357,7 @@ def run_configuration(
         try:
             outcome = backend.evaluate(sample_id, level_index, idx)
         except Exception as exc:
-            partial = LevelStatistics(tuple(trials), cfg.epsilon)
+            partial = LevelStatistics(tuple(trials))
             raise ConfigurationError(sample_id, level_index, partial, exc) from exc
         running.append(outcome)
         if on_trial is not None:

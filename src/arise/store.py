@@ -1,7 +1,9 @@
 """Append-only JSONL persistence for trial records, plus result bundles.
 
 One run maps to two files under the store root: `<run_id>.jsonl` with one
-trial record per line, and `<run_id>.manifest.json` describing the run.
+trial record per line, and `<run_id>.manifest.json` describing the run;
+`compute` adds `<run_id>.bundle.json`. Each format is one dataclass whose
+fields, in order, are its JSON keys (`_encode` / `_decode`).
 Appends flush per line, so a crash loses at most the in-flight record: a
 torn final line makes readers raise `TornRecordError`, and a resume cuts
 it off before appending; no other line is ever rewritten or deleted.
@@ -11,13 +13,14 @@ significant digits).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .metrics import (
     SampleTrajectory,
@@ -129,6 +132,84 @@ def _open_for_append(path: Path) -> BinaryIO:
     return handle
 
 
+# ----------------------------------------------------------------------
+# stored formats: a dataclass's fields, in declaration order, are its JSON keys
+
+_SCALARS = frozenset((str, int, float, bool, dict))  # written to JSON as they are
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return _encode(value)
+    return value
+
+
+def _encode(obj: object) -> dict:
+    """A dataclass as a JSON object: fields in order, None left out, tuples as lists."""
+    data = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in _SCALARS:  # records hold only scalars, so they skip both checks
+            if value is None:
+                continue
+            value = _plain(value)
+        data[name] = value
+    return data
+
+
+def _value_error(fieldname: str, message: str) -> ValueError:
+    return ValueError(f"{fieldname}: {message}")
+
+
+def _check_keys(cls: type, data: dict, what: str, error: Callable[[str, str], ValueError]) -> None:
+    """Refuse a key that is not a field, and an absent field unless it is None by default."""
+    for name in data:
+        if name not in _field_names(cls):
+            raise error(name, f"not a field of the {what}")
+    for f in fields(cls):
+        if f.name not in data and f.default is not None:  # only None is left out by _encode
+            raise error(f.name, f"missing from the {what}")
+
+
+def _decode(
+    cls: type,
+    data: object,
+    what: str,
+    error: Callable[[str, str], ValueError] = _value_error,
+    /,
+    **convert: Callable[[object], object],
+):
+    """Build `cls` from a JSON object whose keys are its fields, as `_encode` wrote them.
+
+    `convert` maps a field to the function that turns its JSON value into
+    the field's type. A non-object, an unknown or missing field, or a value
+    the class cannot take raises `error(fieldname, message)` naming `what`.
+    """
+    if not isinstance(data, dict):
+        raise error(what, f"must be a JSON object, got {type(data).__name__}")
+    if len(data) < len(_field_names(cls)):  # a complete object skips the key check
+        _check_keys(cls, data, what, error)
+    try:
+        if convert:
+            data = {k: convert[k](v) if k in convert else v for k, v in data.items()}
+        return cls(**data)
+    except TypeError as exc:
+        _check_keys(cls, data, what, error)
+        raise error(what, str(exc)) from exc
+
+
+def _rows(cls: type, what: str) -> Callable[[list], tuple]:
+    """A converter from a JSON list of objects to a tuple of `cls`."""
+    return lambda rows: tuple(_decode(cls, row, what) for row in rows)
+
+
 @dataclass(frozen=True)
 class TrialRecordLine:
     """One evaluation attempt, as serialized to the JSONL file."""
@@ -172,54 +253,36 @@ class TrialRecordLine:
             raise RecordValidationError("meta", f"must be an object, got {type(self.meta).__name__}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "run_id": self.run_id,
-                "model": self.model,
-                "sample_id": self.sample_id,
-                "level_index": self.level_index,
-                "level_label": self.level_label,
-                "trial_index": self.trial_index,
-                "correct": self.correct,
-                "completion_tokens": self.completion_tokens,
-                "timestamp": self.timestamp,
-                "meta": self.meta,
-            }
-        )
+        return json.dumps(_encode(self))
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecordLine":
         data = json.loads(line)
-        record = cls(
-            run_id=data["run_id"],
-            model=data["model"],
-            sample_id=data["sample_id"],
-            level_index=data["level_index"],
-            level_label=data["level_label"],
-            trial_index=data["trial_index"],
-            correct=float(data["correct"]),
-            completion_tokens=data["completion_tokens"],
-            timestamp=data["timestamp"],
-            meta=data.get("meta", {}),
-        )
+        # a stored 1 reads back as 1.0; booleans and strings reach validate() as they are
+        if isinstance(data, dict) and type(data.get("correct")) is int:
+            data["correct"] = float(data["correct"])
+        record = _decode(cls, data, "trial record", RecordValidationError)
         record.validate()
         return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunManifest:
-    """Sidecar description of one run; everything recompute needs besides the records."""
+    """Sidecar description of one run; everything recompute needs besides the records.
+
+    Fields are in the order of the JSON keys; a field that is None is left out.
+    """
 
     run_id: str
     mode: str  # adaptive | fixed_budget | naive
     cfg: ConvergenceConfig
+    budget: int | None = None  # fixed_budget mode only
+    trials: int | None = None  # naive mode only
+    seed: int | None = None
     levels: tuple[str, ...]
     n_samples: int
     started_at: str
     status: str  # running | complete | failed
-    budget: int | None = None  # fixed_budget mode only
-    trials: int | None = None  # naive mode only
-    seed: int | None = None
     model: str | None = None
     benchmark: str | None = None
 
@@ -242,47 +305,13 @@ class RunManifest:
         return AdaptiveMode()
 
     def to_dict(self) -> dict:
-        data: dict = {
-            "run_id": self.run_id,
-            "mode": self.mode,
-            "cfg": {"m_min": self.cfg.m_min, "m_max": self.cfg.m_max, "tau": self.cfg.tau},
-        }
-        if self.budget is not None:
-            data["budget"] = self.budget
-        if self.trials is not None:
-            data["trials"] = self.trials
-        if self.seed is not None:
-            data["seed"] = self.seed
-        data.update(
-            {
-                "levels": list(self.levels),
-                "n_samples": self.n_samples,
-                "started_at": self.started_at,
-                "status": self.status,
-            }
-        )
-        if self.model is not None:
-            data["model"] = self.model
-        if self.benchmark is not None:
-            data["benchmark"] = self.benchmark
-        return data
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        cfg = data["cfg"]
-        return cls(
-            run_id=data["run_id"],
-            mode=data["mode"],
-            cfg=ConvergenceConfig(m_min=cfg["m_min"], m_max=cfg["m_max"], tau=cfg["tau"]),
-            levels=tuple(data["levels"]),
-            n_samples=data["n_samples"],
-            started_at=data["started_at"],
-            status=data["status"],
-            budget=data.get("budget"),
-            trials=data.get("trials"),
-            seed=data.get("seed"),
-            model=data.get("model"),
-            benchmark=data.get("benchmark"),
+        return _decode(
+            cls, data, "manifest",
+            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=tuple,
         )
 
 
@@ -331,89 +360,20 @@ class ResultBundle:
         return sum(1 for c in self.configurations if not c.converged)
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest.to_dict(),
-            "sample_scores": [
-                {
-                    "sample_id": s.sample_id,
-                    "arise": s.arise,
-                    "non_monotone_tokens": s.non_monotone_tokens,
-                    "improve": s.improve,
-                    "degrade": s.degrade,
-                    "unchanged": s.unchanged,
-                }
-                for s in self.sample_scores
-            ],
-            "aggregate_arise": self.aggregate_arise,
-            "curve": [[t, a] for t, a in self.curve],
-            "scaling_metric": self.scaling_metric,
-            "configurations": [
-                {
-                    "sample_id": c.sample_id,
-                    "level_index": c.level_index,
-                    "k_star": c.k_star,
-                    "cv_combined": c.cv_combined,
-                    "converged": c.converged,
-                    "zero_variance_probe": c.zero_variance_probe,
-                }
-                for c in self.configurations
-            ],
-            "transitions": [
-                {
-                    "from_level": t.from_level,
-                    "to_level": t.to_level,
-                    "correct_to_correct": t.correct_to_correct,
-                    "correct_to_incorrect": t.correct_to_incorrect,
-                    "incorrect_to_correct": t.incorrect_to_correct,
-                    "incorrect_to_incorrect": t.incorrect_to_incorrect,
-                }
-                for t in self.transitions
-            ],
-        }
+        return _encode(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultBundle":
-        return cls(
-            manifest=RunManifest.from_dict(data["manifest"]),
-            sample_scores=tuple(
-                SampleScore(
-                    sample_id=s["sample_id"],
-                    arise=s["arise"],
-                    non_monotone_tokens=s["non_monotone_tokens"],
-                    improve=s["improve"],
-                    degrade=s["degrade"],
-                    unchanged=s["unchanged"],
-                )
-                for s in data["sample_scores"]
-            ),
-            aggregate_arise=data["aggregate_arise"],
-            curve=tuple((t, a) for t, a in data["curve"]),
-            scaling_metric=data["scaling_metric"],
-            configurations=tuple(
-                ConfigurationSummary(
-                    sample_id=c["sample_id"],
-                    level_index=c["level_index"],
-                    k_star=c["k_star"],
-                    cv_combined=c["cv_combined"],
-                    converged=c["converged"],
-                    zero_variance_probe=c["zero_variance_probe"],
-                )
-                for c in data["configurations"]
-            ),
-            transitions=tuple(
-                TransitionMatrix(
-                    from_level=t["from_level"],
-                    to_level=t["to_level"],
-                    correct_to_correct=t["correct_to_correct"],
-                    correct_to_incorrect=t["correct_to_incorrect"],
-                    incorrect_to_correct=t["incorrect_to_correct"],
-                    incorrect_to_incorrect=t["incorrect_to_incorrect"],
-                )
-                for t in data["transitions"]
-            ),
+        return _decode(
+            cls, data, "result bundle",
+            manifest=RunManifest.from_dict,
+            sample_scores=_rows(SampleScore, "sample score"),
+            curve=lambda points: tuple((t, a) for t, a in points),
+            configurations=_rows(ConfigurationSummary, "configuration summary"),
+            transitions=_rows(TransitionMatrix, "transition matrix"),
         )
 
     @classmethod
@@ -592,16 +552,8 @@ class TraceStore:
         scores = []
         for traj in trajectories:
             score, diags = arise_sample(traj)
-            scores.append(
-                SampleScore(
-                    sample_id=traj.sample_id,
-                    arise=score,
-                    non_monotone_tokens=diags.non_monotone_tokens,
-                    improve=diags.improve,
-                    degrade=diags.degrade,
-                    unchanged=diags.unchanged,
-                )
-            )
+            # a score row is the sample, its score and every TrajectoryDiagnostics field
+            scores.append(SampleScore(traj.sample_id, score, **vars(diags)))
         configurations = tuple(
             ConfigurationSummary(
                 sample_id=r.sample_id,
@@ -716,29 +668,7 @@ def write_curve_csv(path: str | Path, bundle: ResultBundle) -> None:
 
 
 def write_transitions_csv(path: str | Path, bundle: ResultBundle) -> None:
-    """One row per adjacent level pair with the four flip counts."""
-    rows = [
-        (
-            t.from_level,
-            t.to_level,
-            t.correct_to_correct,
-            t.correct_to_incorrect,
-            t.incorrect_to_correct,
-            t.incorrect_to_incorrect,
-        )
-        for t in bundle.transitions
-    ]
-    write_atomic(
-        path,
-        _csv_text(
-            (
-                "from_level",
-                "to_level",
-                "correct_to_correct",
-                "correct_to_incorrect",
-                "incorrect_to_correct",
-                "incorrect_to_incorrect",
-            ),
-            rows,
-        ),
-    )
+    """One row per adjacent level pair: TransitionMatrix's fields, in order."""
+    header = _field_names(TransitionMatrix)
+    rows = [[getattr(t, name) for name in header] for t in bundle.transitions]
+    write_atomic(path, _csv_text(header, rows))

@@ -436,3 +436,67 @@ class TestReport:
         assert result.exit_code == 0
         lines = result.output.strip().split("\n")
         assert len(lines) == 3  # one header, two rows
+
+
+class TestMalformedStoredFiles:
+    """A stored file that lacks a field, holds an unknown one or is not an object exits 1 naming both."""
+
+    def edit_record_line(self, out: Path, edit) -> None:
+        trial_file = out / "r1.jsonl"
+        first, *rest = trial_file.read_text().split("\n")
+        trial_file.write_text("\n".join([json.dumps(edit(json.loads(first))), *rest]))
+
+    def edit_json(self, path: Path, edit) -> None:
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data, indent=2))
+
+    def compute(self, runner, out: Path):
+        return runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda r: {k: v for k, v in r.items() if k != "model"}, "model: missing from the trial record"),
+        (lambda r: [1, 2], "trial record: must be a JSON object, got list"),
+        (lambda r: {**r, "extra": 1}, "extra: not a field of the trial record"),
+    ])
+    def test_bad_record_line(self, runner, spec_file, tmp_path, edit, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        self.edit_record_line(out, edit)
+        result = self.compute(runner, out)
+        assert result.exit_code == 1
+        assert f"error: {expected}" in all_text(result)
+        assert "Traceback" not in all_text(result)
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda m: m.pop("levels"), "levels: missing from the manifest"),
+        (lambda m: m.update(spec_hash="abc"), "spec_hash: not a field of the manifest"),
+        (lambda m: m["cfg"].pop("tau"), "tau: missing from the manifest cfg"),
+    ])
+    def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        manifest = out / "r1.manifest.json"
+        self.edit_json(manifest, edit)
+        damaged = manifest.read_bytes()
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert f"error: {expected}" in all_text(result)
+        assert manifest.read_bytes() == damaged  # a resume never rewrites what it cannot read
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda b: b.pop("curve"), "curve: missing from the result bundle"),
+        (lambda b: b.update(notes="x"), "notes: not a field of the result bundle"),
+        (lambda b: b["sample_scores"][0].pop("arise"), "arise: missing from the sample score"),
+    ])
+    def test_bad_bundle_in_report(self, runner, spec_file, tmp_path, edit, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        bundle = out / "r1.bundle.json"
+        self.edit_json(bundle, edit)
+        result = runner.invoke(main, ["report", str(bundle), "--out-dir", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert f"error: {expected}" in all_text(result)

@@ -24,6 +24,7 @@ from typing import Callable
 from click.testing import CliRunner
 
 from arise.cli import main
+from arise.store import ResultBundle, RunManifest, TrialRecordLine, _encode
 
 from conftest import MockModelServer, backend_config_dict, serve_mock_model
 
@@ -147,6 +148,21 @@ def test_simulate_matches_golden(tmp_path):
 
 def test_http_runs_match_golden(tmp_path, mock_server, api_key):
     compare("http", http_runs(tmp_path, mock_server))
+
+
+def test_stored_files_survive_a_decode_and_re_encode():
+    """Every checked-in record line, manifest and bundle reads back and writes out the same bytes."""
+    lines = [line for path in sorted(GOLDEN.glob("**/*.jsonl"))
+             for line in path.read_text().splitlines()]
+    assert lines
+    for line in lines:
+        assert TrialRecordLine.from_json(line).to_json() == line
+    for suffix, cls in ((".manifest.json", RunManifest), (".bundle.json", ResultBundle)):
+        paths = sorted(GOLDEN.glob(f"**/*{suffix}"))
+        assert paths
+        for path in paths:
+            text = path.read_text()
+            assert json.dumps(_encode(cls.from_dict(json.loads(text))), indent=2) == text, path
 
 
 if __name__ == "__main__":

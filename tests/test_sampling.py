@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import arise.sampling
 
 from arise import (
+    EPSILON,
     AdaptiveMode,
     BackendConfig,
     ConfigurationError,
@@ -29,14 +30,12 @@ from arise import (
     TrialOutcome,
     allocate_budget,
     check_mode,
-    combined_cv,
     parse_mode,
     parse_tasks,
     reference_spec,
     run_configuration,
     run_evaluation,
     should_continue,
-    update_statistics,
 )
 
 from arise.sampling import _RunningCV
@@ -69,14 +68,12 @@ class TestLevelStatistics:
 
     def test_combined_cv_fixture(self):
         assert LevelStatistics(PROBE).cv_combined == 1.1153550610233967
-        assert combined_cv(LevelStatistics(PROBE)) == 1.1153550610233967
 
     def test_cv_sum_example(self):
         # Two symmetric trials pin each stream's CV exactly: values
         # mean +/- cv*(mean+eps) have population std cv*(mean+eps).
-        eps = LevelStatistics().epsilon
-        d_acc = 0.3175 * (0.5 + eps)
-        d_tok = 0.2854 * (200.0 + eps)
+        d_acc = 0.3175 * (0.5 + EPSILON)
+        d_tok = 0.2854 * (200.0 + EPSILON)
         stats = LevelStatistics(
             outcomes((0.5 + d_acc, 200.0 + d_tok), (0.5 - d_acc, 200.0 - d_tok))
         )
@@ -101,7 +98,7 @@ class TestLevelStatistics:
         trials = [TrialOutcome(float(rng.randint(0, 1)), rng.uniform(50, 500)) for _ in range(10)]
         folded = LevelStatistics()
         for t in trials:
-            folded = update_statistics(folded, t)
+            folded = LevelStatistics(folded.trials + (t,))
         batch = LevelStatistics(tuple(trials))
         assert folded.mean_acc == batch.mean_acc
         assert folded.std_tok == batch.std_tok
@@ -125,7 +122,7 @@ class TestLevelStatistics:
         with pytest.raises(SamplingStateError):
             _ = empty.mean_acc
         with pytest.raises(SamplingStateError):
-            combined_cv(empty)
+            _ = empty.cv_combined
 
     def test_final_outcome_uses_means(self):
         final = LevelStatistics(PROBE).final
@@ -137,7 +134,7 @@ class TestConvergenceConfig:
     def test_defaults(self):
         cfg = ConvergenceConfig()
         assert (cfg.m_min, cfg.m_max, cfg.tau) == (3, 10, 0.5)
-        assert cfg.epsilon == 1e-8
+        assert EPSILON == 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -316,7 +313,7 @@ class CountingRunningCV(_RunningCV):
 def two_pass_k_star(trials, cfg, prefix: int) -> int:
     """The stop rule as it reads with the statistics rebuilt from every trial at each check."""
     k = prefix
-    while k < cfg.m_min or should_continue(LevelStatistics(tuple(trials[:k]), cfg.epsilon), cfg):
+    while k < cfg.m_min or should_continue(LevelStatistics(tuple(trials[:k])), cfg):
         k += 1
     return k
 
@@ -385,7 +382,7 @@ class TestRunningStopCheck:
                     while grown.count < k:
                         grown.append(trials[grown.count])
                     running = grown
-                two_pass = LevelStatistics(tuple(trials[:k]), cfg.epsilon)
+                two_pass = LevelStatistics(tuple(trials[:k]))
                 assert should_continue(running, cfg) == should_continue(two_pass, cfg), k
             result = run_configuration(ScriptedBackend({("s", 0): trials}), "s", 0, cfg,
                                        preloaded=trials[:prefix])

@@ -104,6 +104,28 @@ class TestRecordSerialization:
             record(**overrides).validate()
         assert err.value.fieldname == fieldname
 
+    @pytest.mark.parametrize("stored", [True, False, "0.5", " 1 ", None])
+    def test_stored_correct_must_be_a_number(self, stored):
+        data = json.loads(record().to_json())
+        data["correct"] = stored
+        with pytest.raises(RecordValidationError) as err:
+            TrialRecordLine.from_json(json.dumps(data))
+        assert err.value.fieldname == "correct"
+
+    def test_stored_integer_correct_reads_as_a_float(self):
+        data = json.loads(record().to_json())
+        data["correct"] = 1
+        parsed = TrialRecordLine.from_json(json.dumps(data))
+        assert parsed.correct == 1.0 and type(parsed.correct) is float
+
+    @pytest.mark.parametrize("fieldname", ["meta", "timestamp"])
+    def test_every_field_must_be_stored(self, fieldname):
+        data = json.loads(record().to_json())
+        del data[fieldname]
+        with pytest.raises(RecordValidationError) as err:
+            TrialRecordLine.from_json(json.dumps(data))
+        assert err.value.fieldname == fieldname
+
 
 class TestManifest:
     def test_round_trip(self):

@@ -18,7 +18,6 @@ from typing import Callable
 
 import click
 
-from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
 from .sampling import (
     AdaptiveMode,
     ConfigurationError,
@@ -163,8 +162,12 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         out: Path, run_id: str | None, resume: bool, model: str | None, benchmark: str | None,
         m_min: int, m_max: int, tau: float, dry: bool, probe: bool) -> None:
     """Run an evaluation against a simulator spec or an HTTP backend config."""
+    if probe and not dry:
+        raise ValueError("--probe needs --dry-run")
     data = _load_run_config(config)
     is_simulator = "samples" in data and "base_url" not in data
+    if not is_simulator:  # only HTTP configs load the backend, and with it requests
+        from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
 
     if dry:
         if is_simulator:
@@ -221,7 +224,9 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         cfg = manifest.cfg
         mode = manifest.run_mode
         manifest = dataclasses.replace(manifest, status="running")
-    else:
+
+    check_mode(mode, len(samples), len(labels), cfg)  # fail fast, before any state is written
+    if not resume:
         if run_id is None:
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
         manifest = RunManifest.for_mode(
@@ -238,8 +243,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         )
     run_id = manifest.run_id
 
-    check_mode(mode, len(samples), len(labels), cfg)  # fail fast, before any state is written
-    preloaded = store.completed_trials(run_id, drop_torn_tail=True) if resume else None
+    preloaded = store.completed_trials(run_id, resume=True) if resume else None
     store.write_manifest(manifest)
 
     def on_trial(sample_id: str, level_index: int, trial_index: int, outcome) -> None:

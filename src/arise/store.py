@@ -266,6 +266,21 @@ class TrialRecordLine:
         return record
 
 
+_MODE_COUNTS = {"adaptive": None, "fixed_budget": "budget", "naive": "trials"}  # mode -> its count
+_STATUSES = ("running", "complete", "failed")
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _levels(value: object) -> tuple[str, ...]:
+    """A manifest's level labels: a JSON list of non-empty strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+        raise _value_error("levels", f"must be a list of non-empty strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunManifest:
     """Sidecar description of one run; everything recompute needs besides the records.
@@ -285,6 +300,23 @@ class RunManifest:
     status: str  # running | complete | failed
     model: str | None = None
     benchmark: str | None = None
+
+    def __post_init__(self) -> None:
+        """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
+        if self.mode not in _MODE_COUNTS:
+            raise _value_error("mode", f"must be one of {', '.join(_MODE_COUNTS)}, got {self.mode!r}")
+        for name in ("budget", "trials"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if _MODE_COUNTS[self.mode] != name:
+                raise _value_error(name, f"does not apply to {self.mode} mode")
+            if not _is_count(value):
+                raise _value_error(name, f"must be a positive integer, got {value!r}")
+        if not _is_count(self.n_samples):
+            raise _value_error("n_samples", f"must be a positive integer, got {self.n_samples!r}")
+        if self.status not in _STATUSES:
+            raise _value_error("status", f"must be one of {', '.join(_STATUSES)}, got {self.status!r}")
 
     @classmethod
     def for_mode(cls, mode: RunMode, **fields: object) -> "RunManifest":
@@ -311,7 +343,7 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         return _decode(
             cls, data, "manifest",
-            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=tuple,
+            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=_levels,
         )
 
 
@@ -476,15 +508,16 @@ class TraceStore:
                 offset += len(raw)
 
     def completed_trials(
-        self, run_id: str, drop_torn_tail: bool = False
+        self, run_id: str, resume: bool = False
     ) -> dict[tuple[str, int], list[TrialOutcome]]:
         """Replay stored outcomes per configuration, in trial-index order.
 
         Keys follow the first appearance of each configuration in the
         record file. Feed the result to run_evaluation(preloaded=...) to
-        resume a run without re-drawing finished work; with drop_torn_tail
-        a torn final line is cut from the file instead of raising
-        TornRecordError, so appends start after the last whole record.
+        resume a run without re-drawing finished work. With resume, a torn
+        final line is cut from the file instead of raising TornRecordError,
+        so appends start after the last whole record, and the keys read
+        here seed append_trial's duplicate check, so the file is parsed once.
         """
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
@@ -494,7 +527,7 @@ class TraceStore:
                     (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
                 )
         except TornRecordError as exc:
-            if not drop_torn_tail:
+            if not resume:
                 raise
             os.truncate(self.trial_path(run_id), exc.offset)
         out: dict[tuple[str, int], list[TrialOutcome]] = {}
@@ -507,6 +540,13 @@ class TraceStore:
                     f"configuration {key!r} has non-contiguous trial indices {indices}",
                 )
             out[key] = [outcome for _, outcome in indexed]
+        if resume:  # indices are contiguous, so they are exactly the stored keys
+            with self._lock:
+                self._seen[run_id] = {
+                    (run_id, sid, j, t)
+                    for (sid, j), outcomes in out.items()
+                    for t in range(len(outcomes))
+                }
         return out
 
     # ------------------------------------------------------------------

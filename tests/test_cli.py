@@ -98,6 +98,13 @@ class TestRun:
         assert a["sample_scores"] == b["sample_scores"]
         assert a["scaling_metric"] == b["scaling_metric"]
 
+    def test_probe_without_dry_run_writes_nothing(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        result = do_run(runner, spec_file, out, "--naive", "1", "--probe")
+        assert result.exit_code == 1
+        assert "--probe needs --dry-run" in all_text(result)
+        assert not out.exists()
+
     def test_dry_run_rejected_for_simulator_specs(self, runner, spec_file, tmp_path):
         result = do_run(runner, spec_file, tmp_path / "runs", "--dry-run")
         assert result.exit_code == 1
@@ -472,6 +479,9 @@ class TestMalformedStoredFiles:
         (lambda m: m.pop("levels"), "levels: missing from the manifest"),
         (lambda m: m.update(spec_hash="abc"), "spec_hash: not a field of the manifest"),
         (lambda m: m["cfg"].pop("tau"), "tau: missing from the manifest cfg"),
+        (lambda m: m.update(mode="bogus"), "mode: must be one of adaptive, fixed_budget, naive"),
+        (lambda m: m.update(levels="ab"), "levels: must be a list of non-empty strings, got 'ab'"),
+        (lambda m: m.update(n_samples="8"), "n_samples: must be a positive integer, got '8'"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

@@ -158,6 +158,30 @@ class TestManifest:
     def test_naive_manifest_without_a_count_resumes_single_sampling(self):
         assert manifest(trials=None).run_mode == NaiveMode(1)
 
+    @pytest.mark.parametrize("overrides, fieldname", [
+        ({"mode": "bogus"}, "mode"),
+        ({"mode": "adaptive"}, "trials"),  # the base manifest is naive with trials=1
+        ({"mode": "fixed_budget", "budget": 120}, "trials"),
+        ({"trials": None, "budget": 120}, "budget"),
+        ({"trials": 0}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"mode": "fixed_budget", "trials": None, "budget": -5}, "budget"),
+        ({"n_samples": 0}, "n_samples"),
+        ({"n_samples": True}, "n_samples"),
+        ({"n_samples": "8"}, "n_samples"),
+        ({"status": "done"}, "status"),
+    ])
+    def test_refuses_values_a_run_cannot_hold(self, overrides, fieldname):
+        with pytest.raises(ValueError, match=f"^{fieldname}: "):
+            manifest(**overrides)
+
+    @pytest.mark.parametrize("levels", ["ab", ["low", ""], ["low", 1], None])
+    def test_levels_must_be_a_list_of_labels(self, levels):
+        data = manifest().to_dict()
+        data["levels"] = levels
+        with pytest.raises(ValueError, match="^levels: must be a list of non-empty strings"):
+            RunManifest.from_dict(data)
+
 
 class TestAppend:
     def test_append_then_read_back(self, tmp_path: Path):
@@ -256,7 +280,7 @@ class TestTornTail:
         store, data = self.seed_store(tmp_path)
         start = data.rindex(b"\n", 0, len(data) - 1) + 1
         store.trial_path("r1").write_bytes(data[: start + 30])
-        replayed = store.completed_trials("r1", drop_torn_tail=True)
+        replayed = store.completed_trials("r1", resume=True)
         assert len(replayed[("s01", 0)]) == 2
         assert store.trial_path("r1").read_bytes() == data[:start]
 
@@ -268,6 +292,44 @@ class TestTornTail:
         fresh.append_trial(record(trial_index=3))
         fresh.close()
         assert [r.trial_index for r in fresh.iter_trials("r1")] == [0, 1, 2, 3]
+
+
+class TestResumeRead:
+    """`completed_trials(resume=True)` reads the file once for both the preload and the duplicate check."""
+
+    def seed_store(self, tmp_path: Path) -> None:
+        store = TraceStore(tmp_path)
+        for level in (0, 1):
+            for k in range(3):
+                store.append_trial(record(level_index=level, trial_index=k))
+        store.close()
+
+    def test_each_stored_line_is_parsed_once(self, tmp_path: Path, monkeypatch):
+        self.seed_store(tmp_path)
+        stored = len((tmp_path / "r1.jsonl").read_text().splitlines())
+        parse = TrialRecordLine.from_json
+        lines: list[str] = []
+
+        def counting(cls, line: str) -> TrialRecordLine:
+            lines.append(line)
+            return parse(line)
+
+        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting))
+        store = TraceStore(tmp_path)
+        store.completed_trials("r1", resume=True)
+        store.append_trial(record(trial_index=3))
+        store.close()
+        assert len(lines) == stored
+
+    def test_a_stored_key_still_conflicts(self, tmp_path: Path):
+        self.seed_store(tmp_path)
+        store = TraceStore(tmp_path)
+        store.completed_trials("r1", resume=True)
+        with pytest.raises(DuplicateTrialError):
+            store.append_trial(record(level_index=1, trial_index=2))
+        store.append_trial(record(level_index=1, trial_index=3))
+        store.close()
+        assert len(list(store.iter_trials("r1"))) == 7
 
 
 class TestRecompute:

@@ -35,7 +35,7 @@ from .store import (
     ResultBundle,
     RunManifest,
     TraceStore,
-    TrialRecordLine,
+    now_rfc3339,
     read_mapping,
     render_table,
     summary_table,
@@ -54,10 +54,6 @@ class Options:
     @property
     def sm_scale(self) -> float:
         return 1000.0 if self.sm_x1000 else 1.0
-
-
-def _now_rfc3339() -> str:
-    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
 
 
 def guarded(fn: Callable) -> Callable:
@@ -221,6 +217,12 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                 f"run {run_id!r} was started with seed {manifest.seed}; "
                 f"resuming it with seed {seed} would mix draws from both seeds"
             )
+        # records take their labels from the manifest, so the config must have the run's shape
+        if manifest.levels != tuple(labels) or manifest.n_samples != len(samples):
+            raise ValueError(
+                f"run {run_id!r} was started with {manifest.n_samples} samples at levels "
+                f"{list(manifest.levels)}; this config has {len(samples)} samples at levels {labels}"
+            )
         cfg = manifest.cfg
         mode = manifest.run_mode
         manifest = dataclasses.replace(manifest, status="running")
@@ -229,13 +231,15 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     if not resume:
         if run_id is None:
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
+        if run_id in store.run_ids():
+            raise ValueError(f"run {run_id!r} already exists under {out}; continue it with --resume")
         manifest = RunManifest.for_mode(
             mode,
             run_id=run_id,
             cfg=cfg,
             levels=tuple(labels),
             n_samples=len(samples),
-            started_at=_now_rfc3339(),
+            started_at=now_rfc3339(),
             status="running",
             seed=seed,
             model=model,
@@ -246,25 +250,9 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     preloaded = store.completed_trials(run_id, resume=True) if resume else None
     store.write_manifest(manifest)
 
-    def on_trial(sample_id: str, level_index: int, trial_index: int, outcome) -> None:
-        store.append_trial(
-            TrialRecordLine(
-                run_id=run_id,
-                model=manifest.model or "unknown",
-                sample_id=sample_id,
-                level_index=level_index,
-                level_label=labels[level_index],
-                trial_index=trial_index,
-                correct=outcome.correct,
-                completion_tokens=int(round(outcome.tokens)),
-                timestamp=_now_rfc3339(),
-                meta={},
-            )
-        )
-
     try:
         run_evaluation(backend, samples, labels, cfg, mode,
-                       preloaded=preloaded, on_trial=on_trial)
+                       preloaded=preloaded, on_trial=functools.partial(store.record, manifest))
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))
         store.close()
@@ -346,7 +334,6 @@ def report(opts: Options, bundles: tuple[Path, ...], curves: bool, transitions: 
     """Render bundle summaries and export curve/transition CSVs."""
     loaded = [ResultBundle.from_json(p.read_text()) for p in bundles]
     click.echo(summary_table(loaded, opts.fmt, opts.sm_scale))
-    out_dir.mkdir(parents=True, exist_ok=True)
     if results_csv is not None:
         write_results_csv(results_csv, loaded, sm_scale=opts.sm_scale)
         click.echo(f"results table written to {results_csv}", err=True)

@@ -93,8 +93,8 @@ class SyntheticModelSpec:
         widths = {len(s.levels) for s in self.samples}
         if len(widths) != 1:
             raise ValueError(f"samples disagree on level count: {sorted(widths)}")
-        if 0 in widths:
-            raise ValueError("samples need at least one level")
+        if min(widths) < 2:  # ARISE scores changes between levels
+            raise ValueError(f"spec needs at least 2 levels, got {min(widths)}")
         for sample in self.samples:
             for j, params in enumerate(sample.levels):
                 if not 0.0 <= params.p_correct <= 1.0:

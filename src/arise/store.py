@@ -3,7 +3,9 @@
 One run maps to two files under the store root: `<run_id>.jsonl` with one
 trial record per line, and `<run_id>.manifest.json` describing the run;
 `compute` adds `<run_id>.bundle.json`. Each format is one dataclass whose
-fields, in order, are its JSON keys (`_encode` / `_decode`).
+fields, in order, are its JSON keys (`_encode` / `_decode`). A record's
+run id, model and level label come from the manifest (`TraceStore.record`),
+and a replay refuses a record that disagrees with it.
 Appends flush per line, so a crash loses at most the in-flight record: a
 torn final line makes readers raise `TornRecordError`, and a resume cuts
 it off before appending; no other line is ever rewritten or deleted.
@@ -13,6 +15,7 @@ significant digits).
 
 from __future__ import annotations
 
+import datetime as dt
 import functools
 import json
 import math
@@ -53,6 +56,7 @@ __all__ = [
     "DuplicateTrialError",
     "IncompleteRunError",
     "TornRecordError",
+    "now_rfc3339",
     "read_mapping",
     "render_table",
     "summary_table",
@@ -114,9 +118,18 @@ def read_mapping(path: str | Path, what: str) -> dict:
     return data
 
 
+def now_rfc3339() -> str:
+    """The current UTC time to the second, as stored in records and manifests."""
+    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
+
+
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write a whole file via a temp sibling and rename, so failures leave no partial output."""
+    """Write a whole file, and any missing parent directory, via a temp sibling and rename.
+
+    A failure leaves no partial output.
+    """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
@@ -347,6 +360,31 @@ class RunManifest:
         )
 
 
+def _record_model(manifest: RunManifest) -> str:
+    return manifest.model or "unknown"
+
+
+def _check_record(record: TrialRecordLine, manifest: RunManifest) -> None:
+    """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run."""
+    levels = manifest.levels
+    if record.level_index >= len(levels):
+        name, expected = "level_index", f"has {len(levels)} levels"
+    elif record.run_id != manifest.run_id:
+        name, expected = "run_id", f"says {manifest.run_id!r}"
+    elif record.model != _record_model(manifest):
+        name, expected = "model", f"says {_record_model(manifest)!r}"
+    elif record.level_label != levels[record.level_index]:
+        name, expected = "level_label", f"says {levels[record.level_index]!r}"
+    else:
+        return
+    raise RecordValidationError(
+        name,
+        f"record (sample {record.sample_id!r}, level {record.level_index}, "
+        f"trial {record.trial_index}) has {getattr(record, name)!r}, "
+        f"but the manifest of run {manifest.run_id!r} {expected}",
+    )
+
+
 @dataclass(frozen=True)
 class SampleScore:
     sample_id: str
@@ -444,7 +482,6 @@ class TraceStore:
     # manifests
 
     def write_manifest(self, manifest: RunManifest) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         write_atomic(self.manifest_path(manifest.run_id), json.dumps(manifest.to_dict(), indent=2))
 
     def read_manifest(self, run_id: str) -> RunManifest:
@@ -455,6 +492,28 @@ class TraceStore:
 
     # ------------------------------------------------------------------
     # trial records
+
+    def record(self, manifest: RunManifest, sample_id: str, level_index: int, trial_index: int,
+               outcome: TrialOutcome) -> None:
+        """Append one fresh trial of `manifest`'s run.
+
+        The run id, model and level label come from the manifest, the only
+        values `completed_trials` accepts when it reads the record back.
+        """
+        self.append_trial(
+            TrialRecordLine(
+                run_id=manifest.run_id,
+                model=_record_model(manifest),
+                sample_id=sample_id,
+                level_index=level_index,
+                level_label=manifest.levels[level_index],
+                trial_index=trial_index,
+                correct=outcome.correct,
+                completion_tokens=int(round(outcome.tokens)),
+                timestamp=now_rfc3339(),
+                meta={},
+            )
+        )
 
     def append_trial(self, record: TrialRecordLine) -> None:
         """Durably append one record; duplicate keys conflict."""
@@ -518,11 +577,17 @@ class TraceStore:
         final line is cut from the file instead of raising TornRecordError,
         so appends start after the last whole record, and the keys read
         here seed append_trial's duplicate check, so the file is parsed once.
+        When the run has a manifest, a record whose run id, model, level
+        index or level label disagrees with it raises RecordValidationError
+        before anything is cut.
         """
+        manifest = self.read_manifest(run_id) if self.manifest_path(run_id).exists() else None
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         try:
             for r in self.iter_trials(run_id):
+                if manifest is not None:
+                    _check_record(r, manifest)
                 grouped.setdefault((r.sample_id, r.level_index), []).append(
                     (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
                 )

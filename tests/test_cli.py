@@ -110,6 +110,37 @@ class TestRun:
         assert result.exit_code == 1
         assert "HTTP backend" in all_text(result)
 
+    @pytest.mark.parametrize("kept", [("r1.manifest.json", "r1.jsonl"), ("r1.manifest.json",),
+                                      ("r1.jsonl",)], ids=["both", "manifest", "records"])
+    def test_a_reused_run_id_needs_resume(self, runner, spec_file, tmp_path, kept):
+        out = tmp_path / "runs"
+        assert do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1").exit_code == 0
+        for path in out.iterdir():
+            if path.name not in kept:
+                path.unlink()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = do_run(runner, spec_file, out, "--run-id", "r1")
+        assert result.exit_code == 1
+        assert "--resume" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", [
+        ["run", "{spec}", "--out", "new/runs", "--run-id", "r1"],
+        ["simulate", "{spec}", "--runs", "1", "--out", "new/rows.csv"],
+    ], ids=["run", "simulate"])
+    def test_a_one_level_spec_is_refused_before_any_write(self, runner, tmp_path, monkeypatch,
+                                                           command):
+        spec = reference_spec().to_dict()
+        for sample in spec["samples"]:
+            del sample["levels"][1:]
+        path = tmp_path / "one_level.json"
+        path.write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [arg.format(spec=path) for arg in command])
+        assert result.exit_code == 1
+        assert "at least 2 levels, got 1" in all_text(result)
+        assert not (tmp_path / "new").exists()
+
 
 class TestHttpRun:
     def test_run_against_mock_endpoint(self, runner, tmp_path, mock_server, api_key):
@@ -234,6 +265,14 @@ class TestCompute:
             assert result.exit_code == 1
         assert trial_file.read_bytes() == damaged
 
+    def test_missing_out_parent_is_created(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        destination = tmp_path / "new" / "deeper" / "b.json"
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1", "--out", str(destination)])
+        assert result.exit_code == 0, result.output
+        assert destination.read_bytes() == (out / "r1.bundle.json").read_bytes()
+
     def test_ambiguous_store_requires_run_id(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -312,6 +351,27 @@ class TestResume:
             return loaded
 
         assert bundle(cut_dir / "r1.bundle.json") == bundle(full_dir / "r1.bundle.json")
+
+    @pytest.mark.parametrize("reshape", [
+        lambda spec: [s["levels"].append(dict(s["levels"][-1])) for s in spec["samples"]],
+        lambda spec: spec["samples"].append({**spec["samples"][0], "id": "extra"}),
+        lambda spec: spec["samples"].pop(),
+    ], ids=["extra-level", "extra-sample", "fewer-samples"])
+    def test_resume_refuses_a_config_of_another_shape(self, runner, spec_file, tmp_path, reshape):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "2", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        spec = json.loads(spec_file.read_text())
+        reshape(spec)
+        reshaped = tmp_path / "reshaped.json"
+        reshaped.write_text(json.dumps(spec))
+        result = do_run(runner, reshaped, out, "--run-id", "r1", "--resume")
+        assert result.exit_code == 1
+        assert "was started with 8 samples at levels ['level0', 'level1', 'level2']" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_requires_run_id(self, runner, spec_file, tmp_path):
         result = do_run(runner, spec_file, tmp_path / "runs", "--resume")
@@ -431,6 +491,15 @@ class TestReport:
             "model,benchmark,arise,scaling_metric,n_samples,levels"
         )
 
+    def test_missing_results_csv_parent_is_created(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        results = tmp_path / "new" / "results.csv"
+        result = runner.invoke(main, ["report", str(out / "r1.bundle.json"),
+                                      "--results-csv", str(results)])
+        assert result.exit_code == 0, result.output
+        assert results.read_text().startswith("model,benchmark,arise,scaling_metric")
+
     def test_multiple_bundles_share_one_table(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -474,6 +543,29 @@ class TestMalformedStoredFiles:
         assert result.exit_code == 1
         assert f"error: {expected}" in all_text(result)
         assert "Traceback" not in all_text(result)
+
+    @pytest.mark.parametrize("field, value", [
+        ("level_label", "level2"),
+        ("level_index", 7),
+        ("run_id", "r2"),
+        ("model", "another-model"),
+    ])
+    def test_record_that_disagrees_with_its_manifest(self, runner, spec_file, tmp_path,
+                                                      field, value):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        self.edit_record_line(out, lambda r: {**r, field: value})
+        trial_file = out / "r1.jsonl"
+        damaged = trial_file.read_bytes()
+        level = value if field == "level_index" else 0
+        expected = f"error: {field}: record (sample 's01', level {level}, trial 0) has {value!r}"
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert expected in all_text(result)
+        assert trial_file.read_bytes() == damaged
 
     @pytest.mark.parametrize("edit, expected", [
         (lambda m: m.pop("levels"), "levels: missing from the manifest"),

@@ -216,6 +216,13 @@ class TestSpecValidation:
                 ),
             )
 
+    @pytest.mark.parametrize("n_levels", [0, 1])
+    def test_rejects_fewer_than_two_levels(self, n_levels):
+        with pytest.raises(ValueError, match=f"at least 2 levels, got {n_levels}"):
+            SyntheticModelSpec(
+                seed=1, samples=(SyntheticSample("a", (LevelParams(0.5, 4.0, 0.1),) * n_levels),)
+            )
+
     def test_rejects_empty_spec(self):
         with pytest.raises(ValueError):
             SyntheticModelSpec(seed=1, samples=())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from pathlib import Path
@@ -440,31 +441,11 @@ class TestRecomputeMatchesLiveRun:
         spec = reference_spec()
         labels = ["level0", "level1", "level2"]
         store = TraceStore(tmp_path)
-        store.write_manifest(
-            manifest(
-                run_id="live",
-                levels=tuple(labels),
-                n_samples=spec.n_samples,
-                trials=2,
-            )
-        )
-
-        def on_trial(sid: str, j: int, k: int, outcome) -> None:
-            store.append_trial(
-                record(
-                    run_id="live",
-                    sample_id=sid,
-                    level_index=j,
-                    level_label=labels[j],
-                    trial_index=k,
-                    correct=outcome.correct,
-                    completion_tokens=int(outcome.tokens),
-                )
-            )
-
+        live = manifest(run_id="live", levels=tuple(labels), n_samples=spec.n_samples, trials=2)
+        store.write_manifest(live)
         run = run_evaluation(
             SimulatorBackend(spec), list(spec.sample_ids), labels,
-            ConvergenceConfig(), NaiveMode(2), on_trial=on_trial,
+            ConvergenceConfig(), NaiveMode(2), on_trial=functools.partial(store.record, live),
         )
         store.close()
         bundle = store.recompute("live")
@@ -519,6 +500,11 @@ class TestAtomicWrites:
         write_atomic(target, "hello\n")
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_creates_missing_parent_directories(self, tmp_path: Path):
+        target = tmp_path / "a" / "b" / "out.json"
+        write_atomic(target, "hello\n")
+        assert target.read_text() == "hello\n"
 
     def test_overwrites_in_place(self, tmp_path: Path):
         target = tmp_path / "out.json"

@@ -193,6 +193,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         labels = [f"level{j}" for j in range(spec.n_levels)]
         seed = spec.seed
         model = model or "simulator"
+        workers = 1
     else:
         backend_cfg = BackendConfig.from_dict(data["backend"] if "backend" in data else data)
         tasks = parse_tasks(data.get("tasks", []))
@@ -203,6 +204,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         labels = list(backend_cfg.level_labels)
         seed = opts.seed
         model = model or backend_cfg.model
+        # configurations in flight; the backend's limiter still caps the requests
+        workers = backend_cfg.max_in_flight
     benchmark = benchmark or config.stem
 
     if resume:
@@ -223,6 +226,17 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                 f"run {run_id!r} was started with {manifest.n_samples} samples at levels "
                 f"{list(manifest.levels)}; this config has {len(samples)} samples at levels {labels}"
             )
+        if manifest.sample_ids is None:
+            # an older manifest orders samples by first appearance in the records,
+            # which only a serial run keeps independent of timing
+            workers = 1
+        elif manifest.sample_ids != tuple(samples):
+            stored, given = next(pair for pair in zip(manifest.sample_ids, samples)
+                                 if pair[0] != pair[1])
+            raise ValueError(
+                f"run {run_id!r} was started with sample {stored!r} where this config has "
+                f"{given!r}; resuming would mix the records of different samples"
+            )
         cfg = manifest.cfg
         mode = manifest.run_mode
         manifest = dataclasses.replace(manifest, status="running")
@@ -239,6 +253,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             cfg=cfg,
             levels=tuple(labels),
             n_samples=len(samples),
+            sample_ids=tuple(samples),
             started_at=now_rfc3339(),
             status="running",
             seed=seed,
@@ -251,8 +266,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     store.write_manifest(manifest)
 
     try:
-        run_evaluation(backend, samples, labels, cfg, mode,
-                       preloaded=preloaded, on_trial=functools.partial(store.record, manifest))
+        run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
+                       on_trial=functools.partial(store.record, manifest), max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))
         store.close()

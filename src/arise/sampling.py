@@ -10,8 +10,9 @@ uniform number of trials.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -102,9 +103,10 @@ def _pstd(xs: Sequence[float]) -> float:
 class LevelStatistics:
     """Statistics over the retained trials of one configuration.
 
-    Every derived value is recomputed from the retained trial tuple on
-    access, so an instance built trial-by-trial is bit-identical to one
-    built from the full list at once. Standard deviations are population
+    Every derived value is a function of the retained trial tuple alone,
+    so an instance built trial-by-trial is bit-identical to one built from
+    the full list at once. The means and standard deviations are computed
+    on first access and cached. Standard deviations are population
     (divisor k) estimates; CVs divide by mean + EPSILON.
     """
 
@@ -118,22 +120,22 @@ class LevelStatistics:
     def count(self) -> int:
         return len(self.trials)
 
-    @property
+    @functools.cached_property
     def mean_acc(self) -> float:
         self._require_trials()
         return _mean([t.correct for t in self.trials])
 
-    @property
+    @functools.cached_property
     def std_acc(self) -> float:
         self._require_trials()
         return _pstd([t.correct for t in self.trials])
 
-    @property
+    @functools.cached_property
     def mean_tok(self) -> float:
         self._require_trials()
         return _mean([t.tokens for t in self.trials])
 
-    @property
+    @functools.cached_property
     def std_tok(self) -> float:
         self._require_trials()
         return _pstd([t.tokens for t in self.trials])
@@ -537,6 +539,8 @@ def run_evaluation(
     configurations to already-collected outcomes so a restarted run skips
     completed work. With max_workers > 1 distinct configurations execute
     concurrently; trials within a configuration stay strictly sequential.
+    After a configuration fails, the queued ones never start: those
+    already in flight finish, then the first failure is raised.
     Output trajectories feed the metric functions unchanged.
     """
     samples = list(samples)
@@ -560,10 +564,16 @@ def run_evaluation(
             return run_configuration(backend, key[0], key[1], cfg, preloaded=start.get(key, ()),
                                      target=target(key), on_trial=on_trial)
 
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return dict(zip(keys, pool.map(one, keys)))
-        return {key: one(key) for key in keys}
+        if max_workers <= 1:
+            return {key: one(key) for key in keys}
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            futures = [pool.submit(one, key) for key in keys]
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            failed = [f for f in futures if f in done and f.exception() is not None]
+            if failed:
+                pool.shutdown(cancel_futures=True)  # waits for the configurations in flight
+                raise failed[0].exception()
+        return {key: f.result() for key, f in zip(keys, futures)}
 
     if isinstance(mode, AdaptiveMode):
         results = run_all(lambda key: None, pre)

@@ -287,11 +287,14 @@ def _is_count(value: object) -> bool:
     return type(value) is int and value >= 1
 
 
-def _levels(value: object) -> tuple[str, ...]:
-    """A manifest's level labels: a JSON list of non-empty strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
-        raise _value_error("levels", f"must be a list of non-empty strings, got {value!r}")
-    return tuple(value)
+def _as_tuple(value: object) -> object:
+    """A JSON list as a tuple; anything else as it is, for `__post_init__` to refuse."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _check_names(fieldname: str, value: object) -> None:
+    if not isinstance(value, tuple) or not all(isinstance(v, str) and v for v in value):
+        raise _value_error(fieldname, f"must be a list of non-empty strings, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -309,6 +312,7 @@ class RunManifest:
     seed: int | None = None
     levels: tuple[str, ...]
     n_samples: int
+    sample_ids: tuple[str, ...] | None = None  # the samples in bundle order; None in older runs
     started_at: str
     status: str  # running | complete | failed
     model: str | None = None
@@ -326,8 +330,18 @@ class RunManifest:
                 raise _value_error(name, f"does not apply to {self.mode} mode")
             if not _is_count(value):
                 raise _value_error(name, f"must be a positive integer, got {value!r}")
+        _check_names("levels", self.levels)
         if not _is_count(self.n_samples):
             raise _value_error("n_samples", f"must be a positive integer, got {self.n_samples!r}")
+        ids = self.sample_ids
+        if ids is not None:
+            _check_names("sample_ids", ids)
+            if len(set(ids)) != len(ids):
+                raise _value_error("sample_ids", "must be unique")
+            if len(ids) != self.n_samples:
+                raise _value_error(
+                    "sample_ids", f"lists {len(ids)} samples, but n_samples is {self.n_samples}"
+                )
         if self.status not in _STATUSES:
             raise _value_error("status", f"must be one of {', '.join(_STATUSES)}, got {self.status!r}")
 
@@ -356,7 +370,8 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         return _decode(
             cls, data, "manifest",
-            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=_levels,
+            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=_as_tuple,
+            sample_ids=_as_tuple,
         )
 
 
@@ -364,10 +379,17 @@ def _record_model(manifest: RunManifest) -> str:
     return manifest.model or "unknown"
 
 
-def _check_record(record: TrialRecordLine, manifest: RunManifest) -> None:
-    """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run."""
+def _check_record(record: TrialRecordLine, manifest: RunManifest,
+                  listed: frozenset[str] | None) -> None:
+    """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run.
+
+    `listed` is the set of the manifest's `sample_ids`, built once per
+    replay; None when the manifest has none.
+    """
     levels = manifest.levels
-    if record.level_index >= len(levels):
+    if listed is not None and record.sample_id not in listed:
+        name, expected = "sample_id", "does not list it"
+    elif record.level_index >= len(levels):
         name, expected = "level_index", f"has {len(levels)} levels"
     elif record.run_id != manifest.run_id:
         name, expected = "run_id", f"says {manifest.run_id!r}"
@@ -578,16 +600,18 @@ class TraceStore:
         so appends start after the last whole record, and the keys read
         here seed append_trial's duplicate check, so the file is parsed once.
         When the run has a manifest, a record whose run id, model, level
-        index or level label disagrees with it raises RecordValidationError
+        index or level label disagrees with it, or whose sample the
+        manifest's `sample_ids` do not list, raises RecordValidationError
         before anything is cut.
         """
         manifest = self.read_manifest(run_id) if self.manifest_path(run_id).exists() else None
+        listed = frozenset(manifest.sample_ids) if manifest and manifest.sample_ids else None
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         try:
             for r in self.iter_trials(run_id):
                 if manifest is not None:
-                    _check_record(r, manifest)
+                    _check_record(r, manifest, listed)
                 grouped.setdefault((r.sample_id, r.level_index), []).append(
                     (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
                 )
@@ -620,10 +644,10 @@ class TraceStore:
     def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
         """Every configuration's summary, rebuilt from the stored records as the live run built it."""
         per_config = self.completed_trials(run_id)
-        # samples in order of first appearance in the record file
-        order = list(dict.fromkeys(sid for sid, _ in per_config))
-        if not order:
+        if not per_config:
             raise IncompleteRunError(run_id, "no trial records stored")
+        # the manifest's order; a manifest without one takes first appearance in the record file
+        order = list(manifest.sample_ids or dict.fromkeys(sid for sid, _ in per_config))
         J = len(manifest.levels)
         gaps = [
             (sid, j) for sid in order for j in range(J) if not per_config.get((sid, j))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator
+from typing import Callable, Iterator, Mapping
 
 import pytest
 
@@ -56,8 +58,10 @@ class MockModelServer:
         self.headers: list[dict[str, str]] = []
         self.in_flight = 0
         self.max_in_flight = 0
-        self.status_queue: list[int] = []  # consumed per request; empty means 200
+        self.status_queue: list[int] = []  # consumed per request; empty means status(body)
+        self.status: Callable[[dict], int] = lambda body: 200  # called under `lock`
         self.handler_delay = 0.0
+        self.handler_jitter = 0.0  # each reply waits handler_delay plus up to this much more
         self.reply = self.default_reply
 
     @staticmethod
@@ -78,25 +82,27 @@ def serve_mock_model() -> Iterator[MockModelServer]:
             with state.lock:
                 state.in_flight += 1
                 state.max_in_flight = max(state.max_in_flight, state.in_flight)
-                status = state.status_queue.pop(0) if state.status_queue else 200
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length) or b"{}")
                 with state.lock:
                     state.bodies.append(body)
                     state.headers.append(dict(self.headers.items()))
-                if state.handler_delay:
-                    time.sleep(state.handler_delay)
-                reply = state.reply(body) if status == 200 else {"error": {"code": status}}
-                payload = json.dumps(reply).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                    status = state.status_queue.pop(0) if state.status_queue else state.status(body)
+                delay = state.handler_delay + random.uniform(0.0, state.handler_jitter)
+                if delay:
+                    time.sleep(delay)
             finally:
+                # before the reply goes out, so a client's next request never overlaps this one
                 with state.lock:
                     state.in_flight -= 1
+            reply = state.reply(body) if status == 200 else {"error": {"code": status}}
+            payload = json.dumps(reply).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
         def log_message(self, *args: object) -> None:
             pass
@@ -112,6 +118,36 @@ def serve_mock_model() -> Iterator[MockModelServer]:
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+def body_key(body: dict) -> str:
+    """A request body as text, the same for equal bodies."""
+    return json.dumps(body, sort_keys=True)
+
+
+def keyed_reply(server: MockModelServer, start: Mapping[str, int] | None = None) -> Callable[[dict], dict]:
+    """A reply that depends only on the body and on how often that body was answered before.
+
+    The sampler keeps the trials of one configuration sequential, so the
+    n-th answer to a configuration's body is always its trial n, whatever
+    the other configurations do meanwhile. `start` maps a body (as
+    `body_key` writes it) to the answers it had before, for a resumed run.
+    """
+    answered = dict(start or {})
+
+    def reply(body: dict) -> dict:
+        key = body_key(body)
+        with server.lock:
+            occurrence = answered.get(key, 0)
+            answered[key] = occurrence + 1
+        digest = hashlib.sha256(f"{key}|{occurrence}".encode()).digest()
+        scale = 4 if body.get("reasoning_effort") == "high" else 1
+        return {
+            "choices": [{"message": {"content": "42" if digest[0] % 3 else "41"}}],
+            "usage": {"completion_tokens": scale * (40 + digest[1])},
+        }
+
+    return reply
 
 
 @pytest.fixture()

@@ -9,10 +9,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from arise import reference_spec
+from arise import cli, reference_spec
 from arise.cli import main
 
-from conftest import backend_config_dict
+from conftest import backend_config_dict, keyed_reply
 
 
 @pytest.fixture()
@@ -33,6 +33,20 @@ def spec_file(tmp_path: Path) -> Path:
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(reference_spec().to_dict()))
     return path
+
+
+@pytest.fixture()
+def workers_seen(monkeypatch) -> list[int]:
+    """The `max_workers` of every `run_evaluation` call that `arise run` makes."""
+    seen: list[int] = []
+    real = cli.run_evaluation
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_evaluation", spy)
+    return seen
 
 
 def do_run(runner: CliRunner, spec_file: Path, out: Path, *extra: str, seed: str = "42"):
@@ -97,6 +111,11 @@ class TestRun:
         b = json.loads((second / "x.bundle.json").read_text())
         assert a["sample_scores"] == b["sample_scores"]
         assert a["scaling_metric"] == b["scaling_metric"]
+
+    def test_a_simulator_run_draws_one_configuration_at_a_time(self, runner, spec_file, tmp_path,
+                                                               workers_seen):
+        assert do_run(runner, spec_file, tmp_path / "runs", "--naive", "1").exit_code == 0
+        assert workers_seen == [1]
 
     def test_probe_without_dry_run_writes_nothing(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
@@ -194,6 +213,21 @@ class TestHttpRun:
         manifest = json.loads((out / "h1.manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert not (out / "h1.jsonl").exists()
+
+    @pytest.mark.parametrize("max_in_flight", [3, 1])
+    def test_configurations_in_flight_follow_max_in_flight(self, runner, tmp_path, mock_server,
+                                                           api_key, workers_seen, max_in_flight):
+        mock_server.reply = keyed_reply(mock_server)
+        config = {
+            "backend": backend_config_dict(mock_server.url, max_in_flight=max_in_flight),
+            "tasks": [{"sample_id": "q1", "prompt": "?",
+                       "judge": {"type": "exact_match", "expected": "42"}}],
+        }
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["run", str(path), "--naive", "1", "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 0, result.output
+        assert workers_seen == [max_in_flight]
 
     def test_dry_run_renders_without_contacting_the_server(self, runner, tmp_path, mock_server):
         config = {"backend": backend_config_dict(mock_server.url), "tasks": []}
@@ -371,6 +405,25 @@ class TestResume:
         result = do_run(runner, reshaped, out, "--run-id", "r1", "--resume")
         assert result.exit_code == 1
         assert "was started with 8 samples at levels ['level0', 'level1', 'level2']" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_resume_refuses_a_renamed_sample(self, runner, spec_file, tmp_path):
+        # half a --naive 2 run is cut, so the last sample has no records yet
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "2", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        assert '"s08"' not in trial_file.read_text()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        spec = json.loads(spec_file.read_text())
+        assert spec["samples"][-1]["id"] == "s08"
+        spec["samples"][-1]["id"] = "s99"
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(spec))
+        result = do_run(runner, renamed, out, "--run-id", "r1", "--resume")
+        assert result.exit_code == 1
+        assert "was started with sample 's08' where this config has 's99'" in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_requires_run_id(self, runner, spec_file, tmp_path):
@@ -567,6 +620,22 @@ class TestMalformedStoredFiles:
             assert expected in all_text(result)
         assert trial_file.read_bytes() == damaged
 
+    def test_record_of_a_sample_the_manifest_does_not_list(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        self.edit_record_line(out, lambda r: {**r, "sample_id": "s99"})
+        trial_file = out / "r1.jsonl"
+        damaged = trial_file.read_bytes()
+        expected = ("error: sample_id: record (sample 's99', level 0, trial 0) has 's99', "
+                    "but the manifest of run 'r1' does not list it")
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert expected in all_text(result)
+        assert trial_file.read_bytes() == damaged
+
     @pytest.mark.parametrize("edit, expected", [
         (lambda m: m.pop("levels"), "levels: missing from the manifest"),
         (lambda m: m.update(spec_hash="abc"), "spec_hash: not a field of the manifest"),
@@ -574,6 +643,7 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(mode="bogus"), "mode: must be one of adaptive, fixed_budget, naive"),
         (lambda m: m.update(levels="ab"), "levels: must be a list of non-empty strings, got 'ab'"),
         (lambda m: m.update(n_samples="8"), "n_samples: must be a positive integer, got '8'"),
+        (lambda m: m.update(sample_ids=m["sample_ids"][:-1]), "sample_ids: lists 7 samples"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

@@ -1,0 +1,190 @@
+"""HTTP runs draw several configurations at once, and no stored byte that matters depends on it.
+
+The mock server answers with jittered latency, so requests finish in a
+different order on every run. Its replies are keyed by request body and
+by how often that body was answered before (`conftest.keyed_reply`), and
+it refuses every fifth request of a body with 503, so what a
+configuration draws does not depend on the other configurations.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from arise.cli import main
+
+from conftest import MockModelServer, backend_config_dict, body_key, keyed_reply
+
+GOLDEN_HTTP = Path(__file__).parent / "golden" / "http"
+PROMPTS = {f"q{i}": f"Question {i}: what is six times seven?" for i in range(4)}
+MODES = {"naive": ("--naive", "3"), "budget": ("--budget", "40")}
+
+
+class Served:
+    """Points the mock server at fresh keyed replies and counts what it sent."""
+
+    def __init__(self, server: MockModelServer, start: dict[str, int] | None = None):
+        self.server = server
+        self.refused = 0
+        requests: Counter[str] = Counter()
+
+        def status(body: dict) -> int:  # under server.lock
+            key = body_key(body)
+            requests[key] += 1
+            if requests[key] % 5 == 3:  # never twice in a row, so no trial runs out of retries
+                self.refused += 1
+                return 503
+            return 200
+
+        server.reply = keyed_reply(server, start)
+        server.status = status
+        server.handler_jitter = 0.004
+        server.bodies.clear()
+        server.max_in_flight = 0
+
+    @property
+    def posts(self) -> int:
+        return len(self.server.bodies)
+
+
+def write_config(directory: Path, url: str, max_in_flight: int, n_prompts: int = len(PROMPTS),
+                 name: str = "mock.json") -> Path:
+    config = {
+        "backend": backend_config_dict(url, max_in_flight=max_in_flight,
+                                       retry={"max_attempts": 3, "backoff_base": 0.0}),
+        "tasks": [{"sample_id": sid, "prompt": prompt,
+                   "judge": {"type": "exact_match", "expected": "42"}}
+                  for sid, prompt in list(PROMPTS.items())[:n_prompts]],
+    }
+    directory.mkdir(parents=True)
+    path = directory / name  # one name, so every run records the same benchmark
+    path.write_text(json.dumps(config))
+    return path
+
+
+def run(config: Path, out: Path, *args: str, run_id: str = "r") -> str:
+    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out), "--run-id", run_id,
+                                       *args])
+    assert result.exit_code == 0, result.output
+    return result.stdout
+
+
+def bundle_without_clock(out: Path, run_id: str = "r") -> dict:
+    bundle = json.loads((out / f"{run_id}.bundle.json").read_text())
+    del bundle["manifest"]["started_at"]
+    return bundle
+
+
+def records_without_clock(out: Path, run_id: str = "r") -> list[dict]:
+    lines = [json.loads(line) for line in (out / f"{run_id}.jsonl").read_text().splitlines()]
+    for line in lines:
+        del line["timestamp"]
+    return lines
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_bundles_do_not_depend_on_max_in_flight(tmp_path, mock_server, api_key, mode):
+    outs, stdouts, in_flight = {}, {}, {}
+    for max_in_flight in (1, 4):
+        served = Served(mock_server)
+        config = write_config(tmp_path / f"config{max_in_flight}", mock_server.url, max_in_flight)
+        out = outs[max_in_flight] = tmp_path / f"runs{max_in_flight}"
+        stdouts[max_in_flight] = run(config, out, *MODES[mode])
+        trials = len(records_without_clock(out))
+        assert served.posts == trials + served.refused
+        assert served.refused > 0
+        in_flight[max_in_flight] = mock_server.max_in_flight
+
+    # arise run draws max_in_flight configurations at once
+    assert in_flight[1] == 1
+    assert 2 <= in_flight[4] <= 4
+    assert stdouts[1] == stdouts[4]
+    assert bundle_without_clock(outs[1]) == bundle_without_clock(outs[4])
+    # the bundle bytes match too, wall clock aside; only the record line order may vary
+    texts = [(outs[k] / "r.bundle.json").read_text().splitlines() for k in (1, 4)]
+    assert [line for line in texts[0] if "started_at" not in line] == [
+        line for line in texts[1] if "started_at" not in line
+    ]
+    key = lambda r: (r["sample_id"], r["level_index"], r["trial_index"])  # noqa: E731
+    assert sorted(records_without_clock(outs[1]), key=key) == sorted(
+        records_without_clock(outs[4]), key=key)
+
+    # any line order a concurrent run could write replays to the same bytes
+    reordered = tmp_path / "reordered"
+    reordered.mkdir()
+    (reordered / "r.manifest.json").write_bytes((outs[4] / "r.manifest.json").read_bytes())
+    lines = (outs[4] / "r.jsonl").read_text().splitlines(keepends=True)
+    (reordered / "r.jsonl").write_text("".join(reversed(lines)))
+    result = CliRunner().invoke(main, ["compute", str(reordered), "--run-id", "r"])
+    assert result.exit_code == 0, result.output
+    assert (reordered / "r.bundle.json").read_bytes() == (outs[4] / "r.bundle.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_a_concurrent_run_cut_mid_line_resumes_to_the_uncut_bundle(tmp_path, mock_server, api_key,
+                                                                     mode):
+    config = write_config(tmp_path / "config", mock_server.url, 4)
+    full = tmp_path / "full"
+    Served(mock_server)
+    run(config, full, *MODES[mode])
+    bodies = {(b["messages"][0]["content"], b["reasoning_effort"]): body_key(b)
+              for b in mock_server.bodies}
+
+    data = (full / "r.jsonl").read_bytes()
+    cut = data.index(b"\n", len(data) // 2) - 10  # inside a record line
+    cut_dir = tmp_path / "cut"
+    cut_dir.mkdir()
+    (cut_dir / "r.manifest.json").write_bytes((full / "r.manifest.json").read_bytes())
+    (cut_dir / "r.jsonl").write_bytes(data[:cut])
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", str(cut_dir), "--run-id", "r"]).exit_code == 2
+
+    # the server resumes each configuration at the trial the store resumes it at
+    kept = Counter((r["sample_id"], r["level_index"])
+                   for r in map(json.loads, data[:cut].splitlines()[:-1]))
+    labels = ("low", "high")
+    start = {bodies[(PROMPTS[sid], labels[j])]: n for (sid, j), n in kept.items()}
+    served = Served(mock_server, start)
+    run(config, cut_dir, "--resume")
+    resumed = len(records_without_clock(cut_dir)) - sum(kept.values())
+    assert served.posts == resumed + served.refused
+    assert bundle_without_clock(cut_dir) == bundle_without_clock(full)
+
+
+def test_a_manifest_without_sample_ids_resumes_one_configuration_at_a_time(tmp_path, mock_server,
+                                                                          api_key):
+    """An older manifest orders samples by first appearance, so its resume stays serial.
+
+    The golden `--naive 4` run is cut after its first sample, so the resume
+    draws two samples that have no records yet; whatever `max_in_flight`
+    says, it writes them in config order and ends with the golden files.
+    """
+    manifest = json.loads((GOLDEN_HTTP / "http_naive.manifest.json").read_text())
+    del manifest["sample_ids"]
+    lines = (GOLDEN_HTTP / "http_naive.jsonl").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["sample_id"] == "q0"]
+    assert len(kept) == 8
+    expected = bundle_without_clock(GOLDEN_HTTP, "http_naive")
+    del expected["manifest"]["sample_ids"]
+
+    for max_in_flight in (1, 4):
+        out = tmp_path / f"runs{max_in_flight}"
+        out.mkdir()
+        (out / "http_naive.manifest.json").write_text(json.dumps(manifest, indent=2))
+        (out / "http_naive.jsonl").write_text("".join(kept))
+        # the golden run's config, under its name, with another max_in_flight
+        config = write_config(tmp_path / f"config{max_in_flight}", mock_server.url, max_in_flight,
+                              n_prompts=3, name="mock_backend.json")
+        mock_server.reply = keyed_reply(mock_server)
+        mock_server.handler_jitter = 0.004
+        mock_server.max_in_flight = 0
+        run(config, out, "--resume", run_id="http_naive")
+        assert mock_server.max_in_flight == 1
+        assert records_without_clock(out, "http_naive") == records_without_clock(GOLDEN_HTTP,
+                                                                                  "http_naive")
+        assert bundle_without_clock(out, "http_naive") == expected

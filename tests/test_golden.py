@@ -6,7 +6,8 @@ stdout they produce. Every output must equal its checked-in copy under
 and bundles, `timestamp` in trial records), which are masked on both
 sides. HTTP cases run against the in-process mock server, whose reply
 is a function of the request body and of how many times that body was
-seen before, so a configuration's n-th trial always gets the same reply.
+answered before (`conftest.keyed_reply`), so a configuration's n-th
+trial always gets the same reply.
 
 Regenerate the fixtures (only when an output is meant to change) with
 `PYTHONPATH=src:tests python tests/test_golden.py`.
@@ -14,19 +15,18 @@ Regenerate the fixtures (only when an output is meant to change) with
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
 from pathlib import Path
-from typing import Callable
 
+import pytest
 from click.testing import CliRunner
 
 from arise.cli import main
-from arise.store import ResultBundle, RunManifest, TrialRecordLine, _encode
+from arise.store import ResultBundle, RunManifest, TraceStore, TrialRecordLine, _encode
 
-from conftest import MockModelServer, backend_config_dict, serve_mock_model
+from conftest import MockModelServer, backend_config_dict, keyed_reply, serve_mock_model
 
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = Path(__file__).parent.parent / "configs" / "reference_spec.json"
@@ -90,24 +90,6 @@ def simulate_outputs(tmp: Path) -> dict[str, bytes]:
     return files
 
 
-def keyed_reply(server: MockModelServer) -> Callable[[dict], dict]:
-    """A reply that depends only on the body and on how often that body was seen before."""
-    seen: dict[str, int] = {}
-
-    def reply(body: dict) -> dict:
-        key = json.dumps(body, sort_keys=True)
-        with server.lock:
-            occurrence = seen[key] = seen.get(key, -1) + 1
-        digest = hashlib.sha256(f"{key}|{occurrence}".encode()).digest()
-        scale = 4 if body.get("reasoning_effort") == "high" else 1
-        return {
-            "choices": [{"message": {"content": "42" if digest[0] % 3 else "41"}}],
-            "usage": {"completion_tokens": scale * (40 + digest[1])},
-        }
-
-    return reply
-
-
 def http_runs(tmp: Path, server: MockModelServer) -> dict[str, bytes]:
     """A naive and a --budget run against the mock server."""
     config = {
@@ -163,6 +145,20 @@ def test_stored_files_survive_a_decode_and_re_encode():
         for path in paths:
             text = path.read_text()
             assert json.dumps(_encode(cls.from_dict(json.loads(text))), indent=2) == text, path
+
+
+@pytest.mark.parametrize("run", sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
+                                        for p in GOLDEN.glob("*/*.manifest.json")))
+def test_a_manifest_without_sample_ids_still_computes(tmp_path, run):
+    """Runs stored before manifests listed their samples replay in first-appearance order."""
+    run_id = run.split("/")[1]
+    manifest = json.loads((GOLDEN / f"{run}.manifest.json").read_text())
+    del manifest["sample_ids"]
+    (tmp_path / f"{run_id}.manifest.json").write_text(json.dumps(manifest, indent=2))
+    (tmp_path / f"{run_id}.jsonl").write_bytes((GOLDEN / f"{run}.jsonl").read_bytes())
+    expected = json.loads((GOLDEN / f"{run}.bundle.json").read_text())
+    del expected["manifest"]["sample_ids"]
+    assert TraceStore(tmp_path).recompute(run_id).to_json() == json.dumps(expected, indent=2)
 
 
 if __name__ == "__main__":

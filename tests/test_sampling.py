@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -618,6 +620,42 @@ class TestRunEvaluation:
         sequential = run_evaluation(SimulatorBackend(spec), *args, max_workers=1)
         parallel = run_evaluation(SimulatorBackend(spec), *args, max_workers=6)
         assert sequential == parallel
+
+    def test_a_failure_stops_the_queued_configurations(self, monkeypatch):
+        """Only the configurations already in flight finish; the queued ones never start."""
+        release = threading.Event()
+
+        class Pool(ThreadPoolExecutor):
+            """Holds every started configuration until the queued ones are cancelled."""
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        class OneBadConfiguration:
+            def __init__(self) -> None:
+                self.lock = threading.Lock()
+                self.calls: list[tuple[str, int, int]] = []
+
+            def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
+                with self.lock:
+                    self.calls.append((sample_id, level_index, trial_index))
+                if (sample_id, level_index) == ("s00", 1):
+                    raise ConnectionError("backend down")
+                assert release.wait(timeout=10)
+                return TrialOutcome(1.0, 100.0)
+
+        monkeypatch.setattr(arise.sampling, "ThreadPoolExecutor", Pool)
+        backend = OneBadConfiguration()
+        samples = [f"s{i:02d}" for i in range(8)]
+        with pytest.raises(ConfigurationError, match="'s00', level 1"):
+            run_evaluation(backend, samples, ["low", "high"], ConvergenceConfig(), NaiveMode(1),
+                           max_workers=2)
+        # of 16 configurations, the first two start; the worker freed by the failure
+        # may take one more before the queue is cancelled, and nothing else starts
+        assert {("s00", 0, 0), ("s00", 1, 0)} <= set(backend.calls)
+        assert len(backend.calls) <= 3
 
     def test_lower_tau_never_samples_less(self):
         spec = reference_spec()

@@ -171,6 +171,8 @@ class TestManifest:
         ({"n_samples": True}, "n_samples"),
         ({"n_samples": "8"}, "n_samples"),
         ({"status": "done"}, "status"),
+        ({"levels": ("low", "")}, "levels"),
+        ({"levels": ["low", "high"]}, "levels"),
     ])
     def test_refuses_values_a_run_cannot_hold(self, overrides, fieldname):
         with pytest.raises(ValueError, match=f"^{fieldname}: "):
@@ -182,6 +184,35 @@ class TestManifest:
         data["levels"] = levels
         with pytest.raises(ValueError, match="^levels: must be a list of non-empty strings"):
             RunManifest.from_dict(data)
+
+    @pytest.mark.parametrize("sample_ids, message", [
+        (("s01", "s01"), "must be unique"),
+        (("s01", ""), "must be a list of non-empty strings"),
+        (("s01",), "lists 1 samples, but n_samples is 2"),
+        ("ab", "must be a list of non-empty strings"),
+    ])
+    def test_sample_ids_are_checked_on_write(self, sample_ids, message):
+        with pytest.raises(ValueError, match=f"^sample_ids: {message}"):
+            manifest(n_samples=2, sample_ids=sample_ids)
+
+    @pytest.mark.parametrize("sample_ids, message", [
+        ("ab", "must be a list of non-empty strings"),
+        (["s01", 2], "must be a list of non-empty strings"),
+        (["s01", "s01"], "must be unique"),
+        (["s01", "s02", "s03"], "lists 3 samples"),
+    ])
+    def test_sample_ids_are_checked_on_read(self, sample_ids, message):
+        data = manifest(n_samples=2).to_dict()
+        data["sample_ids"] = sample_ids
+        with pytest.raises(ValueError, match=f"^sample_ids: {message}"):
+            RunManifest.from_dict(data)
+
+    def test_sample_ids_round_trip_after_n_samples(self):
+        listed = manifest(n_samples=2, sample_ids=("s02", "s01"))
+        data = listed.to_dict()
+        assert list(data)[list(data).index("n_samples") + 1] == "sample_ids"
+        assert data["sample_ids"] == ["s02", "s01"]
+        assert RunManifest.from_dict(json.loads(json.dumps(data))) == listed
 
 
 class TestAppend:
@@ -425,6 +456,41 @@ class TestRecompute:
         assert [c.sample_id for c in bundle.configurations] == [
             "s03", "s03", "s01", "s01", "s02", "s02"
         ]
+
+    def store_in_order(self, tmp_path: Path, listed: RunManifest, sample_ids: list[str]) -> TraceStore:
+        store = TraceStore(tmp_path)
+        store.write_manifest(listed)
+        for sid in sample_ids:
+            for level, label in enumerate(("low", "high")):
+                store.append_trial(record(sample_id=sid, level_index=level, level_label=label,
+                                          completion_tokens=100 * (level + 1)))
+        store.close()
+        return store
+
+    def test_sample_order_follows_the_manifest(self, tmp_path: Path):
+        listed = manifest(n_samples=3, sample_ids=("s02", "s03", "s01"))
+        store = self.store_in_order(tmp_path, listed, ["s03", "s01", "s02"])
+        bundle = store.recompute("r1")
+        assert [s.sample_id for s in bundle.sample_scores] == ["s02", "s03", "s01"]
+        assert [c.sample_id for c in bundle.configurations] == [
+            "s02", "s02", "s03", "s03", "s01", "s01"
+        ]
+
+    def test_a_sample_the_manifest_does_not_list_is_refused(self, tmp_path: Path):
+        listed = manifest(n_samples=2, sample_ids=("s01", "s02"))
+        store = self.store_in_order(tmp_path, listed, ["s01", "s99"])
+        with pytest.raises(RecordValidationError, match=(
+            r"^sample_id: record \(sample 's99', level 0, trial 0\) has 's99', "
+            r"but the manifest of run 'r1' does not list it"
+        )):
+            store.recompute("r1")
+
+    def test_a_listed_sample_without_records_is_a_gap(self, tmp_path: Path):
+        listed = manifest(n_samples=2, sample_ids=("s01", "s02"))
+        store = self.store_in_order(tmp_path, listed, ["s01"])
+        with pytest.raises(IncompleteRunError) as err:
+            store.recompute("r1")
+        assert err.value.gaps == (("s02", 0), ("s02", 1))
 
     def test_sample_count_mismatch_rejected(self, tmp_path: Path):
         store = TraceStore(tmp_path)

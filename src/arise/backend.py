@@ -20,7 +20,7 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -368,6 +368,28 @@ class HttpBackend:
     @property
     def sample_ids(self) -> tuple[str, ...]:
         return tuple(self._tasks)
+
+    @property
+    def outcome_config(self) -> dict:
+        """What decides the outcomes: the model, the requests, the response paths and the tasks.
+
+        Transport settings (base_url, auth_env_var, max_in_flight,
+        min_request_interval, retry) are left out, so a run can resume
+        through another endpoint or at another concurrency.
+        """
+        cfg = self.cfg
+        return {
+            "model": cfg.model,
+            "request_template": cfg.request_template,
+            "levels": [asdict(level) for level in cfg.levels],
+            "usage_path": cfg.usage_path,
+            "response_text_path": cfg.response_text_path,
+            "tasks": [
+                {"sample_id": t.sample_id, "prompt": t.prompt,
+                 "judge": {"type": type(t.judge).__name__, **asdict(t.judge)}}
+                for t in self._tasks.values()
+            ],
+        }
 
     def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
         """One API call -> one judged trial outcome."""

@@ -35,6 +35,7 @@ from .store import (
     ResultBundle,
     RunManifest,
     TraceStore,
+    config_hash,
     now_rfc3339,
     read_mapping,
     render_table,
@@ -88,7 +89,11 @@ def main(ctx: click.Context, seed: int | None, fmt: str, sm_x1000: bool) -> None
 
 def _locate_run(traces: Path, run_id: str | None) -> tuple[Path, str]:
     if traces.is_file():
-        return traces.parent, traces.name.removesuffix(".jsonl")
+        if traces.suffix != ".jsonl":
+            raise ValueError(f"{traces} is neither a store directory nor a <run_id>.jsonl record file")
+        if run_id not in (None, traces.stem):
+            raise ValueError(f"--run-id {run_id!r} names another run than {traces.name}")
+        return traces.parent, traces.stem
     store = TraceStore(traces)
     runs = store.run_ids()
     if run_id is not None:
@@ -189,6 +194,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if opts.seed is not None:
             spec = dataclasses.replace(spec, seed=opts.seed)
         backend = SimulatorBackend(spec)
+        digest = config_hash(spec.to_dict())  # the whole spec decides the outcomes, seed included
         samples = list(spec.sample_ids)
         labels = [f"level{j}" for j in range(spec.n_levels)]
         seed = spec.seed
@@ -200,6 +206,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if not tasks:
             raise ValueError("backend run config has no tasks")
         backend = HttpBackend(backend_cfg, tasks)
+        digest = config_hash(backend.outcome_config)
         samples = [t.sample_id for t in tasks]
         labels = list(backend_cfg.level_labels)
         seed = opts.seed
@@ -237,6 +244,12 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                 f"run {run_id!r} was started with sample {stored!r} where this config has "
                 f"{given!r}; resuming would mix the records of different samples"
             )
+        # a manifest from before config hashes resumes unchecked
+        if manifest.config_hash is not None and manifest.config_hash != digest:
+            raise ValueError(
+                f"run {run_id!r} was started with a config that hashes to {manifest.config_hash}; "
+                f"this config hashes to {digest}, so resuming would mix the outcomes of both"
+            )
         cfg = manifest.cfg
         mode = manifest.run_mode
         manifest = dataclasses.replace(manifest, status="running")
@@ -259,6 +272,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             seed=seed,
             model=model,
             benchmark=benchmark,
+            config_hash=digest,
         )
     run_id = manifest.run_id
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +30,7 @@ from .metrics import (
 )
 from .sampling import (
     EPSILON,
+    ConfigurationError,
     ConvergenceConfig,
     RunMode,
     TrialOutcome,
@@ -293,6 +296,37 @@ def check_study(
         check_mode(mode, len(spec.sample_ids), spec.n_levels, cfg)
 
 
+def _replicate(
+    spec: SyntheticModelSpec, cfg: ConvergenceConfig, mode: RunMode, root: int, r: int
+) -> tuple[float, float, int, int]:
+    """Replication r of one mode: (ARISE, scaling metric, trials drawn, unconverged configurations).
+
+    A pure function of its arguments, so a worker process returns what the
+    calling process would have computed.
+    """
+    reseeded = dataclasses.replace(spec, seed=derive_seed(root, "replication", r))
+    labels = [f"level{j}" for j in range(spec.n_levels)]
+    try:
+        run = run_evaluation(SimulatorBackend(reseeded), reseeded.sample_ids, labels, cfg, mode)
+    except ConfigurationError as exc:
+        # a study keeps no store to resume, so a failed draw is a plain error;
+        # a ValueError also travels back from a worker, which ConfigurationError cannot
+        raise ValueError(str(exc)) from exc
+    return (
+        arise_aggregate(run.trajectories),
+        scaling_metric(build_scaling_curve(run.trajectories)),
+        run.total_trials,
+        run.unconverged_count,
+    )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replicate_study(
     spec: SyntheticModelSpec,
     cfg: ConvergenceConfig,
@@ -306,29 +340,47 @@ def replicate_study(
     (base_seed or spec.seed, r), so the same replication index sees
     identical trial draws in every mode and across-mode comparisons are
     paired. Every mode is checked before the first draw.
+
+    The (mode, r) replications run in a pool of forked processes, one per
+    usable CPU and no more than there are replications; with one CPU, one
+    replication or no `fork` they run in this process. Results are put
+    back in (mode, r) order, so the report is the same either way.
     """
     check_study(spec, cfg, modes, replications)
     root = spec.seed if base_seed is None else base_seed
-    labels = [f"level{j}" for j in range(spec.n_levels)]
+    tasks = [(spec, cfg, mode, root, r) for mode in modes for r in range(replications)]
+    workers = min(_usable_cpus(), len(tasks))
+    if workers > 1:
+        import multiprocessing  # only a pool needs it, so no other command pays for the import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        results = [_replicate(*task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a forked worker flushes the stdio buffers it inherits when it exits
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            # one task per dispatch: an adaptive replication costs some twenty naive:1 ones
+            results = list(pool.map(_replicate, *zip(*tasks), chunksize=1))
+        finally:
+            pool.shutdown(cancel_futures=True)  # joins every worker, after a failure too
     studies = []
-    for mode in modes:
-        arise_values, scaling_values, trial_counts, unconverged = [], [], [], []
-        for r in range(replications):
-            reseeded = dataclasses.replace(spec, seed=derive_seed(root, "replication", r))
-            run = run_evaluation(
-                SimulatorBackend(reseeded), reseeded.sample_ids, labels, cfg, mode
-            )
-            arise_values.append(arise_aggregate(run.trajectories))
-            scaling_values.append(scaling_metric(build_scaling_curve(run.trajectories)))
-            trial_counts.append(run.total_trials)
-            unconverged.append(run.unconverged_count)
+    for i, mode in enumerate(modes):
+        arise_values, scaling_values, trial_counts, unconverged = zip(
+            *results[i * replications:(i + 1) * replications]
+        )
         studies.append(
             ModeStudy(
                 mode=mode.describe(),
-                arise=tuple(arise_values),
-                scaling=tuple(scaling_values),
-                trials=tuple(trial_counts),
-                unconverged=tuple(unconverged),
+                arise=arise_values,
+                scaling=scaling_values,
+                trials=trial_counts,
+                unconverged=unconverged,
             )
         )
     return StudyReport(replications, tuple(studies))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import hashlib
 import json
 import math
 import os
@@ -56,6 +57,7 @@ __all__ = [
     "DuplicateTrialError",
     "IncompleteRunError",
     "TornRecordError",
+    "config_hash",
     "now_rfc3339",
     "read_mapping",
     "render_table",
@@ -116,6 +118,12 @@ def read_mapping(path: str | Path, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path} is not a mapping")
     return data
+
+
+def config_hash(config: object) -> str:
+    """A short blake2b hex digest of `config` as canonical JSON (sorted keys, compact separators)."""
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def now_rfc3339() -> str:
@@ -317,6 +325,7 @@ class RunManifest:
     status: str  # running | complete | failed
     model: str | None = None
     benchmark: str | None = None
+    config_hash: str | None = None  # `config_hash` of what decides outcomes; None in older runs
 
     def __post_init__(self) -> None:
         """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
@@ -344,6 +353,8 @@ class RunManifest:
                 )
         if self.status not in _STATUSES:
             raise _value_error("status", f"must be one of {', '.join(_STATUSES)}, got {self.status!r}")
+        if self.config_hash is not None and not (isinstance(self.config_hash, str) and self.config_hash):
+            raise _value_error("config_hash", f"must be a non-empty string, got {self.config_hash!r}")
 
     @classmethod
     def for_mode(cls, mode: RunMode, **fields: object) -> "RunManifest":

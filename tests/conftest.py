@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import threading
 import time
@@ -179,3 +180,30 @@ def backend_config_dict(url: str, **overrides) -> dict:
 def api_key(monkeypatch):
     monkeypatch.setenv("MOCK_API_KEY", "sk-mock-test-credential-000")
     return "sk-mock-test-credential-000"
+
+
+@pytest.fixture()
+def cpus(monkeypatch) -> Callable[[int], None]:
+    """Set how many CPUs this process may use, as `replicate_study` counts them."""
+
+    def set_count(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    return set_count
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch) -> list[int]:
+    """The worker count of every process pool constructed, in order; each pool still runs."""
+    import concurrent.futures
+
+    sizes: list[int] = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers, *args, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return sizes

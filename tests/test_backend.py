@@ -21,6 +21,7 @@ from arise import (
     NumericMatchJudge,
     RequestLimiter,
     TokenExtractionError,
+    config_hash,
     dry_run,
     merge_patch,
     parse_judge,
@@ -182,6 +183,38 @@ class TestBackendConfig:
         data["levels"][0]["kind"] = "vibes"
         with pytest.raises(ValueError, match="kind"):
             BackendConfig.from_dict(data)
+
+
+def outcome_hash(url: str, expected: str = "42", **config_overrides) -> str:
+    cfg = BackendConfig.from_dict(backend_config_dict(url, **config_overrides))
+    tasks = parse_tasks([{"sample_id": "q1", "prompt": "?",
+                          "judge": {"type": "exact_match", "expected": expected}}])
+    return config_hash(HttpBackend(cfg, tasks).outcome_config)
+
+
+class TestOutcomeConfig:
+    @pytest.mark.parametrize("change", [
+        {"base_url": "http://127.0.0.1:9/elsewhere"},
+        {"auth_env_var": "OTHER_KEY"},
+        {"max_in_flight": 4},
+        {"min_request_interval": 0.5},
+        {"retry": {"max_attempts": 9, "backoff_base": 0.0}},
+    ], ids=lambda change: next(iter(change)))
+    def test_transport_settings_leave_the_hash_alone(self, change):
+        assert outcome_hash("http://127.0.0.1:8/v1", **change) == outcome_hash("http://127.0.0.1:8/v1")
+
+    @pytest.mark.parametrize("change", [
+        {"model": "another-model"},
+        {"request_template": {"model": "{{model}}"}},
+        {"usage_path": "/usage/total_tokens"},
+        {"response_text_path": "/choices/0/text"},
+        {"expected": "41"},
+    ], ids=lambda change: next(iter(change)))
+    def test_what_decides_outcomes_changes_the_hash(self, change):
+        assert outcome_hash("http://127.0.0.1:8/v1", **change) != outcome_hash("http://127.0.0.1:8/v1")
+
+    def test_the_hash_ignores_key_order(self):
+        assert config_hash({"a": 1, "b": [0.5, "x"]}) == config_hash({"b": [0.5, "x"], "a": 1})
 
 
 # ----------------------------------------------------------------------

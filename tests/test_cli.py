@@ -307,6 +307,21 @@ class TestCompute:
         assert result.exit_code == 0, result.output
         assert destination.read_bytes() == (out / "r1.bundle.json").read_bytes()
 
+    @pytest.mark.parametrize("args, expected", [
+        (["r1.manifest.json"], "is neither a store directory nor a <run_id>.jsonl record file"),
+        (["r1.bundle.json"], "is neither a store directory nor a <run_id>.jsonl record file"),
+        (["r1.jsonl", "--run-id", "r2"], "--run-id 'r2' names another run than r1.jsonl"),
+    ], ids=["manifest", "bundle", "other-run-id"])
+    def test_a_file_other_than_the_run_record_file_exits_one(self, runner, spec_file, tmp_path,
+                                                              args, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = runner.invoke(main, ["compute", str(out / args[0]), *args[1:]])
+        assert result.exit_code == 1
+        assert expected in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_ambiguous_store_requires_run_id(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -426,6 +441,76 @@ class TestResume:
         assert "was started with sample 's08' where this config has 's99'" in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_resume_refuses_an_edited_spec(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "2", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        stored = json.loads((out / "r1.manifest.json").read_text())["config_hash"]
+        spec = json.loads(spec_file.read_text())
+        for sample in spec["samples"]:
+            for level in sample["levels"]:
+                level["p_correct"] = 1.0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(spec))
+        result = do_run(runner, edited, out, "--run-id", "r1", "--resume")
+        assert result.exit_code == 1
+        assert f"was started with a config that hashes to {stored}; this config hashes to" in (
+            all_text(result))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_manifest_without_a_config_hash_resumes_unchecked(self, runner, spec_file, tmp_path):
+        full_dir, cut_dir = tmp_path / "full", tmp_path / "cut"
+        do_run(runner, spec_file, full_dir, "--naive", "2", "--run-id", "r1")
+        manifest = json.loads((full_dir / "r1.manifest.json").read_text())
+        del manifest["config_hash"]
+        cut_dir.mkdir()
+        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest, indent=2))
+        lines = (full_dir / "r1.jsonl").read_text().splitlines(keepends=True)
+        (cut_dir / "r1.jsonl").write_text("".join(lines[: len(lines) // 2]))
+        result = do_run(runner, spec_file, cut_dir, "--run-id", "r1", "--resume")
+        assert result.exit_code == 0, result.output
+        expected = json.loads((full_dir / "r1.bundle.json").read_text())
+        del expected["manifest"]["config_hash"]
+        assert (cut_dir / "r1.bundle.json").read_text() == json.dumps(expected, indent=2)
+
+    def test_an_http_resume_may_change_the_transport_but_not_the_tasks(
+            self, runner, tmp_path, mock_server, api_key, monkeypatch):
+        mock_server.reply = keyed_reply(mock_server)
+        config = {
+            "backend": backend_config_dict(mock_server.url),
+            "tasks": [{"sample_id": f"q{i}", "prompt": f"Question {i}?",
+                       "judge": {"type": "exact_match", "expected": "42"}} for i in range(2)],
+        }
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        args = ["run", str(path), "--out", str(out), "--run-id", "h1"]
+        assert runner.invoke(main, [*args, "--naive", "2"]).exit_code == 0
+        trial_file = out / "h1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        config["tasks"][1]["prompt"] = "Question 1, reworded?"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, [*args, "--resume"])
+        assert result.exit_code == 1
+        assert "resuming would mix the outcomes of both" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+        monkeypatch.setenv("OTHER_KEY", "sk-other")
+        config["tasks"][1]["prompt"] = "Question 1?"
+        config["backend"].update(auth_env_var="OTHER_KEY", max_in_flight=3, min_request_interval=0.001,
+                                 retry={"max_attempts": 5, "backoff_base": 0.0})
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, [*args, "--resume"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "h1.manifest.json").read_text())
+        assert manifest["config_hash"] == json.loads(before["h1.manifest.json"])["config_hash"]
+
     def test_resume_requires_run_id(self, runner, spec_file, tmp_path):
         result = do_run(runner, spec_file, tmp_path / "runs", "--resume")
         assert result.exit_code == 1
@@ -525,6 +610,47 @@ class TestSimulate:
         assert draws == []
         assert "arise_mean" not in result.output  # no table was printed
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("runs", ["1", "3", "5"])
+    def test_one_cpu_and_two_print_and_write_the_same_bytes(self, runner, spec_file, tmp_path,
+                                                            cpus, pool_sizes, runs):
+        outputs = []
+        for count in (1, 2):
+            cpus(count)
+            rows_path = tmp_path / f"rows{count}.csv"
+            result = runner.invoke(main, ["--seed", "3", "simulate", str(spec_file), "--runs", runs,
+                                          "-m", "adaptive", "-m", "naive:1", "-m", "budget",
+                                          "--out", str(rows_path)])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, rows_path.read_bytes()))
+        assert pool_sizes == [2]  # three modes make at least three tasks
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_failed_draw_exits_one_with_no_rows_and_no_worker_left(
+            self, runner, spec_file, tmp_path, monkeypatch, cpus, pool_sizes, count):
+        import multiprocessing
+
+        import arise.simulator
+
+        real = arise.simulator.simulate_trial
+        doomed = arise.simulator.derive_seed(42, "replication", 1)
+
+        def draw(spec, sample_id, level_index, trial_index):  # forked workers inherit the patch
+            if spec.seed == doomed:
+                raise ValueError(f"no draw for {sample_id} in replication 1")
+            return real(spec, sample_id, level_index, trial_index)
+
+        monkeypatch.setattr(arise.simulator, "simulate_trial", draw)
+        cpus(count)
+        rows_path = tmp_path / "rows.csv"
+        result = runner.invoke(main, ["simulate", str(spec_file), "--runs", "3", "-m", "naive:1",
+                                      "--out", str(rows_path)])
+        assert result.exit_code == 1
+        assert "failed at trial 0: no draw for s01 in replication 1" in all_text(result)
+        assert pool_sizes == ([2] if count == 2 else [])
+        assert not rows_path.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:
@@ -644,6 +770,7 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(levels="ab"), "levels: must be a list of non-empty strings, got 'ab'"),
         (lambda m: m.update(n_samples="8"), "n_samples: must be a positive integer, got '8'"),
         (lambda m: m.update(sample_ids=m["sample_ids"][:-1]), "sample_ids: lists 7 samples"),
+        (lambda m: m.update(config_hash=5), "config_hash: must be a non-empty string, got 5"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

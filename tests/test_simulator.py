@@ -302,6 +302,36 @@ class TestReplication:
             replicate_study(tiny_spec(), ConvergenceConfig(), modes, replications)
         assert draws == []
 
+    @pytest.mark.parametrize("count, modes, replications, expected", [
+        (2, [NaiveMode(2)], 5, [2]),
+        (4, [NaiveMode(2)], 3, [3]),  # no more workers than replications
+        (4, [AdaptiveMode(), NaiveMode(2)], 1, [2]),  # a task is one (mode, replication)
+        (1, [AdaptiveMode(), NaiveMode(2)], 3, []),
+        (8, [AdaptiveMode()], 1, []),  # one task runs in this process
+    ])
+    def test_the_pool_has_a_worker_per_cpu_up_to_the_task_count(self, cpus, pool_sizes, count,
+                                                                 modes, replications, expected):
+        cpus(count)
+        replicate_study(tiny_spec(), ConvergenceConfig(), modes, replications)
+        assert pool_sizes == expected
+
+    def test_without_fork_the_study_runs_in_this_process(self, cpus, pool_sizes, monkeypatch):
+        import multiprocessing
+
+        cpus(2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        replicate_study(tiny_spec(), ConvergenceConfig(), [NaiveMode(2)], 3)
+        assert pool_sizes == []
+
+    def test_a_pool_reports_what_one_process_reports(self, cpus, pool_sizes):
+        modes = [AdaptiveMode(), NaiveMode(2)]
+        reports = []
+        for count in (1, 2):
+            cpus(count)
+            reports.append(replicate_study(reference_spec(), ConvergenceConfig(), modes, 4))
+        assert pool_sizes == [2]
+        assert reports[0] == reports[1]
+
 
 class TestReferenceSpec:
     def test_shape_and_seed(self):

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from .sampling import (
     AdaptiveMode,
@@ -129,6 +130,10 @@ def _load_run_config(path: Path) -> dict:
     return read_mapping(path, "run config")
 
 
+# the run settings a manifest stores, so a resume takes them from it and refuses them as flags
+_RUN_SETTINGS = ("adaptive", "budget", "naive", "m_min", "m_max", "tau", "model", "benchmark")
+
+
 def _pick_mode(adaptive: bool, budget: int | None, naive: int | None) -> RunMode:
     chosen = [name for name, on in (("--adaptive", adaptive), ("--budget", budget is not None),
                                     ("--naive", naive is not None)) if on]
@@ -165,43 +170,47 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     """Run an evaluation against a simulator spec or an HTTP backend config."""
     if probe and not dry:
         raise ValueError("--probe needs --dry-run")
+    if resume:
+        ctx = click.get_current_context()
+        flags = [f"--{name.replace('_', '-')}" for name in _RUN_SETTINGS
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if flags:
+            raise ValueError(f"--resume takes the run settings from the stored manifest; "
+                             f"drop {', '.join(flags)}")
+        if run_id is None:
+            raise ValueError("--resume needs --run-id")
+    else:  # a resume takes these from the manifest
+        cfg = ConvergenceConfig(m_min=m_min, m_max=m_max, tau=tau)
+        mode = _pick_mode(adaptive, budget, naive)
     data = _load_run_config(config)
-    is_simulator = "samples" in data and "base_url" not in data
-    if not is_simulator:  # only HTTP configs load the backend, and with it requests
-        from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
-
-    if dry:
-        if is_simulator:
+    if "samples" in data and "base_url" not in data:
+        if dry:
             raise ValueError("--dry-run applies to HTTP backend configs only")
-        report = dry_run(BackendConfig.from_dict(data["backend"] if "backend" in data else data),
-                         probe=probe)
-        for level_request in report.requests:
-            click.echo(json.dumps(level_request, indent=2))
-        if report.unresolved:
-            click.echo(f"unresolved placeholders: {list(report.unresolved)}", err=True)
-        if report.probe_error:
-            click.echo(f"probe failed: {report.probe_error}", err=True)
-        elif report.probe_tokens is not None:
-            click.echo(f"probe resolved {report.usage_path} -> {report.probe_tokens}", err=True)
-        sys.exit(0 if report.ok else 1)
-
-    store = TraceStore(out)
-    cfg = ConvergenceConfig(m_min=m_min, m_max=m_max, tau=tau)
-    mode = _pick_mode(adaptive, budget, naive)
-
-    if is_simulator:
         spec = SyntheticModelSpec.from_dict(data)
         if opts.seed is not None:
             spec = dataclasses.replace(spec, seed=opts.seed)
         backend = SimulatorBackend(spec)
         digest = config_hash(spec.to_dict())  # the whole spec decides the outcomes, seed included
         samples = list(spec.sample_ids)
-        labels = [f"level{j}" for j in range(spec.n_levels)]
+        labels = list(spec.level_labels)
         seed = spec.seed
-        model = model or "simulator"
+        default_model = "simulator"
         workers = 1
-    else:
-        backend_cfg = BackendConfig.from_dict(data["backend"] if "backend" in data else data)
+    else:  # only HTTP configs load the backend, and with it requests
+        from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
+
+        backend_cfg = BackendConfig.from_dict(data.get("backend", data))
+        if dry:
+            report = dry_run(backend_cfg, probe=probe)
+            for level_request in report.requests:
+                click.echo(json.dumps(level_request, indent=2))
+            if report.unresolved:
+                click.echo(f"unresolved placeholders: {list(report.unresolved)}", err=True)
+            if report.probe_error:
+                click.echo(f"probe failed: {report.probe_error}", err=True)
+            elif report.probe_tokens is not None:
+                click.echo(f"probe resolved {report.usage_path} -> {report.probe_tokens}", err=True)
+            sys.exit(0 if report.ok else 1)
         tasks = parse_tasks(data.get("tasks", []))
         if not tasks:
             raise ValueError("backend run config has no tasks")
@@ -210,16 +219,13 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         samples = [t.sample_id for t in tasks]
         labels = list(backend_cfg.level_labels)
         seed = opts.seed
-        model = model or backend_cfg.model
+        default_model = backend_cfg.model
         # configurations in flight; the backend's limiter still caps the requests
         workers = backend_cfg.max_in_flight
-    benchmark = benchmark or config.stem
+    del data  # the backend holds what the draws need; free the parsed mapping before them
 
+    store = TraceStore(out)
     if resume:
-        if run_id is None:
-            raise ValueError("--resume needs --run-id")
-        if adaptive or budget is not None or naive is not None:
-            raise ValueError("--resume takes the mode from the stored manifest; drop the mode flags")
         manifest = store.read_manifest(run_id)
         # a simulator spec always has a seed; an HTTP run has one only from --seed
         if seed is not None and seed != manifest.seed:
@@ -270,8 +276,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             started_at=now_rfc3339(),
             status="running",
             seed=seed,
-            model=model,
-            benchmark=benchmark,
+            model=model or default_model,
+            benchmark=benchmark or config.stem,
             config_hash=digest,
         )
     run_id = manifest.run_id
@@ -316,7 +322,7 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
     check_study(model_spec, cfg, parsed, runs)
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)  # fail before any draw, not after the study
-    report = replicate_study(model_spec, cfg, parsed, runs, base_seed=opts.seed)
+    studies = replicate_study(model_spec, cfg, parsed, runs, base_seed=opts.seed)
 
     headers = ("mode", "arise_mean", "arise_std", "arise_cv",
                "sm_mean", "sm_std", "sm_cv", "total_trials", "unconverged")
@@ -332,7 +338,7 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
             study.total_trials,
             sum(study.unconverged),
         )
-        for study in report.modes
+        for study in studies
     ]
     click.echo(render_table(headers, rows, opts.fmt))
 
@@ -340,8 +346,8 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
         per_run = [
             (study.mode, r, repr(study.arise[r]), repr(study.scaling[r]),
              study.trials[r], study.unconverged[r])
-            for study in report.modes
-            for r in range(report.replications)
+            for study in studies
+            for r in range(runs)
         ]
         headers = ("mode", "run", "arise", "scaling_metric", "trials", "unconverged")
         write_atomic(out, render_table(headers, per_run, "csv") + "\n")

@@ -192,9 +192,10 @@ def build_scaling_curve(trajs: Sequence[SampleTrajectory]) -> ScalingCurve:
 def scaling_metric(curve: ScalingCurve) -> float:
     """Mean accuracy-per-token gradient over all pairs of curve points.
 
-    Each unordered pair contributes (acc_hi - acc_lo) / (tok_hi - tok_lo),
-    oriented so the token gap is positive; the total is divided by the
-    number of pairs. Unlike the ARISE score this is not invariant to
+    Each unordered pair contributes (a2 - a1) / (t2 - t1), in curve order;
+    swapping the points negates both differences exactly, so the quotient
+    needs no orientation. The total is divided by the number of pairs.
+    Unlike the ARISE score this is not invariant to
     rescaling tokens: multiplying all token values by c scales it by 1/c.
     """
     pts = curve.points
@@ -205,10 +206,7 @@ def scaling_metric(curve: ScalingCurve) -> float:
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
             (t1, a1), (t2, a2) = pts[i], pts[k]
-            if t2 > t1:
-                total += (a2 - a1) / (t2 - t1)
-            else:
-                total += (a1 - a2) / (t1 - t2)
+            total += (a2 - a1) / (t2 - t1)
             n_pairs += 1
     return total / n_pairs
 

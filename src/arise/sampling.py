@@ -23,7 +23,6 @@ __all__ = [
     "TrialOutcome",
     "LevelStatistics",
     "ConvergenceConfig",
-    "BudgetPlan",
     "EvaluationBackend",
     "ConfigurationResult",
     "EvaluationRun",
@@ -367,23 +366,16 @@ def run_configuration(
     return finalize_configuration(sample_id, level_index, trials, cfg)
 
 
-@dataclass(frozen=True)
-class BudgetPlan:
-    """A fixed total budget split across configurations."""
-
-    total_budget: int
-    allocations: Mapping[tuple[str, int], int]  # (sample_id, level_index) -> trial count
-
-
 def allocate_budget(
     probe_cvs: Mapping[tuple[str, int], float],
     n: int,
     J: int,
     cfg: ConvergenceConfig,
     B: int,
-) -> BudgetPlan:
+) -> dict[tuple[str, int], int]:
     """Split a total trial budget across n*J configurations by probe CV.
 
+    Returns the trial count per (sample_id, level_index), summing to B.
     Every configuration keeps its `m_min` probe trials; the residual budget
     is divided proportionally to each configuration's share of the summed
     CVs and floored. Whatever flooring left over goes out one extra trial
@@ -410,7 +402,7 @@ def allocate_budget(
         allocations[order[i % len(order)]] += 1
         leftover -= 1
         i += 1
-    return BudgetPlan(B, allocations)
+    return allocations
 
 
 @dataclass(frozen=True)
@@ -582,7 +574,7 @@ def run_evaluation(
     else:
         probed = run_all(lambda key: cfg.m_min, pre)
         probe_cvs = {key: r.stats.probe_cv(cfg.m_min) for key, r in probed.items()}
-        plan = allocate_budget(probe_cvs, n, J, cfg, mode.budget)
+        allocations = allocate_budget(probe_cvs, n, J, cfg, mode.budget)
         probed_trials = {key: r.stats.trials for key, r in probed.items()}
-        results = run_all(lambda key: plan.allocations[key], probed_trials)
+        results = run_all(allocations.__getitem__, probed_trials)
     return EvaluationRun.collect(samples, levels, results)

@@ -43,13 +43,10 @@ __all__ = [
     "LevelParams",
     "SyntheticSample",
     "SyntheticModelSpec",
-    "GroundTruthTrajectory",
     "SimulatorBackend",
     "ModeStudy",
-    "StudyReport",
     "derive_seed",
     "simulate_trial",
-    "ground_truth",
     "ground_truth_trajectories",
     "check_study",
     "replicate_study",
@@ -120,6 +117,11 @@ class SyntheticModelSpec:
     @property
     def sample_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.samples)
+
+    @property
+    def level_labels(self) -> tuple[str, ...]:
+        """The labels that runs and studies of this spec give its levels."""
+        return tuple(f"level{j}" for j in range(self.n_levels))
 
     def params(self, sample_id: str, level_index: int) -> LevelParams:
         sample = self._by_id.get(sample_id)
@@ -202,37 +204,17 @@ class SimulatorBackend:
         return simulate_trial(self.spec, sample_id, level_index, trial_index)
 
 
-@dataclass(frozen=True)
-class GroundTruthTrajectory:
-    """Expected accuracy and tokens per level for one sample."""
-
-    sample_id: str
-    accuracies: tuple[float, ...]  # p_correct per level
-    tokens: tuple[float, ...]  # exp(log_mean + log_std^2 / 2) per level
-
-
-def ground_truth(spec: SyntheticModelSpec) -> tuple[GroundTruthTrajectory, ...]:
-    """Closed-form expectations for every sample in the spec."""
-    return tuple(
-        GroundTruthTrajectory(
-            sample_id=sample.id,
-            accuracies=tuple(p.p_correct for p in sample.levels),
-            tokens=tuple(
-                math.exp(p.token_log_mean + p.token_log_std**2 / 2) for p in sample.levels
+def ground_truth_trajectories(spec: SyntheticModelSpec) -> list[SampleTrajectory]:
+    """Closed-form expectations per sample: p_correct and exp(log_mean + log_std^2 / 2) per level."""
+    return [
+        SampleTrajectory(
+            sample.id,
+            tuple(
+                LevelOutcome(p.p_correct, math.exp(p.token_log_mean + p.token_log_std**2 / 2))
+                for p in sample.levels
             ),
         )
         for sample in spec.samples
-    )
-
-
-def ground_truth_trajectories(spec: SyntheticModelSpec) -> list[SampleTrajectory]:
-    """Ground-truth expectations packaged for the metric functions."""
-    return [
-        SampleTrajectory(
-            gt.sample_id,
-            tuple(LevelOutcome(a, t) for a, t in zip(gt.accuracies, gt.tokens)),
-        )
-        for gt in ground_truth(spec)
     ]
 
 
@@ -280,12 +262,6 @@ class ModeStudy:
         return sum(self.trials)
 
 
-@dataclass(frozen=True)
-class StudyReport:
-    replications: int
-    modes: tuple[ModeStudy, ...]
-
-
 def check_study(
     spec: SyntheticModelSpec, cfg: ConvergenceConfig, modes: Sequence[RunMode], replications: int
 ) -> None:
@@ -305,9 +281,9 @@ def _replicate(
     calling process would have computed.
     """
     reseeded = dataclasses.replace(spec, seed=derive_seed(root, "replication", r))
-    labels = [f"level{j}" for j in range(spec.n_levels)]
     try:
-        run = run_evaluation(SimulatorBackend(reseeded), reseeded.sample_ids, labels, cfg, mode)
+        run = run_evaluation(SimulatorBackend(reseeded), reseeded.sample_ids,
+                             reseeded.level_labels, cfg, mode)
     except ConfigurationError as exc:
         # a study keeps no store to resume, so a failed draw is a plain error;
         # a ValueError also travels back from a worker, which ConfigurationError cannot
@@ -333,8 +309,8 @@ def replicate_study(
     modes: Sequence[RunMode],
     replications: int,
     base_seed: int | None = None,
-) -> StudyReport:
-    """Run R independent full evaluations per mode and collect both metrics.
+) -> tuple[ModeStudy, ...]:
+    """Run R independent full evaluations per mode; one ModeStudy per mode, in order.
 
     Replication r reseeds the spec with a value derived from
     (base_seed or spec.seed, r), so the same replication index sees
@@ -344,7 +320,7 @@ def replicate_study(
     The (mode, r) replications run in a pool of forked processes, one per
     usable CPU and no more than there are replications; with one CPU, one
     replication or no `fork` they run in this process. Results are put
-    back in (mode, r) order, so the report is the same either way.
+    back in (mode, r) order, so the studies are the same either way.
     """
     check_study(spec, cfg, modes, replications)
     root = spec.seed if base_seed is None else base_seed
@@ -383,7 +359,7 @@ def replicate_study(
                 unconverged=unconverged,
             )
         )
-    return StudyReport(replications, tuple(studies))
+    return tuple(studies)
 
 
 def reference_spec(seed: int = 42) -> SyntheticModelSpec:

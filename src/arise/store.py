@@ -608,7 +608,8 @@ class TraceStore:
         record file. Feed the result to run_evaluation(preloaded=...) to
         resume a run without re-drawing finished work. With resume, a torn
         final line is cut from the file instead of raising TornRecordError,
-        so appends start after the last whole record, and the keys read
+        and a whole final record cut before its newline gets one, so the
+        file holds whole lines and appends start after them; the keys read
         here seed append_trial's duplicate check, so the file is parsed once.
         When the run has a manifest, a record whose run id, model, level
         index or level label disagrees with it, or whose sample the
@@ -647,6 +648,8 @@ class TraceStore:
                     for (sid, j), outcomes in out.items()
                     for t in range(len(outcomes))
                 }
+            if self.trial_path(run_id).exists():  # even when nothing is left to append
+                _open_for_append(self.trial_path(run_id)).close()
         return out
 
     # ------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_06_adaptive_stopping_bounds():
 def test_07_budget_allocation():
     cfg = ConvergenceConfig(m_min=3, m_max=10, tau=0.5)
     plan = allocate_budget({("s1", 0): 0.3, ("s2", 0): 0.1}, 2, 1, cfg, 10)
-    assert plan.allocations == {("s1", 0): 6, ("s2", 0): 4}
+    assert plan == {("s1", 0): 6, ("s2", 0): 4}
 
     rng = random.Random(7)
     for _ in range(1_000):
@@ -161,18 +161,17 @@ def test_07_budget_allocation():
         }
         B = n * J * cfg.m_min + rng.randint(0, 60)
         random_plan = allocate_budget(cvs, n, J, cfg, B)
-        assert sum(random_plan.allocations.values()) <= B
-        assert all(m >= cfg.m_min for m in random_plan.allocations.values())
+        assert sum(random_plan.values()) <= B
+        assert all(m >= cfg.m_min for m in random_plan.values())
     print("PASS 07: fixture allocates {6, 4}; 1000 random budgets stay within B at >= m_min each")
 
 
 def test_08_adaptive_beats_single_sampling_stability():
     start = time.monotonic()
-    report = replicate_study(
+    adaptive, naive = replicate_study(
         reference_spec(), ConvergenceConfig(), [AdaptiveMode(), NaiveMode(1)], 200
     )
     elapsed = time.monotonic() - start
-    adaptive, naive = report.modes
     assert adaptive.arise_std <= 0.8 * naive.arise_std
     assert elapsed < 120.0
     print(
@@ -185,11 +184,11 @@ def test_09_tau_sweep_monotonicity():
     start = time.monotonic()
     totals, spreads = [], []
     for tau in (1.0, 0.5, 0.25):
-        report = replicate_study(
+        (study,) = replicate_study(
             reference_spec(), ConvergenceConfig(tau=tau), [AdaptiveMode()], 200
         )
-        totals.append(report.modes[0].total_trials)
-        spreads.append(report.modes[0].arise_std)
+        totals.append(study.total_trials)
+        spreads.append(study.arise_std)
     elapsed = time.monotonic() - start
     assert totals[0] <= totals[1] <= totals[2]
     assert spreads[0] >= spreads[1] >= spreads[2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -522,6 +523,59 @@ class TestResume:
         result = do_run(runner, spec_file, out, "--resume", "--run-id", "r1", "--naive", "5")
         assert result.exit_code == 1
         assert "manifest" in all_text(result)
+
+    @pytest.mark.parametrize("flag", [
+        ["--adaptive"], ["--budget", "100"], ["--naive", "5"],
+        ["--m-min", "3"],  # the default value, but given on the command line
+        ["--m-max", "50"], ["--tau", "0.01"], ["--model", "beta"], ["--benchmark", "other"],
+    ], ids=lambda flag: flag[0])
+    def test_resume_refuses_every_run_setting_flag(self, runner, spec_file, tmp_path, flag):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "2", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        trial_file.write_text("".join(lines[: len(lines) // 2]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = do_run(runner, spec_file, out, "--resume", "--run-id", "r1", *flag)
+        assert result.exit_code == 1
+        assert f"takes the run settings from the stored manifest; drop {flag[0]}" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_cut_at_every_byte_offset_resumes_or_is_refused(self, runner, tmp_path):
+        levels = [{"p_correct": 0.5, "token_log_mean": 5.0, "token_log_std": 0.4},
+                  {"p_correct": 0.7, "token_log_mean": 6.0, "token_log_std": 0.3}]
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps({"seed": 3, "samples": [{"id": "s", "levels": levels}]}))
+        full_dir, cut_dir = tmp_path / "full", tmp_path / "cut"
+        result = runner.invoke(main, ["run", str(spec), "--naive", "2", "--out", str(full_dir),
+                                      "--run-id", "r1"])
+        assert result.exit_code == 0, result.output
+        data = (full_dir / "r1.jsonl").read_bytes()
+        full_lines = data.splitlines(keepends=True)
+        assert len(full_lines) == 4
+        # the manifest of a run that crashed mid-draw
+        manifest = (full_dir / "r1.manifest.json").read_bytes()
+        assert manifest.count(b'"status": "complete"') == 1
+        manifest = manifest.replace(b'"status": "complete"', b'"status": "running"')
+
+        def masked(path: Path) -> bytes:
+            return re.sub(rb'"(started_at|timestamp)": "[^"]*"', rb'"\1": ""', path.read_bytes())
+
+        expected = masked(full_dir / "r1.bundle.json"), masked(full_dir / "r1.jsonl")
+        cut_dir.mkdir()
+        for cut in range(len(data) + 1):
+            (cut_dir / "r1.manifest.json").write_bytes(manifest)
+            (cut_dir / "r1.jsonl").write_bytes(data[:cut])
+            (cut_dir / "r1.bundle.json").unlink(missing_ok=True)
+            result = runner.invoke(main, ["run", str(spec), "--out", str(cut_dir),
+                                          "--run-id", "r1", "--resume"])
+            kept = data[:cut].splitlines(keepends=True)
+            if any(line.endswith(b"\n") and line not in full_lines for line in kept):
+                assert result.exit_code == 1, cut  # a bad newline-terminated line is never dropped
+            else:
+                assert result.exit_code == 0, (cut, result.output)
+                assert (masked(cut_dir / "r1.bundle.json"), masked(cut_dir / "r1.jsonl")) == (
+                    expected), cut
 
 
 class TestFormatsAndScaling:

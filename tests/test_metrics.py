@@ -143,6 +143,37 @@ class TestScalingCurve:
     def test_two_level_fixture(self):
         assert scaling_metric(ScalingCurve(((100.0, 0.0), (200.0, 1.0)))) == 0.01
 
+    def test_falling_tokens_match_the_oriented_formula_bit_for_bit(self):
+        def oriented(curve: ScalingCurve) -> float:
+            # each pair oriented so its token gap is positive
+            pts = curve.points
+            total, pairs = 0.0, 0
+            for i in range(len(pts)):
+                for k in range(i + 1, len(pts)):
+                    (t1, a1), (t2, a2) = pts[i], pts[k]
+                    if t2 > t1:
+                        total += (a2 - a1) / (t2 - t1)
+                    else:
+                        total += (a1 - a2) / (t1 - t2)
+                    pairs += 1
+            return total / pairs
+
+        # mean tokens fall from level 0 to 1 and from 2 to 3; levels 1 and 2 tie on accuracy
+        falling = build_scaling_curve([
+            traj("a", (0.0, 500.0), (1.0, 300.0), (1.0, 450.0), (0.0, 100.0)),
+            traj("b", (1.0, 300.0), (0.0, 200.0), (0.0, 250.0), (1.0, 120.0)),
+        ])
+        (t0, _), (t1, a1), (_, a2), _ = falling.points
+        assert t1 < t0 and a1 == a2
+        curves = [falling, ScalingCurve(((200.0, 0.5), (100.0, 0.5)))]
+        rng = random.Random(29)
+        for _ in range(2_000):
+            tokens = rng.sample(range(1, 10_000), rng.randint(2, 5))
+            accs = [rng.choice([0.0, 0.5, 1.0, rng.random()]) for _ in tokens]
+            curves.append(ScalingCurve(tuple((float(t), a) for t, a in zip(tokens, accs))))
+        for curve in curves:
+            assert scaling_metric(curve).hex() == oriented(curve).hex(), curve
+
     def test_gradient_orientation_uses_positive_token_gap(self):
         # same points in any storage order give the same metric
         a = ScalingCurve(((100.0, 0.9), (300.0, 0.3)))

@@ -21,7 +21,6 @@ from arise import (
     SyntheticSample,
     arise_aggregate,
     derive_seed,
-    ground_truth,
     ground_truth_trajectories,
     reference_spec,
     replicate_study,
@@ -160,25 +159,25 @@ class TestGroundTruth:
                 ),
             ),
         )
-        truth = ground_truth(spec)
-        assert truth[0].tokens[0] == pytest.approx(113.31484530668263, rel=1e-12)
+        truth = ground_truth_trajectories(spec)
+        assert truth[0].levels[0].tokens == pytest.approx(113.31484530668263, rel=1e-12)
 
     def test_accuracy_equals_p_correct(self):
-        truth = ground_truth(tiny_spec())
-        assert truth[0].accuracies == (0.2, 0.8)
-        assert truth[1].accuracies == (0.6, 0.4)
+        truth = ground_truth_trajectories(tiny_spec())
+        assert tuple(level.accuracy for level in truth[0].levels) == (0.2, 0.8)
+        assert tuple(level.accuracy for level in truth[1].levels) == (0.6, 0.4)
 
     def test_empirical_means_approach_ground_truth(self):
         spec = tiny_spec()
-        truth = {t.sample_id: t for t in ground_truth(spec)}
+        truth = {t.sample_id: t for t in ground_truth_trajectories(spec)}
         k = 1000
         for sid in ("a", "b"):
             for j in range(2):
                 outcomes = [simulate_trial(spec, sid, j, idx) for idx in range(k)]
                 acc = sum(o.correct for o in outcomes) / k
                 tok = sum(o.tokens for o in outcomes) / k
-                assert acc == pytest.approx(truth[sid].accuracies[j], abs=0.05)
-                assert tok == pytest.approx(truth[sid].tokens[j], rel=0.05)
+                assert acc == pytest.approx(truth[sid].levels[j].accuracy, abs=0.05)
+                assert tok == pytest.approx(truth[sid].levels[j].tokens, rel=0.05)
 
     def test_trajectories_feed_the_metric(self):
         trajs = ground_truth_trajectories(tiny_spec())
@@ -262,31 +261,30 @@ class TestReplication:
     def test_replications_pair_seeds_across_modes(self):
         spec = tiny_spec()
         cfg = ConvergenceConfig()
-        report = replicate_study(spec, cfg, [NaiveMode(2), NaiveMode(2)], 4)
-        first, second = report.modes
+        first, second = replicate_study(spec, cfg, [NaiveMode(2), NaiveMode(2)], 4)
         assert first.arise == second.arise  # identical mode, identical draws
 
     def test_replications_differ_from_each_other(self):
         spec = tiny_spec()
-        report = replicate_study(spec, ConvergenceConfig(), [NaiveMode(2)], 6)
-        assert len(set(report.modes[0].arise)) > 1
+        studies = replicate_study(spec, ConvergenceConfig(), [NaiveMode(2)], 6)
+        assert len(set(studies[0].arise)) > 1
 
     def test_base_seed_overrides_spec_seed(self):
         spec = tiny_spec(seed=1)
         a = replicate_study(spec, ConvergenceConfig(), [NaiveMode(2)], 3, base_seed=99)
         b = replicate_study(tiny_spec(seed=2), ConvergenceConfig(), [NaiveMode(2)], 3, base_seed=99)
-        assert a.modes[0].arise == b.modes[0].arise
+        assert a[0].arise == b[0].arise
 
     def test_study_statistics(self):
-        report = replicate_study(tiny_spec(), ConvergenceConfig(), [AdaptiveMode()], 5)
-        study = report.modes[0]
+        studies = replicate_study(tiny_spec(), ConvergenceConfig(), [AdaptiveMode()], 5)
+        study = studies[0]
         assert len(study.arise) == 5
         assert study.arise_std == pytest.approx(statistics.pstdev(study.arise), rel=1e-12)
         assert study.total_trials == sum(study.trials)
 
     def test_single_replication_has_zero_spread(self):
-        report = replicate_study(tiny_spec(), ConvergenceConfig(), [AdaptiveMode()], 1)
-        assert report.modes[0].arise_std == 0.0
+        studies = replicate_study(tiny_spec(), ConvergenceConfig(), [AdaptiveMode()], 1)
+        assert studies[0].arise_std == 0.0
 
     @pytest.mark.parametrize("modes, replications", [
         ([AdaptiveMode(), NaiveMode(0)], 2),  # the invalid mode comes after a valid one

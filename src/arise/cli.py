@@ -23,6 +23,7 @@ from .sampling import (
     AdaptiveMode,
     ConfigurationError,
     ConvergenceConfig,
+    EvaluationRun,
     FixedBudgetMode,
     NaiveMode,
     RunMode,
@@ -40,6 +41,7 @@ from .store import (
     now_rfc3339,
     read_mapping,
     render_table,
+    sample_order,
     summary_table,
     write_atomic,
     write_curve_csv,
@@ -282,19 +284,33 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         )
     run_id = manifest.run_id
 
-    preloaded = store.completed_trials(run_id, resume=True) if resume else None
+    preloaded = store.completed_trials(run_id, resume=True) if resume else {}
+    # the bundle's sample order; an older manifest's is the records' order, which a
+    # serial run extends in the order it draws
+    order = sample_order(manifest, (sid for sid, _ in preloaded), samples)
+    if len(order) != len(samples):
+        stored = next(sid for sid in order if sid not in samples)
+        raise ValueError(
+            f"run {run_id!r} has records of sample {stored!r}, which this config does not "
+            f"list; resuming would mix the records of different samples"
+        )
     store.write_manifest(manifest)
 
     try:
-        run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
-                       on_trial=functools.partial(store.record, manifest), max_workers=workers)
+        evaluation = run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
+                                    on_trial=functools.partial(store.record, manifest),
+                                    max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))
         store.close()
         raise
     store.close()
-    store.write_manifest(dataclasses.replace(manifest, status="complete"))
-    bundle = store.recompute(run_id)
+    manifest = dataclasses.replace(manifest, status="complete")
+    store.write_manifest(manifest)
+    # the bundle of the trials drawn, the bytes `compute` rebuilds from the records
+    bundle = ResultBundle.from_run(
+        manifest, EvaluationRun.collect(order, labels, evaluation.configurations))
+    del evaluation, preloaded  # free every trial before the bundle is encoded
     write_atomic(store.bundle_path(run_id), bundle.to_json())
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"run {run_id} complete; bundle at {store.bundle_path(run_id)}", err=True)

@@ -1,11 +1,16 @@
 """Append-only JSONL persistence for trial records, plus result bundles.
 
-One run maps to two files under the store root: `<run_id>.jsonl` with one
-trial record per line, and `<run_id>.manifest.json` describing the run;
-`compute` adds `<run_id>.bundle.json`. Each format is one dataclass whose
-fields, in order, are its JSON keys (`_encode` / `_decode`). A record's
-run id, model and level label come from the manifest (`TraceStore.record`),
-and a replay refuses a record that disagrees with it.
+One run maps to three files under the store root: `<run_id>.jsonl` with
+one trial record per line, `<run_id>.manifest.json` describing the run,
+and `<run_id>.bundle.json`. Each format is one dataclass whose fields, in
+order, are its JSON keys (`_encode` / `_decode`). `ResultBundle.from_run`
+is the one bundle builder: `arise run` feeds it the trials it drew, and
+`TraceStore.recompute` (`arise compute`) the trials it replays from the
+records, so both write the same bytes. A record's run id, model and level
+label come from the manifest (`TraceStore.record`), and a replay refuses
+a record that disagrees with it. A record line holding every field in
+order skips `_decode`; every line is validated, and an error names the
+record file and the line.
 Appends flush per line, so a crash loses at most the in-flight record: a
 torn final line makes readers raise `TornRecordError`, and a resume cuts
 it off before appending; no other line is ever rewritten or deleted.
@@ -18,13 +23,14 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .metrics import (
     SampleTrajectory,
@@ -61,6 +67,7 @@ __all__ = [
     "now_rfc3339",
     "read_mapping",
     "render_table",
+    "sample_order",
     "summary_table",
     "write_atomic",
     "write_results_csv",
@@ -141,6 +148,14 @@ def write_atomic(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _append_to_message(exc: ValueError, text: str) -> None:
+    """Append `text` to the message `str(exc)` shows."""
+    if isinstance(exc, UnicodeDecodeError):  # its message is built from its fields
+        exc.reason = f"{exc.reason} {text}"
+    else:
+        exc.args = (f"{exc.args[0]} {text}", *exc.args[1:])
 
 
 def _open_for_append(path: Path) -> BinaryIO:
@@ -282,7 +297,13 @@ class TrialRecordLine:
         # a stored 1 reads back as 1.0; booleans and strings reach validate() as they are
         if isinstance(data, dict) and type(data.get("correct")) is int:
             data["correct"] = float(data["correct"])
-        record = _decode(cls, data, "trial record", RecordValidationError)
+        if type(data) is dict and tuple(data) == _field_names(cls):
+            # every field, in order: the record _decode would build, with `data` as its
+            # attribute dict, which skips the ten object.__setattr__ of the frozen __init__
+            record = object.__new__(cls)
+            object.__setattr__(record, "__dict__", data)
+        else:
+            record = _decode(cls, data, "trial record", RecordValidationError)
         record.validate()
         return record
 
@@ -390,6 +411,20 @@ def _record_model(manifest: RunManifest) -> str:
     return manifest.model or "unknown"
 
 
+def sample_order(manifest: RunManifest, stored: Iterable[str],
+                 drawn: Iterable[str] = ()) -> tuple[str, ...]:
+    """The run's samples in bundle order: the manifest's `sample_ids`.
+
+    A manifest without them (an older run) orders samples by their first
+    appearance in the record file: `stored` names the samples of the
+    records already there, in file order, and `drawn` those a serial run
+    goes on to draw, in the order it draws them.
+    """
+    if manifest.sample_ids is not None:
+        return manifest.sample_ids
+    return tuple(dict.fromkeys(itertools.chain(stored, drawn)))
+
+
 def _check_record(record: TrialRecordLine, manifest: RunManifest,
                   listed: frozenset[str] | None) -> None:
     """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run.
@@ -483,6 +518,44 @@ class ResultBundle:
     def from_json(cls, text: str) -> "ResultBundle":
         return cls.from_dict(json.loads(text))
 
+    @classmethod
+    def from_run(cls, manifest: RunManifest, run: EvaluationRun) -> "ResultBundle":
+        """The bundle of `manifest`'s run, from its configurations; samples in `run.samples` order.
+
+        `arise run` passes the run it drew and `compute` the run its records
+        replay to, so both write the same bytes.
+        """
+        trajectories = list(run.trajectories)
+        scores = []
+        for traj in trajectories:
+            score, diags = arise_sample(traj)
+            # a score row is the sample, its score and every TrajectoryDiagnostics field
+            scores.append(SampleScore(traj.sample_id, score, **vars(diags)))
+        configurations = tuple(
+            ConfigurationSummary(
+                sample_id=r.sample_id,
+                level_index=r.level_index,
+                k_star=r.k_star,
+                cv_combined=r.stats.cv_combined,
+                converged=r.converged,
+                zero_variance_probe=r.zero_variance_probe,
+            )
+            for r in (run.configurations[(sid, j)] for sid in run.samples
+                      for j in range(len(run.levels)))
+        )
+        curve = build_scaling_curve(trajectories)
+        return cls(
+            manifest=manifest,
+            sample_scores=tuple(scores),
+            aggregate_arise=arise_aggregate(trajectories),
+            curve=curve.points,
+            scaling_metric=scaling_metric(curve),
+            configurations=configurations,
+            transitions=tuple(
+                transition_matrix(trajectories, (j - 1, j)) for j in range(1, len(manifest.levels))
+            ),
+        )
+
 
 class TraceStore:
     """Filesystem store rooted at one directory; single writer per run.
@@ -531,8 +604,16 @@ class TraceStore:
         """Append one fresh trial of `manifest`'s run.
 
         The run id, model and level label come from the manifest, the only
-        values `completed_trials` accepts when it reads the record back.
+        values `completed_trials` accepts when it reads the record back. A
+        token count that is not a whole number raises ValueError: the record
+        could not store it as drawn, and a replay would read another value.
         """
+        tokens = outcome.tokens
+        if not isinstance(tokens, (int, float)) or tokens % 1 != 0:  # NaN and infinities too
+            raise ValueError(
+                f"trial (sample {sample_id!r}, level {level_index}, trial {trial_index}) "
+                f"has {tokens!r} completion tokens, not a whole number"
+            )
         self.append_trial(
             TrialRecordLine(
                 run_id=manifest.run_id,
@@ -542,7 +623,7 @@ class TraceStore:
                 level_label=manifest.levels[level_index],
                 trial_index=trial_index,
                 correct=outcome.correct,
-                completion_tokens=int(round(outcome.tokens)),
+                completion_tokens=int(tokens),
                 timestamp=now_rfc3339(),
                 meta={},
             )
@@ -579,23 +660,35 @@ class TraceStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def iter_trials(self, run_id: str) -> Iterator[TrialRecordLine]:
-        """Stored records in file order; a torn final line raises TornRecordError."""
+    def iter_trials(self, run_id: str,
+                    manifest: RunManifest | None = None) -> Iterator[TrialRecordLine]:
+        """Stored records in file order, each checked against `manifest` when there is one.
+
+        A torn final line raises TornRecordError. Any other line that fails
+        to decode or to pass a check raises its error with the record file
+        and the line number appended.
+        """
         path = self.trial_path(run_id)
         if not path.exists():
             return
+        listed = frozenset(manifest.sample_ids) if manifest and manifest.sample_ids else None
         offset = 0
         with open(path, "rb") as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if line:
                     try:
                         record = TrialRecordLine.from_json(line.decode())
-                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                        if manifest is not None:
+                            _check_record(record, manifest, listed)
+                    except ValueError as exc:
                         # only the final line can lack its newline
-                        if raw.endswith(b"\n"):
-                            raise
-                        raise TornRecordError(run_id, offset) from exc
+                        if not raw.endswith(b"\n") and isinstance(
+                            exc, (json.JSONDecodeError, UnicodeDecodeError)
+                        ):
+                            raise TornRecordError(run_id, offset) from exc
+                        _append_to_message(exc, f"({path}, line {number})")
+                        raise
                     yield record
                 offset += len(raw)
 
@@ -617,13 +710,10 @@ class TraceStore:
         before anything is cut.
         """
         manifest = self.read_manifest(run_id) if self.manifest_path(run_id).exists() else None
-        listed = frozenset(manifest.sample_ids) if manifest and manifest.sample_ids else None
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         try:
-            for r in self.iter_trials(run_id):
-                if manifest is not None:
-                    _check_record(r, manifest, listed)
+            for r in self.iter_trials(run_id, manifest):
                 grouped.setdefault((r.sample_id, r.level_index), []).append(
                     (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
                 )
@@ -660,8 +750,7 @@ class TraceStore:
         per_config = self.completed_trials(run_id)
         if not per_config:
             raise IncompleteRunError(run_id, "no trial records stored")
-        # the manifest's order; a manifest without one takes first appearance in the record file
-        order = list(manifest.sample_ids or dict.fromkeys(sid for sid, _ in per_config))
+        order = sample_order(manifest, (sid for sid, _ in per_config))
         J = len(manifest.levels)
         gaps = [
             (sid, j) for sid in order for j in range(J) if not per_config.get((sid, j))
@@ -690,36 +779,7 @@ class TraceStore:
     def recompute(self, run_id: str) -> ResultBundle:
         """Re-derive the full result bundle from stored records and manifest."""
         manifest = self.read_manifest(run_id)
-        run = self._evaluation(run_id, manifest)
-        trajectories = list(run.trajectories)
-        scores = []
-        for traj in trajectories:
-            score, diags = arise_sample(traj)
-            # a score row is the sample, its score and every TrajectoryDiagnostics field
-            scores.append(SampleScore(traj.sample_id, score, **vars(diags)))
-        configurations = tuple(
-            ConfigurationSummary(
-                sample_id=r.sample_id,
-                level_index=r.level_index,
-                k_star=r.k_star,
-                cv_combined=r.stats.cv_combined,
-                converged=r.converged,
-                zero_variance_probe=r.zero_variance_probe,
-            )
-            for r in run.configurations.values()
-        )
-        curve = build_scaling_curve(trajectories)
-        return ResultBundle(
-            manifest=manifest,
-            sample_scores=tuple(scores),
-            aggregate_arise=arise_aggregate(trajectories),
-            curve=curve.points,
-            scaling_metric=scaling_metric(curve),
-            configurations=configurations,
-            transitions=tuple(
-                transition_matrix(trajectories, (j - 1, j)) for j in range(1, len(manifest.levels))
-            ),
-        )
+        return ResultBundle.from_run(manifest, self._evaluation(run_id, manifest))
 
 
 # ----------------------------------------------------------------------

@@ -207,3 +207,42 @@ def pool_sizes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     return sizes
+
+
+@pytest.fixture()
+def no_record_reads(monkeypatch) -> Callable[[], object]:
+    """A context in which decoding a stored record line raises, but for a resume's one preload.
+
+    `arise run` builds its bundle from the trials it drew, so inside the
+    context it runs to the end; the bundle `compute` replays afterwards
+    must carry the same bytes.
+    """
+    from arise import TraceStore
+    from arise.store import TrialRecordLine
+
+    real_completed, real_from_json = TraceStore.completed_trials, TrialRecordLine.from_json
+    preloading = False
+
+    def completed_trials(self, run_id: str, resume: bool = False):
+        nonlocal preloading
+        if not resume:
+            raise AssertionError(f"run {run_id!r}: stored records replayed")
+        preloading = True
+        try:
+            return real_completed(self, run_id, resume=True)
+        finally:
+            preloading = False
+
+    def from_json(cls, line: str):
+        if not preloading:
+            raise AssertionError(f"stored record decoded outside a resume's preload: {line}")
+        return real_from_json(line)
+
+    @contextmanager
+    def context() -> Iterator[None]:
+        with monkeypatch.context() as patch:
+            patch.setattr(TraceStore, "completed_trials", completed_trials)
+            patch.setattr(TrialRecordLine, "from_json", classmethod(from_json))
+            yield
+
+    return context

@@ -300,6 +300,18 @@ class TestCompute:
             assert result.exit_code == 1
         assert trial_file.read_bytes() == damaged
 
+    def test_a_bad_line_names_the_record_file_and_line(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b'"model":', b'"model"', 1)
+        trial_file.write_bytes(b"".join(lines))
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 1
+        assert (f"error: Expecting ':' delimiter: line 1 column 26 (char 25) "
+                f"({trial_file}, line 6)\n") in all_text(result)
+
     def test_missing_out_parent_is_created(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -576,6 +588,79 @@ class TestResume:
                 assert result.exit_code == 0, (cut, result.output)
                 assert (masked(cut_dir / "r1.bundle.json"), masked(cut_dir / "r1.jsonl")) == (
                     expected), cut
+
+
+class TestRunBundleComesFromTheDrawnTrials:
+    """`arise run` writes the bundle of the trials it drew; `compute` replays the same bytes."""
+
+    def run_then_compute(self, runner, no_record_reads, out: Path, args: list[str]) -> bytes:
+        with no_record_reads():
+            result = runner.invoke(main, [*args, "--out", str(out), "--run-id", "r1"])
+        assert result.exit_code == 0, result.output
+        live = (out / "r1.bundle.json").read_bytes()
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1",
+                                      "--out", str(out / "replayed.json")])
+        assert result.exit_code == 0, result.output
+        assert (out / "replayed.json").read_bytes() == live
+        return live
+
+    @pytest.mark.parametrize("mode", [["--adaptive"], ["--naive", "3"], ["--budget", "150"]])
+    def test_a_new_run(self, runner, spec_file, tmp_path, no_record_reads, mode):
+        self.run_then_compute(runner, no_record_reads, tmp_path / "runs",
+                              ["--seed", "42", "run", str(spec_file), *mode])
+
+    def cut_run(self, runner, spec_file: Path, tmp_path: Path) -> tuple[Path, Path]:
+        """A `--naive 2` run, and a copy of it cut to its first 11 records with a running manifest."""
+        full_dir, cut_dir = tmp_path / "full", tmp_path / "cut"
+        result = do_run(runner, spec_file, full_dir, "--naive", "2", "--run-id", "r1")
+        assert result.exit_code == 0, result.output
+        cut_dir.mkdir()
+        manifest = json.loads((full_dir / "r1.manifest.json").read_text())
+        (cut_dir / "r1.manifest.json").write_text(json.dumps({**manifest, "status": "running"}))
+        lines = (full_dir / "r1.jsonl").read_text().splitlines(keepends=True)
+        (cut_dir / "r1.jsonl").write_text("".join(lines[:11]))  # s01 whole, s02 in part
+        return full_dir, cut_dir
+
+    def test_a_resumed_run(self, runner, spec_file, tmp_path, no_record_reads):
+        full_dir, cut_dir = self.cut_run(runner, spec_file, tmp_path)
+        live = self.run_then_compute(runner, no_record_reads, cut_dir,
+                                     ["--seed", "42", "run", str(spec_file), "--resume"])
+        assert live == (full_dir / "r1.bundle.json").read_bytes()
+
+    def test_a_resume_of_a_manifest_without_sample_ids(self, runner, spec_file, tmp_path,
+                                                       no_record_reads):
+        """An older manifest orders samples by first appearance, also when the config reorders them."""
+        _, cut_dir = self.cut_run(runner, spec_file, tmp_path)
+        manifest = json.loads((cut_dir / "r1.manifest.json").read_text())
+        del manifest["sample_ids"], manifest["config_hash"]  # older than both keys
+        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest))
+        spec = json.loads(spec_file.read_text())
+        spec["samples"].reverse()
+        reversed_spec = tmp_path / "reversed.json"
+        reversed_spec.write_text(json.dumps(spec))
+        live = self.run_then_compute(runner, no_record_reads, cut_dir,
+                                     ["--seed", "42", "run", str(reversed_spec), "--resume"])
+        order = [s["sample_id"] for s in json.loads(live)["sample_scores"]]
+        assert order == ["s01", "s02", "s08", "s07", "s06", "s05", "s04", "s03"]
+
+    def test_a_resume_with_records_of_a_sample_the_config_lacks_is_refused(
+            self, runner, spec_file, tmp_path):
+        _, cut_dir = self.cut_run(runner, spec_file, tmp_path)
+        manifest = json.loads((cut_dir / "r1.manifest.json").read_text())
+        del manifest["sample_ids"], manifest["config_hash"]
+        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest))
+        spec = json.loads(spec_file.read_text())
+        spec["samples"][0]["id"] = "s99"
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(spec))
+        before = (cut_dir / "r1.jsonl").read_bytes()
+        result = runner.invoke(main, ["--seed", "42", "run", str(renamed), "--out", str(cut_dir),
+                                      "--run-id", "r1", "--resume"])
+        assert result.exit_code == 1
+        assert ("error: run 'r1' has records of sample 's01', which this config does not list"
+                in all_text(result))
+        assert (cut_dir / "r1.jsonl").read_bytes() == before
+        assert not (cut_dir / "r1.bundle.json").exists()
 
 
 class TestFormatsAndScaling:

@@ -188,3 +188,18 @@ def test_a_manifest_without_sample_ids_resumes_one_configuration_at_a_time(tmp_p
         assert records_without_clock(out, "http_naive") == records_without_clock(GOLDEN_HTTP,
                                                                                   "http_naive")
         assert bundle_without_clock(out, "http_naive") == expected
+
+
+def test_a_concurrent_run_writes_the_bundle_compute_replays(tmp_path, mock_server, api_key,
+                                                             no_record_reads):
+    """The bundle comes from the trials drawn, whichever order their records landed in."""
+    config = write_config(tmp_path / "config", mock_server.url, 2)
+    out = tmp_path / "runs"
+    Served(mock_server)
+    with no_record_reads():
+        run(config, out, *MODES["budget"])
+    assert mock_server.max_in_flight == 2
+    result = CliRunner().invoke(main, ["compute", str(out), "--run-id", "r",
+                                       "--out", str(tmp_path / "replayed.json")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "replayed.json").read_bytes() == (out / "r.bundle.json").read_bytes()

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arise import (
     AdaptiveMode,
@@ -22,7 +25,9 @@ from arise import (
     RunManifest,
     SimulatorBackend,
     SyntheticModelSpec,
+    TornRecordError,
     TraceStore,
+    TrialOutcome,
     TrialRecordLine,
     arise_aggregate,
     read_mapping,
@@ -31,6 +36,7 @@ from arise import (
     write_atomic,
 )
 from arise.cli import _load_run_config
+from arise.store import _check_record, _decode
 
 
 def record(**overrides) -> TrialRecordLine:
@@ -126,6 +132,214 @@ class TestRecordSerialization:
         with pytest.raises(RecordValidationError) as err:
             TrialRecordLine.from_json(json.dumps(data))
         assert err.value.fieldname == fieldname
+
+
+def replay(store: TraceStore) -> object:
+    """What `completed_trials` gives for run r1, or the type and message of what it raises."""
+    try:
+        return repr(store.completed_trials("r1"))
+    except (ValueError, IncompleteRunError) as exc:
+        return type(exc), str(exc)
+
+
+def checked_record(data: object) -> TrialRecordLine:
+    """A parsed record line through `_decode` and `validate`, an integer `correct` widened."""
+    if isinstance(data, dict) and type(data.get("correct")) is int:
+        data["correct"] = float(data["correct"])
+    record = _decode(TrialRecordLine, data, "trial record", RecordValidationError)
+    record.validate()
+    return record
+
+
+def replay_checked(path: Path, listed: RunManifest | None) -> object:
+    """`replay` as the store gave it before its decode fast path.
+
+    Every line goes through the checked decode and the manifest check,
+    and each configuration's trials are sorted, then checked for gaps.
+    """
+    ids = frozenset(listed.sample_ids) if listed and listed.sample_ids else None
+    grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
+    for number, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+        if not raw.strip():
+            continue
+        try:
+            r = checked_record(json.loads(raw.strip().decode()))
+            if listed is not None:
+                _check_record(r, listed, ids)
+        except ValueError as exc:
+            return type(exc), f"{exc} ({path}, line {number})"
+        grouped.setdefault((r.sample_id, r.level_index), []).append(
+            (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens))))
+    out = {}
+    for key, indexed in grouped.items():
+        indexed.sort(key=lambda pair: pair[0])
+        indices = [index for index, _ in indexed]
+        if indices != list(range(len(indexed))):
+            return IncompleteRunError, (
+                f"run 'r1': configuration {key!r} has non-contiguous trial indices {indices}")
+        out[key] = [outcome for _, outcome in indexed]
+    return repr(out)
+
+
+JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**70, -(2**70)]),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, -1.0, 100.0, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.sampled_from(["", "r1", "r2", "m", "s01", "s02", "low", "high"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def valid_line() -> dict:
+    """The object of a valid record line, the second trial of its configuration."""
+    return json.loads(record(trial_index=1, completion_tokens=150).to_json())
+
+
+@st.composite
+def reshaped_records(draw) -> dict:
+    """A valid record line's object with a key dropped or added, or its keys reordered."""
+    data = valid_line()
+    kind = draw(st.sampled_from(["drop", "add", "reorder"]))
+    if kind == "drop":
+        del data[draw(st.sampled_from(list(data)))]
+    elif kind == "add":
+        data[draw(st.sampled_from(["extra", "Run_id", ""]))] = draw(JSON_VALUES)
+    else:
+        data = {key: data[key] for key in draw(st.permutations(list(data)))}
+    return data
+
+
+@st.composite
+def trial_orders(draw) -> list[tuple[str, int, int]]:
+    """(sample, level, trial) keys in file order: whole configurations shuffled, plus a few strays."""
+    counts = {(sid, j): draw(st.integers(1, 3)) for sid in ("s01", "s02") for j in (0, 1)}
+    keys = [(sid, j, t) for (sid, j), n in counts.items() for t in range(n)]
+    keys = list(draw(st.permutations(keys)))
+    for _ in range(draw(st.integers(0, 2))):  # a duplicate, a gap or a late index
+        stray = (draw(st.sampled_from(["s01", "s02"])), draw(st.sampled_from([0, 1])),
+                 draw(st.integers(0, 4)))
+        keys.insert(draw(st.integers(0, len(keys))), stray)
+    return keys
+
+
+class TestDecodePaths:
+    """Lines holding every field in order skip `_decode`, and replay as the checked decode does."""
+
+    LISTED = (manifest(n_samples=1, sample_ids=("s01",)), manifest(n_samples=2), None)
+
+    def write(self, tmp_path: Path, lines: list[str], listed: RunManifest | None) -> TraceStore:
+        (tmp_path / "r1.jsonl").write_text("".join(line + "\n" for line in lines))
+        (tmp_path / "r1.manifest.json").unlink(missing_ok=True)
+        store = TraceStore(tmp_path)
+        if listed is not None:
+            store.write_manifest(listed)
+        return store
+
+    def replays_as_checked(self, tmp_path: Path, data: dict, listed: RunManifest | None) -> None:
+        lines = [record(trial_index=0).to_json(), json.dumps(data),
+                 record(level_index=1, level_label="high").to_json()]
+        store = self.write(tmp_path, lines, listed)
+        assert replay(store) == replay_checked(store.trial_path("r1"), listed)
+
+    @pytest.mark.parametrize("fieldname", list(valid_line()))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON_VALUES, listed=st.sampled_from(LISTED))
+    def test_a_changed_value_replays_as_the_checked_decode_does(self, tmp_path, fieldname, value,
+                                                                listed):
+        self.replays_as_checked(tmp_path, {**valid_line(), fieldname: value}, listed)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=reshaped_records(), listed=st.sampled_from(LISTED))
+    def test_a_changed_key_set_replays_as_the_checked_decode_does(self, tmp_path, data, listed):
+        self.replays_as_checked(tmp_path, data, listed)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trial_orders(), st.sampled_from(LISTED[1:]))
+    def test_any_trial_order_replays_as_the_sorted_grouping_does(self, tmp_path, keys, listed):
+        lines = [record(sample_id=sid, level_index=j, level_label=("low", "high")[j],
+                        trial_index=t, correct=float(t % 2), completion_tokens=100 + t).to_json()
+                 for sid, j, t in keys]
+        store = self.write(tmp_path, lines, listed)
+        assert replay(store) == replay_checked(store.trial_path("r1"), listed)
+
+
+class TestRecordLineErrors:
+    """An error from a record line names the record file and the line; a torn tail keeps its message."""
+
+    def seed_store(self, tmp_path: Path) -> TraceStore:
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest())
+        for k in range(8):
+            store.append_trial(record(trial_index=k))
+        store.close()
+        return store
+
+    def replace_line(self, store: TraceStore, number: int, line: bytes) -> None:
+        path = store.trial_path("r1")
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[number - 1] = line
+        path.write_bytes(b"".join(lines))
+
+    @pytest.mark.parametrize("line, error, message", [
+        (b'{"run_id" "r1"}\n', json.JSONDecodeError, "Expecting ':' delimiter: line 1 column 11"),
+        (record(trial_index=5, correct=2.0).to_json().encode() + b"\n", RecordValidationError,
+         "correct: must be in [0, 1], got 2.0"),
+        (b'{"run_id": "\xff"}\n', UnicodeDecodeError, "can't decode byte 0xff"),
+    ])
+    def test_a_bad_line_names_the_file_and_line(self, tmp_path, line, error, message):
+        store = self.seed_store(tmp_path)
+        self.replace_line(store, 6, line)
+        where = f"({store.trial_path('r1')}, line 6)"
+        for read in (lambda: store.completed_trials("r1"), lambda: list(store.iter_trials("r1"))):
+            with pytest.raises(error) as err:
+                read()
+            assert message in str(err.value)
+            assert str(err.value).endswith(where)
+
+    def test_a_record_the_manifest_refuses_names_the_file_and_line(self, tmp_path):
+        store = self.seed_store(tmp_path)
+        self.replace_line(store, 6, record(trial_index=5, model="other").to_json().encode() + b"\n")
+        with pytest.raises(RecordValidationError) as err:
+            store.completed_trials("r1")
+        assert str(err.value) == (
+            f"model: record (sample 's01', level 0, trial 5) has 'other', but the manifest of "
+            f"run 'r1' says 'm' ({store.trial_path('r1')}, line 6)")
+
+    def test_a_torn_tail_names_its_offset_only(self, tmp_path):
+        store = self.seed_store(tmp_path)
+        data = store.trial_path("r1").read_bytes()
+        store.trial_path("r1").write_bytes(data[:-20])
+        with pytest.raises(TornRecordError) as err:
+            store.completed_trials("r1")
+        offset = data.rindex(b"\n", 0, len(data) - 1) + 1
+        assert str(err.value) == (f"run 'r1': record file ends in a torn line at byte {offset}; "
+                                  f"`run --resume` drops it")
+
+
+class TestTokenCounts:
+    @pytest.mark.parametrize("tokens", [12.5, 0.1, math.nan, math.inf, -math.inf])
+    def test_a_count_that_is_not_whole_is_refused(self, tmp_path, tokens):
+        store = TraceStore(tmp_path)
+        with pytest.raises(ValueError) as err:
+            store.record(manifest(), "s01", 1, 4, TrialOutcome(1.0, tokens))
+        assert str(err.value) == (f"trial (sample 's01', level 1, trial 4) has {tokens!r} "
+                                  f"completion tokens, not a whole number")
+        assert not store.trial_path("r1").exists()
+
+    @pytest.mark.parametrize("tokens", [12.0, 12])
+    def test_a_whole_count_is_stored_as_drawn(self, tmp_path, tokens):
+        store = TraceStore(tmp_path)
+        store.record(manifest(), "s01", 1, 0, TrialOutcome(1.0, tokens))
+        store.close()
+        assert [r.completion_tokens for r in store.iter_trials("r1")] == [12]
 
 
 class TestManifest:

@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import requests
 
@@ -187,12 +187,18 @@ class ExternalJudge:
 Judge = ExactMatchJudge | NumericMatchJudge | ExternalJudge
 
 
+def _given(data: Mapping, **convert: Callable[[Any], Any]) -> dict:
+    """The keys of `data` that `convert` names, each value converted; a key the
+    config leaves out is left to the dataclass default."""
+    return {name: to(data[name]) for name, to in convert.items() if name in data}
+
+
 def parse_judge(data: Mapping) -> Judge:
     kind = data.get("type")
     if kind == "exact_match":
         return ExactMatchJudge(expected=str(data["expected"]))
     if kind == "numeric_match":
-        return NumericMatchJudge(expected=float(data["expected"]), tol=float(data.get("tol", 0.0)))
+        return NumericMatchJudge(expected=float(data["expected"]), **_given(data, tol=float))
     if kind == "external":
         command = data["command"]
         if isinstance(command, str) or not command:
@@ -273,27 +279,24 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendConfig":
-        retry = data.get("retry", {})
         return cls(
             base_url=str(data["base_url"]),
             auth_env_var=str(data["auth_env_var"]),
             model=str(data["model"]),
             request_template=data["request_template"],
             levels=tuple(
-                LevelSpec(
-                    label=str(lv["label"]),
-                    kind=str(lv["kind"]),
-                    request_overrides=lv.get("request_overrides", {}),
-                )
+                LevelSpec(label=str(lv["label"]), kind=str(lv["kind"]),
+                          **_given(lv, request_overrides=lambda overrides: overrides))
                 for lv in data["levels"]
             ),
-            usage_path=str(data.get("usage_path", "/usage/completion_tokens")),
-            response_text_path=str(data.get("response_text_path", "/choices/0/message/content")),
-            max_in_flight=int(data.get("max_in_flight", 1)),
-            min_request_interval=float(data.get("min_request_interval", 0.0)),
-            retry=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                backoff_base=float(retry.get("backoff_base", 0.5)),
+            **_given(
+                data,
+                usage_path=str,
+                response_text_path=str,
+                max_in_flight=int,
+                min_request_interval=float,
+                retry=lambda retry: RetryPolicy(
+                    **_given(retry, max_attempts=int, backoff_base=float)),
             ),
         )
 

@@ -38,6 +38,7 @@ from .store import (
     RunManifest,
     TraceStore,
     config_hash,
+    decode_file,
     now_rfc3339,
     read_mapping,
     render_table,
@@ -159,9 +160,9 @@ def _pick_mode(adaptive: bool, budget: int | None, naive: int | None) -> RunMode
 @click.option("--resume", is_flag=True, help="Skip configurations already stored for --run-id.")
 @click.option("--model", default=None, help="Model name recorded in the manifest.")
 @click.option("--benchmark", default=None, help="Benchmark name recorded in the manifest.")
-@click.option("--m-min", type=int, default=3, show_default=True)
-@click.option("--m-max", type=int, default=10, show_default=True)
-@click.option("--tau", type=float, default=0.5, show_default=True)
+@click.option("--m-min", type=int, default=ConvergenceConfig.m_min, show_default=True)
+@click.option("--m-max", type=int, default=ConvergenceConfig.m_max, show_default=True)
+@click.option("--tau", type=float, default=ConvergenceConfig.tau, show_default=True)
 @click.option("--dry-run", "dry", is_flag=True, help="Render backend requests without running.")
 @click.option("--probe", is_flag=True, help="With --dry-run: send one probe request.")
 @click.pass_obj
@@ -322,9 +323,9 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
               help="Replications per mode.")
 @click.option("--modes", "-m", multiple=True, default=("adaptive",), show_default=True,
               help="Repeatable: adaptive, naive:K, or budget:B.")
-@click.option("--m-min", type=int, default=3, show_default=True)
-@click.option("--m-max", type=int, default=10, show_default=True)
-@click.option("--tau", type=float, default=0.5, show_default=True)
+@click.option("--m-min", type=int, default=ConvergenceConfig.m_min, show_default=True)
+@click.option("--m-max", type=int, default=ConvergenceConfig.m_max, show_default=True)
+@click.option("--tau", type=float, default=ConvergenceConfig.tau, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Per-run CSV (mode, run, arise, scaling_metric, trials, unconverged).")
 @click.pass_obj
@@ -383,7 +384,7 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
 def report(opts: Options, bundles: tuple[Path, ...], curves: bool, transitions: bool,
            results_csv: Path | None, out_dir: Path) -> None:
     """Render bundle summaries and export curve/transition CSVs."""
-    loaded = [ResultBundle.from_json(p.read_text()) for p in bundles]
+    loaded = [decode_file(path, ResultBundle.from_dict) for path in bundles]
     click.echo(summary_table(loaded, opts.fmt, opts.sm_scale))
     if results_csv is not None:
         write_results_csv(results_csv, loaded, sm_scale=opts.sm_scale)

@@ -67,11 +67,6 @@ class TrajectoryDiagnostics:
     degrade: int
     unchanged: int
 
-    @property
-    def transition_counts(self) -> tuple[int, int, int]:
-        """(improve, degrade, unchanged); sums to the number of adjacent pairs."""
-        return (self.improve, self.degrade, self.unchanged)
-
 
 @dataclass(frozen=True)
 class ScalingCurve:
@@ -221,23 +216,6 @@ class TransitionMatrix:
     correct_to_incorrect: int
     incorrect_to_correct: int
     incorrect_to_incorrect: int
-
-    @property
-    def improved(self) -> int:
-        return self.incorrect_to_correct
-
-    @property
-    def degraded(self) -> int:
-        return self.correct_to_incorrect
-
-    @property
-    def total(self) -> int:
-        return (
-            self.correct_to_correct
-            + self.correct_to_incorrect
-            + self.incorrect_to_correct
-            + self.incorrect_to_incorrect
-        )
 
 
 def transition_matrix(

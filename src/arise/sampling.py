@@ -303,6 +303,21 @@ class ConfigurationResult:
 TrialCallback = Callable[[str, int, int, TrialOutcome], None]
 
 
+def _draws_more(stats: LevelStatistics | _RunningCV, cfg: ConvergenceConfig,
+               target: int | None) -> bool:
+    """The stop rule: True while a configuration holding `stats` draws another trial.
+
+    With `target` it draws up to that many trials; without, it probes
+    `cfg.m_min` trials, then asks `should_continue`. A live run and a
+    replay of its records both ask this.
+    """
+    if target is not None:
+        return stats.count < target
+    if stats.count < cfg.m_min:
+        return True
+    return should_continue(stats, cfg)
+
+
 def finalize_configuration(
     sample_id: str,
     level_index: int,
@@ -345,15 +360,7 @@ def run_configuration(
     """
     running = _RunningCV(preloaded, cfg)
     trials = running.trials
-
-    def more() -> bool:
-        if target is not None:
-            return len(trials) < target
-        if len(trials) < cfg.m_min:
-            return True
-        return should_continue(running, cfg)
-
-    while more():
+    while _draws_more(running, cfg, target):
         idx = len(trials)
         try:
             outcome = backend.evaluate(sample_id, level_index, idx)
@@ -463,6 +470,22 @@ def check_mode(mode: RunMode, n: int, J: int, cfg: ConvergenceConfig) -> RunMode
     return mode
 
 
+def _targets(mode: RunMode, cfg: ConvergenceConfig,
+             probed: Mapping[tuple[str, int], ConfigurationResult],
+             n: int, J: int) -> Callable[[tuple[str, int]], int | None]:
+    """Each configuration's trial target under a checked mode, for `_draws_more`.
+
+    None (adaptive stopping), the naive count, or the budget's allocation
+    over the probe CVs of `probed`, which holds every configuration.
+    """
+    if isinstance(mode, NaiveMode):
+        return lambda key: mode.trials
+    if isinstance(mode, FixedBudgetMode):
+        probe_cvs = {key: r.stats.probe_cv(cfg.m_min) for key, r in probed.items()}
+        return allocate_budget(probe_cvs, n, J, cfg, mode.budget).__getitem__
+    return lambda key: None
+
+
 def parse_mode(text: str) -> RunMode:
     """Parse a mode string: 'adaptive', 'naive:K', or 'budget:B'."""
     name, _, arg = text.partition(":")
@@ -510,6 +533,13 @@ class EvaluationRun:
             for sid in samples
         )
         return cls(tuple(samples), tuple(levels), configurations, trajectories)
+
+    def stopped_short(self, cfg: ConvergenceConfig, mode: RunMode) -> list[tuple[str, int]]:
+        """The configurations `run_evaluation` under `cfg` and `mode` would still draw trials for."""
+        n, J = len(self.samples), len(self.levels)
+        target = _targets(check_mode(mode, n, J, cfg), cfg, self.configurations, n, J)
+        return [key for key, r in self.configurations.items()
+                if _draws_more(r.stats, cfg, target(key))]
 
 
 def run_evaluation(
@@ -567,14 +597,9 @@ def run_evaluation(
                 raise failed[0].exception()
         return {key: f.result() for key, f in zip(keys, futures)}
 
-    if isinstance(mode, AdaptiveMode):
-        results = run_all(lambda key: None, pre)
-    elif isinstance(mode, NaiveMode):
-        results = run_all(lambda key: mode.trials, pre)
-    else:
+    probed: dict[tuple[str, int], ConfigurationResult] = {}
+    if isinstance(mode, FixedBudgetMode):
         probed = run_all(lambda key: cfg.m_min, pre)
-        probe_cvs = {key: r.stats.probe_cv(cfg.m_min) for key, r in probed.items()}
-        allocations = allocate_budget(probe_cvs, n, J, cfg, mode.budget)
-        probed_trials = {key: r.stats.trials for key, r in probed.items()}
-        results = run_all(allocations.__getitem__, probed_trials)
+        pre = {key: r.stats.trials for key, r in probed.items()}
+    results = run_all(_targets(mode, cfg, probed, n, J), pre)
     return EvaluationRun.collect(samples, levels, results)

@@ -30,7 +30,7 @@ import os
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .metrics import (
     SampleTrajectory,
@@ -64,6 +64,7 @@ __all__ = [
     "IncompleteRunError",
     "TornRecordError",
     "config_hash",
+    "decode_file",
     "now_rfc3339",
     "read_mapping",
     "render_table",
@@ -85,7 +86,7 @@ class RecordValidationError(ValueError):
 
 
 class DuplicateTrialError(ValueError):
-    """The (run, sample, level, trial) key is already stored."""
+    """A trial index below its configuration's next index: the trial is already stored."""
 
 
 class IncompleteRunError(RuntimeError):
@@ -156,6 +157,18 @@ def _append_to_message(exc: ValueError, text: str) -> None:
         exc.reason = f"{exc.reason} {text}"
     else:
         exc.args = (f"{exc.args[0]} {text}", *exc.args[1:])
+
+
+T = TypeVar("T")
+
+
+def decode_file(path: str | Path, decode: Callable[[object], T]) -> T:
+    """`decode` of the JSON value in `path`; a ValueError it raises ends with the path."""
+    try:
+        return decode(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        _append_to_message(exc, f"({path})")
+        raise
 
 
 def _open_for_append(path: Path) -> BinaryIO:
@@ -261,9 +274,6 @@ class TrialRecordLine:
     timestamp: str  # RFC3339
     meta: dict = field(default_factory=dict)
 
-    def key(self) -> tuple[str, str, int, int]:
-        return (self.run_id, self.sample_id, self.level_index, self.trial_index)
-
     def validate(self) -> None:
         for name in ("run_id", "model", "sample_id", "level_label", "timestamp"):
             value = getattr(self, name)
@@ -308,7 +318,8 @@ class TrialRecordLine:
         return record
 
 
-_MODE_COUNTS = {"adaptive": None, "fixed_budget": "budget", "naive": "trials"}  # mode -> its count
+# a manifest's mode -> its mode class, whose fields are the manifest keys the mode uses
+_MODES = {"adaptive": AdaptiveMode, "fixed_budget": FixedBudgetMode, "naive": NaiveMode}
 _STATUSES = ("running", "complete", "failed")
 
 
@@ -350,13 +361,13 @@ class RunManifest:
 
     def __post_init__(self) -> None:
         """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
-        if self.mode not in _MODE_COUNTS:
-            raise _value_error("mode", f"must be one of {', '.join(_MODE_COUNTS)}, got {self.mode!r}")
+        if self.mode not in _MODES:
+            raise _value_error("mode", f"must be one of {', '.join(_MODES)}, got {self.mode!r}")
         for name in ("budget", "trials"):
             value = getattr(self, name)
             if value is None:
                 continue
-            if _MODE_COUNTS[self.mode] != name:
+            if name not in _field_names(_MODES[self.mode]):
                 raise _value_error(name, f"does not apply to {self.mode} mode")
             if not _is_count(value):
                 raise _value_error(name, f"must be a positive integer, got {value!r}")
@@ -380,20 +391,15 @@ class RunManifest:
     @classmethod
     def for_mode(cls, mode: RunMode, **fields: object) -> "RunManifest":
         """A manifest whose mode fields record `mode`; `fields` fill in the rest."""
-        if isinstance(mode, FixedBudgetMode):
-            return cls(mode="fixed_budget", budget=mode.budget, **fields)
-        if isinstance(mode, NaiveMode):
-            return cls(mode="naive", trials=mode.trials, **fields)
-        return cls(mode="adaptive", **fields)
+        name = next(name for name, mode_class in _MODES.items() if type(mode) is mode_class)
+        return cls(mode=name, **vars(mode), **fields)
 
     @property
     def run_mode(self) -> RunMode:
-        """The mode the manifest records, for a resume."""
-        if self.mode == "fixed_budget":
-            return FixedBudgetMode(self.budget)
-        if self.mode == "naive":
-            return NaiveMode(self.trials if self.trials is not None else 1)
-        return AdaptiveMode()
+        """The mode the manifest records, for a resume; an absent count takes the mode's default."""
+        mode_class = _MODES[self.mode]
+        stored = {name: getattr(self, name) for name in _field_names(mode_class)}
+        return mode_class(**{name: value for name, value in stored.items() if value is not None})
 
     def to_dict(self) -> dict:
         return _encode(self)
@@ -568,7 +574,8 @@ class TraceStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._handles: dict[str, BinaryIO] = {}
-        self._seen: dict[str, set[tuple[str, str, int, int]]] = {}
+        # run id -> (sample id, level index) -> the trial index its next append must have
+        self._next: dict[str, dict[tuple[str, int], int]] = {}
 
     def trial_path(self, run_id: str) -> Path:
         return self.root / f"{run_id}.jsonl"
@@ -594,7 +601,7 @@ class TraceStore:
         path = self.manifest_path(run_id)
         if not path.exists():
             raise IncompleteRunError(run_id, "no manifest found")
-        return RunManifest.from_dict(json.loads(path.read_text()))
+        return decode_file(path, RunManifest.from_dict)
 
     # ------------------------------------------------------------------
     # trial records
@@ -630,15 +637,29 @@ class TraceStore:
         )
 
     def append_trial(self, record: TrialRecordLine) -> None:
-        """Durably append one record; duplicate keys conflict."""
+        """Durably append one record, which must hold its configuration's next trial index.
+
+        A lower index raises DuplicateTrialError and a higher one ValueError,
+        before any byte is written. Without `completed_trials(resume=True)`
+        the first append reads each next index from the record file, as one
+        past the configuration's highest stored index.
+        """
         record.validate()
         with self._lock:
-            seen = self._seen.get(record.run_id)
-            if seen is None:
-                seen = {r.key() for r in self.iter_trials(record.run_id)}
-                self._seen[record.run_id] = seen
-            if record.key() in seen:
-                raise DuplicateTrialError(f"trial already stored: {record.key()!r}")
+            next_index = self._next.get(record.run_id)
+            if next_index is None:
+                next_index = {}
+                for r in self.iter_trials(record.run_id):
+                    key = (r.sample_id, r.level_index)
+                    next_index[key] = max(next_index.get(key, 0), r.trial_index + 1)
+                self._next[record.run_id] = next_index
+            key = (record.sample_id, record.level_index)
+            expected = next_index.get(key, 0)
+            if record.trial_index != expected:  # a stored index, or a skipped one
+                error = DuplicateTrialError if record.trial_index < expected else ValueError
+                raise error(f"trial {record.trial_index} of run {record.run_id!r}, sample "
+                            f"{record.sample_id!r}, level {record.level_index} is out of order: "
+                            f"the next index is {expected}")
             handle = self._handles.get(record.run_id)
             if handle is None:
                 self.root.mkdir(parents=True, exist_ok=True)
@@ -646,7 +667,7 @@ class TraceStore:
                 self._handles[record.run_id] = handle
             handle.write(record.to_json().encode() + b"\n")
             handle.flush()
-            seen.add(record.key())
+            next_index[key] = expected + 1
 
     def close(self) -> None:
         with self._lock:
@@ -693,7 +714,7 @@ class TraceStore:
                 offset += len(raw)
 
     def completed_trials(
-        self, run_id: str, resume: bool = False
+        self, run_id: str, resume: bool = False, *, manifest: RunManifest | None = None
     ) -> dict[tuple[str, int], list[TrialOutcome]]:
         """Replay stored outcomes per configuration, in trial-index order.
 
@@ -702,14 +723,15 @@ class TraceStore:
         resume a run without re-drawing finished work. With resume, a torn
         final line is cut from the file instead of raising TornRecordError,
         and a whole final record cut before its newline gets one, so the
-        file holds whole lines and appends start after them; the keys read
-        here seed append_trial's duplicate check, so the file is parsed once.
-        When the run has a manifest, a record whose run id, model, level
-        index or level label disagrees with it, or whose sample the
-        manifest's `sample_ids` do not list, raises RecordValidationError
-        before anything is cut.
+        file holds whole lines and appends start after them; the trial
+        counts read here seed append_trial's next indices, so the file is
+        parsed once. When the run has a manifest (`manifest`, else the one
+        stored), a record whose run id, model, level index or level label
+        disagrees with it, or whose sample the manifest's `sample_ids` do
+        not list, raises RecordValidationError before anything is cut.
         """
-        manifest = self.read_manifest(run_id) if self.manifest_path(run_id).exists() else None
+        if manifest is None and self.manifest_path(run_id).exists():
+            manifest = self.read_manifest(run_id)
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         try:
@@ -731,13 +753,9 @@ class TraceStore:
                     f"configuration {key!r} has non-contiguous trial indices {indices}",
                 )
             out[key] = [outcome for _, outcome in indexed]
-        if resume:  # indices are contiguous, so they are exactly the stored keys
+        if resume:  # indices are contiguous, so each count is the next index
             with self._lock:
-                self._seen[run_id] = {
-                    (run_id, sid, j, t)
-                    for (sid, j), outcomes in out.items()
-                    for t in range(len(outcomes))
-                }
+                self._next[run_id] = {key: len(outcomes) for key, outcomes in out.items()}
             if self.trial_path(run_id).exists():  # even when nothing is left to append
                 _open_for_append(self.trial_path(run_id)).close()
         return out
@@ -746,8 +764,12 @@ class TraceStore:
     # trajectory assembly and recomputation
 
     def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
-        """Every configuration's summary, rebuilt from the stored records as the live run built it."""
-        per_config = self.completed_trials(run_id)
+        """Every configuration's summary, rebuilt from the stored records as the live run built it.
+
+        A configuration whose stop rule would still draw trials (a run cut
+        short) raises IncompleteRunError, since `run --resume` would change it.
+        """
+        per_config = self.completed_trials(run_id, manifest=manifest)
         if not per_config:
             raise IncompleteRunError(run_id, "no trial records stored")
         order = sample_order(manifest, (sid for sid, _ in per_config))
@@ -770,7 +792,15 @@ class TraceStore:
             for sid in order
             for j in range(J)
         }
-        return EvaluationRun.collect(order, manifest.levels, results)
+        run = EvaluationRun.collect(order, manifest.levels, results)
+        short = run.stopped_short(manifest.cfg, manifest.run_mode)
+        if short:
+            raise IncompleteRunError(
+                run_id,
+                f"configurations stopped before their stop rule: {short}; "
+                f"`run --resume` draws their remaining trials",
+            )
+        return run
 
     def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
         """Mean accuracy and tokens per configuration, levels ordered by index."""

@@ -185,6 +185,30 @@ class TestBackendConfig:
             BackendConfig.from_dict(data)
 
 
+    def test_omitted_optional_keys_equal_the_stated_defaults(self):
+        """Every optional key a config leaves out takes its dataclass default, hash included."""
+        url = "http://127.0.0.1:8/v1"
+        omitted = backend_config_dict(url)
+        for level in omitted["levels"]:
+            del level["request_overrides"]
+        stated = backend_config_dict(
+            url, usage_path="/usage/completion_tokens",
+            response_text_path="/choices/0/message/content", max_in_flight=1,
+            min_request_interval=0.0, retry={"max_attempts": 3, "backoff_base": 0.5})
+        for level in stated["levels"]:
+            level["request_overrides"] = {}
+        judges = ({"type": "numeric_match", "expected": 42},
+                  {"type": "numeric_match", "expected": 42, "tol": 0.0})
+        omitted_backend, stated_backend = (
+            HttpBackend(BackendConfig.from_dict(data),
+                        parse_tasks([{"sample_id": "q1", "prompt": "?", "judge": judge}]))
+            for data, judge in zip((omitted, stated), judges))
+        assert omitted_backend.cfg == stated_backend.cfg
+        assert parse_judge(judges[0]) == parse_judge(judges[1])
+        assert (config_hash(omitted_backend.outcome_config)
+                == config_hash(stated_backend.outcome_config))
+
+
 def outcome_hash(url: str, expected: str = "42", **config_overrides) -> str:
     cfg = BackendConfig.from_dict(backend_config_dict(url, **config_overrides))
     tasks = parse_tasks([{"sample_id": "q1", "prompt": "?",

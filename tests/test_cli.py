@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from arise import cli, reference_spec
+from arise import RunManifest, cli, reference_spec
 from arise.cli import main
 
 from conftest import backend_config_dict, keyed_reply
@@ -335,6 +336,21 @@ class TestCompute:
         assert expected in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_the_manifest_is_decoded_once(self, runner, spec_file, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        decoded = []
+        real = RunManifest.from_dict.__func__
+
+        def counting(cls, data):
+            decoded.append(data["run_id"])
+            return real(cls, data)
+
+        monkeypatch.setattr(RunManifest, "from_dict", classmethod(counting))
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 0, result.output
+        assert decoded == ["r1"]
+
     def test_ambiguous_store_requires_run_id(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -590,6 +606,47 @@ class TestResume:
                     expected), cut
 
 
+class TestShortConfigurations:
+    """`compute` refuses a configuration that `run --resume` would still draw for (exit 2)."""
+
+    @pytest.mark.parametrize("status", ["complete", "running"])
+    @pytest.mark.parametrize("mode, past", [(["--naive", "3"], 2), ([], 3), (["--budget", "150"], 3)],
+                             ids=["naive", "adaptive", "budget"])
+    def test_compute_refuses_and_a_resume_ends_uncut(self, runner, spec_file, tmp_path, mode,
+                                                      past, status):
+        full = tmp_path / "full"
+        do_run(runner, spec_file, full, *mode, "--run-id", "r1")
+        lines = (full / "r1.jsonl").read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        counts = Counter((r["sample_id"], r["level_index"]) for r in records)
+        # the last record of a configuration with a trial index of at least `past`: past the
+        # probe for adaptive (its stop check decides) and budget (a phase-2 draw)
+        cut = max(i for i, r in enumerate(records) if r["trial_index"] >= past
+                  and r["trial_index"] == counts[(r["sample_id"], r["level_index"])] - 1)
+        key = (records[cut]["sample_id"], records[cut]["level_index"])
+        out = tmp_path / "cut"
+        out.mkdir()
+        manifest = json.loads((full / "r1.manifest.json").read_text())
+        (out / "r1.manifest.json").write_text(json.dumps({**manifest, "status": status}, indent=2))
+        (out / "r1.jsonl").write_text("".join(lines[:cut] + lines[cut + 1:]))
+        stored = (out / "r1.jsonl").read_bytes()
+
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 2
+        assert (f"error: run 'r1': configurations stopped before their stop rule: [{key!r}]; "
+                f"`run --resume` draws their remaining trials") in all_text(result)
+        assert (out / "r1.jsonl").read_bytes() == stored
+        assert not (out / "r1.bundle.json").exists()
+
+        result = runner.invoke(main, ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                                      "--run-id", "r1", "--resume"])
+        assert result.exit_code == 0, result.output
+        assert (out / "r1.bundle.json").read_bytes() == (full / "r1.bundle.json").read_bytes()
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 0, result.output
+        assert (out / "r1.bundle.json").read_bytes() == (full / "r1.bundle.json").read_bytes()
+
+
 class TestRunBundleComesFromTheDrawnTrials:
     """`arise run` writes the bundle of the trials it drew; `compute` replays the same bytes."""
 
@@ -704,6 +761,17 @@ class TestFormatsAndScaling:
         plain_sm = json.loads(plain.output[: plain.output.rindex("]") + 1])[0]["scaling_metric"]
         scaled_sm = json.loads(scaled.output[: scaled.output.rindex("]") + 1])[0]["scaling_metric"]
         assert scaled_sm == pytest.approx(1000 * plain_sm, abs=5e-4)  # both rounded to 6 dp
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_the_convergence_defaults_are_shown(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        text = " ".join(result.output.split())
+        for option, default in (("--m-min INTEGER", "3"), ("--m-max INTEGER", "10"),
+                                ("--tau FLOAT", "0.5")):
+            assert f"{option} [default: {default}]" in text
 
 
 class TestSimulate:
@@ -924,6 +992,37 @@ class TestMalformedStoredFiles:
             assert result.exit_code == 1
             assert f"error: {expected}" in all_text(result)
         assert manifest.read_bytes() == damaged  # a resume never rewrites what it cannot read
+
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda text: '{"run_id": ', "Expecting value: line 1 column 12 (char 11)"),
+        (lambda text: text.replace('"adaptive"', '"bogus"').replace('"naive"', '"bogus"'),
+         "mode: must be one of adaptive, fixed_budget, naive, got 'bogus'"),
+    ], ids=["json", "field"])
+    def test_a_bad_manifest_names_its_file(self, runner, spec_file, tmp_path, damage, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        manifest = out / "r1.manifest.json"
+        manifest.write_text(damage(manifest.read_text()))
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert f"error: {expected} ({manifest})\n" in all_text(result)
+
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda text: text + "{}", r"Extra data: line \d+ column 2 \(char \d+\)"),
+        (lambda text: text.replace('"curve"', '"kurve"', 1),
+         "kurve: not a field of the result bundle"),
+    ], ids=["json", "field"])
+    def test_a_bad_bundle_names_its_file(self, runner, spec_file, tmp_path, damage, expected):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        bundle = out / "r1.bundle.json"
+        bundle.write_text(damage(bundle.read_text()))
+        result = runner.invoke(main, ["report", str(bundle), "--out-dir", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert re.search(f"error: {expected} {re.escape(f'({bundle})')}\n", all_text(result))
 
     @pytest.mark.parametrize("edit, expected", [
         (lambda b: b.pop("curve"), "curve: missing from the result bundle"),

@@ -149,6 +149,15 @@ def test_stored_files_survive_a_decode_and_re_encode():
 
 @pytest.mark.parametrize("run", sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
                                         for p in GOLDEN.glob("*/*.manifest.json")))
+def test_every_golden_run_computes_to_its_bundle(run):
+    """No configuration of a finished run stops short of its stop rule."""
+    group, run_id = run.split("/")
+    bundle = TraceStore(GOLDEN / group).recompute(run_id)
+    assert bundle.to_json() == (GOLDEN / f"{run}.bundle.json").read_text()
+
+
+@pytest.mark.parametrize("run", sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
+                                        for p in GOLDEN.glob("*/*.manifest.json")))
 def test_a_manifest_without_sample_ids_still_computes(tmp_path, run):
     """Runs stored before manifests listed their samples replay in first-appearance order."""
     run_id = run.split("/")[1]

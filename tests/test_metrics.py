@@ -70,7 +70,7 @@ class TestSampleScore:
     def test_gain_then_loss_cancels_to_minus_one(self):
         score, diags = arise_sample(traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 300.0)))
         assert score == -1.0
-        assert diags.transition_counts == (1, 1, 0)
+        assert (diags.improve, diags.degrade, diags.unchanged) == (1, 1, 0)
         assert not diags.non_monotone_tokens
 
     def test_alternating_pattern_over_doubling_tokens(self):
@@ -79,7 +79,7 @@ class TestSampleScore:
             traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 400.0), (1.0, 800.0))
         )
         assert score == -1.0
-        assert diags.transition_counts == (2, 1, 0)
+        assert (diags.improve, diags.degrade, diags.unchanged) == (2, 1, 0)
 
     def test_rejects_single_level(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -93,7 +93,7 @@ class TestSampleScore:
     def test_all_unchanged_scores_zero(self):
         score, diags = arise_sample(traj("s", (1.0, 100.0), (1.0, 200.0), (1.0, 400.0)))
         assert score == 0.0
-        assert diags.transition_counts == (0, 0, 2)
+        assert (diags.improve, diags.degrade, diags.unchanged) == (0, 0, 2)
 
 
 class TestAggregate:
@@ -353,21 +353,25 @@ class TestTransitionMatrix:
         ]
         m = transition_matrix(trajs, (0, 1))
         assert m == TransitionMatrix(0, 1, 1, 1, 1, 1)
-        assert m.improved == 1 and m.degraded == 1 and m.total == 4
+        assert m.incorrect_to_correct == 1 and m.correct_to_incorrect == 1
+        assert (m.correct_to_correct + m.correct_to_incorrect + m.incorrect_to_correct
+                + m.incorrect_to_incorrect) == 4
 
     def test_degradation_share_fixture(self):
         # 30 samples, 2 of which lose a previously-correct answer: 6.7%
         trajs = [traj(f"k{i}", (1.0, 100.0), (1.0, 200.0)) for i in range(28)]
         trajs += [traj(f"d{i}", (1.0, 100.0), (0.0, 200.0)) for i in range(2)]
         m = transition_matrix(trajs, (0, 1))
-        assert m.degraded == 2
-        assert m.total == 30
-        assert round(100 * m.degraded / m.total, 1) == 6.7
+        total = (m.correct_to_correct + m.correct_to_incorrect + m.incorrect_to_correct
+                 + m.incorrect_to_incorrect)
+        assert m.correct_to_incorrect == 2
+        assert total == 30
+        assert round(100 * m.correct_to_incorrect / total, 1) == 6.7
 
     def test_binarization_threshold(self):
         trajs = [traj("a", (0.5, 100.0), (0.49, 200.0))]
-        assert transition_matrix(trajs, (0, 1), threshold=0.5).degraded == 1
-        assert transition_matrix(trajs, (0, 1), threshold=0.3).degraded == 0
+        assert transition_matrix(trajs, (0, 1), threshold=0.5).correct_to_incorrect == 1
+        assert transition_matrix(trajs, (0, 1), threshold=0.3).correct_to_incorrect == 0
 
     def test_rejects_non_adjacent_pair(self):
         trajs = [traj("a", (1.0, 100.0), (1.0, 200.0), (1.0, 300.0))]

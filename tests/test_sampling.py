@@ -21,6 +21,7 @@ from arise import (
     BackendConfig,
     ConfigurationError,
     ConvergenceConfig,
+    EvaluationRun,
     FixedBudgetMode,
     HttpBackend,
     InfeasibleBudgetError,
@@ -32,6 +33,7 @@ from arise import (
     TrialOutcome,
     allocate_budget,
     check_mode,
+    finalize_configuration,
     parse_mode,
     parse_tasks,
     reference_spec,
@@ -620,6 +622,24 @@ class TestRunEvaluation:
         sequential = run_evaluation(SimulatorBackend(spec), *args, max_workers=1)
         parallel = run_evaluation(SimulatorBackend(spec), *args, max_workers=6)
         assert sequential == parallel
+
+    @pytest.mark.parametrize("mode", [AdaptiveMode(), NaiveMode(4), FixedBudgetMode(None)],
+                             ids=["adaptive", "naive", "budget"])
+    def test_a_replay_stops_where_the_live_run_stopped(self, mode):
+        """`stopped_short` is empty for a finished run, and names a configuration that lost its last trial."""
+        spec = reference_spec()
+        cfg = ConvergenceConfig()
+        run = run_evaluation(SimulatorBackend(spec), list(spec.sample_ids), spec.level_labels,
+                             cfg, mode)
+        assert run.stopped_short(cfg, mode) == []
+        # past its probe, so a budget run keeps its probe CVs and with them its allocations
+        cut = [key for key, r in run.configurations.items() if r.k_star > cfg.m_min]
+        assert cut
+        for key in cut:
+            trials = run.configurations[key].stats.trials[:-1]
+            shorter = {**run.configurations, key: finalize_configuration(*key, trials, cfg)}
+            replayed = EvaluationRun.collect(run.samples, run.levels, shorter)
+            assert replayed.stopped_short(cfg, mode) == [key]
 
     def test_a_failure_stops_the_queued_configurations(self, monkeypatch):
         """Only the configurations already in flight finish; the queued ones never start."""

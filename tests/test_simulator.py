@@ -20,6 +20,7 @@ from arise import (
     SyntheticModelSpec,
     SyntheticSample,
     arise_aggregate,
+    config_hash,
     derive_seed,
     ground_truth_trajectories,
     reference_spec,
@@ -241,6 +242,10 @@ class TestSpecSerialization:
             "token_log_mean",
             "token_log_std",
         }
+
+    def test_the_config_hash_of_the_reference_spec_is_unchanged(self):
+        # `run --resume` refuses a run whose stored hash differs from its spec's
+        assert config_hash(reference_spec().to_dict()) == "0d724eeacbb7b3785dc31152f4af8511"
 
     def test_from_file_reads_json_and_yaml(self, tmp_path: Path):
         spec = tiny_spec()

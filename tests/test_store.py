@@ -463,6 +463,49 @@ class TestAppend:
             with pytest.raises(DuplicateTrialError):
                 reopened.append_trial(record())
 
+    def test_the_next_index_of_each_configuration_is_accepted(self, tmp_path: Path):
+        with TraceStore(tmp_path) as store:
+            for k in range(3):
+                store.append_trial(record(trial_index=k))
+            store.append_trial(record(level_index=1, level_label="high"))
+        assert [(r.level_index, r.trial_index) for r in store.iter_trials("r1")] == [
+            (0, 0), (0, 1), (0, 2), (1, 0)]
+
+    def test_a_stored_index_is_refused(self, tmp_path: Path):
+        with TraceStore(tmp_path) as store:
+            store.append_trial(record())
+            store.append_trial(record(trial_index=1))
+            before = store.trial_path("r1").read_bytes()
+            with pytest.raises(DuplicateTrialError) as err:
+                store.append_trial(record(correct=0.0))
+        assert str(err.value) == ("trial 0 of run 'r1', sample 's01', level 0 is out of order: "
+                                  "the next index is 2")
+        assert store.trial_path("r1").read_bytes() == before
+
+    @pytest.mark.parametrize("level, trial, expected", [(0, 2, 1), (1, 1, 0)],
+                             ids=["after-a-stored-one", "first-of-its-configuration"])
+    def test_a_skipped_index_is_refused_before_any_write(self, tmp_path: Path, level, trial,
+                                                          expected):
+        with TraceStore(tmp_path) as store:
+            store.append_trial(record())
+            before = store.trial_path("r1").read_bytes()
+            with pytest.raises(ValueError) as err:
+                store.append_trial(record(level_index=level, level_label=("low", "high")[level],
+                                          trial_index=trial))
+        assert not isinstance(err.value, DuplicateTrialError)
+        assert str(err.value).endswith(f"is out of order: the next index is {expected}")
+        assert store.trial_path("r1").read_bytes() == before
+
+    def test_a_store_that_reads_the_file_takes_one_past_the_highest_index(self, tmp_path: Path):
+        path = TraceStore(tmp_path).trial_path("r1")
+        path.write_text(record().to_json() + "\n" + record(trial_index=2).to_json() + "\n")
+        with TraceStore(tmp_path) as store:
+            for stored_or_skipped in (1, 2):
+                with pytest.raises(DuplicateTrialError, match="the next index is 3$"):
+                    store.append_trial(record(trial_index=stored_or_skipped))
+            store.append_trial(record(trial_index=3))
+        assert [r.trial_index for r in store.iter_trials("r1")] == [0, 2, 3]
+
     def test_appends_never_rewrite_existing_lines(self, tmp_path: Path):
         store = TraceStore(tmp_path)
         store.append_trial(record())
@@ -481,9 +524,9 @@ class TestAppend:
     def test_concurrent_appends_all_land(self, tmp_path: Path):
         store = TraceStore(tmp_path)
 
-        def worker(offset: int) -> None:
+        def worker(offset: int) -> None:  # one configuration per thread, in index order
             for k in range(25):
-                store.append_trial(record(trial_index=offset * 25 + k))
+                store.append_trial(record(sample_id=f"s{offset:02d}", trial_index=k))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         for t in threads:
@@ -497,17 +540,16 @@ class TestAppend:
 class TestCompletedTrials:
     def test_replay_orders_by_trial_index(self, tmp_path: Path):
         store = TraceStore(tmp_path)
-        store.append_trial(record(trial_index=1, correct=0.0, completion_tokens=200))
-        store.append_trial(record(trial_index=0, correct=1.0, completion_tokens=100))
-        store.close()
+        store.trial_path("r1").write_text(
+            record(trial_index=1, correct=0.0, completion_tokens=200).to_json() + "\n"
+            + record(trial_index=0, correct=1.0, completion_tokens=100).to_json() + "\n")
         replayed = store.completed_trials("r1")[("s01", 0)]
         assert [t.tokens for t in replayed] == [100.0, 200.0]
 
     def test_non_contiguous_indices_rejected(self, tmp_path: Path):
         store = TraceStore(tmp_path)
-        store.append_trial(record(trial_index=0))
-        store.append_trial(record(trial_index=2))
-        store.close()
+        store.trial_path("r1").write_text(
+            record(trial_index=0).to_json() + "\n" + record(trial_index=2).to_json() + "\n")
         with pytest.raises(IncompleteRunError, match="non-contiguous"):
             store.completed_trials("r1")
 
@@ -574,6 +616,16 @@ class TestResumeRead:
         with pytest.raises(DuplicateTrialError):
             store.append_trial(record(level_index=1, trial_index=2))
         store.append_trial(record(level_index=1, trial_index=3))
+        store.close()
+        assert len(list(store.iter_trials("r1"))) == 7
+
+    def test_a_resume_seeds_each_next_index_from_its_count(self, tmp_path: Path):
+        self.seed_store(tmp_path)
+        store = TraceStore(tmp_path)
+        store.completed_trials("r1", resume=True)
+        with pytest.raises(ValueError, match="the next index is 3$"):
+            store.append_trial(record(level_index=1, trial_index=4))
+        store.append_trial(record(sample_id="s02"))
         store.close()
         assert len(list(store.iter_trials("r1"))) == 7
 
@@ -705,6 +757,20 @@ class TestRecompute:
         with pytest.raises(IncompleteRunError) as err:
             store.recompute("r1")
         assert err.value.gaps == (("s02", 0), ("s02", 1))
+
+    def test_a_configuration_short_of_its_stop_rule_is_incomplete(self, tmp_path: Path):
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest(trials=2))
+        for level, k in [(0, 0), (0, 1), (1, 0)]:
+            store.append_trial(record(level_index=level, level_label=("low", "high")[level],
+                                      trial_index=k))
+        store.close()
+        for replay in (store.recompute, store.load_trajectories):
+            with pytest.raises(IncompleteRunError) as err:
+                replay("r1")
+            assert str(err.value) == (
+                "run 'r1': configurations stopped before their stop rule: [('s01', 1)]; "
+                "`run --resume` draws their remaining trials")
 
     def test_sample_count_mismatch_rejected(self, tmp_path: Path):
         store = TraceStore(tmp_path)

@@ -23,7 +23,6 @@ from .sampling import (
     AdaptiveMode,
     ConfigurationError,
     ConvergenceConfig,
-    EvaluationRun,
     FixedBudgetMode,
     NaiveMode,
     RunMode,
@@ -286,8 +285,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     run_id = manifest.run_id
 
     preloaded = store.completed_trials(run_id, resume=True) if resume else {}
-    # the bundle's sample order; an older manifest's is the records' order, which a
-    # serial run extends in the order it draws
+    # the order the run draws in and the bundle lists; an older manifest's is the
+    # records' order, which a serial run extends in config order
     order = sample_order(manifest, (sid for sid, _ in preloaded), samples)
     if len(order) != len(samples):
         stored = next(sid for sid in order if sid not in samples)
@@ -298,7 +297,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     store.write_manifest(manifest)
 
     try:
-        evaluation = run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
+        evaluation = run_evaluation(backend, order, labels, cfg, mode, preloaded=preloaded,
                                     on_trial=functools.partial(store.record, manifest),
                                     max_workers=workers)
     except ConfigurationError:
@@ -309,8 +308,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     manifest = dataclasses.replace(manifest, status="complete")
     store.write_manifest(manifest)
     # the bundle of the trials drawn, the bytes `compute` rebuilds from the records
-    bundle = ResultBundle.from_run(
-        manifest, EvaluationRun.collect(order, labels, evaluation.configurations))
+    bundle = ResultBundle.from_run(manifest, evaluation)
     del evaluation, preloaded  # free every trial before the bundle is encoded
     write_atomic(store.bundle_path(run_id), bundle.to_json())
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))

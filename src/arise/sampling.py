@@ -6,6 +6,13 @@ accuracy and tokens drops below `tau`, capping at exactly `m_max` trials.
 Alternatively a fixed total budget can be split across configurations in
 proportion to their probe CVs, or every configuration can simply run a
 uniform number of trials.
+
+`run_evaluation` is the one place that decides what a run's records hold:
+a live run, a resume and `arise compute`'s replay of the records all go
+through it. Stored trials pass the same stop rule as fresh ones, one at a
+time; a replay's backend draws nothing, so a configuration short of its
+stop rule fails as a draw would, and one holding more trials than its
+rule draws raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ __all__ = [
     "InfeasibleBudgetError",
     "ConfigurationError",
     "should_continue",
-    "finalize_configuration",
     "run_configuration",
     "allocate_budget",
     "run_evaluation",
@@ -93,8 +99,8 @@ def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
 
 
-def _pstd(xs: Sequence[float]) -> float:
-    mu = _mean(xs)
+def _pstd(xs: Sequence[float], mu: float) -> float:
+    """Population standard deviation of `xs` about their mean `mu`."""
     return math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs))
 
 
@@ -127,7 +133,7 @@ class LevelStatistics:
     @functools.cached_property
     def std_acc(self) -> float:
         self._require_trials()
-        return _pstd([t.correct for t in self.trials])
+        return _pstd([t.correct for t in self.trials], self.mean_acc)
 
     @functools.cached_property
     def mean_tok(self) -> float:
@@ -137,7 +143,7 @@ class LevelStatistics:
     @functools.cached_property
     def std_tok(self) -> float:
         self._require_trials()
-        return _pstd([t.tokens for t in self.trials])
+        return _pstd([t.tokens for t in self.trials], self.mean_tok)
 
     @property
     def cv_acc(self) -> float:
@@ -248,13 +254,11 @@ class _RunningCV:
 
     __slots__ = ("trials", "_tau", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok", "_m_tok")
 
-    def __init__(self, preloaded: Sequence[TrialOutcome], cfg: ConvergenceConfig):
+    def __init__(self, cfg: ConvergenceConfig):
         self.trials: list[TrialOutcome] = []
         self._tau = cfg.tau
         self._s_acc = self._q_acc = self._m_acc = 0.0
         self._s_tok = self._q_tok = self._m_tok = 0.0
-        for trial in preloaded:
-            self.append(trial)
 
     def append(self, trial: TrialOutcome) -> None:
         self.trials.append(trial)
@@ -303,38 +307,17 @@ class ConfigurationResult:
 TrialCallback = Callable[[str, int, int, TrialOutcome], None]
 
 
-def _draws_more(stats: LevelStatistics | _RunningCV, cfg: ConvergenceConfig,
-               target: int | None) -> bool:
+def _draws_more(stats: _RunningCV, cfg: ConvergenceConfig, target: int | None) -> bool:
     """The stop rule: True while a configuration holding `stats` draws another trial.
 
     With `target` it draws up to that many trials; without, it probes
-    `cfg.m_min` trials, then asks `should_continue`. A live run and a
-    replay of its records both ask this.
+    `cfg.m_min` trials, then asks `should_continue`.
     """
     if target is not None:
         return stats.count < target
     if stats.count < cfg.m_min:
         return True
     return should_continue(stats, cfg)
-
-
-def finalize_configuration(
-    sample_id: str,
-    level_index: int,
-    trials: Sequence[TrialOutcome],
-    cfg: ConvergenceConfig,
-) -> ConfigurationResult:
-    """Summarize one configuration's trials; a live run and a replay of its records agree."""
-    stats = LevelStatistics(tuple(trials))
-    return ConfigurationResult(
-        sample_id=sample_id,
-        level_index=level_index,
-        k_star=stats.count,
-        final=stats.final,
-        stats=stats,
-        converged=stats.cv_combined < cfg.tau,
-        zero_variance_probe=stats.probe_cv(cfg.m_min) == 0.0,
-    )
 
 
 def run_configuration(
@@ -352,16 +335,22 @@ def run_configuration(
     Without `target` the rule is adaptive: probe `cfg.m_min` trials, then
     keep drawing while `should_continue` says so. With `target` it draws
     until exactly that many trials are held (naive and budget modes).
-    `preloaded` outcomes (e.g. replayed from a trace store) count as the
-    earliest trials and are not re-drawn, which makes an interrupted run
-    resumable without perturbing its decisions. `on_trial` fires once per
-    fresh outcome. The first exception from the backend aborts the
-    configuration with a ConfigurationError holding the trials so far.
+    `preloaded` outcomes (e.g. replayed from a trace store) are the earliest
+    trials: each passes the stop rule as a fresh one would and is not
+    re-drawn, which makes an interrupted run resumable without perturbing
+    its decisions. Preloaded outcomes left over when the rule stops raise
+    ValueError, since no run under this rule could have stored them.
+    `on_trial` fires once per fresh outcome. The first exception from the
+    backend aborts the configuration with a ConfigurationError holding the
+    trials so far.
     """
-    running = _RunningCV(preloaded, cfg)
+    running = _RunningCV(cfg)
     trials = running.trials
     while _draws_more(running, cfg, target):
         idx = len(trials)
+        if idx < len(preloaded):
+            running.append(preloaded[idx])
+            continue
         try:
             outcome = backend.evaluate(sample_id, level_index, idx)
         except Exception as exc:
@@ -370,7 +359,21 @@ def run_configuration(
         running.append(outcome)
         if on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
-    return finalize_configuration(sample_id, level_index, trials, cfg)
+    if len(trials) < len(preloaded):
+        raise ValueError(
+            f"configuration ({sample_id!r}, level {level_index}) holds {len(preloaded)} stored "
+            f"trials, but its stop rule stops at {len(trials)}"
+        )
+    stats = LevelStatistics(tuple(trials))
+    return ConfigurationResult(
+        sample_id=sample_id,
+        level_index=level_index,
+        k_star=stats.count,
+        final=stats.final,
+        stats=stats,
+        converged=stats.cv_combined < cfg.tau,
+        zero_variance_probe=stats.probe_cv(cfg.m_min) == 0.0,
+    )
 
 
 def allocate_budget(
@@ -470,22 +473,6 @@ def check_mode(mode: RunMode, n: int, J: int, cfg: ConvergenceConfig) -> RunMode
     return mode
 
 
-def _targets(mode: RunMode, cfg: ConvergenceConfig,
-             probed: Mapping[tuple[str, int], ConfigurationResult],
-             n: int, J: int) -> Callable[[tuple[str, int]], int | None]:
-    """Each configuration's trial target under a checked mode, for `_draws_more`.
-
-    None (adaptive stopping), the naive count, or the budget's allocation
-    over the probe CVs of `probed`, which holds every configuration.
-    """
-    if isinstance(mode, NaiveMode):
-        return lambda key: mode.trials
-    if isinstance(mode, FixedBudgetMode):
-        probe_cvs = {key: r.stats.probe_cv(cfg.m_min) for key, r in probed.items()}
-        return allocate_budget(probe_cvs, n, J, cfg, mode.budget).__getitem__
-    return lambda key: None
-
-
 def parse_mode(text: str) -> RunMode:
     """Parse a mode string: 'adaptive', 'naive:K', or 'budget:B'."""
     name, _, arg = text.partition(":")
@@ -520,27 +507,6 @@ class EvaluationRun:
     def unconverged_count(self) -> int:
         return sum(1 for r in self.configurations.values() if not r.converged)
 
-    @classmethod
-    def collect(
-        cls,
-        samples: Sequence[str],
-        levels: Sequence[str],
-        configurations: Mapping[tuple[str, int], ConfigurationResult],
-    ) -> "EvaluationRun":
-        """Assemble per-sample trajectories, levels in index order, from finished configurations."""
-        trajectories = tuple(
-            SampleTrajectory(sid, tuple(configurations[(sid, j)].final for j in range(len(levels))))
-            for sid in samples
-        )
-        return cls(tuple(samples), tuple(levels), configurations, trajectories)
-
-    def stopped_short(self, cfg: ConvergenceConfig, mode: RunMode) -> list[tuple[str, int]]:
-        """The configurations `run_evaluation` under `cfg` and `mode` would still draw trials for."""
-        n, J = len(self.samples), len(self.levels)
-        target = _targets(check_mode(mode, n, J, cfg), cfg, self.configurations, n, J)
-        return [key for key, r in self.configurations.items()
-                if _draws_more(r.stats, cfg, target(key))]
-
 
 def run_evaluation(
     backend: EvaluationBackend,
@@ -559,14 +525,15 @@ def run_evaluation(
     probes m_min everywhere, then splits the budget (default 5*n*J) by
     probe CV; NaiveMode runs a uniform trial count. `preloaded` maps
     configurations to already-collected outcomes so a restarted run skips
-    completed work. With max_workers > 1 distinct configurations execute
-    concurrently; trials within a configuration stay strictly sequential.
-    After a configuration fails, the queued ones never start: those
-    already in flight finish, then the first failure is raised.
-    Output trajectories feed the metric functions unchanged.
+    completed work; they pass the stop rule as `run_configuration` says.
+    With max_workers > 1 distinct configurations execute concurrently;
+    trials within a configuration stay strictly sequential. After a
+    configuration fails, the queued ones never start: those already in
+    flight finish, then the first failure is raised. Trajectories follow
+    `samples` order and feed the metric functions unchanged.
     """
-    samples = list(samples)
-    levels = list(levels)
+    samples = tuple(samples)
+    levels = tuple(levels)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     if len(levels) < 2:
@@ -575,7 +542,7 @@ def run_evaluation(
         raise ValueError("sample ids must be unique")
     n, J = len(samples), len(levels)
     mode = check_mode(mode, n, J, cfg)
-    pre = dict(preloaded) if preloaded else {}
+    stored = preloaded or {}
     keys = [(sid, j) for sid in samples for j in range(J)]
 
     def run_all(
@@ -597,9 +564,18 @@ def run_evaluation(
                 raise failed[0].exception()
         return {key: f.result() for key, f in zip(keys, futures)}
 
-    probed: dict[tuple[str, int], ConfigurationResult] = {}
     if isinstance(mode, FixedBudgetMode):
-        probed = run_all(lambda key: cfg.m_min, pre)
-        pre = {key: r.stats.trials for key, r in probed.items()}
-    results = run_all(_targets(mode, cfg, probed, n, J), pre)
-    return EvaluationRun.collect(samples, levels, results)
+        # the probe phase holds the first m_min trials; the allocation decides the rest
+        m_min = cfg.m_min
+        probed = run_all(lambda key: m_min, {key: trials[:m_min] for key, trials in stored.items()})
+        allocation = allocate_budget({key: r.stats.cv_combined for key, r in probed.items()},
+                                     n, J, cfg, mode.budget)
+        results = run_all(allocation.__getitem__, {
+            key: (*r.stats.trials, *stored.get(key, ())[m_min:]) for key, r in probed.items()})
+    else:
+        count = mode.trials if isinstance(mode, NaiveMode) else None  # None: adaptive stopping
+        results = run_all(lambda key: count, stored)
+    trajectories = tuple(
+        SampleTrajectory(sid, tuple(results[(sid, j)].final for j in range(J))) for sid in samples
+    )
+    return EvaluationRun(samples, levels, results, trajectories)

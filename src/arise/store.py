@@ -4,13 +4,17 @@ One run maps to three files under the store root: `<run_id>.jsonl` with
 one trial record per line, `<run_id>.manifest.json` describing the run,
 and `<run_id>.bundle.json`. Each format is one dataclass whose fields, in
 order, are its JSON keys (`_encode` / `_decode`). `ResultBundle.from_run`
-is the one bundle builder: `arise run` feeds it the trials it drew, and
-`TraceStore.recompute` (`arise compute`) the trials it replays from the
-records, so both write the same bytes. A record's run id, model and level
-label come from the manifest (`TraceStore.record`), and a replay refuses
-a record that disagrees with it. A record line holding every field in
-order skips `_decode`; every line is validated, and an error names the
-record file and the line.
+is the one bundle builder: `arise run` feeds it the run it drew, and
+`TraceStore.recompute` (`arise compute`) the run its records replay to,
+so both write the same bytes. The replay is `run_evaluation` with a
+backend that cannot draw, so the live run's stop rule decides: a
+configuration short of it raises IncompleteRunError (a resume draws the
+rest), and one holding more trials than it draws raises ValueError, as
+does a trial stored twice (DuplicateTrialError). A record's run id, model
+and level label come from the manifest (`TraceStore.record`), and a
+replay refuses a record that disagrees with it. A record line holding
+every field in order skips `_decode`; every line is validated, and an
+error names the record file and the line.
 Appends flush per line, so a crash loses at most the in-flight record: a
 torn final line makes readers raise `TornRecordError`, and a resume cuts
 it off before appending; no other line is ever rewritten or deleted.
@@ -43,13 +47,14 @@ from .metrics import (
 )
 from .sampling import (
     AdaptiveMode,
+    ConfigurationError,
     ConvergenceConfig,
     EvaluationRun,
     FixedBudgetMode,
     NaiveMode,
     RunMode,
     TrialOutcome,
-    finalize_configuration,
+    run_evaluation,
 )
 
 __all__ = [
@@ -86,16 +91,15 @@ class RecordValidationError(ValueError):
 
 
 class DuplicateTrialError(ValueError):
-    """A trial index below its configuration's next index: the trial is already stored."""
+    """A trial that is already stored: appended again, or found twice in a record file."""
 
 
 class IncompleteRunError(RuntimeError):
     """A run is missing records needed to assemble trajectories."""
 
-    def __init__(self, run_id: str, message: str, gaps: Sequence[tuple[str, int]] = ()):
+    def __init__(self, run_id: str, message: str):
         super().__init__(f"run {run_id!r}: {message}")
         self.run_id = run_id
-        self.gaps = tuple(gaps)  # (sample_id, level_index) pairs with no trials
 
 
 class TornRecordError(IncompleteRunError):
@@ -563,6 +567,13 @@ class ResultBundle:
         )
 
 
+class _NoDraws:
+    """The backend of a replay: every trial it needs is stored, so a draw means one is missing."""
+
+    def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
+        raise LookupError(f"no record of trial {trial_index}")
+
+
 class TraceStore:
     """Filesystem store rooted at one directory; single writer per run.
 
@@ -728,7 +739,9 @@ class TraceStore:
         parsed once. When the run has a manifest (`manifest`, else the one
         stored), a record whose run id, model, level index or level label
         disagrees with it, or whose sample the manifest's `sample_ids` do
-        not list, raises RecordValidationError before anything is cut.
+        not list, raises RecordValidationError before anything is cut. A
+        trial stored twice raises DuplicateTrialError naming both lines, and
+        any other gap in a configuration's trial indices IncompleteRunError.
         """
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
@@ -748,6 +761,13 @@ class TraceStore:
             indexed.sort(key=lambda pair: pair[0])
             indices = [index for index, _ in indexed]
             if indices != list(range(len(indexed))):
+                repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
+                if repeated is not None:  # no resume can mend a trial stored twice
+                    first, second = self._lines_holding(run_id, (*key, repeated))[:2]
+                    raise DuplicateTrialError(
+                        f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
+                        f"({self.trial_path(run_id)}, lines {first} and {second})"
+                    )
                 raise IncompleteRunError(
                     run_id,
                     f"configuration {key!r} has non-contiguous trial indices {indices}",
@@ -760,47 +780,48 @@ class TraceStore:
                 _open_for_append(self.trial_path(run_id)).close()
         return out
 
+    def _lines_holding(self, run_id: str, trial: tuple[str, int, int]) -> list[int]:
+        """The numbers of the record file's lines that hold `trial` (sample, level, trial index).
+
+        Only an error path calls this, so it parses the file again rather
+        than have every replay keep line numbers.
+        """
+        with open(self.trial_path(run_id), "rb") as fh:
+            records = ((number, TrialRecordLine.from_json(raw.decode()))
+                       for number, raw in enumerate(fh, 1) if raw.strip())
+            return [number for number, r in records
+                    if (r.sample_id, r.level_index, r.trial_index) == trial]
+
     # ------------------------------------------------------------------
     # trajectory assembly and recomputation
 
     def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
-        """Every configuration's summary, rebuilt from the stored records as the live run built it.
+        """The run the stored records hold: `run_evaluation` as a resume that cannot draw.
 
-        A configuration whose stop rule would still draw trials (a run cut
-        short) raises IncompleteRunError, since `run --resume` would change it.
+        The live run's stop rule, budget allocation and sample order decide
+        every configuration. One short of its stop rule (a run cut short, a
+        missing configuration) raises IncompleteRunError, since `run --resume`
+        would draw its remaining trials; one holding more trials than its
+        rule draws raises ValueError.
         """
         per_config = self.completed_trials(run_id, manifest=manifest)
         if not per_config:
             raise IncompleteRunError(run_id, "no trial records stored")
         order = sample_order(manifest, (sid for sid, _ in per_config))
-        J = len(manifest.levels)
-        gaps = [
-            (sid, j) for sid in order for j in range(J) if not per_config.get((sid, j))
-        ]
-        if gaps:
-            raise IncompleteRunError(
-                run_id, f"missing trials for configurations: {gaps}", gaps=gaps
-            )
         if len(order) != manifest.n_samples:
             raise IncompleteRunError(
                 run_id,
                 f"manifest expects {manifest.n_samples} samples, found {len(order)}",
             )
-        # popping drops each trial list once its statistics hold a copy
-        results = {
-            (sid, j): finalize_configuration(sid, j, per_config.pop((sid, j)), manifest.cfg)
-            for sid in order
-            for j in range(J)
-        }
-        run = EvaluationRun.collect(order, manifest.levels, results)
-        short = run.stopped_short(manifest.cfg, manifest.run_mode)
-        if short:
+        try:
+            return run_evaluation(_NoDraws(), order, manifest.levels, manifest.cfg,
+                                  manifest.run_mode, preloaded=per_config)
+        except ConfigurationError as exc:
             raise IncompleteRunError(
                 run_id,
-                f"configurations stopped before their stop rule: {short}; "
-                f"`run --resume` draws their remaining trials",
-            )
-        return run
+                f"configuration {(exc.sample_id, exc.level_index)!r}: its records end before "
+                f"trial {exc.stats.count}, which its stop rule draws; `run --resume` draws the rest",
+            ) from exc
 
     def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
         """Mean accuracy and tokens per configuration, levels ordered by index."""

@@ -606,23 +606,37 @@ class TestResume:
                     expected), cut
 
 
+MODES_PAST_THE_PROBE = pytest.mark.parametrize(
+    "mode, past", [(["--naive", "3"], 2), ([], 3), (["--budget", "150"], 3)],
+    ids=["naive", "adaptive", "budget"])
+
+
+def last_records_past(runner, spec_file: Path, full: Path, mode: list[str],
+                      past: int) -> tuple[list[str], list[dict], int]:
+    """A finished run's record lines, their records, and the line of the one to change.
+
+    That is the last record of a configuration with a trial index of at
+    least `past`: past the probe for adaptive (its stop check decides) and
+    budget (a phase-2 draw).
+    """
+    do_run(runner, spec_file, full, *mode, "--run-id", "r1")
+    lines = (full / "r1.jsonl").read_text().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    counts = Counter((r["sample_id"], r["level_index"]) for r in records)
+    last = max(i for i, r in enumerate(records) if r["trial_index"] >= past
+               and r["trial_index"] == counts[(r["sample_id"], r["level_index"])] - 1)
+    return lines, records, last
+
+
 class TestShortConfigurations:
     """`compute` refuses a configuration that `run --resume` would still draw for (exit 2)."""
 
     @pytest.mark.parametrize("status", ["complete", "running"])
-    @pytest.mark.parametrize("mode, past", [(["--naive", "3"], 2), ([], 3), (["--budget", "150"], 3)],
-                             ids=["naive", "adaptive", "budget"])
+    @MODES_PAST_THE_PROBE
     def test_compute_refuses_and_a_resume_ends_uncut(self, runner, spec_file, tmp_path, mode,
                                                       past, status):
         full = tmp_path / "full"
-        do_run(runner, spec_file, full, *mode, "--run-id", "r1")
-        lines = (full / "r1.jsonl").read_text().splitlines(keepends=True)
-        records = [json.loads(line) for line in lines]
-        counts = Counter((r["sample_id"], r["level_index"]) for r in records)
-        # the last record of a configuration with a trial index of at least `past`: past the
-        # probe for adaptive (its stop check decides) and budget (a phase-2 draw)
-        cut = max(i for i, r in enumerate(records) if r["trial_index"] >= past
-                  and r["trial_index"] == counts[(r["sample_id"], r["level_index"])] - 1)
+        lines, records, cut = last_records_past(runner, spec_file, full, mode, past)
         key = (records[cut]["sample_id"], records[cut]["level_index"])
         out = tmp_path / "cut"
         out.mkdir()
@@ -633,8 +647,9 @@ class TestShortConfigurations:
 
         result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
         assert result.exit_code == 2
-        assert (f"error: run 'r1': configurations stopped before their stop rule: [{key!r}]; "
-                f"`run --resume` draws their remaining trials") in all_text(result)
+        assert (f"error: run 'r1': configuration {key!r}: its records end before trial "
+                f"{records[cut]['trial_index']}, which its stop rule draws; `run --resume` draws "
+                f"the rest") in all_text(result)
         assert (out / "r1.jsonl").read_bytes() == stored
         assert not (out / "r1.bundle.json").exists()
 
@@ -645,6 +660,52 @@ class TestShortConfigurations:
         result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
         assert result.exit_code == 0, result.output
         assert (out / "r1.bundle.json").read_bytes() == (full / "r1.bundle.json").read_bytes()
+
+
+class TestRecordsNoRunWrites:
+    """A trial past its configuration's stop rule, or one stored twice, is refused (exit 1)."""
+
+    def refused(self, runner, spec_file: Path, out: Path, expected: str) -> None:
+        """`compute` and `run --resume` both exit 1 with `expected`, and leave the records as they were.
+
+        `compute` writes nothing; the resume only marks the manifest running.
+        """
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == 1, result.output
+        assert f"error: {expected}" in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        result = runner.invoke(main, ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                                      "--run-id", "r1", "--resume"])
+        assert result.exit_code == 1, result.output
+        assert f"error: {expected}" in all_text(result)
+        assert (out / "r1.jsonl").read_bytes() == before["r1.jsonl"]
+        assert not (out / "r1.bundle.json").exists()
+
+    @MODES_PAST_THE_PROBE
+    def test_a_trial_past_the_stop_rule(self, runner, spec_file, tmp_path, mode, past):
+        out = tmp_path / "runs"
+        _, records, last = last_records_past(runner, spec_file, out, mode, past)
+        (out / "r1.bundle.json").unlink()
+        extra = records[last]
+        k = extra["trial_index"] + 1
+        with open(out / "r1.jsonl", "a") as fh:
+            fh.write(json.dumps({**extra, "trial_index": k}) + "\n")
+        self.refused(runner, spec_file, out,
+                     f"configuration ({extra['sample_id']!r}, level {extra['level_index']}) holds "
+                     f"{k + 1} stored trials, but its stop rule stops at {k}")
+
+    def test_a_duplicated_line_names_both_lines(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1")
+        (out / "r1.bundle.json").unlink()
+        lines = (out / "r1.jsonl").read_text().splitlines(keepends=True)
+        (out / "r1.jsonl").write_text("".join([*lines[:6], lines[5], *lines[6:]]))
+        record = json.loads(lines[5])
+        key = (record["sample_id"], record["level_index"])
+        self.refused(runner, spec_file, out,
+                     f"run 'r1': configuration {key!r} holds trial {record['trial_index']} twice "
+                     f"({out / 'r1.jsonl'}, lines 6 and 7)")
 
 
 class TestRunBundleComesFromTheDrawnTrials:

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from arise import HttpBackend, SimulatorBackend
 from arise.cli import main
 from arise.store import ResultBundle, RunManifest, TraceStore, TrialRecordLine, _encode
 
@@ -90,8 +91,8 @@ def simulate_outputs(tmp: Path) -> dict[str, bytes]:
     return files
 
 
-def http_runs(tmp: Path, server: MockModelServer) -> dict[str, bytes]:
-    """A naive and a --budget run against the mock server."""
+def http_config(tmp: Path, server: MockModelServer) -> Path:
+    """The golden HTTP runs' config: three tasks against the mock server."""
     config = {
         "backend": backend_config_dict(server.url, retry={"max_attempts": 3, "backoff_base": 0.0}),
         "tasks": [
@@ -103,6 +104,12 @@ def http_runs(tmp: Path, server: MockModelServer) -> dict[str, bytes]:
     tmp.mkdir(parents=True, exist_ok=True)
     path = tmp / "mock_backend.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def http_runs(tmp: Path, server: MockModelServer) -> dict[str, bytes]:
+    """A naive and a --budget run against the mock server."""
+    path = http_config(tmp, server)
     out = tmp / "runs"
     files: dict[str, bytes] = {}
     for prefix, mode in (("http_naive", ("--naive", "4")), ("http_budget", ("--budget", "30"))):
@@ -147,8 +154,11 @@ def test_stored_files_survive_a_decode_and_re_encode():
             assert json.dumps(_encode(cls.from_dict(json.loads(text))), indent=2) == text, path
 
 
-@pytest.mark.parametrize("run", sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
-                                        for p in GOLDEN.glob("*/*.manifest.json")))
+GOLDEN_RUNS = sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
+                     for p in GOLDEN.glob("*/*.manifest.json"))
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
 def test_every_golden_run_computes_to_its_bundle(run):
     """No configuration of a finished run stops short of its stop rule."""
     group, run_id = run.split("/")
@@ -156,8 +166,30 @@ def test_every_golden_run_computes_to_its_bundle(run):
     assert bundle.to_json() == (GOLDEN / f"{run}.bundle.json").read_text()
 
 
-@pytest.mark.parametrize("run", sorted(p.relative_to(GOLDEN).as_posix().removesuffix(".manifest.json")
-                                        for p in GOLDEN.glob("*/*.manifest.json")))
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_a_resume_of_a_finished_golden_run_draws_nothing(tmp_path, monkeypatch, mock_server,
+                                                         api_key, run):
+    """`run --resume` replays every stored trial, draws none, and rewrites the golden files."""
+    group, run_id = run.split("/")
+    for suffix in (".jsonl", ".manifest.json"):
+        (tmp_path / f"{run_id}{suffix}").write_bytes((GOLDEN / f"{run}{suffix}").read_bytes())
+
+    def draw(backend, *trial):
+        raise AssertionError(f"a finished run drew trial {trial}")
+
+    monkeypatch.setattr(SimulatorBackend, "evaluate", draw)
+    monkeypatch.setattr(HttpBackend, "evaluate", draw)
+    if group == "sim":
+        args = ["--seed", "7", "run", str(SPEC)]
+    else:
+        args = ["run", str(http_config(tmp_path / "config", mock_server))]
+    invoke(*args, "--out", str(tmp_path), "--run-id", run_id, "--resume")
+    for suffix in (".jsonl", ".manifest.json", ".bundle.json"):
+        assert (tmp_path / f"{run_id}{suffix}").read_bytes() == (
+            GOLDEN / f"{run}{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
 def test_a_manifest_without_sample_ids_still_computes(tmp_path, run):
     """Runs stored before manifests listed their samples replay in first-appearance order."""
     run_id = run.split("/")[1]

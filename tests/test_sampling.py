@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -21,7 +23,6 @@ from arise import (
     BackendConfig,
     ConfigurationError,
     ConvergenceConfig,
-    EvaluationRun,
     FixedBudgetMode,
     HttpBackend,
     InfeasibleBudgetError,
@@ -33,7 +34,6 @@ from arise import (
     TrialOutcome,
     allocate_budget,
     check_mode,
-    finalize_configuration,
     parse_mode,
     parse_tasks,
     reference_spec,
@@ -300,23 +300,42 @@ def two_pass_sums(summation):
         del arise.sampling.sum
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1e7)), min_size=1, max_size=40),
+       st.sampled_from([sum, neumaier_sum]))
+def test_each_std_is_taken_about_the_cached_mean_bit_for_bit(pairs, summation):
+    """A std reads its stream's cached mean; every bit equals a two-pass std that sums the mean again."""
+    trials = outcomes(*pairs)
+    with two_pass_sums(summation):
+        stats = LevelStatistics(trials)
+        values = (stats.mean_acc, stats.std_acc, stats.mean_tok, stats.std_tok, stats.cv_combined)
+    expected = []
+    for stream in ([t.correct for t in trials], [t.tokens for t in trials]):
+        mean = summation(stream) / len(stream)
+        expected += [mean, math.sqrt(summation((x - mean) ** 2 for x in stream) / len(stream))]
+    cv = expected[1] / (expected[0] + EPSILON) + expected[3] / (expected[2] + EPSILON)
+    assert [v.hex() for v in values] == [v.hex() for v in (*expected, cv)]
+
+
 class CountingRunningCV(_RunningCV):
     """Records the trial count at every call of the exact two-pass fallback."""
 
     __slots__ = ("exact_at",)
 
     def __init__(self, preloaded, cfg, exact_at: list[int]):
-        super().__init__(preloaded, cfg)
+        super().__init__(cfg)
         self.exact_at = exact_at
+        for trial in preloaded:
+            self.append(trial)
 
     def exact_cv(self) -> float:
         self.exact_at.append(self.count)
         return super().exact_cv()
 
 
-def two_pass_k_star(trials, cfg, prefix: int) -> int:
+def two_pass_k_star(trials, cfg) -> int:
     """The stop rule as it reads with the statistics rebuilt from every trial at each check."""
-    k = prefix
+    k = 0
     while k < cfg.m_min or should_continue(LevelStatistics(tuple(trials[:k])), cfg):
         k += 1
     return k
@@ -388,9 +407,15 @@ class TestRunningStopCheck:
                     running = grown
                 two_pass = LevelStatistics(tuple(trials[:k]))
                 assert should_continue(running, cfg) == should_continue(two_pass, cfg), k
-            result = run_configuration(ScriptedBackend({("s", 0): trials}), "s", 0, cfg,
-                                       preloaded=trials[:prefix])
-            assert result.k_star == two_pass_k_star(trials, cfg, prefix)
+            k_star = two_pass_k_star(trials, cfg)
+            replay = functools.partial(run_configuration, ScriptedBackend({("s", 0): trials}),
+                                       "s", 0, cfg, preloaded=trials[:prefix])
+            if prefix > k_star:  # stored trials past the stop: no run could have drawn them
+                with pytest.raises(ValueError, match=f"holds {prefix} stored trials, but its "
+                                                     f"stop rule stops at {k_star}$"):
+                    replay()
+            else:
+                assert replay().k_star == k_star
         if observed_at is not None:
             # tau equals the exact CV there, which no running estimate may decide alone
             assert observed_at in exact_at
@@ -529,6 +554,17 @@ class TestModes:
 # full evaluation runs
 
 
+class NoDraws:
+    """A backend that records each trial it is asked for and draws none."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, int, int]] = []
+
+    def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
+        self.calls.append((sample_id, level_index, trial_index))
+        raise LookupError("a replay draws no trials")
+
+
 class TestRunEvaluation:
     def test_validates_inputs(self):
         backend = SimulatorBackend(reference_spec())
@@ -626,20 +662,35 @@ class TestRunEvaluation:
     @pytest.mark.parametrize("mode", [AdaptiveMode(), NaiveMode(4), FixedBudgetMode(None)],
                              ids=["adaptive", "naive", "budget"])
     def test_a_replay_stops_where_the_live_run_stopped(self, mode):
-        """`stopped_short` is empty for a finished run, and names a configuration that lost its last trial."""
+        """A finished run's trials replay to its configurations without a draw.
+
+        A configuration that lost its last trial asks for exactly that trial,
+        and one given a trial more is refused.
+        """
         spec = reference_spec()
         cfg = ConvergenceConfig()
         run = run_evaluation(SimulatorBackend(spec), list(spec.sample_ids), spec.level_labels,
                              cfg, mode)
-        assert run.stopped_short(cfg, mode) == []
+        stored = {key: r.stats.trials for key, r in run.configurations.items()}
+        no_draws = NoDraws()
+
+        def replay(preloaded):
+            return run_evaluation(no_draws, run.samples, run.levels, cfg, mode, preloaded=preloaded)
+
+        assert replay(stored) == run
+        assert no_draws.calls == []
         # past its probe, so a budget run keeps its probe CVs and with them its allocations
         cut = [key for key, r in run.configurations.items() if r.k_star > cfg.m_min]
         assert cut
         for key in cut:
-            trials = run.configurations[key].stats.trials[:-1]
-            shorter = {**run.configurations, key: finalize_configuration(*key, trials, cfg)}
-            replayed = EvaluationRun.collect(run.samples, run.levels, shorter)
-            assert replayed.stopped_short(cfg, mode) == [key]
+            k = run.configurations[key].k_star
+            no_draws.calls.clear()
+            with pytest.raises(ConfigurationError, match=re.escape(f"{key[0]!r}, level {key[1]}")):
+                replay({**stored, key: stored[key][:-1]})
+            assert no_draws.calls == [(*key, k - 1)]
+            with pytest.raises(ValueError, match=f"holds {k + 1} stored trials, but its stop "
+                                                 f"rule stops at {k}$"):
+                replay({**stored, key: (*stored[key], stored[key][-1])})
 
     def test_a_failure_stops_the_queued_configurations(self, monkeypatch):
         """Only the configurations already in flight finish; the queued ones never start."""

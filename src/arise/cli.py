@@ -41,7 +41,6 @@ from .store import (
     now_rfc3339,
     read_mapping,
     render_table,
-    sample_order,
     summary_table,
     write_atomic,
     write_curve_csv,
@@ -228,39 +227,34 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
 
     store = TraceStore(out)
     if resume:
-        manifest = store.read_manifest(run_id)
+        read = store.read_manifest(run_id)
         # a simulator spec always has a seed; an HTTP run has one only from --seed
-        if seed is not None and seed != manifest.seed:
+        if seed is not None and seed != read.seed:
             raise ValueError(
-                f"run {run_id!r} was started with seed {manifest.seed}; "
+                f"run {run_id!r} was started with seed {read.seed}; "
                 f"resuming it with seed {seed} would mix draws from both seeds"
             )
         # records take their labels from the manifest, so the config must have the run's shape
-        if manifest.levels != tuple(labels) or manifest.n_samples != len(samples):
+        if read.levels != tuple(labels) or read.n_samples != len(samples):
             raise ValueError(
-                f"run {run_id!r} was started with {manifest.n_samples} samples at levels "
-                f"{list(manifest.levels)}; this config has {len(samples)} samples at levels {labels}"
+                f"run {run_id!r} was started with {read.n_samples} samples at levels "
+                f"{list(read.levels)}; this config has {len(samples)} samples at levels {labels}"
             )
-        if manifest.sample_ids is None:
-            # an older manifest orders samples by first appearance in the records,
-            # which only a serial run keeps independent of timing
-            workers = 1
-        elif manifest.sample_ids != tuple(samples):
-            stored, given = next(pair for pair in zip(manifest.sample_ids, samples)
+        if read.sample_ids != tuple(samples):
+            stored, given = next(pair for pair in zip(read.sample_ids, samples)
                                  if pair[0] != pair[1])
             raise ValueError(
                 f"run {run_id!r} was started with sample {stored!r} where this config has "
                 f"{given!r}; resuming would mix the records of different samples"
             )
-        # a manifest from before config hashes resumes unchecked
-        if manifest.config_hash is not None and manifest.config_hash != digest:
+        if read.config_hash != digest:
             raise ValueError(
-                f"run {run_id!r} was started with a config that hashes to {manifest.config_hash}; "
+                f"run {run_id!r} was started with a config that hashes to {read.config_hash}; "
                 f"this config hashes to {digest}, so resuming would mix the outcomes of both"
             )
-        cfg = manifest.cfg
-        mode = manifest.run_mode
-        manifest = dataclasses.replace(manifest, status="running")
+        cfg = read.cfg
+        mode = read.run_mode
+        manifest = dataclasses.replace(read, status="running")
 
     check_mode(mode, len(samples), len(labels), cfg)  # fail fast, before any state is written
     if not resume:
@@ -284,27 +278,22 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         )
     run_id = manifest.run_id
 
-    preloaded = store.completed_trials(run_id, resume=True) if resume else {}
-    # the order the run draws in and the bundle lists; an older manifest's is the
-    # records' order, which a serial run extends in config order
-    order = sample_order(manifest, (sid for sid, _ in preloaded), samples)
-    if len(order) != len(samples):
-        stored = next(sid for sid in order if sid not in samples)
-        raise ValueError(
-            f"run {run_id!r} has records of sample {stored!r}, which this config does not "
-            f"list; resuming would mix the records of different samples"
-        )
+    preloaded = store.completed_trials(run_id, resume=True, manifest=read) if resume else {}
     store.write_manifest(manifest)
 
     try:
-        evaluation = run_evaluation(backend, order, labels, cfg, mode, preloaded=preloaded,
+        evaluation = run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
                                     on_trial=functools.partial(store.record, manifest),
                                     max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))
-        store.close()
         raise
-    store.close()
+    except ValueError:
+        if resume:  # records the run refuses: leave the manifest as it was read
+            store.write_manifest(read)
+        raise
+    finally:
+        store.close()
     manifest = dataclasses.replace(manifest, status="complete")
     store.write_manifest(manifest)
     # the bundle of the trials drawn, the bytes `compute` rebuilds from the records

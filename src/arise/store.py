@@ -10,9 +10,13 @@ so both write the same bytes. The replay is `run_evaluation` with a
 backend that cannot draw, so the live run's stop rule decides: a
 configuration short of it raises IncompleteRunError (a resume draws the
 rest), and one holding more trials than it draws raises ValueError, as
-does a trial stored twice (DuplicateTrialError). A record's run id, model
-and level label come from the manifest (`TraceStore.record`), and a
-replay refuses a record that disagrees with it. A record line holding
+do a trial stored twice (DuplicateTrialError) and a gap in a
+configuration's trial indices. Every manifest lists the run's samples in
+bundle order (`sample_ids`) and hashes what decides its outcomes
+(`config_hash`); a manifest without either is refused like any other
+missing key. A record's run id, model and level label come from the
+manifest (`TraceStore.record`), and a replay refuses a record that
+disagrees with it or whose sample it does not list. A record line holding
 every field in order skips `_decode`; every line is validated, and an
 error names the record file and the line.
 Appends flush per line, so a crash loses at most the in-flight record: a
@@ -27,14 +31,13 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 from .metrics import (
     SampleTrajectory,
@@ -73,7 +76,6 @@ __all__ = [
     "now_rfc3339",
     "read_mapping",
     "render_table",
-    "sample_order",
     "summary_table",
     "write_atomic",
     "write_results_csv",
@@ -356,12 +358,12 @@ class RunManifest:
     seed: int | None = None
     levels: tuple[str, ...]
     n_samples: int
-    sample_ids: tuple[str, ...] | None = None  # the samples in bundle order; None in older runs
+    sample_ids: tuple[str, ...]  # the samples in bundle order
     started_at: str
     status: str  # running | complete | failed
     model: str | None = None
     benchmark: str | None = None
-    config_hash: str | None = None  # `config_hash` of what decides outcomes; None in older runs
+    config_hash: str  # `config_hash` of what decides outcomes
 
     def __post_init__(self) -> None:
         """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
@@ -379,17 +381,16 @@ class RunManifest:
         if not _is_count(self.n_samples):
             raise _value_error("n_samples", f"must be a positive integer, got {self.n_samples!r}")
         ids = self.sample_ids
-        if ids is not None:
-            _check_names("sample_ids", ids)
-            if len(set(ids)) != len(ids):
-                raise _value_error("sample_ids", "must be unique")
-            if len(ids) != self.n_samples:
-                raise _value_error(
-                    "sample_ids", f"lists {len(ids)} samples, but n_samples is {self.n_samples}"
-                )
+        _check_names("sample_ids", ids)
+        if len(set(ids)) != len(ids):
+            raise _value_error("sample_ids", "must be unique")
+        if len(ids) != self.n_samples:
+            raise _value_error(
+                "sample_ids", f"lists {len(ids)} samples, but n_samples is {self.n_samples}"
+            )
         if self.status not in _STATUSES:
             raise _value_error("status", f"must be one of {', '.join(_STATUSES)}, got {self.status!r}")
-        if self.config_hash is not None and not (isinstance(self.config_hash, str) and self.config_hash):
+        if not (isinstance(self.config_hash, str) and self.config_hash):
             raise _value_error("config_hash", f"must be a non-empty string, got {self.config_hash!r}")
 
     @classmethod
@@ -421,29 +422,13 @@ def _record_model(manifest: RunManifest) -> str:
     return manifest.model or "unknown"
 
 
-def sample_order(manifest: RunManifest, stored: Iterable[str],
-                 drawn: Iterable[str] = ()) -> tuple[str, ...]:
-    """The run's samples in bundle order: the manifest's `sample_ids`.
-
-    A manifest without them (an older run) orders samples by their first
-    appearance in the record file: `stored` names the samples of the
-    records already there, in file order, and `drawn` those a serial run
-    goes on to draw, in the order it draws them.
-    """
-    if manifest.sample_ids is not None:
-        return manifest.sample_ids
-    return tuple(dict.fromkeys(itertools.chain(stored, drawn)))
-
-
-def _check_record(record: TrialRecordLine, manifest: RunManifest,
-                  listed: frozenset[str] | None) -> None:
+def _check_record(record: TrialRecordLine, manifest: RunManifest, listed: frozenset[str]) -> None:
     """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run.
 
-    `listed` is the set of the manifest's `sample_ids`, built once per
-    replay; None when the manifest has none.
+    `listed` is the set of the manifest's `sample_ids`, built once per replay.
     """
     levels = manifest.levels
-    if listed is not None and record.sample_id not in listed:
+    if record.sample_id not in listed:
         name, expected = "sample_id", "does not list it"
     elif record.level_index >= len(levels):
         name, expected = "level_index", f"has {len(levels)} levels"
@@ -703,7 +688,7 @@ class TraceStore:
         path = self.trial_path(run_id)
         if not path.exists():
             return
-        listed = frozenset(manifest.sample_ids) if manifest and manifest.sample_ids else None
+        listed = frozenset(manifest.sample_ids) if manifest is not None else frozenset()
         offset = 0
         with open(path, "rb") as fh:
             for number, raw in enumerate(fh, 1):
@@ -739,9 +724,10 @@ class TraceStore:
         parsed once. When the run has a manifest (`manifest`, else the one
         stored), a record whose run id, model, level index or level label
         disagrees with it, or whose sample the manifest's `sample_ids` do
-        not list, raises RecordValidationError before anything is cut. A
-        trial stored twice raises DuplicateTrialError naming both lines, and
-        any other gap in a configuration's trial indices IncompleteRunError.
+        not list, raises RecordValidationError before anything is cut. No
+        resume can mend a configuration whose trial indices skip one: a trial
+        stored twice raises DuplicateTrialError naming both lines, and any
+        other gap ValueError.
         """
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
@@ -762,15 +748,14 @@ class TraceStore:
             indices = [index for index, _ in indexed]
             if indices != list(range(len(indexed))):
                 repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
-                if repeated is not None:  # no resume can mend a trial stored twice
+                if repeated is not None:
                     first, second = self._lines_holding(run_id, (*key, repeated))[:2]
                     raise DuplicateTrialError(
                         f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
                         f"({self.trial_path(run_id)}, lines {first} and {second})"
                     )
-                raise IncompleteRunError(
-                    run_id,
-                    f"configuration {key!r} has non-contiguous trial indices {indices}",
+                raise ValueError(
+                    f"run {run_id!r}: configuration {key!r} has non-contiguous trial indices {indices}"
                 )
             out[key] = [outcome for _, outcome in indexed]
         if resume:  # indices are contiguous, so each count is the next index
@@ -798,23 +783,15 @@ class TraceStore:
     def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
         """The run the stored records hold: `run_evaluation` as a resume that cannot draw.
 
-        The live run's stop rule, budget allocation and sample order decide
-        every configuration. One short of its stop rule (a run cut short, a
-        missing configuration) raises IncompleteRunError, since `run --resume`
-        would draw its remaining trials; one holding more trials than its
-        rule draws raises ValueError.
+        The live run's stop rule and budget allocation decide every
+        configuration, in the manifest's sample order. One short of its stop
+        rule (a run cut short, a missing configuration) raises
+        IncompleteRunError, since `run --resume` would draw its remaining
+        trials; one holding more trials than its rule draws raises ValueError.
         """
         per_config = self.completed_trials(run_id, manifest=manifest)
-        if not per_config:
-            raise IncompleteRunError(run_id, "no trial records stored")
-        order = sample_order(manifest, (sid for sid, _ in per_config))
-        if len(order) != manifest.n_samples:
-            raise IncompleteRunError(
-                run_id,
-                f"manifest expects {manifest.n_samples} samples, found {len(order)}",
-            )
         try:
-            return run_evaluation(_NoDraws(), order, manifest.levels, manifest.cfg,
+            return run_evaluation(_NoDraws(), manifest.sample_ids, manifest.levels, manifest.cfg,
                                   manifest.run_mode, preloaded=per_config)
         except ConfigurationError as exc:
             raise IncompleteRunError(

@@ -223,13 +223,13 @@ def no_record_reads(monkeypatch) -> Callable[[], object]:
     real_completed, real_from_json = TraceStore.completed_trials, TrialRecordLine.from_json
     preloading = False
 
-    def completed_trials(self, run_id: str, resume: bool = False):
+    def completed_trials(self, run_id: str, resume: bool = False, **kwargs):
         nonlocal preloading
         if not resume:
             raise AssertionError(f"run {run_id!r}: stored records replayed")
         preloading = True
         try:
-            return real_completed(self, run_id, resume=True)
+            return real_completed(self, run_id, resume=True, **kwargs)
         finally:
             preloading = False
 

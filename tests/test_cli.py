@@ -337,6 +337,7 @@ class TestCompute:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_the_manifest_is_decoded_once(self, runner, spec_file, tmp_path, monkeypatch):
+        """By `compute`, and by a `run --resume`, which hands it to the record replay."""
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
         decoded = []
@@ -347,9 +348,13 @@ class TestCompute:
             return real(cls, data)
 
         monkeypatch.setattr(RunManifest, "from_dict", classmethod(counting))
-        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
-        assert result.exit_code == 0, result.output
-        assert decoded == ["r1"]
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            decoded.clear()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert decoded == ["r1"], args[0]
 
     def test_ambiguous_store_requires_run_id(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
@@ -489,21 +494,6 @@ class TestResume:
         assert f"was started with a config that hashes to {stored}; this config hashes to" in (
             all_text(result))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-
-    def test_a_manifest_without_a_config_hash_resumes_unchecked(self, runner, spec_file, tmp_path):
-        full_dir, cut_dir = tmp_path / "full", tmp_path / "cut"
-        do_run(runner, spec_file, full_dir, "--naive", "2", "--run-id", "r1")
-        manifest = json.loads((full_dir / "r1.manifest.json").read_text())
-        del manifest["config_hash"]
-        cut_dir.mkdir()
-        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest, indent=2))
-        lines = (full_dir / "r1.jsonl").read_text().splitlines(keepends=True)
-        (cut_dir / "r1.jsonl").write_text("".join(lines[: len(lines) // 2]))
-        result = do_run(runner, spec_file, cut_dir, "--run-id", "r1", "--resume")
-        assert result.exit_code == 0, result.output
-        expected = json.loads((full_dir / "r1.bundle.json").read_text())
-        del expected["manifest"]["config_hash"]
-        assert (cut_dir / "r1.bundle.json").read_text() == json.dumps(expected, indent=2)
 
     def test_an_http_resume_may_change_the_transport_but_not_the_tasks(
             self, runner, tmp_path, mock_server, api_key, monkeypatch):
@@ -663,24 +653,18 @@ class TestShortConfigurations:
 
 
 class TestRecordsNoRunWrites:
-    """A trial past its configuration's stop rule, or one stored twice, is refused (exit 1)."""
+    """A trial past its configuration's stop rule, stored twice or after a gap is refused (exit 1)."""
 
     def refused(self, runner, spec_file: Path, out: Path, expected: str) -> None:
-        """`compute` and `run --resume` both exit 1 with `expected`, and leave the records as they were.
-
-        `compute` writes nothing; the resume only marks the manifest running.
-        """
+        """`compute` and `run --resume` both exit 1 with `expected`, and leave every file as it was."""
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
-        assert result.exit_code == 1, result.output
-        assert f"error: {expected}" in all_text(result)
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-        result = runner.invoke(main, ["--seed", "42", "run", str(spec_file), "--out", str(out),
-                                      "--run-id", "r1", "--resume"])
-        assert result.exit_code == 1, result.output
-        assert f"error: {expected}" in all_text(result)
-        assert (out / "r1.jsonl").read_bytes() == before["r1.jsonl"]
-        assert not (out / "r1.bundle.json").exists()
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert f"error: {expected}" in all_text(result)
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before, args[0]
 
     @MODES_PAST_THE_PROBE
     def test_a_trial_past_the_stop_rule(self, runner, spec_file, tmp_path, mode, past):
@@ -706,6 +690,46 @@ class TestRecordsNoRunWrites:
         self.refused(runner, spec_file, out,
                      f"run 'r1': configuration {key!r} holds trial {record['trial_index']} twice "
                      f"({out / 'r1.jsonl'}, lines 6 and 7)")
+
+    def test_a_resume_refused_after_a_draw_closes_the_record_file(self, runner, spec_file,
+                                                                  tmp_path, monkeypatch):
+        """A crashed run lacks s01's last trial and holds one too many for its last configuration."""
+        import arise.store
+
+        out = tmp_path / "runs"
+        lines, records, last = last_records_past(runner, spec_file, out, ["--naive", "3"], 2)
+        (out / "r1.bundle.json").unlink()
+        manifest = out / "r1.manifest.json"
+        manifest.write_text(manifest.read_text().replace('"status": "complete"', '"status": "running"'))
+        assert [r["trial_index"] for r in records[:3]] == [0, 1, 2]
+        extra = {**records[last], "trial_index": 3}
+        (out / "r1.jsonl").write_text("".join([*lines[:2], *lines[3:], json.dumps(extra) + "\n"]))
+        before = manifest.read_bytes()
+        opened = []
+        real = arise.store._open_for_append
+
+        def spy(path):
+            opened.append(real(path))
+            return opened[-1]
+
+        monkeypatch.setattr(arise.store, "_open_for_append", spy)
+        result = runner.invoke(main, ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                                      "--run-id", "r1", "--resume"])
+        assert result.exit_code == 1, result.output
+        assert "holds 4 stored trials, but its stop rule stops at 3" in all_text(result)
+        assert (out / "r1.jsonl").read_text().endswith(lines[2])  # the draw that came first
+        assert opened and all(handle.closed for handle in opened)
+        assert manifest.read_bytes() == before
+
+    def test_a_gap_in_the_trial_indices(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1")
+        (out / "r1.bundle.json").unlink()
+        lines = (out / "r1.jsonl").read_text().splitlines(keepends=True)
+        assert [json.loads(line)["trial_index"] for line in lines[:3]] == [0, 1, 2]
+        (out / "r1.jsonl").write_text("".join([lines[0], *lines[2:]]))
+        self.refused(runner, spec_file, out,
+                     "run 'r1': configuration ('s01', 0) has non-contiguous trial indices [0, 2]")
 
 
 class TestRunBundleComesFromTheDrawnTrials:
@@ -745,40 +769,6 @@ class TestRunBundleComesFromTheDrawnTrials:
                                      ["--seed", "42", "run", str(spec_file), "--resume"])
         assert live == (full_dir / "r1.bundle.json").read_bytes()
 
-    def test_a_resume_of_a_manifest_without_sample_ids(self, runner, spec_file, tmp_path,
-                                                       no_record_reads):
-        """An older manifest orders samples by first appearance, also when the config reorders them."""
-        _, cut_dir = self.cut_run(runner, spec_file, tmp_path)
-        manifest = json.loads((cut_dir / "r1.manifest.json").read_text())
-        del manifest["sample_ids"], manifest["config_hash"]  # older than both keys
-        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest))
-        spec = json.loads(spec_file.read_text())
-        spec["samples"].reverse()
-        reversed_spec = tmp_path / "reversed.json"
-        reversed_spec.write_text(json.dumps(spec))
-        live = self.run_then_compute(runner, no_record_reads, cut_dir,
-                                     ["--seed", "42", "run", str(reversed_spec), "--resume"])
-        order = [s["sample_id"] for s in json.loads(live)["sample_scores"]]
-        assert order == ["s01", "s02", "s08", "s07", "s06", "s05", "s04", "s03"]
-
-    def test_a_resume_with_records_of_a_sample_the_config_lacks_is_refused(
-            self, runner, spec_file, tmp_path):
-        _, cut_dir = self.cut_run(runner, spec_file, tmp_path)
-        manifest = json.loads((cut_dir / "r1.manifest.json").read_text())
-        del manifest["sample_ids"], manifest["config_hash"]
-        (cut_dir / "r1.manifest.json").write_text(json.dumps(manifest))
-        spec = json.loads(spec_file.read_text())
-        spec["samples"][0]["id"] = "s99"
-        renamed = tmp_path / "renamed.json"
-        renamed.write_text(json.dumps(spec))
-        before = (cut_dir / "r1.jsonl").read_bytes()
-        result = runner.invoke(main, ["--seed", "42", "run", str(renamed), "--out", str(cut_dir),
-                                      "--run-id", "r1", "--resume"])
-        assert result.exit_code == 1
-        assert ("error: run 'r1' has records of sample 's01', which this config does not list"
-                in all_text(result))
-        assert (cut_dir / "r1.jsonl").read_bytes() == before
-        assert not (cut_dir / "r1.bundle.json").exists()
 
 
 class TestFormatsAndScaling:
@@ -1039,6 +1029,8 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(n_samples="8"), "n_samples: must be a positive integer, got '8'"),
         (lambda m: m.update(sample_ids=m["sample_ids"][:-1]), "sample_ids: lists 7 samples"),
         (lambda m: m.update(config_hash=5), "config_hash: must be a non-empty string, got 5"),
+        (lambda m: m.pop("sample_ids"), "sample_ids: missing from the manifest"),
+        (lambda m: m.pop("config_hash"), "config_hash: missing from the manifest"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

@@ -20,7 +20,6 @@ from arise.cli import main
 
 from conftest import MockModelServer, backend_config_dict, body_key, keyed_reply
 
-GOLDEN_HTTP = Path(__file__).parent / "golden" / "http"
 PROMPTS = {f"q{i}": f"Question {i}: what is six times seven?" for i in range(4)}
 MODES = {"naive": ("--naive", "3"), "budget": ("--budget", "40")}
 
@@ -52,36 +51,34 @@ class Served:
         return len(self.server.bodies)
 
 
-def write_config(directory: Path, url: str, max_in_flight: int, n_prompts: int = len(PROMPTS),
-                 name: str = "mock.json") -> Path:
+def write_config(directory: Path, url: str, max_in_flight: int) -> Path:
     config = {
         "backend": backend_config_dict(url, max_in_flight=max_in_flight,
                                        retry={"max_attempts": 3, "backoff_base": 0.0}),
         "tasks": [{"sample_id": sid, "prompt": prompt,
                    "judge": {"type": "exact_match", "expected": "42"}}
-                  for sid, prompt in list(PROMPTS.items())[:n_prompts]],
+                  for sid, prompt in PROMPTS.items()],
     }
     directory.mkdir(parents=True)
-    path = directory / name  # one name, so every run records the same benchmark
+    path = directory / "mock.json"  # one name, so every run records the same benchmark
     path.write_text(json.dumps(config))
     return path
 
 
-def run(config: Path, out: Path, *args: str, run_id: str = "r") -> str:
-    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out), "--run-id", run_id,
-                                       *args])
+def run(config: Path, out: Path, *args: str) -> str:
+    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out), "--run-id", "r", *args])
     assert result.exit_code == 0, result.output
     return result.stdout
 
 
-def bundle_without_clock(out: Path, run_id: str = "r") -> dict:
-    bundle = json.loads((out / f"{run_id}.bundle.json").read_text())
+def bundle_without_clock(out: Path) -> dict:
+    bundle = json.loads((out / "r.bundle.json").read_text())
     del bundle["manifest"]["started_at"]
     return bundle
 
 
-def records_without_clock(out: Path, run_id: str = "r") -> list[dict]:
-    lines = [json.loads(line) for line in (out / f"{run_id}.jsonl").read_text().splitlines()]
+def records_without_clock(out: Path) -> list[dict]:
+    lines = [json.loads(line) for line in (out / "r.jsonl").read_text().splitlines()]
     for line in lines:
         del line["timestamp"]
     return lines
@@ -154,40 +151,6 @@ def test_a_concurrent_run_cut_mid_line_resumes_to_the_uncut_bundle(tmp_path, moc
     resumed = len(records_without_clock(cut_dir)) - sum(kept.values())
     assert served.posts == resumed + served.refused
     assert bundle_without_clock(cut_dir) == bundle_without_clock(full)
-
-
-def test_a_manifest_without_sample_ids_resumes_one_configuration_at_a_time(tmp_path, mock_server,
-                                                                          api_key):
-    """An older manifest orders samples by first appearance, so its resume stays serial.
-
-    The golden `--naive 4` run is cut after its first sample, so the resume
-    draws two samples that have no records yet; whatever `max_in_flight`
-    says, it writes them in config order and ends with the golden files.
-    """
-    manifest = json.loads((GOLDEN_HTTP / "http_naive.manifest.json").read_text())
-    del manifest["sample_ids"]
-    lines = (GOLDEN_HTTP / "http_naive.jsonl").read_text().splitlines(keepends=True)
-    kept = [line for line in lines if json.loads(line)["sample_id"] == "q0"]
-    assert len(kept) == 8
-    expected = bundle_without_clock(GOLDEN_HTTP, "http_naive")
-    del expected["manifest"]["sample_ids"]
-
-    for max_in_flight in (1, 4):
-        out = tmp_path / f"runs{max_in_flight}"
-        out.mkdir()
-        (out / "http_naive.manifest.json").write_text(json.dumps(manifest, indent=2))
-        (out / "http_naive.jsonl").write_text("".join(kept))
-        # the golden run's config, under its name, with another max_in_flight
-        config = write_config(tmp_path / f"config{max_in_flight}", mock_server.url, max_in_flight,
-                              n_prompts=3, name="mock_backend.json")
-        mock_server.reply = keyed_reply(mock_server)
-        mock_server.handler_jitter = 0.004
-        mock_server.max_in_flight = 0
-        run(config, out, "--resume", run_id="http_naive")
-        assert mock_server.max_in_flight == 1
-        assert records_without_clock(out, "http_naive") == records_without_clock(GOLDEN_HTTP,
-                                                                                  "http_naive")
-        assert bundle_without_clock(out, "http_naive") == expected
 
 
 def test_a_concurrent_run_writes_the_bundle_compute_replays(tmp_path, mock_server, api_key,

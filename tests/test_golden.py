@@ -189,19 +189,6 @@ def test_a_resume_of_a_finished_golden_run_draws_nothing(tmp_path, monkeypatch, 
             GOLDEN / f"{run}{suffix}").read_bytes(), suffix
 
 
-@pytest.mark.parametrize("run", GOLDEN_RUNS)
-def test_a_manifest_without_sample_ids_still_computes(tmp_path, run):
-    """Runs stored before manifests listed their samples replay in first-appearance order."""
-    run_id = run.split("/")[1]
-    manifest = json.loads((GOLDEN / f"{run}.manifest.json").read_text())
-    del manifest["sample_ids"]
-    (tmp_path / f"{run_id}.manifest.json").write_text(json.dumps(manifest, indent=2))
-    (tmp_path / f"{run_id}.jsonl").write_bytes((GOLDEN / f"{run}.jsonl").read_bytes())
-    expected = json.loads((GOLDEN / f"{run}.bundle.json").read_text())
-    del expected["manifest"]["sample_ids"]
-    assert TraceStore(tmp_path).recompute(run_id).to_json() == json.dumps(expected, indent=2)
-
-
 if __name__ == "__main__":
     import os
     import tempfile

@@ -58,6 +58,7 @@ def record(**overrides) -> TrialRecordLine:
 
 
 def manifest(**overrides) -> RunManifest:
+    """A manifest the CLI could write; its `sample_ids` default to s01, s02, ... up to `n_samples`."""
     base = dict(
         run_id="r1",
         mode="naive",
@@ -70,8 +71,11 @@ def manifest(**overrides) -> RunManifest:
         seed=42,
         model="m",
         benchmark="bench",
+        config_hash="0123456789abcdef" * 2,
     )
     base.update(overrides)
+    count = base["n_samples"] if type(base["n_samples"]) is int else 0  # a bad count is refused
+    base.setdefault("sample_ids", tuple(f"s{i:02d}" for i in range(1, count + 1)))
     return RunManifest(**base)
 
 
@@ -159,7 +163,7 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
     and each configuration's trials are sorted, then checked for a trial
     stored twice (named by its first two lines) and for gaps.
     """
-    ids = frozenset(listed.sample_ids) if listed and listed.sample_ids else None
+    ids = frozenset(listed.sample_ids) if listed is not None else None
     grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
     lines: dict[tuple[str, int, int], list[int]] = {}
     for number, raw in enumerate(path.read_bytes().split(b"\n"), 1):
@@ -185,7 +189,7 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
                 f"run 'r1': configuration {key!r} holds trial {repeated[0]} twice "
                 f"({path}, lines {first} and {second})")
         if indices != list(range(len(indexed))):
-            return IncompleteRunError, (
+            return ValueError, (
                 f"run 'r1': configuration {key!r} has non-contiguous trial indices {indices}")
         out[key] = [outcome for _, outcome in indexed]
     return repr(out)
@@ -240,7 +244,7 @@ def trial_orders(draw) -> list[tuple[str, int, int]]:
 class TestDecodePaths:
     """Lines holding every field in order skip `_decode`, and replay as the checked decode does."""
 
-    LISTED = (manifest(n_samples=1, sample_ids=("s01",)), manifest(n_samples=2), None)
+    LISTED = (manifest(), manifest(n_samples=2), None)  # lists s01; lists s01 and s02; no manifest
 
     def write(self, tmp_path: Path, lines: list[str], listed: RunManifest | None) -> TraceStore:
         (tmp_path / "r1.jsonl").write_text("".join(line + "\n" for line in lines))
@@ -560,7 +564,8 @@ class TestCompletedTrials:
         store = TraceStore(tmp_path)
         store.trial_path("r1").write_text(
             record(trial_index=0).to_json() + "\n" + record(trial_index=2).to_json() + "\n")
-        with pytest.raises(IncompleteRunError, match="non-contiguous"):
+        with pytest.raises(ValueError, match=re.escape(
+                "run 'r1': configuration ('s01', 0) has non-contiguous trial indices [0, 2]")):
             store.completed_trials("r1")
 
 
@@ -698,7 +703,8 @@ class TestRecompute:
     def test_no_records_is_incomplete(self, tmp_path: Path):
         store = TraceStore(tmp_path)
         store.write_manifest(manifest())
-        with pytest.raises(IncompleteRunError, match="no trial records"):
+        with pytest.raises(IncompleteRunError, match=re.escape(
+                "run 'r1': configuration ('s01', 0): its records end before trial 0, ")):
             store.recompute("r1")
 
     def test_recompute_parses_each_line_once(self, tmp_path: Path, monkeypatch):
@@ -713,25 +719,6 @@ class TestRecompute:
         monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting))
         store.recompute("r1")
         assert len(lines) == 6
-
-    def test_sample_order_follows_first_appearance(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest(n_samples=3))
-        for sid, level in [("s03", 0), ("s01", 0), ("s03", 1), ("s02", 0), ("s01", 1), ("s02", 1)]:
-            store.append_trial(
-                record(
-                    sample_id=sid,
-                    level_index=level,
-                    level_label=("low", "high")[level],
-                    completion_tokens=100 * (level + 1),
-                )
-            )
-        store.close()
-        bundle = store.recompute("r1")
-        assert [s.sample_id for s in bundle.sample_scores] == ["s03", "s01", "s02"]
-        assert [c.sample_id for c in bundle.configurations] == [
-            "s03", "s03", "s01", "s01", "s02", "s02"
-        ]
 
     def store_in_order(self, tmp_path: Path, listed: RunManifest, sample_ids: list[str]) -> TraceStore:
         store = TraceStore(tmp_path)
@@ -788,7 +775,8 @@ class TestRecompute:
         store.append_trial(record())
         store.append_trial(record(level_index=1, level_label="high"))
         store.close()
-        with pytest.raises(IncompleteRunError, match="expects 2 samples"):
+        with pytest.raises(IncompleteRunError, match=re.escape(
+                "run 'r1': configuration ('s02', 0): its records end before trial 0, ")):
             store.recompute("r1")
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import requests
 
 from .sampling import TrialOutcome
-from .store import read_mapping
+from .store import config_mapping, config_rows, read_mapping
 
 __all__ = [
     "BackendError",
@@ -193,14 +193,15 @@ def _given(data: Mapping, **convert: Callable[[Any], Any]) -> dict:
     return {name: to(data[name]) for name, to in convert.items() if name in data}
 
 
-def parse_judge(data: Mapping) -> Judge:
-    kind = data.get("type")
+def parse_judge(data: Mapping, what: str = "judge") -> Judge:
+    kind = config_mapping(data, what).get("type")
     if kind == "exact_match":
-        return ExactMatchJudge(expected=str(data["expected"]))
+        return ExactMatchJudge(expected=str(config_mapping(data, what, "expected")["expected"]))
     if kind == "numeric_match":
-        return NumericMatchJudge(expected=float(data["expected"]), **_given(data, tol=float))
+        return NumericMatchJudge(expected=float(config_mapping(data, what, "expected")["expected"]),
+                                 **_given(data, tol=float))
     if kind == "external":
-        command = data["command"]
+        command = config_mapping(data, what, "command")["command"]
         if isinstance(command, str) or not command:
             raise ValueError("external judge 'command' must be a non-empty argv list")
         return ExternalJudge(command=tuple(str(c) for c in command))
@@ -221,9 +222,9 @@ def parse_tasks(entries: Sequence[Mapping]) -> list[JudgedTask]:
         JudgedTask(
             sample_id=str(e["sample_id"]),
             prompt=str(e["prompt"]),
-            judge=parse_judge(e["judge"]),
+            judge=parse_judge(e["judge"], f"tasks[{i}].judge"),
         )
-        for e in entries
+        for i, e in enumerate(config_rows(entries, "tasks", "sample_id", "prompt", "judge"))
     ]
 
 
@@ -279,6 +280,8 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendConfig":
+        config_mapping(data, "backend config", "base_url", "auth_env_var", "model",
+                       "request_template", "levels")
         return cls(
             base_url=str(data["base_url"]),
             auth_env_var=str(data["auth_env_var"]),
@@ -287,7 +290,7 @@ class BackendConfig:
             levels=tuple(
                 LevelSpec(label=str(lv["label"]), kind=str(lv["kind"]),
                           **_given(lv, request_overrides=lambda overrides: overrides))
-                for lv in data["levels"]
+                for lv in config_rows(data["levels"], "backend config levels", "label", "kind")
             ),
             **_given(
                 data,
@@ -295,8 +298,9 @@ class BackendConfig:
                 response_text_path=str,
                 max_in_flight=int,
                 min_request_interval=float,
-                retry=lambda retry: RetryPolicy(
-                    **_given(retry, max_attempts=int, backoff_base=float)),
+                retry=lambda retry: RetryPolicy(**_given(
+                    config_mapping(retry, "backend config retry"), max_attempts=int,
+                    backoff_base=float)),
             ),
         )
 

@@ -192,8 +192,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             spec = dataclasses.replace(spec, seed=opts.seed)
         backend = SimulatorBackend(spec)
         digest = config_hash(spec.to_dict())  # the whole spec decides the outcomes, seed included
-        samples = list(spec.sample_ids)
-        labels = list(spec.level_labels)
+        samples, labels = spec.sample_ids, spec.level_labels
         seed = spec.seed
         default_model = "simulator"
         workers = 1
@@ -217,8 +216,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             raise ValueError("backend run config has no tasks")
         backend = HttpBackend(backend_cfg, tasks)
         digest = config_hash(backend.outcome_config)
-        samples = [t.sample_id for t in tasks]
-        labels = list(backend_cfg.level_labels)
+        samples, labels = tuple(t.sample_id for t in tasks), backend_cfg.level_labels
         seed = opts.seed
         default_model = backend_cfg.model
         # configurations in flight; the backend's limiter still caps the requests
@@ -234,27 +232,14 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                 f"run {run_id!r} was started with seed {read.seed}; "
                 f"resuming it with seed {seed} would mix draws from both seeds"
             )
-        # records take their labels from the manifest, so the config must have the run's shape
-        if read.levels != tuple(labels) or read.n_samples != len(samples):
-            raise ValueError(
-                f"run {run_id!r} was started with {read.n_samples} samples at levels "
-                f"{list(read.levels)}; this config has {len(samples)} samples at levels {labels}"
-            )
-        if read.sample_ids != tuple(samples):
-            stored, given = next(pair for pair in zip(read.sample_ids, samples)
-                                 if pair[0] != pair[1])
-            raise ValueError(
-                f"run {run_id!r} was started with sample {stored!r} where this config has "
-                f"{given!r}; resuming would mix the records of different samples"
-            )
         if read.config_hash != digest:
             raise ValueError(
                 f"run {run_id!r} was started with a config that hashes to {read.config_hash}; "
-                f"this config hashes to {digest}, so resuming would mix the outcomes of both"
+                f"this config hashes to {digest}; the hash covers the samples in order, the "
+                f"levels, a simulator spec's seed and everything else that decides outcomes, "
+                f"so resuming would mix the outcomes of both"
             )
-        cfg = read.cfg
-        mode = read.run_mode
-        manifest = dataclasses.replace(read, status="running")
+        cfg, mode = read.cfg, read.run_mode
 
     check_mode(mode, len(samples), len(labels), cfg)  # fail fast, before any state is written
     if not resume:
@@ -262,35 +247,26 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
         if run_id in store.run_ids():
             raise ValueError(f"run {run_id!r} already exists under {out}; continue it with --resume")
-        manifest = RunManifest.for_mode(
-            mode,
-            run_id=run_id,
-            cfg=cfg,
-            levels=tuple(labels),
-            n_samples=len(samples),
-            sample_ids=tuple(samples),
-            started_at=now_rfc3339(),
-            status="running",
-            seed=seed,
-            model=model or default_model,
-            benchmark=benchmark or config.stem,
-            config_hash=digest,
-        )
-    run_id = manifest.run_id
+        read = RunManifest.for_mode(
+            mode, run_id=run_id, cfg=cfg, levels=labels, n_samples=len(samples),
+            sample_ids=samples, started_at=now_rfc3339(), status="running", seed=seed,
+            model=model or default_model, benchmark=benchmark or config.stem, config_hash=digest)
 
-    preloaded = store.completed_trials(run_id, resume=True, manifest=read) if resume else {}
+    # a new run is a resume of a run with no records: its record file is absent
+    preloaded = store.completed_trials(run_id, resume=True, manifest=read)
+    manifest = dataclasses.replace(read, status="running")
     store.write_manifest(manifest)
 
     try:
-        evaluation = run_evaluation(backend, samples, labels, cfg, mode, preloaded=preloaded,
+        evaluation = run_evaluation(backend, manifest.sample_ids, manifest.levels, manifest.cfg,
+                                    manifest.run_mode, preloaded=preloaded,
                                     on_trial=functools.partial(store.record, manifest),
                                     max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))
         raise
-    except ValueError:
-        if resume:  # records the run refuses: leave the manifest as it was read
-            store.write_manifest(read)
+    except ValueError:  # e.g. records the run refuses: leave the manifest as read (or built)
+        store.write_manifest(read)
         raise
     finally:
         store.close()

@@ -37,7 +37,7 @@ from .sampling import (
     check_mode,
     run_evaluation,
 )
-from .store import read_mapping
+from .store import config_mapping, config_rows, read_mapping
 
 __all__ = [
     "LevelParams",
@@ -143,6 +143,8 @@ class SyntheticModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticModelSpec":
+        config_mapping(data, "simulator spec", "seed", "samples")
+        rows = "simulator spec samples"
         try:
             samples = tuple(
                 SyntheticSample(
@@ -153,14 +155,15 @@ class SyntheticModelSpec:
                             token_log_mean=float(level["token_log_mean"]),
                             token_log_std=float(level["token_log_std"]),
                         )
-                        for level in entry["levels"]
+                        for level in config_rows(entry["levels"], f"{rows}[{i}].levels",
+                                                 "p_correct", "token_log_mean", "token_log_std")
                     ),
                 )
-                for entry in data["samples"]
+                for i, entry in enumerate(config_rows(data["samples"], rows, "id", "levels"))
             )
             return cls(seed=int(data["seed"]), samples=samples)
-        except KeyError as exc:
-            raise ValueError(f"simulator spec missing field: {exc}") from exc
+        except TypeError as exc:  # a value no number can be made of, such as null
+            raise ValueError(f"simulator spec: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticModelSpec":

@@ -9,21 +9,17 @@ is the one bundle builder: `arise run` feeds it the run it drew, and
 so both write the same bytes. The replay is `run_evaluation` with a
 backend that cannot draw, so the live run's stop rule decides: a
 configuration short of it raises IncompleteRunError (a resume draws the
-rest), and one holding more trials than it draws raises ValueError, as
-do a trial stored twice (DuplicateTrialError) and a gap in a
-configuration's trial indices. Every manifest lists the run's samples in
-bundle order (`sample_ids`) and hashes what decides its outcomes
-(`config_hash`); a manifest without either is refused like any other
-missing key. A record's run id, model and level label come from the
+rest); one holding more trials than it draws, a trial stored twice
+(DuplicateTrialError) and a gap in a configuration's trial indices raise
+ValueError. A record's run id, model and level label come from the
 manifest (`TraceStore.record`), and a replay refuses a record that
-disagrees with it or whose sample it does not list. A record line holding
-every field in order skips `_decode`; every line is validated, and an
-error names the record file and the line.
-Appends flush per line, so a crash loses at most the in-flight record: a
-torn final line makes readers raise `TornRecordError`, and a resume cuts
-it off before appending; no other line is ever rewritten or deleted.
-Floats survive the round trip exactly (JSON serialization preserves 17
-significant digits).
+disagrees with it or whose sample its `sample_ids` do not list. Every
+writer takes its next trial indices from what `completed_trials` read, so
+it only extends a file that replay accepts. Appends flush per line, so a
+crash loses at most the in-flight record: a torn final line makes readers
+raise `TornRecordError`, and a resume cuts it off before appending; no
+other line is ever rewritten or deleted. Floats survive the round trip
+exactly (JSON serialization preserves 17 significant digits).
 """
 
 from __future__ import annotations
@@ -132,6 +128,23 @@ def read_mapping(path: str | Path, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path} is not a mapping")
     return data
+
+
+def config_mapping(value: object, what: str, *required: str) -> dict:
+    """`value`, a config entry that must be a mapping holding every `required` key; else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} has no {key!r}")
+    return value
+
+
+def config_rows(value: object, what: str, *required: str) -> list[dict]:
+    """`value`, a config list of `config_mapping` entries; a bad one is named as `what[i]`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return [config_mapping(row, f"{what}[{i}]", *required) for i, row in enumerate(value)]
 
 
 def config_hash(config: object) -> str:
@@ -367,6 +380,14 @@ class RunManifest:
 
     def __post_init__(self) -> None:
         """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
+        for name in ("run_id", "started_at", "config_hash"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise _value_error(name, f"must be a non-empty string, got {value!r}")
+        for name in ("model", "benchmark"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise _value_error(name, f"must be a string, got {value!r}")
         if self.mode not in _MODES:
             raise _value_error("mode", f"must be one of {', '.join(_MODES)}, got {self.mode!r}")
         for name in ("budget", "trials"):
@@ -390,8 +411,6 @@ class RunManifest:
             )
         if self.status not in _STATUSES:
             raise _value_error("status", f"must be one of {', '.join(_STATUSES)}, got {self.status!r}")
-        if not (isinstance(self.config_hash, str) and self.config_hash):
-            raise _value_error("config_hash", f"must be a non-empty string, got {self.config_hash!r}")
 
     @classmethod
     def for_mode(cls, mode: RunMode, **fields: object) -> "RunManifest":
@@ -479,6 +498,11 @@ class ResultBundle:
     scaling_metric: float
     configurations: tuple[ConfigurationSummary, ...]
     transitions: tuple[TransitionMatrix, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.curve) != len(self.manifest.levels):  # no run writes such a bundle
+            raise _value_error("curve", f"has {len(self.curve)} points, but the manifest has "
+                                        f"{len(self.manifest.levels)} levels")
 
     @property
     def n_samples(self) -> int:
@@ -636,19 +660,16 @@ class TraceStore:
         """Durably append one record, which must hold its configuration's next trial index.
 
         A lower index raises DuplicateTrialError and a higher one ValueError,
-        before any byte is written. Without `completed_trials(resume=True)`
-        the first append reads each next index from the record file, as one
-        past the configuration's highest stored index.
+        before any byte is written. Each next index is the trial count that
+        `completed_trials` read, so a file it refuses is refused before the
+        first append.
         """
         record.validate()
         with self._lock:
             next_index = self._next.get(record.run_id)
-            if next_index is None:
-                next_index = {}
-                for r in self.iter_trials(record.run_id):
-                    key = (r.sample_id, r.level_index)
-                    next_index[key] = max(next_index.get(key, 0), r.trial_index + 1)
-                self._next[record.run_id] = next_index
+            if next_index is None:  # not resumed; completed_trials takes no lock without resume
+                next_index = self._next[record.run_id] = {
+                    key: len(trials) for key, trials in self.completed_trials(record.run_id).items()}
             key = (record.sample_id, record.level_index)
             expected = next_index.get(key, 0)
             if record.trial_index != expected:  # a stored index, or a skipped one
@@ -714,20 +735,15 @@ class TraceStore:
     ) -> dict[tuple[str, int], list[TrialOutcome]]:
         """Replay stored outcomes per configuration, in trial-index order.
 
-        Keys follow the first appearance of each configuration in the
-        record file. Feed the result to run_evaluation(preloaded=...) to
-        resume a run without re-drawing finished work. With resume, a torn
-        final line is cut from the file instead of raising TornRecordError,
-        and a whole final record cut before its newline gets one, so the
-        file holds whole lines and appends start after them; the trial
-        counts read here seed append_trial's next indices, so the file is
-        parsed once. When the run has a manifest (`manifest`, else the one
-        stored), a record whose run id, model, level index or level label
-        disagrees with it, or whose sample the manifest's `sample_ids` do
-        not list, raises RecordValidationError before anything is cut. No
-        resume can mend a configuration whose trial indices skip one: a trial
-        stored twice raises DuplicateTrialError naming both lines, and any
-        other gap ValueError.
+        Keys follow the first appearance of each configuration in the record
+        file; feed the result to run_evaluation(preloaded=...). Each record
+        is checked against the run's manifest (`manifest`, else the one
+        stored) before anything is cut, and a trial stored twice
+        (DuplicateTrialError, naming both lines) or any other gap in a
+        configuration's indices raises ValueError. With resume, a torn final
+        line is cut off instead of raising TornRecordError, a whole final
+        record gets its newline, and the counts read here are append_trial's
+        next indices, so the file is parsed once.
         """
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
@@ -889,13 +905,9 @@ def write_results_csv(path: str | Path, bundles: Sequence[ResultBundle], sm_scal
 def write_curve_csv(path: str | Path, bundle: ResultBundle) -> None:
     """One row per scaling level: level_index, level_label, mean_tokens, mean_accuracy."""
     labels = bundle.manifest.levels
-    rows = [
-        (j, labels[j] if j < len(labels) else str(j), repr(t), repr(a))
-        for j, (t, a) in enumerate(bundle.curve)
-    ]
-    write_atomic(
-        path, _csv_text(("level_index", "level_label", "mean_tokens", "mean_accuracy"), rows)
-    )
+    rows = [(j, labels[j], repr(t), repr(a)) for j, (t, a) in enumerate(bundle.curve)]
+    header = ("level_index", "level_label", "mean_tokens", "mean_accuracy")
+    write_atomic(path, _csv_text(header, rows))
 
 
 def write_transitions_csv(path: str | Path, bundle: ResultBundle) -> None:

@@ -163,6 +163,50 @@ class TestRun:
         assert not (tmp_path / "new").exists()
 
 
+def http_config() -> dict:
+    """A well-formed HTTP run config of one task; parsing it contacts nothing."""
+    return {"backend": backend_config_dict("http://127.0.0.1:9"),
+            "tasks": [{"sample_id": "q0", "prompt": "Question?",
+                       "judge": {"type": "exact_match", "expected": "42"}}]}
+
+
+class TestMalformedConfigs:
+    """A config that misses a key or holds a malformed entry is refused by name, before any write."""
+
+    @pytest.mark.parametrize("config, edit, expected", [
+        (http_config, lambda c: c["backend"].pop("base_url"), "backend config has no 'base_url'"),
+        (http_config, lambda c: c["backend"]["levels"][1].pop("kind"),
+         "backend config levels[1] has no 'kind'"),
+        (http_config, lambda c: c["backend"].update(retry=3),
+         "backend config retry must be a mapping, got int"),
+        (http_config, lambda c: c["tasks"][0].pop("prompt"), "tasks[0] has no 'prompt'"),
+        (http_config, lambda c: c["tasks"].append("q1"), "tasks[1] must be a mapping, got str"),
+        (http_config, lambda c: c["tasks"][0]["judge"].pop("expected"),
+         "tasks[0].judge has no 'expected'"),
+        (lambda: reference_spec().to_dict(), lambda c: c["samples"][0].update(levels=[0.5, 0.9]),
+         "simulator spec samples[0].levels[0] must be a mapping, got float"),
+        (lambda: reference_spec().to_dict(), lambda c: c.update(samples={"s01": c["samples"][0]}),
+         "simulator spec samples must be a list, got dict"),
+        (lambda: reference_spec().to_dict(), lambda c: c["samples"].append("s09"),
+         "simulator spec samples[8] must be a mapping, got str"),
+    ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
+            "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
+            "sample-a-string"])
+    def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
+                                                       expected):
+        data = config()
+        edit(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", str(path), "--naive", "1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an escaped KeyError or TypeError
+        assert result.stderr.startswith(f"error: {expected}")
+        assert "Traceback" not in all_text(result)
+        assert not out.exists()
+
+
 class TestHttpRun:
     def test_run_against_mock_endpoint(self, runner, tmp_path, mock_server, api_key):
         mock_server.reply = lambda body: {
@@ -365,6 +409,30 @@ class TestCompute:
         assert "--run-id" in all_text(result)
 
 
+def hash_refusal(out: Path, run_id: str = "r1") -> str:
+    """The start of `run --resume`'s refusal of a config whose hash is not the stored run's."""
+    stored = json.loads((out / f"{run_id}.manifest.json").read_text())["config_hash"]
+    return f"run {run_id!r} was started with a config that hashes to {stored}; this config hashes to"
+
+
+def http_run_cut_in_half(runner: CliRunner, tmp_path: Path, mock_server) -> tuple[dict, Path, list]:
+    """A config of two tasks, its `--naive 2` run h1 cut to half its records, and its run args."""
+    mock_server.reply = keyed_reply(mock_server)
+    config = {
+        "backend": backend_config_dict(mock_server.url),
+        "tasks": [{"sample_id": f"q{i}", "prompt": f"Question {i}?",
+                   "judge": {"type": "exact_match", "expected": "42"}} for i in range(2)],
+    }
+    path = tmp_path / "backend.json"
+    path.write_text(json.dumps(config))
+    args = ["run", str(path), "--out", str(tmp_path / "runs"), "--run-id", "h1"]
+    assert runner.invoke(main, [*args, "--naive", "2"]).exit_code == 0
+    trial_file = tmp_path / "runs" / "h1.jsonl"
+    lines = trial_file.read_text().splitlines(keepends=True)
+    trial_file.write_text("".join(lines[: len(lines) // 2]))
+    return config, path, args
+
+
 class TestResume:
     def test_resume_completes_an_interrupted_run(self, runner, spec_file, tmp_path):
         full_dir = tmp_path / "full"
@@ -453,7 +521,7 @@ class TestResume:
         reshaped.write_text(json.dumps(spec))
         result = do_run(runner, reshaped, out, "--run-id", "r1", "--resume")
         assert result.exit_code == 1
-        assert "was started with 8 samples at levels ['level0', 'level1', 'level2']" in all_text(result)
+        assert hash_refusal(out) in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_refuses_a_renamed_sample(self, runner, spec_file, tmp_path):
@@ -472,7 +540,7 @@ class TestResume:
         renamed.write_text(json.dumps(spec))
         result = do_run(runner, renamed, out, "--run-id", "r1", "--resume")
         assert result.exit_code == 1
-        assert "was started with sample 's08' where this config has 's99'" in all_text(result)
+        assert hash_refusal(out) in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_refuses_an_edited_spec(self, runner, spec_file, tmp_path):
@@ -482,7 +550,6 @@ class TestResume:
         lines = trial_file.read_text().splitlines(keepends=True)
         trial_file.write_text("".join(lines[: len(lines) // 2]))
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        stored = json.loads((out / "r1.manifest.json").read_text())["config_hash"]
         spec = json.loads(spec_file.read_text())
         for sample in spec["samples"]:
             for level in sample["levels"]:
@@ -491,26 +558,13 @@ class TestResume:
         edited.write_text(json.dumps(spec))
         result = do_run(runner, edited, out, "--run-id", "r1", "--resume")
         assert result.exit_code == 1
-        assert f"was started with a config that hashes to {stored}; this config hashes to" in (
-            all_text(result))
+        assert hash_refusal(out) in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_an_http_resume_may_change_the_transport_but_not_the_tasks(
             self, runner, tmp_path, mock_server, api_key, monkeypatch):
-        mock_server.reply = keyed_reply(mock_server)
-        config = {
-            "backend": backend_config_dict(mock_server.url),
-            "tasks": [{"sample_id": f"q{i}", "prompt": f"Question {i}?",
-                       "judge": {"type": "exact_match", "expected": "42"}} for i in range(2)],
-        }
-        path = tmp_path / "backend.json"
-        path.write_text(json.dumps(config))
+        config, path, args = http_run_cut_in_half(runner, tmp_path, mock_server)
         out = tmp_path / "runs"
-        args = ["run", str(path), "--out", str(out), "--run-id", "h1"]
-        assert runner.invoke(main, [*args, "--naive", "2"]).exit_code == 0
-        trial_file = out / "h1.jsonl"
-        lines = trial_file.read_text().splitlines(keepends=True)
-        trial_file.write_text("".join(lines[: len(lines) // 2]))
         before = {path.name: path.read_bytes() for path in out.iterdir()}
 
         config["tasks"][1]["prompt"] = "Question 1, reworded?"
@@ -529,6 +583,18 @@ class TestResume:
         assert result.exit_code == 0, result.output
         manifest = json.loads((out / "h1.manifest.json").read_text())
         assert manifest["config_hash"] == json.loads(before["h1.manifest.json"])["config_hash"]
+
+    def test_an_http_resume_refuses_swapped_tasks(self, runner, tmp_path, mock_server, api_key):
+        """The hash covers the task order, which is the run's sample order."""
+        config, path, args = http_run_cut_in_half(runner, tmp_path, mock_server)
+        out = tmp_path / "runs"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config["tasks"].reverse()
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, [*args, "--resume"])
+        assert result.exit_code == 1
+        assert hash_refusal(out, "h1") in all_text(result)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_requires_run_id(self, runner, spec_file, tmp_path):
         result = do_run(runner, spec_file, tmp_path / "runs", "--resume")
@@ -717,7 +783,9 @@ class TestRecordsNoRunWrites:
                                       "--run-id", "r1", "--resume"])
         assert result.exit_code == 1, result.output
         assert "holds 4 stored trials, but its stop rule stops at 3" in all_text(result)
-        assert (out / "r1.jsonl").read_text().endswith(lines[2])  # the draw that came first
+        # the draw that came first, drawn again; its timestamp is the time of the redraw
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        assert stamp.sub("", (out / "r1.jsonl").read_text()).endswith(stamp.sub("", lines[2]))
         assert opened and all(handle.closed for handle in opened)
         assert manifest.read_bytes() == before
 
@@ -1031,6 +1099,10 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(config_hash=5), "config_hash: must be a non-empty string, got 5"),
         (lambda m: m.pop("sample_ids"), "sample_ids: missing from the manifest"),
         (lambda m: m.pop("config_hash"), "config_hash: missing from the manifest"),
+        (lambda m: m.update(started_at=5), "started_at: must be a non-empty string, got 5"),
+        (lambda m: m.update(run_id=""), "run_id: must be a non-empty string, got ''"),
+        (lambda m: m.update(benchmark=7), "benchmark: must be a string, got 7"),
+        (lambda m: m.update(model=["m"]), "model: must be a string, got ['m']"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"
@@ -1081,12 +1153,18 @@ class TestMalformedStoredFiles:
         (lambda b: b.pop("curve"), "curve: missing from the result bundle"),
         (lambda b: b.update(notes="x"), "notes: not a field of the result bundle"),
         (lambda b: b["sample_scores"][0].pop("arise"), "arise: missing from the sample score"),
+        (lambda b: b["curve"].append(b["curve"][-1]),
+         "curve: has 4 points, but the manifest has 3 levels"),
+        (lambda b: b["manifest"].update(started_at=5),
+         "started_at: must be a non-empty string, got 5"),
     ])
     def test_bad_bundle_in_report(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
         bundle = out / "r1.bundle.json"
         self.edit_json(bundle, edit)
-        result = runner.invoke(main, ["report", str(bundle), "--out-dir", str(tmp_path / "x")])
+        result = runner.invoke(main, ["report", str(bundle), "--curves",
+                                      "--out-dir", str(tmp_path / "x")])
         assert result.exit_code == 1
-        assert f"error: {expected}" in all_text(result)
+        assert f"error: {expected} ({bundle})" in all_text(result)
+        assert not (tmp_path / "x").exists()

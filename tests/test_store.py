@@ -510,15 +510,25 @@ class TestAppend:
         assert str(err.value).endswith(f"is out of order: the next index is {expected}")
         assert store.trial_path("r1").read_bytes() == before
 
-    def test_a_store_that_reads_the_file_takes_one_past_the_highest_index(self, tmp_path: Path):
+    def test_a_store_that_reads_the_file_starts_from_completed_trials(self, tmp_path: Path):
         path = TraceStore(tmp_path).trial_path("r1")
-        path.write_text(record().to_json() + "\n" + record(trial_index=2).to_json() + "\n")
+        for stored, error, message in (
+                ([0, 2], ValueError, "non-contiguous trial indices \\[0, 2\\]$"),
+                ([0, 0], DuplicateTrialError, "holds trial 0 twice")):
+            path.write_text("".join(record(trial_index=k).to_json() + "\n" for k in stored))
+            before = path.read_bytes()
+            with TraceStore(tmp_path) as store:  # refused before the first append
+                with pytest.raises(error, match=message):
+                    store.append_trial(record(trial_index=len(stored)))
+            assert path.read_bytes() == before
+        path.write_text(record().to_json() + "\n" + record(trial_index=1).to_json() + "\n")
         with TraceStore(tmp_path) as store:
-            for stored_or_skipped in (1, 2):
-                with pytest.raises(DuplicateTrialError, match="the next index is 3$"):
-                    store.append_trial(record(trial_index=stored_or_skipped))
-            store.append_trial(record(trial_index=3))
-        assert [r.trial_index for r in store.iter_trials("r1")] == [0, 2, 3]
+            with pytest.raises(DuplicateTrialError, match="the next index is 2$"):
+                store.append_trial(record(trial_index=1))
+            with pytest.raises(ValueError, match="the next index is 2$"):
+                store.append_trial(record(trial_index=3))
+            store.append_trial(record(trial_index=2))
+        assert [r.trial_index for r in store.iter_trials("r1")] == [0, 1, 2]
 
     def test_appends_never_rewrite_existing_lines(self, tmp_path: Path):
         store = TraceStore(tmp_path)

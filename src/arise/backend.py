@@ -187,10 +187,18 @@ class ExternalJudge:
 Judge = ExactMatchJudge | NumericMatchJudge | ExternalJudge
 
 
-def _given(data: Mapping, **convert: Callable[[Any], Any]) -> dict:
+def _given(data: Mapping, what: str, **convert: Callable[[Any], Any]) -> dict:
     """The keys of `data` that `convert` names, each value converted; a key the
-    config leaves out is left to the dataclass default."""
-    return {name: to(data[name]) for name, to in convert.items() if name in data}
+    config leaves out is left to the dataclass default. A value that cannot be
+    converted raises ValueError naming `what` and the key."""
+    given = {}
+    for name, to in convert.items():
+        if name in data:
+            try:
+                given[name] = to(data[name])
+            except (TypeError, ValueError) as exc:  # such as int(None) or float("x")
+                raise ValueError(f"{what} {name!r}: {exc}") from exc
+    return given
 
 
 def parse_judge(data: Mapping, what: str = "judge") -> Judge:
@@ -198,12 +206,12 @@ def parse_judge(data: Mapping, what: str = "judge") -> Judge:
     if kind == "exact_match":
         return ExactMatchJudge(expected=str(config_mapping(data, what, "expected")["expected"]))
     if kind == "numeric_match":
-        return NumericMatchJudge(expected=float(config_mapping(data, what, "expected")["expected"]),
-                                 **_given(data, tol=float))
+        return NumericMatchJudge(**_given(config_mapping(data, what, "expected"), what,
+                                          expected=float, tol=float))
     if kind == "external":
         command = config_mapping(data, what, "command")["command"]
-        if isinstance(command, str) or not command:
-            raise ValueError("external judge 'command' must be a non-empty argv list")
+        if not isinstance(command, list) or not command:
+            raise ValueError(f"{what} 'command' must be a non-empty argv list, got {command!r}")
         return ExternalJudge(command=tuple(str(c) for c in command))
     raise ValueError(f"unknown judge type {kind!r}")
 
@@ -282,6 +290,7 @@ class BackendConfig:
     def from_dict(cls, data: Mapping) -> "BackendConfig":
         config_mapping(data, "backend config", "base_url", "auth_env_var", "model",
                        "request_template", "levels")
+        retry = config_mapping(data.get("retry", {}), "backend config retry")
         return cls(
             base_url=str(data["base_url"]),
             auth_env_var=str(data["auth_env_var"]),
@@ -289,18 +298,18 @@ class BackendConfig:
             request_template=data["request_template"],
             levels=tuple(
                 LevelSpec(label=str(lv["label"]), kind=str(lv["kind"]),
-                          **_given(lv, request_overrides=lambda overrides: overrides))
+                          request_overrides=lv.get("request_overrides", {}))
                 for lv in config_rows(data["levels"], "backend config levels", "label", "kind")
             ),
+            retry=RetryPolicy(**_given(retry, "backend config retry", max_attempts=int,
+                                       backoff_base=float)),
             **_given(
                 data,
+                "backend config",
                 usage_path=str,
                 response_text_path=str,
                 max_in_flight=int,
                 min_request_interval=float,
-                retry=lambda retry: RetryPolicy(**_given(
-                    config_mapping(retry, "backend config retry"), max_attempts=int,
-                    backoff_base=float)),
             ),
         )
 

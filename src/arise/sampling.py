@@ -17,7 +17,6 @@ rule draws raises ValueError.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -104,6 +103,25 @@ def _pstd(xs: Sequence[float], mu: float) -> float:
     return math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs))
 
 
+class _cached:
+    """A method run on first access, its value then stored in the instance's `__dict__`.
+
+    A non-data descriptor, so the stored value shadows it on every later
+    read. Unlike `functools.cached_property` on Python 3.11 it takes no
+    lock. A method that raises stores nothing.
+    """
+
+    def __init__(self, method: Callable[[object], float]):
+        self.method = method
+        self.name = method.__name__
+
+    def __get__(self, instance: object, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class LevelStatistics:
     """Statistics over the retained trials of one configuration.
@@ -125,22 +143,22 @@ class LevelStatistics:
     def count(self) -> int:
         return len(self.trials)
 
-    @functools.cached_property
+    @_cached
     def mean_acc(self) -> float:
         self._require_trials()
         return _mean([t.correct for t in self.trials])
 
-    @functools.cached_property
+    @_cached
     def std_acc(self) -> float:
         self._require_trials()
         return _pstd([t.correct for t in self.trials], self.mean_acc)
 
-    @functools.cached_property
+    @_cached
     def mean_tok(self) -> float:
         self._require_trials()
         return _mean([t.tokens for t in self.trials])
 
-    @functools.cached_property
+    @_cached
     def std_tok(self) -> float:
         self._require_trials()
         return _pstd([t.tokens for t in self.trials], self.mean_tok)

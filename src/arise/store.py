@@ -31,6 +31,7 @@ import json
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
@@ -153,9 +154,19 @@ def config_hash(config: object) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
+def _rfc3339(second: int) -> str:
+    """UTC second `second` of the Unix epoch, as stored in records and manifests."""
+    return dt.datetime.fromtimestamp(second, dt.timezone.utc).isoformat(timespec="seconds")
+
+
+def _now_second() -> int:
+    """The current second of the realtime clock, floored."""
+    return time.time_ns() // 10**9
+
+
 def now_rfc3339() -> str:
     """The current UTC time to the second, as stored in records and manifests."""
-    return dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
+    return _rfc3339(_now_second())
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -318,7 +329,19 @@ class TrialRecordLine:
             raise RecordValidationError("meta", f"must be an object, got {type(self.meta).__name__}")
 
     def to_json(self) -> str:
-        return json.dumps(_encode(self))
+        # a record validate() accepts holds no None and no tuple, so this is json.dumps(_encode(self))
+        return json.dumps(vars(self))
+
+    @classmethod
+    def _of(cls, data: dict) -> "TrialRecordLine":
+        """The record `cls(**data)` would build, with `data` as its attribute dict.
+
+        `data` holds every field, in order. This skips the ten
+        object.__setattr__ of the frozen __init__.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "__dict__", data)
+        return record
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecordLine":
@@ -327,10 +350,7 @@ class TrialRecordLine:
         if isinstance(data, dict) and type(data.get("correct")) is int:
             data["correct"] = float(data["correct"])
         if type(data) is dict and tuple(data) == _field_names(cls):
-            # every field, in order: the record _decode would build, with `data` as its
-            # attribute dict, which skips the ten object.__setattr__ of the frozen __init__
-            record = object.__new__(cls)
-            object.__setattr__(record, "__dict__", data)
+            record = cls._of(data)
         else:
             record = _decode(cls, data, "trial record", RecordValidationError)
         record.validate()
@@ -596,6 +616,9 @@ class TraceStore:
         self._handles: dict[str, BinaryIO] = {}
         # run id -> (sample id, level index) -> the trial index its next append must have
         self._next: dict[str, dict[tuple[str, int], int]] = {}
+        # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
+        # so a reader in another thread never pairs one second with another's text
+        self._stamp: tuple[int, str] = (-1, "")
 
     def trial_path(self, run_id: str) -> Path:
         return self.root / f"{run_id}.jsonl"
@@ -641,19 +664,23 @@ class TraceStore:
                 f"trial (sample {sample_id!r}, level {level_index}, trial {trial_index}) "
                 f"has {tokens!r} completion tokens, not a whole number"
             )
+        second = _now_second()
+        stamp = self._stamp
+        if stamp[0] != second:
+            stamp = self._stamp = (second, _rfc3339(second))
         self.append_trial(
-            TrialRecordLine(
-                run_id=manifest.run_id,
-                model=_record_model(manifest),
-                sample_id=sample_id,
-                level_index=level_index,
-                level_label=manifest.levels[level_index],
-                trial_index=trial_index,
-                correct=outcome.correct,
-                completion_tokens=int(tokens),
-                timestamp=now_rfc3339(),
-                meta={},
-            )
+            TrialRecordLine._of({
+                "run_id": manifest.run_id,
+                "model": _record_model(manifest),
+                "sample_id": sample_id,
+                "level_index": level_index,
+                "level_label": manifest.levels[level_index],
+                "trial_index": trial_index,
+                "correct": outcome.correct,
+                "completion_tokens": int(tokens),
+                "timestamp": stamp[1],
+                "meta": {},
+            })
         )
 
     def append_trial(self, record: TrialRecordLine) -> None:

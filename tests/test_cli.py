@@ -189,9 +189,18 @@ class TestMalformedConfigs:
          "simulator spec samples must be a list, got dict"),
         (lambda: reference_spec().to_dict(), lambda c: c["samples"].append("s09"),
          "simulator spec samples[8] must be a mapping, got str"),
+        (http_config, lambda c: c["backend"].update(max_in_flight=None),
+         "backend config 'max_in_flight': "),
+        (http_config, lambda c: c["backend"].update(retry={"max_attempts": None}),
+         "backend config retry 'max_attempts': "),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(type="external", command=5),
+         "tasks[0].judge 'command' must be a non-empty argv list, got 5"),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(type="numeric_match", expected=None),
+         "tasks[0].judge 'expected': "),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
-            "sample-a-string"])
+            "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
+            "numeric-expected-null"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()

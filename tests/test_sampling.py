@@ -128,6 +128,30 @@ class TestLevelStatistics:
         with pytest.raises(SamplingStateError):
             _ = empty.cv_combined
 
+    @pytest.mark.parametrize("name", ["mean_acc", "std_acc", "mean_tok", "std_tok"])
+    def test_each_statistic_of_zero_trials_raises_on_every_read(self, name):
+        empty = LevelStatistics()
+        for _ in range(2):  # a read that raises caches nothing
+            with pytest.raises(SamplingStateError):
+                getattr(empty, name)
+
+    def test_instances_do_not_share_cached_values(self):
+        first = LevelStatistics(PROBE)
+        second = LevelStatistics(outcomes((0.0, 50.0), (0.0, 70.0)))
+        values = (first.mean_acc, first.std_acc, first.mean_tok, first.std_tok)
+        assert (second.mean_acc, second.std_acc, second.mean_tok, second.std_tok) == (
+            0.0, 0.0, 60.0, 10.0)
+        assert (first.mean_acc, first.std_acc, first.mean_tok, first.std_tok) == values == (
+            0.6666666666666666, 0.4714045207910317, 200.0, 81.64965809277261)
+
+    def test_each_mean_is_taken_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arise.sampling, "_mean", lambda xs: calls.append(len(xs)) or 1.0)
+        stats = LevelStatistics(PROBE)
+        for _ in range(2):
+            stats.cv_combined
+        assert calls == [3, 3]  # one per stream
+
     def test_final_outcome_uses_means(self):
         final = LevelStatistics(PROBE).final
         assert final.accuracy == 0.6666666666666666

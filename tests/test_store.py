@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import functools
+import itertools
 import json
 import math
 import re
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -36,8 +40,9 @@ from arise import (
     run_evaluation,
     write_atomic,
 )
+import arise.store
 from arise.cli import _load_run_config
-from arise.store import _check_record, _decode
+from arise.store import _check_record, _decode, _encode, now_rfc3339
 
 
 def record(**overrides) -> TrialRecordLine:
@@ -77,6 +82,36 @@ def manifest(**overrides) -> RunManifest:
     count = base["n_samples"] if type(base["n_samples"]) is int else 0  # a bad count is refused
     base.setdefault("sample_ids", tuple(f"s{i:02d}" for i in range(1, count + 1)))
     return RunManifest(**base)
+
+
+NAMES = st.one_of(
+    st.text(min_size=1),
+    st.sampled_from(['"', "\\", "a\nb\tc", "\x00\x1f\x7f", "é", "日本語", "\u2028", "😀", "\ud800"]),
+)
+META_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), NAMES),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(NAMES, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def valid_record_fields(draw) -> dict:
+    """The fields of a record `validate` accepts, in order, reaching for escapes and extremes."""
+    count = st.one_of(st.integers(0, 10**6), st.sampled_from([2**53 + 1, 2**64, 10**30]))
+    return {
+        "run_id": draw(NAMES),
+        "model": draw(NAMES),
+        "sample_id": draw(NAMES),
+        "level_index": draw(count),
+        "level_label": draw(NAMES),
+        "trial_index": draw(count),
+        "correct": draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))),
+        "completion_tokens": draw(st.one_of(st.integers(1, 10**6),
+                                            st.sampled_from([2**53 + 1, 2**64, 10**30]))),
+        "timestamp": draw(NAMES),
+        "meta": draw(st.dictionaries(NAMES, META_VALUES, max_size=4)),
+    }
 
 
 class TestRecordSerialization:
@@ -129,6 +164,15 @@ class TestRecordSerialization:
         data["correct"] = 1
         parsed = TrialRecordLine.from_json(json.dumps(data))
         assert parsed.correct == 1.0 and type(parsed.correct) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=valid_record_fields())
+    def test_to_json_writes_the_bytes_of_encode(self, fields):
+        """`to_json` dumps the attribute dict, which for a valid record is what `_encode` gives."""
+        for rec in (TrialRecordLine(**fields), TrialRecordLine._of(dict(fields))):
+            rec.validate()
+            assert rec.to_json() == json.dumps(_encode(rec))
+            assert TrialRecordLine.from_json(rec.to_json()) == rec
 
     @pytest.mark.parametrize("fieldname", ["meta", "timestamp"])
     def test_every_field_must_be_stored(self, fieldname):
@@ -559,6 +603,101 @@ class TestAppend:
             t.join()
         store.close()
         assert len(list(store.iter_trials("r1"))) == 100
+
+
+STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00")
+
+
+def stamp_second(stamp: str) -> int:
+    """The Unix second of a whole-second RFC3339 UTC stamp."""
+    assert STAMP.fullmatch(stamp), stamp
+    return int(dt.datetime.fromisoformat(stamp).timestamp())
+
+
+class TestRecordStamp:
+    """`TraceStore.record` stamps each record from a cache of the current second."""
+
+    def test_a_stamp_lies_between_the_clock_reads_around_the_append(self, tmp_path: Path):
+        with TraceStore(tmp_path) as store:
+            for k in range(3):
+                before = now_rfc3339()
+                store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
+                after = now_rfc3339()
+                stamp = list(store.iter_trials("r1"))[-1].timestamp
+                assert before <= stamp <= after
+                assert stamp_second(before) <= stamp_second(stamp) <= stamp_second(after)
+
+    def test_the_record_after_a_second_turns_carries_the_new_second(self, tmp_path: Path,
+                                                                  monkeypatch):
+        second = 1_786_000_000  # 2026-08-06T07:06:40+00:00
+        clock = iter([second * 10**9 + 999_999_999, (second + 1) * 10**9, (second + 1) * 10**9 + 1])
+        monkeypatch.setattr(arise.store.time, "time_ns", lambda: next(clock))
+        with TraceStore(tmp_path) as store:
+            for k in range(3):
+                store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
+        assert [r.timestamp for r in store.iter_trials("r1")] == [
+            "2026-08-06T07:06:40+00:00", "2026-08-06T07:06:41+00:00", "2026-08-06T07:06:41+00:00"]
+
+    @staticmethod
+    def append_together(tmp_path: Path, records: int) -> dict[str, list[int]]:
+        """8 threads record `records` trials each into one store, switching every microsecond.
+
+        Each thread is named after the sample it records. Returns the stamped
+        seconds of each thread's sample, in its append order.
+        """
+        runs = manifest(n_samples=8)
+        store = TraceStore(tmp_path)
+        store.completed_trials("r1", resume=True)
+
+        def worker(sample_id: str) -> None:
+            for k in range(records):
+                store.record(runs, sample_id, 0, k, TrialOutcome(1.0, 10.0))
+
+        threads = [threading.Thread(target=worker, args=(sid,), name=sid, daemon=True)
+                   for sid in runs.sample_ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        store.close()
+        seconds: dict[str, list[int]] = {}
+        for r in store.iter_trials("r1"):
+            seconds.setdefault(r.sample_id, []).append(stamp_second(r.timestamp))
+        assert sorted(seconds) == list(runs.sample_ids)
+        return seconds
+
+    def test_threads_appending_together_store_whole_seconds_of_the_window(self, tmp_path: Path):
+        start = time.time_ns() // 10**9
+        seconds = self.append_together(tmp_path, 150)
+        end = time.time_ns() // 10**9
+        for stamped in seconds.values():
+            assert len(stamped) == 150
+            assert start <= stamped[0] and stamped[-1] <= end
+            assert stamped == sorted(stamped)
+
+    def test_each_stamp_is_the_second_its_own_append_read(self, tmp_path: Path, monkeypatch):
+        """A shared clock that turns every second read, so threads race on each turn.
+
+        The clock logs each thread's reads; every stamp must be the second
+        that its own append read, never the text of another second.
+        """
+        base = time.time_ns() // 10**9
+        ticks = itertools.count()
+        read: dict[str, list[int]] = {sid: [] for sid in manifest(n_samples=8).sample_ids}
+
+        def clock() -> int:
+            second = base + next(ticks) // 2
+            read[threading.current_thread().name].append(second)
+            return second * 10**9
+
+        monkeypatch.setattr(arise.store.time, "time_ns", clock)
+        assert self.append_together(tmp_path, 1000) == read
 
 
 class TestCompletedTrials:

@@ -22,12 +22,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import requests
 
 from .sampling import TrialOutcome
-from .store import config_mapping, config_rows, read_mapping
+from .store import config_mapping, config_rows, config_text, config_values, read_mapping
 
 __all__ = [
     "BackendError",
@@ -187,27 +187,14 @@ class ExternalJudge:
 Judge = ExactMatchJudge | NumericMatchJudge | ExternalJudge
 
 
-def _given(data: Mapping, what: str, **convert: Callable[[Any], Any]) -> dict:
-    """The keys of `data` that `convert` names, each value converted; a key the
-    config leaves out is left to the dataclass default. A value that cannot be
-    converted raises ValueError naming `what` and the key."""
-    given = {}
-    for name, to in convert.items():
-        if name in data:
-            try:
-                given[name] = to(data[name])
-            except (TypeError, ValueError) as exc:  # such as int(None) or float("x")
-                raise ValueError(f"{what} {name!r}: {exc}") from exc
-    return given
-
-
 def parse_judge(data: Mapping, what: str = "judge") -> Judge:
     kind = config_mapping(data, what).get("type")
     if kind == "exact_match":
-        return ExactMatchJudge(expected=str(config_mapping(data, what, "expected")["expected"]))
+        return ExactMatchJudge(expected=config_text(config_mapping(data, what, "expected"), what,
+                                                    "expected"))
     if kind == "numeric_match":
-        return NumericMatchJudge(**_given(config_mapping(data, what, "expected"), what,
-                                          expected=float, tol=float))
+        return NumericMatchJudge(**config_values(config_mapping(data, what, "expected"), what,
+                                                 expected=float, tol=float))
     if kind == "external":
         command = config_mapping(data, what, "command")["command"]
         if not isinstance(command, list) or not command:
@@ -228,8 +215,8 @@ class JudgedTask:
 def parse_tasks(entries: Sequence[Mapping]) -> list[JudgedTask]:
     return [
         JudgedTask(
-            sample_id=str(e["sample_id"]),
-            prompt=str(e["prompt"]),
+            sample_id=config_text(e, f"tasks[{i}]", "sample_id"),
+            prompt=config_text(e, f"tasks[{i}]", "prompt"),
             judge=parse_judge(e["judge"], f"tasks[{i}].judge"),
         )
         for i, e in enumerate(config_rows(entries, "tasks", "sample_id", "prompt", "judge"))
@@ -301,9 +288,9 @@ class BackendConfig:
                           request_overrides=lv.get("request_overrides", {}))
                 for lv in config_rows(data["levels"], "backend config levels", "label", "kind")
             ),
-            retry=RetryPolicy(**_given(retry, "backend config retry", max_attempts=int,
-                                       backoff_base=float)),
-            **_given(
+            retry=RetryPolicy(**config_values(retry, "backend config retry", max_attempts=int,
+                                              backoff_base=float)),
+            **config_values(
                 data,
                 "backend config",
                 usage_path=str,

@@ -122,7 +122,7 @@ def compute(opts: Options, traces: Path, run_id: str | None, out: Path | None) -
     store = TraceStore(root)
     bundle = store.recompute(rid)
     destination = out if out is not None else store.bundle_path(rid)
-    write_atomic(destination, bundle.to_json())
+    bundle.write(destination)
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"bundle written to {destination}", err=True)
 
@@ -274,8 +274,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     store.write_manifest(manifest)
     # the bundle of the trials drawn, the bytes `compute` rebuilds from the records
     bundle = ResultBundle.from_run(manifest, evaluation)
-    del evaluation, preloaded  # free every trial before the bundle is encoded
-    write_atomic(store.bundle_path(run_id), bundle.to_json())
+    del evaluation, preloaded  # free the resumed trials before the bundle is encoded
+    bundle.write(store.bundle_path(run_id))
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"run {run_id} complete; bundle at {store.bundle_path(run_id)}", err=True)
 

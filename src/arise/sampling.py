@@ -75,7 +75,7 @@ class ConfigurationError(RuntimeError):
         self.stats = stats  # statistics over the trials completed before the abort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialOutcome:
     """One judged evaluation attempt."""
 
@@ -309,13 +309,13 @@ class _RunningCV:
 
 @dataclass(frozen=True)
 class ConfigurationResult:
-    """Everything learned about one (sample, level) configuration."""
+    """Everything learned about one (sample, level) configuration; its trials are not kept."""
 
     sample_id: str
     level_index: int
     k_star: int  # total retained trials
     final: LevelOutcome
-    stats: LevelStatistics
+    cv_combined: float  # combined CV over all k_star trials
     converged: bool  # final combined CV fell below tau
     zero_variance_probe: bool  # all probe trials were identical; CV gave no signal
 
@@ -360,7 +360,8 @@ def run_configuration(
     ValueError, since no run under this rule could have stored them.
     `on_trial` fires once per fresh outcome. The first exception from the
     backend aborts the configuration with a ConfigurationError holding the
-    trials so far.
+    trials so far. The result keeps statistics only: the trials are
+    dropped when the configuration finishes.
     """
     running = _RunningCV(cfg)
     trials = running.trials
@@ -388,7 +389,7 @@ def run_configuration(
         level_index=level_index,
         k_star=stats.count,
         final=stats.final,
-        stats=stats,
+        cv_combined=stats.cv_combined,
         converged=stats.cv_combined < cfg.tau,
         zero_variance_probe=stats.probe_cv(cfg.m_min) == 0.0,
     )
@@ -566,10 +567,11 @@ def run_evaluation(
     def run_all(
         target: Callable[[tuple[str, int]], int | None],
         start: Mapping[tuple[str, int], Sequence[TrialOutcome]],
+        fired: TrialCallback | None = on_trial,
     ) -> dict[tuple[str, int], ConfigurationResult]:
         def one(key: tuple[str, int]) -> ConfigurationResult:
             return run_configuration(backend, key[0], key[1], cfg, preloaded=start.get(key, ()),
-                                     target=target(key), on_trial=on_trial)
+                                     target=target(key), on_trial=fired)
 
         if max_workers <= 1:
             return {key: one(key) for key in keys}
@@ -585,11 +587,20 @@ def run_evaluation(
     if isinstance(mode, FixedBudgetMode):
         # the probe phase holds the first m_min trials; the allocation decides the rest
         m_min = cfg.m_min
-        probed = run_all(lambda key: m_min, {key: trials[:m_min] for key, trials in stored.items()})
-        allocation = allocate_budget({key: r.stats.cv_combined for key, r in probed.items()},
+        drawn: dict[tuple[str, int], list[TrialOutcome]] = {key: [] for key in keys}
+
+        def keep(sample_id: str, level_index: int, trial_index: int, outcome: TrialOutcome) -> None:
+            drawn[(sample_id, level_index)].append(outcome)
+            if on_trial is not None:
+                on_trial(sample_id, level_index, trial_index, outcome)
+
+        probed = run_all(lambda key: m_min, {key: trials[:m_min] for key, trials in stored.items()},
+                         keep)
+        allocation = allocate_budget({key: r.cv_combined for key, r in probed.items()},
                                      n, J, cfg, mode.budget)
-        results = run_all(allocation.__getitem__, {
-            key: (*r.stats.trials, *stored.get(key, ())[m_min:]) for key, r in probed.items()})
+        # a probe draws only past the stored trials, so stored + drawn is every trial so far
+        results = run_all(allocation.__getitem__,
+                          {key: (*stored.get(key, ()), *drawn.pop(key)) for key in keys})
     else:
         count = mode.trials if isinstance(mode, NaiveMode) else None  # None: adaptive stopping
         results = run_all(lambda key: count, stored)

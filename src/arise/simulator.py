@@ -37,7 +37,7 @@ from .sampling import (
     check_mode,
     run_evaluation,
 )
-from .store import config_mapping, config_rows, read_mapping
+from .store import config_mapping, config_rows, config_text, config_values, read_mapping
 
 __all__ = [
     "LevelParams",
@@ -145,25 +145,20 @@ class SyntheticModelSpec:
     def from_dict(cls, data: dict) -> "SyntheticModelSpec":
         config_mapping(data, "simulator spec", "seed", "samples")
         rows = "simulator spec samples"
-        try:
-            samples = tuple(
-                SyntheticSample(
-                    id=str(entry["id"]),
-                    levels=tuple(
-                        LevelParams(
-                            p_correct=float(level["p_correct"]),
-                            token_log_mean=float(level["token_log_mean"]),
-                            token_log_std=float(level["token_log_std"]),
-                        )
-                        for level in config_rows(entry["levels"], f"{rows}[{i}].levels",
-                                                 "p_correct", "token_log_mean", "token_log_std")
-                    ),
-                )
-                for i, entry in enumerate(config_rows(data["samples"], rows, "id", "levels"))
+        samples = tuple(
+            SyntheticSample(
+                id=config_text(entry, f"{rows}[{i}]", "id"),
+                levels=tuple(
+                    LevelParams(**config_values(level, f"{rows}[{i}].levels[{j}]", p_correct=float,
+                                                token_log_mean=float, token_log_std=float))
+                    for j, level in enumerate(config_rows(
+                        entry["levels"], f"{rows}[{i}].levels",
+                        "p_correct", "token_log_mean", "token_log_std"))
+                ),
             )
-            return cls(seed=int(data["seed"]), samples=samples)
-        except TypeError as exc:  # a value no number can be made of, such as null
-            raise ValueError(f"simulator spec: {exc}") from exc
+            for i, entry in enumerate(config_rows(data["samples"], rows, "id", "levels"))
+        )
+        return cls(seed=config_values(data, "simulator spec", seed=int)["seed"], samples=samples)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticModelSpec":

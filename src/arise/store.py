@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .metrics import (
     SampleTrajectory,
@@ -148,6 +148,28 @@ def config_rows(value: object, what: str, *required: str) -> list[dict]:
     return [config_mapping(row, f"{what}[{i}]", *required) for i, row in enumerate(value)]
 
 
+def config_values(data: dict, what: str, **convert: Callable[[object], object]) -> dict:
+    """The keys of `data` that `convert` names, each value converted; a key the
+    config leaves out is left to the dataclass default. A value that cannot be
+    converted raises ValueError naming `what` and the key."""
+    given = {}
+    for name, to in convert.items():
+        if name in data:
+            try:
+                given[name] = to(data[name])
+            except (TypeError, ValueError) as exc:  # such as int(None) or float("x")
+                raise ValueError(f"{what} {name!r}: {exc}") from exc
+    return given
+
+
+def config_text(data: dict, what: str, key: str) -> str:
+    """`data[key]`, which must be a non-empty string: a config value is never made into text."""
+    value = data[key]
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} {key!r} must be a non-empty string, got {value!r}")
+    return value
+
+
 def config_hash(config: object) -> str:
     """A short blake2b hex digest of `config` as canonical JSON (sorted keys, compact separators)."""
     text = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -169,16 +191,31 @@ def now_rfc3339() -> str:
     return _rfc3339(_now_second())
 
 
-def write_atomic(path: str | Path, text: str) -> None:
+def write_atomic(path: str | Path, content: str | Callable[[TextIO], object]) -> None:
     """Write a whole file, and any missing parent directory, via a temp sibling and rename.
 
-    A failure leaves no partial output.
+    `content` is the text, or a function that writes it to the open temp
+    file, so a large file is never held whole. Each call has a temp file of
+    its own, so concurrent writers of one path never touch each other's; the
+    last rename wins. The file gets the mode of any new file, 0o666 less the
+    umask. On any exception the temp file is removed and `path` is left as
+    it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL with mode 0o666 lets the kernel apply the umask, which mkstemp's 0o600 would not
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as handle:
+            if isinstance(content, str):
+                handle.write(content)
+            else:
+                content(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _append_to_message(exc: ValueError, text: str) -> None:
@@ -507,6 +544,10 @@ class ConfigurationSummary:
     zero_variance_probe: bool
 
 
+# how a bundle is encoded, for `to_json` and for the file `write` streams alike
+_BUNDLE_JSON = {"indent": 2}
+
+
 @dataclass(frozen=True)
 class ResultBundle:
     """Everything derived from one run: a pure function of records + manifest."""
@@ -540,7 +581,12 @@ class ResultBundle:
         return _encode(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), **_BUNDLE_JSON)
+
+    def write(self, path: str | Path) -> None:
+        """Write `to_json()`'s text to `path` atomically, streamed: the whole text is never held."""
+        data = self.to_dict()
+        write_atomic(path, lambda handle: json.dump(data, handle, **_BUNDLE_JSON))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultBundle":
@@ -575,7 +621,7 @@ class ResultBundle:
                 sample_id=r.sample_id,
                 level_index=r.level_index,
                 k_star=r.k_star,
-                cv_combined=r.stats.cv_combined,
+                cv_combined=r.cv_combined,
                 converged=r.converged,
                 zero_variance_probe=r.zero_variance_probe,
             )

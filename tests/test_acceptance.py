@@ -142,7 +142,7 @@ def test_06_adaptive_stopping_bounds():
         result = run_configuration(SimulatorBackend(spec), "s", 0, cfg)
         assert cfg.m_min <= result.k_star <= cfg.m_max
         if result.k_star < cfg.m_max:
-            assert result.stats.cv_combined < cfg.tau
+            assert result.cv_combined < cfg.tau
     print("PASS 06: 1000 simulated configurations stop inside [m_min, m_max] with CV < tau unless capped")
 
 

@@ -197,10 +197,39 @@ class TestMalformedConfigs:
          "tasks[0].judge 'command' must be a non-empty argv list, got 5"),
         (http_config, lambda c: c["tasks"][0]["judge"].update(type="numeric_match", expected=None),
          "tasks[0].judge 'expected': "),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(expected=None),
+         "tasks[0].judge 'expected' must be a non-empty string, got None"),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(expected=[1, 2]),
+         "tasks[0].judge 'expected' must be a non-empty string, got [1, 2]"),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(expected=42),
+         "tasks[0].judge 'expected' must be a non-empty string, got 42"),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(expected=""),
+         "tasks[0].judge 'expected' must be a non-empty string, got ''"),
+        (http_config, lambda c: c["tasks"][0].update(sample_id=None),
+         "tasks[0] 'sample_id' must be a non-empty string, got None"),
+        (http_config, lambda c: c["tasks"][0].update(sample_id=7),
+         "tasks[0] 'sample_id' must be a non-empty string, got 7"),
+        (http_config, lambda c: c["tasks"][0].update(prompt=None),
+         "tasks[0] 'prompt' must be a non-empty string, got None"),
+        (http_config, lambda c: c["tasks"][0].update(prompt=""),
+         "tasks[0] 'prompt' must be a non-empty string, got ''"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][0]["levels"][1].update(p_correct=None),
+         "simulator spec samples[0].levels[1] 'p_correct': float() argument must be"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][2]["levels"][0].update(token_log_std="wide"),
+         "simulator spec samples[2].levels[0] 'token_log_std': could not convert string"),
+        (lambda: reference_spec().to_dict(), lambda c: c.update(seed=None),
+         "simulator spec 'seed': int() argument must be"),
+        (lambda: reference_spec().to_dict(), lambda c: c["samples"][3].update(id=None),
+         "simulator spec samples[3] 'id' must be a non-empty string, got None"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
-            "numeric-expected-null"])
+            "numeric-expected-null", "exact-expected-null", "exact-expected-a-list",
+            "exact-expected-a-number", "exact-expected-empty", "sample-id-null",
+            "sample-id-a-number", "prompt-null", "prompt-empty", "p-correct-null",
+            "token-log-std-a-word", "seed-null", "spec-sample-id-null"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()

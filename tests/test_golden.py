@@ -167,6 +167,17 @@ def test_every_golden_run_computes_to_its_bundle(run):
 
 
 @pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_compute_streams_the_bytes_of_to_json(tmp_path, run):
+    """The bundle file `compute` streams is `ResultBundle.to_json()`, byte for byte."""
+    group, run_id = run.split("/")
+    out = tmp_path / "bundle.json"
+    invoke("compute", str(GOLDEN / group), "--run-id", run_id, "--out", str(out))
+    text = TraceStore(GOLDEN / group).recompute(run_id).to_json()
+    assert out.read_text() == text == (GOLDEN / f"{run}.bundle.json").read_text()
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
 def test_a_resume_of_a_finished_golden_run_draws_nothing(tmp_path, monkeypatch, mock_server,
                                                          api_key, run):
     """`run --resume` replays every stored trial, draws none, and rewrites the golden files."""

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import pickle
 import random
 import re
 import threading
@@ -55,6 +57,17 @@ PROBE = outcomes((1.0, 100.0), (0.0, 200.0), (1.0, 300.0))
 
 # ----------------------------------------------------------------------
 # statistics
+
+
+class TestTrialOutcome:
+    def test_has_slots_and_no_dict(self):
+        outcome = TrialOutcome(1.0, 100.0)
+        assert not hasattr(outcome, "__dict__")
+        assert TrialOutcome.__slots__ == ("correct", "tokens")
+
+    def test_survives_a_pickle_round_trip(self):
+        outcome = TrialOutcome(0.5, 123.0)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
 
 
 class TestLevelStatistics:
@@ -209,7 +222,7 @@ class TestRunConfiguration:
         result = run_configuration(backend, "s", 0, ConvergenceConfig())
         assert result.k_star == 10
         assert not result.converged
-        assert result.stats.cv_combined >= 0.5
+        assert result.cv_combined >= 0.5
         assert [c[2] for c in backend.calls] == list(range(10))
 
     def test_flat_configuration_stops_at_probe(self):
@@ -236,10 +249,13 @@ class TestRunConfiguration:
 
     def test_resume_matches_uninterrupted_run(self):
         script = {("s", 0): list(PROBE) + [TrialOutcome(1.0, 200.0)] * 7}
-        full = run_configuration(ScriptedBackend(script), "s", 0, ConvergenceConfig())
+        drawn: list[TrialOutcome] = []
+        full = run_configuration(ScriptedBackend(script), "s", 0, ConvergenceConfig(),
+                                 on_trial=lambda s, j, k, o: drawn.append(o))
+        assert len(drawn) == full.k_star
         resumed = run_configuration(
             ScriptedBackend(script), "s", 0, ConvergenceConfig(),
-            preloaded=full.stats.trials[:4],
+            preloaded=drawn[:4],
         )
         assert resumed == full
 
@@ -589,7 +605,38 @@ class NoDraws:
         raise LookupError("a replay draws no trials")
 
 
+def reachable_trials(root: object) -> list[TrialOutcome]:
+    """Every TrialOutcome reachable from `root` through `gc.get_referents`, not entering classes."""
+    seen: set[int] = set()
+    found: list[TrialOutcome] = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, TrialOutcome):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
 class TestRunEvaluation:
+    def test_the_walk_finds_a_held_trial(self):
+        result = LevelStatistics(PROBE)
+        assert sorted(reachable_trials({"held": [result]}), key=PROBE.index) == list(PROBE)
+
+    @pytest.mark.parametrize("mode", [AdaptiveMode(), NaiveMode(4), FixedBudgetMode(None)],
+                             ids=["adaptive", "naive", "budget"])
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_a_finished_run_holds_no_trial(self, mode, max_workers):
+        """Each configuration keeps its statistics only; its trials go when it finishes."""
+        spec = reference_spec()
+        run = run_evaluation(SimulatorBackend(spec), list(spec.sample_ids), spec.level_labels,
+                             ConvergenceConfig(), mode, max_workers=max_workers)
+        assert run.total_trials > 0
+        assert reachable_trials(run) == []
+
     def test_validates_inputs(self):
         backend = SimulatorBackend(reference_spec())
         cfg = ConvergenceConfig()
@@ -627,7 +674,7 @@ class TestRunEvaluation:
         for result in run.configurations.values():
             assert cfg.m_min <= result.k_star <= cfg.m_max
             if result.k_star < cfg.m_max:
-                assert result.stats.cv_combined < cfg.tau
+                assert result.cv_combined < cfg.tau
 
     def test_budget_mode_spends_exactly_the_budget(self):
         spec = reference_spec()
@@ -693,9 +740,13 @@ class TestRunEvaluation:
         """
         spec = reference_spec()
         cfg = ConvergenceConfig()
+        drawn: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         run = run_evaluation(SimulatorBackend(spec), list(spec.sample_ids), spec.level_labels,
-                             cfg, mode)
-        stored = {key: r.stats.trials for key, r in run.configurations.items()}
+                             cfg, mode,
+                             on_trial=lambda s, j, k, o: drawn.setdefault((s, j), []).append((k, o)))
+        assert {key: [k for k, _ in trials] for key, trials in drawn.items()} == {
+            key: list(range(r.k_star)) for key, r in run.configurations.items()}
+        stored = {key: tuple(o for _, o in trials) for key, trials in drawn.items()}
         no_draws = NoDraws()
 
         def replay(preloaded):

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+import stat
 import sys
 import threading
 import time
@@ -1004,6 +1005,69 @@ class TestAtomicWrites:
         write_atomic(target, "one")
         write_atomic(target, "two")
         assert target.read_text() == "two"
+
+    def test_streams_what_a_function_writes(self, tmp_path: Path):
+        target = tmp_path / "out.json"
+        write_atomic(target, lambda handle: json.dump({"a": [1, 2]}, handle, indent=2))
+        assert target.read_text() == json.dumps({"a": [1, 2]}, indent=2)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_new_file_gets_the_mode_of_any_new_file(self, tmp_path: Path):
+        plain = tmp_path / "plain"
+        plain.write_text("x")
+        target = tmp_path / "out.json"
+        write_atomic(target, "x")
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    @pytest.mark.parametrize("content, error, match", [
+        (lambda handle: json.dump({"a": list(range(5000)), "b": object()}, handle, indent=2),
+         TypeError, "not JSON serializable"),
+        (lambda handle: (handle.write("partial"), handle.flush(), 1 / 0),
+         ZeroDivisionError, "division by zero"),
+    ], ids=["json-dump-raises-mid-write", "writer-raises-after-a-flush"])
+    def test_a_failed_write_leaves_the_old_bytes_and_no_temp_file(self, tmp_path: Path, content,
+                                                                  error, match):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(error, match=match):
+            write_atomic(target, content)
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_two_writers_of_one_path_never_meet(self, tmp_path: Path):
+        """Each write has a temp file of its own: no error, and a reader sees one whole version."""
+        target = tmp_path / "out.json"
+        versions = {"a" * 65536, "b" * 65536}
+        write_atomic(target, "a" * 65536)
+        errors: list[BaseException] = []
+        seen: set[str] = set()
+        writing = threading.Event()
+
+        def write(text: str) -> None:
+            try:
+                for _ in range(200):
+                    write_atomic(target, text)
+            except BaseException as exc:  # noqa: BLE001 (reported below)
+                errors.append(exc)
+
+        def read() -> None:
+            while writing.is_set():
+                seen.add(target.read_text())
+
+        writers = [threading.Thread(target=write, args=(v,)) for v in sorted(versions)]
+        reader = threading.Thread(target=read)
+        writing.set()
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        writing.clear()
+        reader.join(timeout=60)
+        assert errors == []
+        assert seen <= versions and seen
+        assert target.read_text() in versions
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestCsvExports:

@@ -278,15 +278,17 @@ class BackendConfig:
         config_mapping(data, "backend config", "base_url", "auth_env_var", "model",
                        "request_template", "levels")
         retry = config_mapping(data.get("retry", {}), "backend config retry")
+        rows = config_rows(data["levels"], "backend config levels", "label", "kind")
         return cls(
-            base_url=str(data["base_url"]),
-            auth_env_var=str(data["auth_env_var"]),
-            model=str(data["model"]),
+            base_url=config_text(data, "backend config", "base_url"),
+            auth_env_var=config_text(data, "backend config", "auth_env_var"),
+            model=config_text(data, "backend config", "model"),
             request_template=data["request_template"],
             levels=tuple(
-                LevelSpec(label=str(lv["label"]), kind=str(lv["kind"]),
+                LevelSpec(label=config_text(lv, f"backend config levels[{i}]", "label"),
+                          kind=config_text(lv, f"backend config levels[{i}]", "kind"),
                           request_overrides=lv.get("request_overrides", {}))
-                for lv in config_rows(data["levels"], "backend config levels", "label", "kind")
+                for i, lv in enumerate(rows)
             ),
             retry=RetryPolicy(**config_values(retry, "backend config retry", max_attempts=int,
                                               backoff_base=float)),

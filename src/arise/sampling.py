@@ -17,6 +17,7 @@ rule draws raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -103,23 +104,15 @@ def _pstd(xs: Sequence[float], mu: float) -> float:
     return math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs))
 
 
-class _cached:
-    """A method run on first access, its value then stored in the instance's `__dict__`.
+def _two_pass(correct: Sequence[float], tokens: Sequence[float]) -> tuple[float, float, float]:
+    """Mean accuracy, mean tokens and combined CV of one configuration's trials.
 
-    A non-data descriptor, so the stored value shadows it on every later
-    read. Unlike `functools.cached_property` on Python 3.11 it takes no
-    lock. A method that raises stores nothing.
+    The arithmetic of `LevelStatistics`, step for step, so every value is
+    bit-identical to its `mean_acc`, `mean_tok` and `cv_combined`.
     """
-
-    def __init__(self, method: Callable[[object], float]):
-        self.method = method
-        self.name = method.__name__
-
-    def __get__(self, instance: object, owner: type | None = None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
+    mean_acc, mean_tok = _mean(correct), _mean(tokens)
+    cv_acc = _pstd(correct, mean_acc) / (mean_acc + EPSILON)
+    return mean_acc, mean_tok, cv_acc + _pstd(tokens, mean_tok) / (mean_tok + EPSILON)
 
 
 @dataclass(frozen=True)
@@ -143,22 +136,22 @@ class LevelStatistics:
     def count(self) -> int:
         return len(self.trials)
 
-    @_cached
+    @functools.cached_property
     def mean_acc(self) -> float:
         self._require_trials()
         return _mean([t.correct for t in self.trials])
 
-    @_cached
+    @functools.cached_property
     def std_acc(self) -> float:
         self._require_trials()
         return _pstd([t.correct for t in self.trials], self.mean_acc)
 
-    @_cached
+    @functools.cached_property
     def mean_tok(self) -> float:
         self._require_trials()
         return _mean([t.tokens for t in self.trials])
 
-    @_cached
+    @functools.cached_property
     def std_tok(self) -> float:
         self._require_trials()
         return _pstd([t.tokens for t in self.trials], self.mean_tok)
@@ -264,37 +257,44 @@ def _stream_cv(k: int, s: float, q: float, m: float, g: float) -> tuple[float, f
 class _RunningCV:
     """The trials of one configuration with running sums, for O(1) stop checks.
 
-    Exposes `.count` and `.cv_combined` to `should_continue`. The combined
+    Keeps the `correct` and `tokens` values of its trials in two lists and
+    exposes `.count` and `.cv_combined` to `should_continue`. The combined
     CV comes from running sums when it lies farther from tau than the guard
-    band above; otherwise it is the exact two-pass `LevelStatistics` value,
-    so every stop decision equals the two-pass one on every interpreter.
+    band above; otherwise it is the exact two-pass value (`_two_pass`), so
+    every stop decision equals the `LevelStatistics` one on every interpreter.
     """
 
-    __slots__ = ("trials", "_tau", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok", "_m_tok")
+    __slots__ = ("correct", "tokens", "_tau", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok",
+                 "_m_tok")
 
     def __init__(self, cfg: ConvergenceConfig):
-        self.trials: list[TrialOutcome] = []
+        self.correct: list[float] = []
+        self.tokens: list[float] = []
         self._tau = cfg.tau
         self._s_acc = self._q_acc = self._m_acc = 0.0
         self._s_tok = self._q_tok = self._m_tok = 0.0
 
     def append(self, trial: TrialOutcome) -> None:
-        self.trials.append(trial)
         c, t = trial.correct, trial.tokens
+        self.correct.append(c)
+        self.tokens.append(t)
         self._s_acc += c
         self._q_acc += c * c
-        self._m_acc = max(self._m_acc, abs(c))
+        # max(m, abs(x)) keeps m unless abs(x) > m, NaN included; most trials leave m as it is
+        if abs(c) > self._m_acc:
+            self._m_acc = abs(c)
         self._s_tok += t
         self._q_tok += t * t
-        self._m_tok = max(self._m_tok, abs(t))
+        if abs(t) > self._m_tok:
+            self._m_tok = abs(t)
 
     @property
     def count(self) -> int:
-        return len(self.trials)
+        return len(self.correct)
 
     @property
     def cv_combined(self) -> float:
-        k = len(self.trials)
+        k = len(self.correct)
         g = (3 * k + 6) * _U
         cv_acc, band_acc = _stream_cv(k, self._s_acc, self._q_acc, self._m_acc, g)
         cv_tok, band_tok = _stream_cv(k, self._s_tok, self._q_tok, self._m_tok, g)
@@ -304,7 +304,7 @@ class _RunningCV:
         return self.exact_cv()
 
     def exact_cv(self) -> float:
-        return LevelStatistics(tuple(self.trials)).cv_combined
+        return _two_pass(self.correct, self.tokens)[2]
 
 
 @dataclass(frozen=True)
@@ -364,34 +364,38 @@ def run_configuration(
     dropped when the configuration finishes.
     """
     running = _RunningCV(cfg)
-    trials = running.trials
+    correct, tokens = running.correct, running.tokens
     while _draws_more(running, cfg, target):
-        idx = len(trials)
+        idx = len(correct)
         if idx < len(preloaded):
             running.append(preloaded[idx])
             continue
         try:
             outcome = backend.evaluate(sample_id, level_index, idx)
         except Exception as exc:
-            partial = LevelStatistics(tuple(trials))
+            partial = LevelStatistics(tuple(map(TrialOutcome, correct, tokens)))
             raise ConfigurationError(sample_id, level_index, partial, exc) from exc
         running.append(outcome)
         if on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
-    if len(trials) < len(preloaded):
+    k = len(correct)
+    if k < len(preloaded):
         raise ValueError(
             f"configuration ({sample_id!r}, level {level_index}) holds {len(preloaded)} stored "
-            f"trials, but its stop rule stops at {len(trials)}"
+            f"trials, but its stop rule stops at {k}"
         )
-    stats = LevelStatistics(tuple(trials))
+    mean_acc, mean_tok, cv = _two_pass(correct, tokens)
+    # the probe is the first m_min trials (all of them when fewer), as LevelStatistics.probe_cv
+    m_min = cfg.m_min
+    probe_cv = cv if k <= m_min else _two_pass(correct[:m_min], tokens[:m_min])[2]
     return ConfigurationResult(
         sample_id=sample_id,
         level_index=level_index,
-        k_star=stats.count,
-        final=stats.final,
-        cv_combined=stats.cv_combined,
-        converged=stats.cv_combined < cfg.tau,
-        zero_variance_probe=stats.probe_cv(cfg.m_min) == 0.0,
+        k_star=k,
+        final=LevelOutcome(mean_acc, mean_tok),
+        cv_combined=cv,
+        converged=cv < cfg.tau,
+        zero_variance_probe=probe_cv == 0.0,
     )
 
 

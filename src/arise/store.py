@@ -24,17 +24,19 @@ exactly (JSON serialization preserves 17 significant digits).
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import functools
 import hashlib
 import json
+import json.scanner
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Sequence, TextIO, TypeVar
 
 from .metrics import (
     SampleTrajectory,
@@ -238,6 +240,10 @@ def decode_file(path: str | Path, decode: Callable[[object], T]) -> T:
         raise
 
 
+# the JSON decoder's value scanner (C when available): (value, end index) of the value at an index
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def _open_for_append(path: Path) -> BinaryIO:
     """Open a record file for appending; a final line cut off just before its newline gets one."""
     handle = open(path, "ab+")
@@ -381,15 +387,54 @@ class TrialRecordLine:
         return record
 
     @classmethod
+    def outcome_reader(
+        cls, manifest: "RunManifest", listed: frozenset[str]
+    ) -> Callable[[object], tuple[tuple[str, int], int, TrialOutcome] | None]:
+        """A check of one parsed record line, with exact types, against `manifest`'s run.
+
+        It returns the line's configuration, trial index and outcome, or
+        None. It accepts only what `from_json`, `validate` and `_check_record`
+        accept, and gives what they give: every field, in field order; the
+        manifest's run id and model; a listed `sample_id`; a `level_index`
+        within the levels, with its label; a non-negative `trial_index`; a
+        positive token count; a `correct` in [0, 1] (an integer read as a
+        float); a non-empty `timestamp`; a `meta` object. A line it returns
+        None for goes through that checked decode instead, which accepts it
+        or raises the error naming what is wrong. `listed` is the set of the
+        manifest's `sample_ids`, as for `_check_record`.
+        """
+        names = _field_names(cls)
+        run_id, model, levels = manifest.run_id, _record_model(manifest), manifest.levels
+
+        def read(data: object) -> tuple[tuple[str, int], int, TrialOutcome] | None:
+            if type(data) is not dict or tuple(data) != names:
+                return None
+            sample_id, level, index = data["sample_id"], data["level_index"], data["trial_index"]
+            correct, tokens = data["correct"], data["completion_tokens"]
+            if type(correct) is int:  # as from_json reads it
+                correct = float(correct)
+            # the type checks come first: an unhashable sample id must not reach `in listed`
+            if (type(sample_id) is str and sample_id in listed
+                    and type(level) is int and 0 <= level < len(levels)
+                    and type(index) is int and index >= 0
+                    and type(tokens) is int and tokens > 0
+                    and type(correct) is float and 0.0 <= correct <= 1.0
+                    and data["run_id"] == run_id and data["model"] == model
+                    and data["level_label"] == levels[level]
+                    and type(data["timestamp"]) is str and data["timestamp"]
+                    and type(data["meta"]) is dict):
+                return (sample_id, level), index, TrialOutcome(correct, float(tokens))
+            return None
+
+        return read
+
+    @classmethod
     def from_json(cls, line: str) -> "TrialRecordLine":
         data = json.loads(line)
         # a stored 1 reads back as 1.0; booleans and strings reach validate() as they are
         if isinstance(data, dict) and type(data.get("correct")) is int:
             data["correct"] = float(data["correct"])
-        if type(data) is dict and tuple(data) == _field_names(cls):
-            record = cls._of(data)
-        else:
-            record = _decode(cls, data, "trial record", RecordValidationError)
+        record = _decode(cls, data, "trial record", RecordValidationError)
         record.validate()
         return record
 
@@ -771,38 +816,6 @@ class TraceStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def iter_trials(self, run_id: str,
-                    manifest: RunManifest | None = None) -> Iterator[TrialRecordLine]:
-        """Stored records in file order, each checked against `manifest` when there is one.
-
-        A torn final line raises TornRecordError. Any other line that fails
-        to decode or to pass a check raises its error with the record file
-        and the line number appended.
-        """
-        path = self.trial_path(run_id)
-        if not path.exists():
-            return
-        listed = frozenset(manifest.sample_ids) if manifest is not None else frozenset()
-        offset = 0
-        with open(path, "rb") as fh:
-            for number, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if line:
-                    try:
-                        record = TrialRecordLine.from_json(line.decode())
-                        if manifest is not None:
-                            _check_record(record, manifest, listed)
-                    except ValueError as exc:
-                        # only the final line can lack its newline
-                        if not raw.endswith(b"\n") and isinstance(
-                            exc, (json.JSONDecodeError, UnicodeDecodeError)
-                        ):
-                            raise TornRecordError(run_id, offset) from exc
-                        _append_to_message(exc, f"({path}, line {number})")
-                        raise
-                    yield record
-                offset += len(raw)
-
     def completed_trials(
         self, run_id: str, resume: bool = False, *, manifest: RunManifest | None = None
     ) -> dict[tuple[str, int], list[TrialOutcome]]:
@@ -817,20 +830,59 @@ class TraceStore:
         line is cut off instead of raising TornRecordError, a whole final
         record gets its newline, and the counts read here are append_trial's
         next indices, so the file is parsed once.
+
+        The file is streamed line by line. A line that is one JSON value up
+        to its newline and that `TrialRecordLine.outcome_reader` accepts is
+        read from the scanned value. Any other line, and every line of a run
+        without a manifest, goes through the checked decode: `from_json` and
+        `_check_record`. A torn final line raises TornRecordError; any other
+        line that fails raises its error with the file and line number.
         """
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
+        path = self.trial_path(run_id)
+        listed = frozenset(manifest.sample_ids) if manifest is not None else frozenset()
+        read = TrialRecordLine.outcome_reader(manifest, listed) if manifest is not None else None
+        scan = _scan
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
+        offset = 0
         try:
-            for r in self.iter_trials(run_id, manifest):
-                grouped.setdefault((r.sample_id, r.level_index), []).append(
-                    (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens)))
-                )
+            with open(path, "rb") if path.exists() else contextlib.nullcontext(()) as fh:
+                for number, raw in enumerate(fh, 1):
+                    trial = None
+                    if read is not None:
+                        try:
+                            text = raw.decode()
+                            data, end = scan(text, 0)
+                        except (ValueError, StopIteration):  # bad UTF-8 or JSON, or no value at 0
+                            pass
+                        else:
+                            if end == len(text) - 1 and text[end] == "\n":
+                                trial = read(data)
+                    if trial is None and raw.strip():
+                        try:
+                            r = TrialRecordLine.from_json(raw.strip().decode())
+                            if manifest is not None:
+                                _check_record(r, manifest, listed)
+                        except ValueError as exc:
+                            # only the final line can lack its newline
+                            if not raw.endswith(b"\n") and isinstance(
+                                exc, (json.JSONDecodeError, UnicodeDecodeError)
+                            ):
+                                raise TornRecordError(run_id, offset) from exc
+                            _append_to_message(exc, f"({path}, line {number})")
+                            raise
+                        trial = ((r.sample_id, r.level_index), r.trial_index,
+                                 TrialOutcome(r.correct, float(r.completion_tokens)))
+                    if trial is not None:
+                        key, index, outcome = trial
+                        grouped.setdefault(key, []).append((index, outcome))
+                    offset += len(raw)
         except TornRecordError as exc:
             if not resume:
                 raise
-            os.truncate(self.trial_path(run_id), exc.offset)
+            os.truncate(path, exc.offset)
         out: dict[tuple[str, int], list[TrialOutcome]] = {}
         for key, indexed in grouped.items():
             indexed.sort(key=lambda pair: pair[0])
@@ -841,7 +893,7 @@ class TraceStore:
                     first, second = self._lines_holding(run_id, (*key, repeated))[:2]
                     raise DuplicateTrialError(
                         f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
-                        f"({self.trial_path(run_id)}, lines {first} and {second})"
+                        f"({path}, lines {first} and {second})"
                     )
                 raise ValueError(
                     f"run {run_id!r}: configuration {key!r} has non-contiguous trial indices {indices}"
@@ -850,8 +902,8 @@ class TraceStore:
         if resume:  # indices are contiguous, so each count is the next index
             with self._lock:
                 self._next[run_id] = {key: len(outcomes) for key, outcomes in out.items()}
-            if self.trial_path(run_id).exists():  # even when nothing is left to append
-                _open_for_append(self.trial_path(run_id)).close()
+            if path.exists():  # even when nothing is left to append
+                _open_for_append(path).close()
         return out
 
     def _lines_holding(self, run_id: str, trial: tuple[str, int, int]) -> list[int]:

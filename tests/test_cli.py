@@ -223,13 +223,18 @@ class TestMalformedConfigs:
          "simulator spec 'seed': int() argument must be"),
         (lambda: reference_spec().to_dict(), lambda c: c["samples"][3].update(id=None),
          "simulator spec samples[3] 'id' must be a non-empty string, got None"),
+        (http_config, lambda c: c["backend"]["levels"][0].update(label=None),
+         "backend config levels[0] 'label' must be a non-empty string, got None"),
+        (http_config, lambda c: c["backend"].update(model=7),
+         "backend config 'model' must be a non-empty string, got 7"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
             "numeric-expected-null", "exact-expected-null", "exact-expected-a-list",
             "exact-expected-a-number", "exact-expected-empty", "sample-id-null",
             "sample-id-a-number", "prompt-null", "prompt-empty", "p-correct-null",
-            "token-log-std-a-word", "seed-null", "spec-sample-id-null"])
+            "token-log-std-a-word", "seed-null", "spec-sample-id-null", "level-label-null",
+            "model-a-number"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()

@@ -357,6 +357,26 @@ def test_each_std_is_taken_about_the_cached_mean_bit_for_bit(pairs, summation):
     assert [v.hex() for v in values] == [v.hex() for v in (*expected, cv)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1e7)), min_size=1, max_size=40),
+       st.integers(1, 5), st.floats(1e-3, 3.0), st.sampled_from([sum, neumaier_sum]))
+def test_a_finished_configuration_reads_its_level_statistics_bit_for_bit(pairs, m_min, tau,
+                                                                         summation):
+    """`run_configuration`'s result equals the `LevelStatistics` of its trials and of its probe."""
+    trials = outcomes(*pairs)
+    cfg = ConvergenceConfig(m_min=m_min, m_max=max(m_min, len(trials)), tau=tau)
+    with two_pass_sums(summation):
+        result = run_configuration(ScriptedBackend({("s", 0): list(trials)}), "s", 0, cfg,
+                                   target=len(trials))
+        stats = LevelStatistics(trials)
+        expected = (stats.mean_acc, stats.mean_tok, stats.cv_combined)
+        probe_cv = stats.probe_cv(m_min)
+    got = (result.final.accuracy, result.final.tokens, result.cv_combined)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert result.converged == (stats.cv_combined < tau)
+    assert result.zero_variance_probe == (probe_cv == 0.0)
+
+
 class CountingRunningCV(_RunningCV):
     """Records the trial count at every call of the exact two-pass fallback."""
 

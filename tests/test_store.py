@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,7 @@ from arise import (
     write_atomic,
 )
 import arise.store
-from arise.cli import _load_run_config
+from arise.cli import _load_run_config, main
 from arise.store import _check_record, _decode, _encode, now_rfc3339
 
 
@@ -184,6 +185,12 @@ class TestRecordSerialization:
         assert err.value.fieldname == fieldname
 
 
+def stored_records(store: TraceStore, run_id: str = "r1") -> list[TrialRecordLine]:
+    """The records in `run_id`'s record file, in file order."""
+    lines = store.trial_path(run_id).read_text().splitlines()
+    return [TrialRecordLine.from_json(line) for line in lines if line.strip()]
+
+
 def replay(store: TraceStore) -> object:
     """What `completed_trials` gives for run r1, or the type and message of what it raises."""
     try:
@@ -206,12 +213,16 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
 
     Every line goes through the checked decode and the manifest check,
     and each configuration's trials are sorted, then checked for a trial
-    stored twice (named by its first two lines) and for gaps.
+    stored twice (named by its first two lines) and for gaps. A final line
+    without its newline that fails to decode is a torn tail.
     """
     ids = frozenset(listed.sample_ids) if listed is not None else None
     grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
     lines: dict[tuple[str, int, int], list[int]] = {}
-    for number, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+    raws = path.read_bytes().split(b"\n")
+    offset = 0
+    for number, raw in enumerate(raws, 1):
+        start, offset = offset, offset + len(raw) + 1
         if not raw.strip():
             continue
         try:
@@ -219,6 +230,9 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
             if listed is not None:
                 _check_record(r, listed, ids)
         except ValueError as exc:
+            if number == len(raws) and isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+                return TornRecordError, (f"run 'r1': record file ends in a torn line at byte "
+                                         f"{start}; `run --resume` drops it")
             return type(exc), f"{exc} ({path}, line {number})"
         grouped.setdefault((r.sample_id, r.level_index), []).append(
             (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens))))
@@ -286,8 +300,64 @@ def trial_orders(draw) -> list[tuple[str, int, int]]:
     return keys
 
 
+WHITESPACE = [b" ", b"\t", b"\r", b"\x0b", b"\x0c", b" \t "]
+BOM = "\ufeff".encode()
+
+
+@st.composite
+def raw_record_files(draw) -> bytes:
+    """The record file of a complete one-sample naive:1 run with one line reframed or respelled.
+
+    Each change is one a scanned line must leave to the checked decode:
+    whitespace or a stray character around a line, CRLF, two objects on a
+    line, a record split over two lines at a comma, a BOM, invalid UTF-8, a
+    blank line, `correct` as 1, true, NaN or Infinity, a `sample_id` that is
+    a list or an object; then the file may lose its final newline or be
+    torn inside its last line.
+    """
+    lines = [record().to_json().encode(),
+             record(level_index=1, level_label="high", completion_tokens=200).to_json().encode()]
+    ends = [b"\n"] * len(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["none", "lead", "trail", "crlf", "two", "split", "bom",
+                                 "bad_utf8", "blank", "correct", "sample_id"]))
+    if kind == "lead":
+        lines[i] = draw(st.sampled_from(WHITESPACE)) + lines[i]
+    elif kind == "trail":  # whitespace, or a stray character after the record
+        lines[i] += draw(st.sampled_from([*WHITESPACE, b"x", b"}"]))
+    elif kind == "crlf":
+        ends = [b"\r\n"] * len(lines)
+    elif kind == "two":
+        lines[i] += draw(st.sampled_from([b"", b" "])) + lines[1 - i]
+    elif kind == "split":  # the halves join with a comma into the record
+        cut = draw(st.sampled_from([m.start() for m in re.finditer(b", ", lines[i])]))
+        lines[i:i + 1] = [lines[i][:cut], lines[i][cut + 2:]]
+        ends.append(b"\n")
+    elif kind == "bom":
+        lines[i] = BOM + lines[i]
+    elif kind == "bad_utf8":
+        lines[i] = lines[i].replace(b'"model": "m"', b'"model": "\xff"')
+    elif kind == "blank":
+        lines.insert(i, draw(st.sampled_from([b"", *WHITESPACE])))
+        ends.append(b"\n")
+    elif kind == "correct":
+        spelled = draw(st.sampled_from([b"1", b"true", b"NaN", b"Infinity"]))
+        lines[i] = lines[i].replace(b'"correct": 1.0', b'"correct": ' + spelled)
+    elif kind == "sample_id":
+        spelled = draw(st.sampled_from([b"[]", b"{}"]))
+        lines[i] = lines[i].replace(b'"sample_id": "s01"', b'"sample_id": ' + spelled)
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    tail = draw(st.sampled_from(["whole", "no_newline", "torn"]))
+    if tail == "no_newline":
+        data = data[:-1]
+    elif tail == "torn":
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        data = data[:draw(st.integers(last + 1, len(data) - 2))]
+    return data
+
+
 class TestDecodePaths:
-    """Lines holding every field in order skip `_decode`, and replay as the checked decode does."""
+    """Lines the outcome reader accepts skip the checked decode, and every line replays as it does."""
 
     LISTED = (manifest(), manifest(n_samples=2), None)  # lists s01; lists s01 and s02; no manifest
 
@@ -329,6 +399,27 @@ class TestDecodePaths:
         store = self.write(tmp_path, lines, listed)
         assert replay(store) == replay_checked(store.trial_path("r1"), listed)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=raw_record_files(), listed=st.sampled_from(LISTED))
+    def test_a_raw_line_replays_and_computes_as_the_checked_decode_does(self, tmp_path, data,
+                                                                        listed):
+        store = self.write(tmp_path, [], listed)
+        store.trial_path("r1").write_bytes(data)
+        expected = replay_checked(store.trial_path("r1"), listed)
+        assert replay(store) == expected
+        if listed is None:
+            return
+        if isinstance(expected, tuple):  # IncompleteRunError exits 2, any other error 1
+            code = 2 if issubclass(expected[0], IncompleteRunError) else 1
+        else:  # the run is complete when every record was read and the manifest lists one sample
+            whole = repr({("s01", 0): [TrialOutcome(1.0, 100.0)],
+                          ("s01", 1): [TrialOutcome(1.0, 200.0)]})
+            code = 0 if expected == whole and listed.n_samples == 1 else 2
+        result = CliRunner().invoke(main, ["compute", str(tmp_path), "--run-id", "r1",
+                                           "--out", str(tmp_path / "b.json")])
+        assert result.exit_code == code, result.output
+
 
 class TestRecordLineErrors:
     """An error from a record line names the record file and the line; a torn tail keeps its message."""
@@ -357,9 +448,11 @@ class TestRecordLineErrors:
         store = self.seed_store(tmp_path)
         self.replace_line(store, 6, line)
         where = f"({store.trial_path('r1')}, line 6)"
-        for read in (lambda: store.completed_trials("r1"), lambda: list(store.iter_trials("r1"))):
+        for listed in (True, False):  # with the manifest, and with every line checked
+            if not listed:
+                store.manifest_path("r1").unlink()
             with pytest.raises(error) as err:
-                read()
+                store.completed_trials("r1")
             assert message in str(err.value)
             assert str(err.value).endswith(where)
 
@@ -398,7 +491,7 @@ class TestTokenCounts:
         store = TraceStore(tmp_path)
         store.record(manifest(), "s01", 1, 0, TrialOutcome(1.0, tokens))
         store.close()
-        assert [r.completion_tokens for r in store.iter_trials("r1")] == [12]
+        assert [r.completion_tokens for r in stored_records(store)] == [12]
 
 
 class TestManifest:
@@ -494,7 +587,7 @@ class TestAppend:
             store.write_manifest(manifest())
             store.append_trial(record())
             store.append_trial(record(level_index=1, level_label="high", completion_tokens=333))
-        stored = list(TraceStore(tmp_path).iter_trials("r1"))
+        stored = stored_records(TraceStore(tmp_path))
         assert len(stored) == 2
         assert stored[0] == record()
 
@@ -527,7 +620,7 @@ class TestAppend:
             for k in range(3):
                 store.append_trial(record(trial_index=k))
             store.append_trial(record(level_index=1, level_label="high"))
-        assert [(r.level_index, r.trial_index) for r in store.iter_trials("r1")] == [
+        assert [(r.level_index, r.trial_index) for r in stored_records(store)] == [
             (0, 0), (0, 1), (0, 2), (1, 0)]
 
     def test_a_stored_index_is_refused(self, tmp_path: Path):
@@ -573,7 +666,7 @@ class TestAppend:
             with pytest.raises(ValueError, match="the next index is 2$"):
                 store.append_trial(record(trial_index=3))
             store.append_trial(record(trial_index=2))
-        assert [r.trial_index for r in store.iter_trials("r1")] == [0, 1, 2]
+        assert [r.trial_index for r in stored_records(store)] == [0, 1, 2]
 
     def test_appends_never_rewrite_existing_lines(self, tmp_path: Path):
         store = TraceStore(tmp_path)
@@ -603,7 +696,7 @@ class TestAppend:
         for t in threads:
             t.join()
         store.close()
-        assert len(list(store.iter_trials("r1"))) == 100
+        assert len(stored_records(store)) == 100
 
 
 STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00")
@@ -624,7 +717,7 @@ class TestRecordStamp:
                 before = now_rfc3339()
                 store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
                 after = now_rfc3339()
-                stamp = list(store.iter_trials("r1"))[-1].timestamp
+                stamp = stored_records(store)[-1].timestamp
                 assert before <= stamp <= after
                 assert stamp_second(before) <= stamp_second(stamp) <= stamp_second(after)
 
@@ -636,7 +729,7 @@ class TestRecordStamp:
         with TraceStore(tmp_path) as store:
             for k in range(3):
                 store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
-        assert [r.timestamp for r in store.iter_trials("r1")] == [
+        assert [r.timestamp for r in stored_records(store)] == [
             "2026-08-06T07:06:40+00:00", "2026-08-06T07:06:41+00:00", "2026-08-06T07:06:41+00:00"]
 
     @staticmethod
@@ -668,7 +761,7 @@ class TestRecordStamp:
         assert not any(t.is_alive() for t in threads)
         store.close()
         seconds: dict[str, list[int]] = {}
-        for r in store.iter_trials("r1"):
+        for r in stored_records(store):
             seconds.setdefault(r.sample_id, []).append(stamp_second(r.timestamp))
         assert sorted(seconds) == list(runs.sample_ids)
         return seconds
@@ -744,7 +837,7 @@ class TestTornTail:
         assert len(fresh.completed_trials("r1")[("s01", 0)]) == 3
         fresh.append_trial(record(trial_index=3))
         fresh.close()
-        assert [r.trial_index for r in fresh.iter_trials("r1")] == [0, 1, 2, 3]
+        assert [r.trial_index for r in stored_records(fresh)] == [0, 1, 2, 3]
 
 
 class TestResumeRead:
@@ -782,7 +875,7 @@ class TestResumeRead:
             store.append_trial(record(level_index=1, trial_index=2))
         store.append_trial(record(level_index=1, trial_index=3))
         store.close()
-        assert len(list(store.iter_trials("r1"))) == 7
+        assert len(stored_records(store)) == 7
 
     def test_a_resume_seeds_each_next_index_from_its_count(self, tmp_path: Path):
         self.seed_store(tmp_path)
@@ -792,7 +885,7 @@ class TestResumeRead:
             store.append_trial(record(level_index=1, trial_index=4))
         store.append_trial(record(sample_id="s02"))
         store.close()
-        assert len(list(store.iter_trials("r1"))) == 7
+        assert len(stored_records(store)) == 7
 
 
 class TestRecompute:
@@ -858,17 +951,25 @@ class TestRecompute:
             store.recompute("r1")
 
     def test_recompute_parses_each_line_once(self, tmp_path: Path, monkeypatch):
+        """Each line is scanned once, and on a clean file the checked decode never runs."""
         store = self.seed_store(tmp_path)
-        parse = TrialRecordLine.from_json
-        lines: list[str] = []
+        scan, parse = arise.store._scan, TrialRecordLine.from_json
+        scanned: list[str] = []
+        checked: list[str] = []
 
-        def counting(cls, line: str) -> TrialRecordLine:
-            lines.append(line)
+        def counting_scan(text: str, index: int) -> tuple[object, int]:
+            scanned.append(text)
+            return scan(text, index)
+
+        def counting_parse(cls, line: str) -> TrialRecordLine:
+            checked.append(line)
             return parse(line)
 
-        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting))
+        monkeypatch.setattr(arise.store, "_scan", counting_scan)
+        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting_parse))
         store.recompute("r1")
-        assert len(lines) == 6
+        assert scanned == store.trial_path("r1").read_text().splitlines(keepends=True)
+        assert checked == []
 
     def store_in_order(self, tmp_path: Path, listed: RunManifest, sample_ids: list[str]) -> TraceStore:
         store = TraceStore(tmp_path)

@@ -11,15 +11,18 @@ backend that cannot draw, so the live run's stop rule decides: a
 configuration short of it raises IncompleteRunError (a resume draws the
 rest); one holding more trials than it draws, a trial stored twice
 (DuplicateTrialError) and a gap in a configuration's trial indices raise
-ValueError. A record's run id, model and level label come from the
-manifest (`TraceStore.record`), and a replay refuses a record that
-disagrees with it or whose sample its `sample_ids` do not list. Every
-writer takes its next trial indices from what `completed_trials` read, so
-it only extends a file that replay accepts. Appends flush per line, so a
-crash loses at most the in-flight record: a torn final line makes readers
-raise `TornRecordError`, and a resume cuts it off before appending; no
-other line is ever rewritten or deleted. Floats survive the round trip
-exactly (JSON serialization preserves 17 significant digits).
+ValueError. One check owns every record rule (`_check_record`):
+`append_trial` applies it before writing a byte, and `completed_trials`
+reads every stored line through one reader that applies it with the
+run's manifest, so a record must also hold the manifest's run id, model
+and level label and a sample it lists, as `TraceStore.record` writes
+them. Every writer takes its next trial indices from what
+`completed_trials` read, so it only extends a file that replay accepts.
+Appends flush per line, so a crash loses at most the in-flight record: a
+torn final line makes readers raise `TornRecordError`, and a resume cuts
+it off before appending; no other line is ever rewritten or deleted.
+Floats survive the round trip exactly (JSON serialization preserves 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import functools
 import hashlib
 import json
 import json.scanner
-import math
+import operator
 import os
 import threading
 import time
@@ -300,31 +303,24 @@ def _check_keys(cls: type, data: dict, what: str, error: Callable[[str, str], Va
             raise error(f.name, f"missing from the {what}")
 
 
-def _decode(
-    cls: type,
-    data: object,
-    what: str,
-    error: Callable[[str, str], ValueError] = _value_error,
-    /,
-    **convert: Callable[[object], object],
-):
+def _decode(cls: type, data: object, what: str, /, **convert: Callable[[object], object]):
     """Build `cls` from a JSON object whose keys are its fields, as `_encode` wrote them.
 
     `convert` maps a field to the function that turns its JSON value into
     the field's type. A non-object, an unknown or missing field, or a value
-    the class cannot take raises `error(fieldname, message)` naming `what`.
+    the class cannot take raises ValueError naming the field or `what`.
     """
     if not isinstance(data, dict):
-        raise error(what, f"must be a JSON object, got {type(data).__name__}")
+        raise _value_error(what, f"must be a JSON object, got {type(data).__name__}")
     if len(data) < len(_field_names(cls)):  # a complete object skips the key check
-        _check_keys(cls, data, what, error)
+        _check_keys(cls, data, what, _value_error)
     try:
         if convert:
             data = {k: convert[k](v) if k in convert else v for k, v in data.items()}
         return cls(**data)
     except TypeError as exc:
-        _check_keys(cls, data, what, error)
-        raise error(what, str(exc)) from exc
+        _check_keys(cls, data, what, _value_error)
+        raise _value_error(what, str(exc)) from exc
 
 
 def _rows(cls: type, what: str) -> Callable[[list], tuple]:
@@ -348,28 +344,8 @@ class TrialRecordLine:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        for name in ("run_id", "model", "sample_id", "level_label", "timestamp"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise RecordValidationError(name, f"must be a non-empty string, got {value!r}")
-        for name in ("level_index", "trial_index"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise RecordValidationError(name, f"must be a non-negative integer, got {value!r}")
-        if isinstance(self.completion_tokens, bool) or not isinstance(self.completion_tokens, int):
-            raise RecordValidationError(
-                "completion_tokens", f"must be an integer, got {self.completion_tokens!r}"
-            )
-        if self.completion_tokens <= 0:
-            raise RecordValidationError(
-                "completion_tokens", f"must be > 0, got {self.completion_tokens!r}"
-            )
-        if not isinstance(self.correct, (int, float)) or isinstance(self.correct, bool):
-            raise RecordValidationError("correct", f"must be a real number, got {self.correct!r}")
-        if not (math.isfinite(self.correct) and 0.0 <= self.correct <= 1.0):
-            raise RecordValidationError("correct", f"must be in [0, 1], got {self.correct!r}")
-        if not isinstance(self.meta, dict):
-            raise RecordValidationError("meta", f"must be an object, got {type(self.meta).__name__}")
+        """Raise RecordValidationError for the first field rule the record breaks (`_check_record`)."""
+        _check_record(vars(self))
 
     def to_json(self) -> str:
         # a record validate() accepts holds no None and no tuple, so this is json.dumps(_encode(self))
@@ -387,56 +363,10 @@ class TrialRecordLine:
         return record
 
     @classmethod
-    def outcome_reader(
-        cls, manifest: "RunManifest", listed: frozenset[str]
-    ) -> Callable[[object], tuple[tuple[str, int], int, TrialOutcome] | None]:
-        """A check of one parsed record line, with exact types, against `manifest`'s run.
-
-        It returns the line's configuration, trial index and outcome, or
-        None. It accepts only what `from_json`, `validate` and `_check_record`
-        accept, and gives what they give: every field, in field order; the
-        manifest's run id and model; a listed `sample_id`; a `level_index`
-        within the levels, with its label; a non-negative `trial_index`; a
-        positive token count; a `correct` in [0, 1] (an integer read as a
-        float); a non-empty `timestamp`; a `meta` object. A line it returns
-        None for goes through that checked decode instead, which accepts it
-        or raises the error naming what is wrong. `listed` is the set of the
-        manifest's `sample_ids`, as for `_check_record`.
-        """
-        names = _field_names(cls)
-        run_id, model, levels = manifest.run_id, _record_model(manifest), manifest.levels
-
-        def read(data: object) -> tuple[tuple[str, int], int, TrialOutcome] | None:
-            if type(data) is not dict or tuple(data) != names:
-                return None
-            sample_id, level, index = data["sample_id"], data["level_index"], data["trial_index"]
-            correct, tokens = data["correct"], data["completion_tokens"]
-            if type(correct) is int:  # as from_json reads it
-                correct = float(correct)
-            # the type checks come first: an unhashable sample id must not reach `in listed`
-            if (type(sample_id) is str and sample_id in listed
-                    and type(level) is int and 0 <= level < len(levels)
-                    and type(index) is int and index >= 0
-                    and type(tokens) is int and tokens > 0
-                    and type(correct) is float and 0.0 <= correct <= 1.0
-                    and data["run_id"] == run_id and data["model"] == model
-                    and data["level_label"] == levels[level]
-                    and type(data["timestamp"]) is str and data["timestamp"]
-                    and type(data["meta"]) is dict):
-                return (sample_id, level), index, TrialOutcome(correct, float(tokens))
-            return None
-
-        return read
-
-    @classmethod
     def from_json(cls, line: str) -> "TrialRecordLine":
+        """The record on one stored line; a stored integer `correct` reads back as a float."""
         data = json.loads(line)
-        # a stored 1 reads back as 1.0; booleans and strings reach validate() as they are
-        if isinstance(data, dict) and type(data.get("correct")) is int:
-            data["correct"] = float(data["correct"])
-        record = _decode(cls, data, "trial record", RecordValidationError)
-        record.validate()
-        return record
+        return cls(**{**data, "correct": _check_record(data)[2]})
 
 
 # a manifest's mode -> its mode class, whose fields are the manifest keys the mode uses
@@ -543,30 +473,104 @@ def _record_model(manifest: RunManifest) -> str:
     return manifest.model or "unknown"
 
 
-def _check_record(record: TrialRecordLine, manifest: RunManifest, listed: frozenset[str]) -> None:
-    """Refuse a record that `TraceStore.record` would not have written for `manifest`'s run.
+_record_values = operator.itemgetter(*_field_names(TrialRecordLine))  # in field order
 
-    `listed` is the set of the manifest's `sample_ids`, built once per replay.
+
+def _refused(name: str, rule: str, value: object) -> RecordValidationError:
+    return RecordValidationError(name, f"{rule}, got {value!r}")
+
+
+def _check_record(data: object, manifest: RunManifest | None = None,
+                  listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
+    """The one check of a trial record: its configuration, trial index, `correct` and tokens.
+
+    `data` is a parsed record line or a record's attribute dict. It must be
+    an object holding every field and no other key; then each field must
+    hold a value a run writes, `correct` and the token count as floats
+    (a stored integer `correct` reads as a float); then, given `manifest`,
+    it must be a record `TraceStore.record` would write for that run, of a
+    sample in `listed` (the manifest's `sample_ids`). The first rule
+    broken, in that order, raises RecordValidationError naming its field.
     """
+    if not isinstance(data, dict):
+        raise RecordValidationError(
+            "trial record", f"must be a JSON object, got {type(data).__name__}")
+    try:
+        values = _record_values(data)
+    except KeyError:
+        values = None
+    if values is None or len(data) > len(values):  # a field is missing, or a key is not one
+        _check_keys(TrialRecordLine, data, "trial record", RecordValidationError)
+    run_id, model, sample_id, level, label, index, correct, tokens, stamp, meta = values
+    if not isinstance(run_id, str) or not run_id:
+        raise _refused("run_id", "must be a non-empty string", run_id)
+    if not isinstance(model, str) or not model:
+        raise _refused("model", "must be a non-empty string", model)
+    if not isinstance(sample_id, str) or not sample_id:
+        raise _refused("sample_id", "must be a non-empty string", sample_id)
+    if not isinstance(label, str) or not label:
+        raise _refused("level_label", "must be a non-empty string", label)
+    if not isinstance(stamp, str) or not stamp:
+        raise _refused("timestamp", "must be a non-empty string", stamp)
+    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
+        raise _refused("level_index", "must be a non-negative integer", level)
+    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+        raise _refused("trial_index", "must be a non-negative integer", index)
+    if isinstance(tokens, bool) or not isinstance(tokens, int):
+        raise _refused("completion_tokens", "must be an integer", tokens)
+    if tokens <= 0:
+        raise _refused("completion_tokens", "must be > 0", tokens)
+    try:
+        tokens = float(tokens)
+    except OverflowError:
+        raise _refused("completion_tokens", "must fit in a float", tokens) from None
+    if isinstance(correct, bool) or not isinstance(correct, (int, float)):
+        raise _refused("correct", "must be a real number", correct)
+    try:
+        correct = float(correct)  # a stored 1 reads back as 1.0
+    except OverflowError:  # an integer beyond float range, refused next
+        pass
+    if not 0.0 <= correct <= 1.0:  # NaN fails too
+        raise _refused("correct", "must be in [0, 1]", correct)
+    if not isinstance(meta, dict):
+        raise RecordValidationError("meta", f"must be an object, got {type(meta).__name__}")
+    checked = (sample_id, level), index, correct, tokens
+    if manifest is None:
+        return checked
     levels = manifest.levels
-    if record.sample_id not in listed:
+    if sample_id not in listed:
         name, expected = "sample_id", "does not list it"
-    elif record.level_index >= len(levels):
+    elif level >= len(levels):
         name, expected = "level_index", f"has {len(levels)} levels"
-    elif record.run_id != manifest.run_id:
+    elif run_id != manifest.run_id:
         name, expected = "run_id", f"says {manifest.run_id!r}"
-    elif record.model != _record_model(manifest):
+    elif model != _record_model(manifest):
         name, expected = "model", f"says {_record_model(manifest)!r}"
-    elif record.level_label != levels[record.level_index]:
-        name, expected = "level_label", f"says {levels[record.level_index]!r}"
+    elif label != levels[level]:
+        name, expected = "level_label", f"says {levels[level]!r}"
     else:
-        return
+        return checked
     raise RecordValidationError(
         name,
-        f"record (sample {record.sample_id!r}, level {record.level_index}, "
-        f"trial {record.trial_index}) has {getattr(record, name)!r}, "
+        f"record (sample {sample_id!r}, level {level}, trial {index}) has {data[name]!r}, "
         f"but the manifest of run {manifest.run_id!r} {expected}",
     )
+
+
+def _read_line(line: bytes, manifest: RunManifest | None = None,
+               listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
+    """`_check_record` of the value on one stored line, stripped and not blank.
+
+    A line that is not one JSON value raises the error `json.loads` gives it.
+    """
+    text = line.decode()
+    try:
+        data, end = _scan(text, 0)
+    except StopIteration:  # no value at 0
+        end = -1
+    if end != len(text):
+        data = json.loads(text)
+    return _check_record(data, manifest, listed)
 
 
 @dataclass(frozen=True)
@@ -782,19 +786,17 @@ class TraceStore:
         `completed_trials` read, so a file it refuses is refused before the
         first append.
         """
-        record.validate()
+        key, index = _check_record(vars(record))[:2]
         with self._lock:
             next_index = self._next.get(record.run_id)
             if next_index is None:  # not resumed; completed_trials takes no lock without resume
                 next_index = self._next[record.run_id] = {
                     key: len(trials) for key, trials in self.completed_trials(record.run_id).items()}
-            key = (record.sample_id, record.level_index)
             expected = next_index.get(key, 0)
-            if record.trial_index != expected:  # a stored index, or a skipped one
-                error = DuplicateTrialError if record.trial_index < expected else ValueError
-                raise error(f"trial {record.trial_index} of run {record.run_id!r}, sample "
-                            f"{record.sample_id!r}, level {record.level_index} is out of order: "
-                            f"the next index is {expected}")
+            if index != expected:  # a stored index, or a skipped one
+                error = DuplicateTrialError if index < expected else ValueError
+                raise error(f"trial {index} of run {record.run_id!r}, sample {key[0]!r}, "
+                            f"level {key[1]} is out of order: the next index is {expected}")
             handle = self._handles.get(record.run_id)
             if handle is None:
                 self.root.mkdir(parents=True, exist_ok=True)
@@ -831,40 +833,28 @@ class TraceStore:
         record gets its newline, and the counts read here are append_trial's
         next indices, so the file is parsed once.
 
-        The file is streamed line by line. A line that is one JSON value up
-        to its newline and that `TrialRecordLine.outcome_reader` accepts is
-        read from the scanned value. Any other line, and every line of a run
-        without a manifest, goes through the checked decode: `from_json` and
-        `_check_record`. A torn final line raises TornRecordError; any other
-        line that fails raises its error with the file and line number.
+        The file is streamed line by line, and every line that is not blank
+        goes through one reader, `_read_line`: it scans the line and applies
+        `_check_record`, the check `append_trial` applies before it writes,
+        with the manifest's rules when there is a manifest. A torn final line
+        raises TornRecordError; any other line that fails raises its error
+        with the file and line number.
         """
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
         path = self.trial_path(run_id)
         listed = frozenset(manifest.sample_ids) if manifest is not None else frozenset()
-        read = TrialRecordLine.outcome_reader(manifest, listed) if manifest is not None else None
-        scan = _scan
+        read = _read_line
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
         offset = 0
         try:
             with open(path, "rb") if path.exists() else contextlib.nullcontext(()) as fh:
                 for number, raw in enumerate(fh, 1):
-                    trial = None
-                    if read is not None:
+                    line = raw.strip()
+                    if line:
                         try:
-                            text = raw.decode()
-                            data, end = scan(text, 0)
-                        except (ValueError, StopIteration):  # bad UTF-8 or JSON, or no value at 0
-                            pass
-                        else:
-                            if end == len(text) - 1 and text[end] == "\n":
-                                trial = read(data)
-                    if trial is None and raw.strip():
-                        try:
-                            r = TrialRecordLine.from_json(raw.strip().decode())
-                            if manifest is not None:
-                                _check_record(r, manifest, listed)
+                            key, index, correct, tokens = read(line, manifest, listed)
                         except ValueError as exc:
                             # only the final line can lack its newline
                             if not raw.endswith(b"\n") and isinstance(
@@ -873,11 +863,7 @@ class TraceStore:
                                 raise TornRecordError(run_id, offset) from exc
                             _append_to_message(exc, f"({path}, line {number})")
                             raise
-                        trial = ((r.sample_id, r.level_index), r.trial_index,
-                                 TrialOutcome(r.correct, float(r.completion_tokens)))
-                    if trial is not None:
-                        key, index, outcome = trial
-                        grouped.setdefault(key, []).append((index, outcome))
+                        grouped.setdefault(key, []).append((index, TrialOutcome(correct, tokens)))
                     offset += len(raw)
         except TornRecordError as exc:
             if not resume:
@@ -890,7 +876,7 @@ class TraceStore:
             if indices != list(range(len(indexed))):
                 repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
                 if repeated is not None:
-                    first, second = self._lines_holding(run_id, (*key, repeated))[:2]
+                    first, second = self._lines_holding(run_id, key, repeated)[:2]
                     raise DuplicateTrialError(
                         f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
                         f"({path}, lines {first} and {second})"
@@ -906,17 +892,15 @@ class TraceStore:
                 _open_for_append(path).close()
         return out
 
-    def _lines_holding(self, run_id: str, trial: tuple[str, int, int]) -> list[int]:
-        """The numbers of the record file's lines that hold `trial` (sample, level, trial index).
+    def _lines_holding(self, run_id: str, key: tuple[str, int], index: int) -> list[int]:
+        """The numbers of the record file's lines that hold trial `index` of configuration `key`.
 
-        Only an error path calls this, so it parses the file again rather
+        Only an error path calls this, so it reads the file again rather
         than have every replay keep line numbers.
         """
         with open(self.trial_path(run_id), "rb") as fh:
-            records = ((number, TrialRecordLine.from_json(raw.decode()))
-                       for number, raw in enumerate(fh, 1) if raw.strip())
-            return [number for number, r in records
-                    if (r.sample_id, r.level_index, r.trial_index) == trial]
+            lines = ((number, raw.strip()) for number, raw in enumerate(fh, 1))
+            return [number for number, line in lines if line and _read_line(line)[:2] == (key, index)]
 
     # ------------------------------------------------------------------
     # trajectory assembly and recomputation

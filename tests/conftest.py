@@ -217,10 +217,10 @@ def no_record_reads(monkeypatch) -> Callable[[], object]:
     context it runs to the end; the bundle `compute` replays afterwards
     must carry the same bytes.
     """
+    import arise.store
     from arise import TraceStore
-    from arise.store import TrialRecordLine
 
-    real_completed, real_from_json = TraceStore.completed_trials, TrialRecordLine.from_json
+    real_completed, real_read = TraceStore.completed_trials, arise.store._read_line
     preloading = False
 
     def completed_trials(self, run_id: str, resume: bool = False, **kwargs):
@@ -233,16 +233,16 @@ def no_record_reads(monkeypatch) -> Callable[[], object]:
         finally:
             preloading = False
 
-    def from_json(cls, line: str):
+    def read_line(line: bytes, *args: object):
         if not preloading:
-            raise AssertionError(f"stored record decoded outside a resume's preload: {line}")
-        return real_from_json(line)
+            raise AssertionError(f"stored record read outside a resume's preload: {line!r}")
+        return real_read(line, *args)
 
     @contextmanager
     def context() -> Iterator[None]:
         with monkeypatch.context() as patch:
             patch.setattr(TraceStore, "completed_trials", completed_trials)
-            patch.setattr(TrialRecordLine, "from_json", classmethod(from_json))
+            patch.setattr(arise.store, "_read_line", read_line)
             yield
 
     return context

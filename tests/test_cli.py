@@ -400,6 +400,27 @@ class TestCompute:
         assert (f"error: Expecting ':' delimiter: line 1 column 26 (char 25) "
                 f"({trial_file}, line 6)\n") in all_text(result)
 
+    @pytest.mark.parametrize("field, rule", [("completion_tokens", "must fit in a float"),
+                                             ("correct", "must be in [0, 1]")],
+                             ids=["completion_tokens", "correct"])
+    def test_a_number_beyond_float_range_names_the_record_file_and_line(self, runner, spec_file,
+                                                                        tmp_path, field, rule):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().splitlines(keepends=True)
+        lines[5] = json.dumps({**json.loads(lines[5]), field: 10**400}) + "\n"
+        trial_file.write_text("".join(lines))
+        damaged = trial_file.read_bytes()
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # not an uncaught OverflowError
+            assert f"error: {field}: {rule}, got {10**400} ({trial_file}, line 6)\n" in all_text(result)
+        assert trial_file.read_bytes() == damaged
+
     def test_missing_out_parent_is_created(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")

@@ -319,6 +319,8 @@ class TestTokenScaleInvariance:
     @given(trajectories(), st.floats(min_value=1e-2, max_value=1e2, allow_nan=False))
     # the pairwise gradients cancel to exactly 0; the scaled sum lands about 1e-12 away
     @example(traj("s", (1.0, 1.0), (0.0, 2.0), (0.0, 576.0), (1.0, 577.0)), 0.01)
+    # a subnormal gradient: the two sides land one subnormal step (5e-324) apart
+    @example(traj("s", (0.0, 1.0), (2.2250738585e-313, 199.0)), 0.5)
     def test_scaling_metric_scales_inversely(self, t, c):
         curve = build_scaling_curve([t])
         scaled = ScalingCurve(tuple((tok * c, acc) for tok, acc in curve.points))
@@ -326,8 +328,13 @@ class TestTokenScaleInvariance:
         pts = curve.points
         terms = [abs((a2 - a1) / (t2 - t1)) for i, (t1, a1) in enumerate(pts) for t2, a2 in pts[i + 1 :]]
         magnitude = math.fsum(terms) / len(terms) / c
+        # below the normal range a rounding errs by up to 2**-1075 absolutely, which no relative
+        # tolerance covers: each side rounds a quotient per pair and the mean, the right side's
+        # errors grow by 1/c, and its division by c rounds once more
+        roundings = (len(terms) + 1) * (1 + 1 / c) + 1
+        subnormal = math.ceil(roundings / 2) * math.ulp(0.0)  # roundings * 2**-1075, in whole steps
         assert scaling_metric(scaled) == pytest.approx(
-            scaling_metric(curve) / c, rel=1e-9, abs=1e-9 * magnitude
+            scaling_metric(curve) / c, rel=1e-9, abs=1e-9 * magnitude + subnormal
         )
 
     @settings(max_examples=300, deadline=None)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,18 @@ def test_package_all_has_no_duplicates():
 
 def test_request_limiter_stays_exported():
     assert arise.RequestLimiter is importlib.import_module("arise.backend").RequestLimiter
+
+
+def test_every_traced_entry_point_exists(monkeypatch):
+    """`perfbench --trace 1` wraps these by name; a renamed one must fail here, not only there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracing.TARGETS and tracer.missing == []

@@ -10,6 +10,7 @@ import math
 import re
 import stat
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -44,7 +45,7 @@ from arise import (
 )
 import arise.store
 from arise.cli import _load_run_config, main
-from arise.store import _check_record, _decode, _encode, now_rfc3339
+from arise.store import _check_keys, _encode, now_rfc3339
 
 
 def record(**overrides) -> TrialRecordLine:
@@ -200,12 +201,60 @@ def replay(store: TraceStore) -> object:
 
 
 def checked_record(data: object) -> TrialRecordLine:
-    """A parsed record line through `_decode` and `validate`, an integer `correct` widened."""
+    """A parsed record line through the key and field rules, an integer `correct` widened.
+
+    The rules are spelled out here, one field at a time, so the store's one
+    record check is held against a copy it does not share.
+    """
     if isinstance(data, dict) and type(data.get("correct")) is int:
         data["correct"] = float(data["correct"])
-    record = _decode(TrialRecordLine, data, "trial record", RecordValidationError)
-    record.validate()
-    return record
+    if not isinstance(data, dict):
+        raise RecordValidationError("trial record",
+                                    f"must be a JSON object, got {type(data).__name__}")
+    _check_keys(TrialRecordLine, data, "trial record", RecordValidationError)
+    r = TrialRecordLine(**data)
+    for name in ("run_id", "model", "sample_id", "level_label", "timestamp"):
+        value = getattr(r, name)
+        if not isinstance(value, str) or not value:
+            raise RecordValidationError(name, f"must be a non-empty string, got {value!r}")
+    for name in ("level_index", "trial_index"):
+        value = getattr(r, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise RecordValidationError(name, f"must be a non-negative integer, got {value!r}")
+    if isinstance(r.completion_tokens, bool) or not isinstance(r.completion_tokens, int):
+        raise RecordValidationError("completion_tokens",
+                                    f"must be an integer, got {r.completion_tokens!r}")
+    if r.completion_tokens <= 0:
+        raise RecordValidationError("completion_tokens", f"must be > 0, got {r.completion_tokens!r}")
+    if not isinstance(r.correct, (int, float)) or isinstance(r.correct, bool):
+        raise RecordValidationError("correct", f"must be a real number, got {r.correct!r}")
+    if not (math.isfinite(r.correct) and 0.0 <= r.correct <= 1.0):
+        raise RecordValidationError("correct", f"must be in [0, 1], got {r.correct!r}")
+    if not isinstance(r.meta, dict):
+        raise RecordValidationError("meta", f"must be an object, got {type(r.meta).__name__}")
+    return r
+
+
+def manifest_check(r: TrialRecordLine, listed: RunManifest, ids: frozenset[str]) -> None:
+    """Refuse a record that the manifest `listed`, whose samples are `ids`, does not describe."""
+    levels = listed.levels
+    if r.sample_id not in ids:
+        name, expected = "sample_id", "does not list it"
+    elif r.level_index >= len(levels):
+        name, expected = "level_index", f"has {len(levels)} levels"
+    elif r.run_id != listed.run_id:
+        name, expected = "run_id", f"says {listed.run_id!r}"
+    elif r.model != (listed.model or "unknown"):
+        name, expected = "model", f"says {listed.model or 'unknown'!r}"
+    elif r.level_label != levels[r.level_index]:
+        name, expected = "level_label", f"says {levels[r.level_index]!r}"
+    else:
+        return
+    raise RecordValidationError(
+        name,
+        f"record (sample {r.sample_id!r}, level {r.level_index}, trial {r.trial_index}) has "
+        f"{getattr(r, name)!r}, but the manifest of run {listed.run_id!r} {expected}",
+    )
 
 
 def replay_checked(path: Path, listed: RunManifest | None) -> object:
@@ -228,7 +277,7 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
         try:
             r = checked_record(json.loads(raw.strip().decode()))
             if listed is not None:
-                _check_record(r, listed, ids)
+                manifest_check(r, listed, ids)
         except ValueError as exc:
             if number == len(raws) and isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
                 return TornRecordError, (f"run 'r1': record file ends in a torn line at byte "
@@ -308,12 +357,11 @@ BOM = "\ufeff".encode()
 def raw_record_files(draw) -> bytes:
     """The record file of a complete one-sample naive:1 run with one line reframed or respelled.
 
-    Each change is one a scanned line must leave to the checked decode:
-    whitespace or a stray character around a line, CRLF, two objects on a
-    line, a record split over two lines at a comma, a BOM, invalid UTF-8, a
-    blank line, `correct` as 1, true, NaN or Infinity, a `sample_id` that is
-    a list or an object; then the file may lose its final newline or be
-    torn inside its last line.
+    The change is whitespace or a stray character around a line, CRLF, two
+    objects on a line, a record split over two lines at a comma, a BOM,
+    invalid UTF-8, a blank line, `correct` as 1, true, NaN or Infinity, or a
+    `sample_id` that is a list or an object; then the file may lose its
+    final newline or be torn inside its last line.
     """
     lines = [record().to_json().encode(),
              record(level_index=1, level_label="high", completion_tokens=200).to_json().encode()]
@@ -357,7 +405,7 @@ def raw_record_files(draw) -> bytes:
 
 
 class TestDecodePaths:
-    """Lines the outcome reader accepts skip the checked decode, and every line replays as it does."""
+    """Every line replays as the checked decode and the manifest check read it, rule by rule."""
 
     LISTED = (manifest(), manifest(n_samples=2), None)  # lists s01; lists s01 and s02; no manifest
 
@@ -421,6 +469,56 @@ class TestDecodePaths:
         assert result.exit_code == code, result.output
 
 
+@st.composite
+def records_and_manifests(draw) -> tuple[dict, RunManifest]:
+    """A record's fields, one value maybe swapped for any JSON value, and a manifest agreeing with them.
+
+    The record is the first trial of its configuration in run r1 (its
+    `run_id` names the record file, so it stays). The manifest lists its
+    sample, gives its level its label and says its model, wherever those
+    values are ones a manifest can hold.
+    """
+    data = {**draw(valid_record_fields()), "run_id": "r1", "trial_index": 0,
+            "level_index": draw(st.integers(0, 2))}
+    name = draw(st.sampled_from([None, *(name for name in data if name != "run_id")]))
+    if name is not None:
+        # no manifest has 2**70 levels
+        data[name] = draw(JSON_VALUES.filter(lambda v: name != "level_index" or v != 2**70))
+    text = lambda value, default: value if type(value) is str and value else default
+    level = data["level_index"] if type(data["level_index"]) is int and data["level_index"] > 0 else 0
+    levels = ["low"] * max(3, level + 1)
+    levels[level] = text(data["level_label"], "low")
+    return data, manifest(model=text(data["model"], "m"), levels=tuple(levels),
+                          sample_ids=(text(data["sample_id"], "s01"),))
+
+
+class TestWriterAndReplayAgree:
+    """`append_trial` writes exactly the records `completed_trials` reads back, as they were written."""
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=records_and_manifests())
+    def test_an_appended_record_reads_back_as_written(self, tmp_path, drawn):
+        data, listed = drawn
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        store = TraceStore(root)
+        store.write_manifest(listed)
+        try:
+            with store:
+                store.append_trial(TrialRecordLine(**data))
+        except ValueError as exc:
+            assert not store.trial_path("r1").exists()  # refused before any byte
+            store.trial_path("r1").write_text(json.dumps(data) + "\n")
+            with pytest.raises(ValueError) as err:
+                store.completed_trials("r1")
+            if isinstance(exc, RecordValidationError):  # else an index out of order, or a gap
+                assert str(err.value) == f"{exc} ({store.trial_path('r1')}, line 1)"
+        else:
+            key = (data["sample_id"], data["level_index"])
+            outcome = TrialOutcome(float(data["correct"]), float(data["completion_tokens"]))
+            assert store.completed_trials("r1") == {key: [outcome]}
+
+
 class TestRecordLineErrors:
     """An error from a record line names the record file and the line; a torn tail keeps its message."""
 
@@ -464,6 +562,22 @@ class TestRecordLineErrors:
         assert str(err.value) == (
             f"model: record (sample 's01', level 0, trial 5) has 'other', but the manifest of "
             f"run 'r1' says 'm' ({store.trial_path('r1')}, line 6)")
+
+    @pytest.mark.parametrize("field, rule", [("completion_tokens", "must fit in a float"),
+                                             ("correct", "must be in [0, 1]")],
+                             ids=["completion_tokens", "correct"])
+    def test_a_number_beyond_float_range_names_the_file_and_line(self, tmp_path, field, rule):
+        store = self.seed_store(tmp_path)
+        self.replace_line(store, 6, record(trial_index=5, **{field: 10**400}).to_json().encode()
+                          + b"\n")
+        where = f"({store.trial_path('r1')}, line 6)"
+        for listed in (True, False):  # with the manifest, and without it
+            if not listed:
+                store.manifest_path("r1").unlink()
+            with pytest.raises(RecordValidationError) as err:
+                store.completed_trials("r1")
+            assert err.value.fieldname == field
+            assert str(err.value) == f"{field}: {rule}, got {10**400} {where}"
 
     def test_a_torn_tail_names_its_offset_only(self, tmp_path):
         store = self.seed_store(tmp_path)
@@ -683,6 +797,22 @@ class TestAppend:
             store.append_trial(record(completion_tokens=0))
         assert not store.trial_path("r1").exists()
 
+    @pytest.mark.parametrize("field, rule", [("completion_tokens", "must fit in a float"),
+                                             ("correct", "must be in [0, 1]")],
+                             ids=["completion_tokens", "correct"])
+    def test_a_number_beyond_float_range_is_refused_before_any_write(self, tmp_path: Path, field,
+                                                                      rule):
+        with TraceStore(tmp_path) as store:
+            with pytest.raises(RecordValidationError, match=re.escape(f"{field}: {rule}, got 1000")):
+                store.append_trial(record(**{field: 10**400}))
+            assert not store.trial_path("r1").exists()
+            store.append_trial(record())
+            before = store.trial_path("r1").read_bytes()
+            with pytest.raises(RecordValidationError) as err:
+                store.append_trial(record(trial_index=1, **{field: 10**400}))
+            assert err.value.fieldname == field
+            assert store.trial_path("r1").read_bytes() == before
+
     def test_concurrent_appends_all_land(self, tmp_path: Path):
         store = TraceStore(tmp_path)
 
@@ -853,14 +983,14 @@ class TestResumeRead:
     def test_each_stored_line_is_parsed_once(self, tmp_path: Path, monkeypatch):
         self.seed_store(tmp_path)
         stored = len((tmp_path / "r1.jsonl").read_text().splitlines())
-        parse = TrialRecordLine.from_json
-        lines: list[str] = []
+        read = arise.store._read_line
+        lines: list[bytes] = []
 
-        def counting(cls, line: str) -> TrialRecordLine:
+        def counting(line: bytes, *args: object) -> object:
             lines.append(line)
-            return parse(line)
+            return read(line, *args)
 
-        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting))
+        monkeypatch.setattr(arise.store, "_read_line", counting)
         store = TraceStore(tmp_path)
         store.completed_trials("r1", resume=True)
         store.append_trial(record(trial_index=3))
@@ -951,25 +1081,26 @@ class TestRecompute:
             store.recompute("r1")
 
     def test_recompute_parses_each_line_once(self, tmp_path: Path, monkeypatch):
-        """Each line is scanned once, and on a clean file the checked decode never runs."""
+        """Each line goes through the one reader once, and is scanned once."""
         store = self.seed_store(tmp_path)
-        scan, parse = arise.store._scan, TrialRecordLine.from_json
+        scan, read = arise.store._scan, arise.store._read_line
         scanned: list[str] = []
-        checked: list[str] = []
+        lines: list[bytes] = []
 
         def counting_scan(text: str, index: int) -> tuple[object, int]:
             scanned.append(text)
             return scan(text, index)
 
-        def counting_parse(cls, line: str) -> TrialRecordLine:
-            checked.append(line)
-            return parse(line)
+        def counting_read(line: bytes, *args: object) -> object:
+            lines.append(line)
+            return read(line, *args)
 
         monkeypatch.setattr(arise.store, "_scan", counting_scan)
-        monkeypatch.setattr(TrialRecordLine, "from_json", classmethod(counting_parse))
+        monkeypatch.setattr(arise.store, "_read_line", counting_read)
         store.recompute("r1")
-        assert scanned == store.trial_path("r1").read_text().splitlines(keepends=True)
-        assert checked == []
+        stored = store.trial_path("r1").read_text().splitlines()
+        assert scanned == stored
+        assert lines == [line.encode() for line in stored]
 
     def store_in_order(self, tmp_path: Path, listed: RunManifest, sample_ids: list[str]) -> TraceStore:
         store = TraceStore(tmp_path)

@@ -42,7 +42,7 @@ from .store import (
     read_mapping,
     render_table,
     summary_table,
-    write_atomic,
+    write_csv,
     write_curve_csv,
     write_results_csv,
     write_transitions_csv,
@@ -330,7 +330,7 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
             for r in range(runs)
         ]
         headers = ("mode", "run", "arise", "scaling_metric", "trials", "unconverged")
-        write_atomic(out, render_table(headers, per_run, "csv") + "\n")
+        write_csv(out, headers, per_run)
         click.echo(f"per-run rows written to {out}", err=True)
 
 

@@ -17,7 +17,6 @@ rule draws raises ValueError.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .metrics import LevelOutcome, SampleTrajectory
 __all__ = [
     "EPSILON",
     "TrialOutcome",
-    "LevelStatistics",
     "ConvergenceConfig",
     "EvaluationBackend",
     "ConfigurationResult",
@@ -66,14 +64,13 @@ class InfeasibleBudgetError(ValueError):
 class ConfigurationError(RuntimeError):
     """A backend call failed, so one configuration aborted; retrying is the backend's job."""
 
-    def __init__(self, sample_id: str, level_index: int, stats: "LevelStatistics", cause: BaseException):
+    def __init__(self, sample_id: str, level_index: int, count: int, cause: BaseException):
         super().__init__(
-            f"configuration ({sample_id!r}, level {level_index}) failed at trial {stats.count}: "
-            f"{cause}"
+            f"configuration ({sample_id!r}, level {level_index}) failed at trial {count}: {cause}"
         )
         self.sample_id = sample_id
         self.level_index = level_index
-        self.stats = stats  # statistics over the trials completed before the abort
+        self.count = count  # trials completed before the abort
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,76 +104,14 @@ def _pstd(xs: Sequence[float], mu: float) -> float:
 def _two_pass(correct: Sequence[float], tokens: Sequence[float]) -> tuple[float, float, float]:
     """Mean accuracy, mean tokens and combined CV of one configuration's trials.
 
-    The arithmetic of `LevelStatistics`, step for step, so every value is
-    bit-identical to its `mean_acc`, `mean_tok` and `cv_combined`.
+    The one definition of the stop rule's statistics: each stream's mean is
+    its sum over k, its population standard deviation (divisor k) is taken
+    about that mean, and its CV divides by mean + EPSILON; the combined CV
+    is the accuracy CV plus the token CV.
     """
     mean_acc, mean_tok = _mean(correct), _mean(tokens)
     cv_acc = _pstd(correct, mean_acc) / (mean_acc + EPSILON)
     return mean_acc, mean_tok, cv_acc + _pstd(tokens, mean_tok) / (mean_tok + EPSILON)
-
-
-@dataclass(frozen=True)
-class LevelStatistics:
-    """Statistics over the retained trials of one configuration.
-
-    Every derived value is a function of the retained trial tuple alone,
-    so an instance built trial-by-trial is bit-identical to one built from
-    the full list at once. The means and standard deviations are computed
-    on first access and cached. Standard deviations are population
-    (divisor k) estimates; CVs divide by mean + EPSILON.
-    """
-
-    trials: tuple[TrialOutcome, ...] = ()
-
-    def _require_trials(self) -> None:
-        if not self.trials:
-            raise SamplingStateError("statistics undefined with zero trials")
-
-    @property
-    def count(self) -> int:
-        return len(self.trials)
-
-    @functools.cached_property
-    def mean_acc(self) -> float:
-        self._require_trials()
-        return _mean([t.correct for t in self.trials])
-
-    @functools.cached_property
-    def std_acc(self) -> float:
-        self._require_trials()
-        return _pstd([t.correct for t in self.trials], self.mean_acc)
-
-    @functools.cached_property
-    def mean_tok(self) -> float:
-        self._require_trials()
-        return _mean([t.tokens for t in self.trials])
-
-    @functools.cached_property
-    def std_tok(self) -> float:
-        self._require_trials()
-        return _pstd([t.tokens for t in self.trials], self.mean_tok)
-
-    @property
-    def cv_acc(self) -> float:
-        return self.std_acc / (self.mean_acc + EPSILON)
-
-    @property
-    def cv_tok(self) -> float:
-        return self.std_tok / (self.mean_tok + EPSILON)
-
-    @property
-    def cv_combined(self) -> float:
-        return self.cv_acc + self.cv_tok
-
-    @property
-    def final(self) -> LevelOutcome:
-        """Finalized outcome: the means over all retained trials."""
-        return LevelOutcome(self.mean_acc, self.mean_tok)
-
-    def probe_cv(self, m_min: int) -> float:
-        """Combined CV of the first m_min trials, the probe phase (all trials when fewer)."""
-        probe = self if self.count <= m_min else LevelStatistics(self.trials[:m_min])
-        return probe.cv_combined
 
 
 @dataclass(frozen=True)
@@ -196,13 +131,14 @@ class ConvergenceConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
-def should_continue(stats: LevelStatistics, cfg: ConvergenceConfig) -> bool:
+def should_continue(stats: _RunningCV, cfg: ConvergenceConfig) -> bool:
     """True while the configuration needs more trials.
 
     Continues while the combined CV is still at or above tau and fewer than
     m_max trials have run; total trials therefore never exceed m_max.
     `stats` may be any object with `.count` and `.cv_combined`, such as the
-    running accumulator that `run_configuration` keeps.
+    running accumulator (`_RunningCV`) that `run_configuration` keeps, whose
+    combined CV is the `_two_pass` one.
     """
     if stats.count < cfg.m_min:
         raise SamplingStateError(
@@ -216,7 +152,7 @@ def should_continue(stats: LevelStatistics, cfg: ConvergenceConfig) -> bool:
 # m = max|x_i|, u = 2^-53 and g = (3k + 6)u. Rounding-error bounds for
 # recursive summation (error <= (k-1)u sum|x|; Neumaier's sum() on Python
 # >= 3.12 stays inside it) give:
-# - two-pass (LevelStatistics): the mean is off by at most k u m, and
+# - two-pass (_two_pass): the mean is off by at most k u m, and
 #   sqrt(sigma^2 + mean error^2) carries a relative error of (k/2 + 3)u,
 #   so |std_e - sigma| <= (1.5k + 4)u m;
 # - running sums S, Q: |Q/k - (S/k)^2 - sigma^2| <= E = (3k + 4)u m^2, so
@@ -260,8 +196,8 @@ class _RunningCV:
     Keeps the `correct` and `tokens` values of its trials in two lists and
     exposes `.count` and `.cv_combined` to `should_continue`. The combined
     CV comes from running sums when it lies farther from tau than the guard
-    band above; otherwise it is the exact two-pass value (`_two_pass`), so
-    every stop decision equals the `LevelStatistics` one on every interpreter.
+    band above; otherwise it is the exact two-pass value, so every stop
+    decision equals the one `_two_pass` gives on every interpreter.
     """
 
     __slots__ = ("correct", "tokens", "_tau", "_s_acc", "_q_acc", "_m_acc", "_s_tok", "_q_tok",
@@ -360,7 +296,7 @@ def run_configuration(
     ValueError, since no run under this rule could have stored them.
     `on_trial` fires once per fresh outcome. The first exception from the
     backend aborts the configuration with a ConfigurationError holding the
-    trials so far. The result keeps statistics only: the trials are
+    number of trials so far. The result keeps statistics only: the trials are
     dropped when the configuration finishes.
     """
     running = _RunningCV(cfg)
@@ -373,8 +309,7 @@ def run_configuration(
         try:
             outcome = backend.evaluate(sample_id, level_index, idx)
         except Exception as exc:
-            partial = LevelStatistics(tuple(map(TrialOutcome, correct, tokens)))
-            raise ConfigurationError(sample_id, level_index, partial, exc) from exc
+            raise ConfigurationError(sample_id, level_index, idx, exc) from exc
         running.append(outcome)
         if on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
@@ -385,7 +320,7 @@ def run_configuration(
             f"trials, but its stop rule stops at {k}"
         )
     mean_acc, mean_tok, cv = _two_pass(correct, tokens)
-    # the probe is the first m_min trials (all of them when fewer), as LevelStatistics.probe_cv
+    # the probe is the first m_min trials (all of them when fewer), through _two_pass as well
     m_min = cfg.m_min
     probe_cv = cv if k <= m_min else _two_pass(correct[:m_min], tokens[:m_min])[2]
     return ConfigurationResult(

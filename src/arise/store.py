@@ -11,16 +11,16 @@ backend that cannot draw, so the live run's stop rule decides: a
 configuration short of it raises IncompleteRunError (a resume draws the
 rest); one holding more trials than it draws, a trial stored twice
 (DuplicateTrialError) and a gap in a configuration's trial indices raise
-ValueError. One check owns every record rule (`_check_record`):
-`append_trial` applies it before writing a byte, and `completed_trials`
-reads every stored line through one reader that applies it with the
-run's manifest, so a record must also hold the manifest's run id, model
-and level label and a sample it lists, as `TraceStore.record` writes
-them. Every writer takes its next trial indices from what
-`completed_trials` read, so it only extends a file that replay accepts.
-Appends flush per line, so a crash loses at most the in-flight record: a
-torn final line makes readers raise `TornRecordError`, and a resume cuts
-it off before appending; no other line is ever rewritten or deleted.
+ValueError. One check owns every record rule (`_check_record`), and
+both sides apply it with the run's manifest: `append_trial` before
+writing a byte, and `completed_trials` through the one reader of every
+stored line. So a record must also hold the manifest's run id, model and
+level label and a sample it lists, as `TraceStore.record` writes them.
+Every writer takes its next trial indices from what `completed_trials`
+read, so it only extends a file that replay accepts. Appends flush per
+line, so a crash loses at most the in-flight record: a torn final line
+makes readers raise `TornRecordError`, and a resume cuts it off before
+appending; no other line is ever rewritten or deleted.
 Floats survive the round trip exactly (JSON serialization preserves 17
 significant digits).
 """
@@ -80,6 +80,7 @@ __all__ = [
     "render_table",
     "summary_table",
     "write_atomic",
+    "write_csv",
     "write_results_csv",
     "write_curve_csv",
     "write_transitions_csv",
@@ -126,11 +127,14 @@ def read_mapping(path: str | Path, what: str) -> dict:
     """
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        import yaml  # only non-JSON configs need PyYAML
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            import yaml  # only non-JSON configs need PyYAML
 
-        data = yaml.safe_load(text)
+            data = yaml.safe_load(text)
+    except RecursionError:
+        raise ValueError(f"{what} {path} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path} is not a mapping")
     return data
@@ -234,10 +238,18 @@ def _append_to_message(exc: ValueError, text: str) -> None:
 T = TypeVar("T")
 
 
+def _loads(text: str) -> object:
+    """`json.loads(text)`; a value nested past the recursion limit raises ValueError as well."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON value nests too deeply to decode") from None
+
+
 def decode_file(path: str | Path, decode: Callable[[object], T]) -> T:
     """`decode` of the JSON value in `path`; a ValueError it raises ends with the path."""
     try:
-        return decode(json.loads(Path(path).read_text()))
+        return decode(_loads(Path(path).read_text()))
     except ValueError as exc:
         _append_to_message(exc, f"({path})")
         raise
@@ -365,7 +377,7 @@ class TrialRecordLine:
     @classmethod
     def from_json(cls, line: str) -> "TrialRecordLine":
         """The record on one stored line; a stored integer `correct` reads back as a float."""
-        data = json.loads(line)
+        data = _loads(line)
         return cls(**{**data, "correct": _check_record(data)[2]})
 
 
@@ -557,19 +569,25 @@ def _check_record(data: object, manifest: RunManifest | None = None,
     )
 
 
+def _listed(manifest: RunManifest | None) -> frozenset[str]:
+    """The samples `manifest` lists, for `_check_record`; none without a manifest."""
+    return frozenset(manifest.sample_ids) if manifest is not None else frozenset()
+
+
 def _read_line(line: bytes, manifest: RunManifest | None = None,
                listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
     """`_check_record` of the value on one stored line, stripped and not blank.
 
-    A line that is not one JSON value raises the error `json.loads` gives it.
+    A line that is not one JSON value raises the error `json.loads` gives it,
+    and one nested too deeply to decode a ValueError.
     """
     text = line.decode()
     try:
         data, end = _scan(text, 0)
-    except StopIteration:  # no value at 0
+    except (StopIteration, RecursionError):  # no value at 0, or one too deep: _loads raises
         end = -1
     if end != len(text):
-        data = json.loads(text)
+        data = _loads(text)
     return _check_record(data, manifest, listed)
 
 
@@ -698,6 +716,9 @@ class _NoDraws:
         raise LookupError(f"no record of trial {trial_index}")
 
 
+_Run = tuple[RunManifest | None, frozenset[str], dict[tuple[str, int], int]]
+
+
 class TraceStore:
     """Filesystem store rooted at one directory; single writer per run.
 
@@ -709,8 +730,9 @@ class TraceStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._handles: dict[str, BinaryIO] = {}
-        # run id -> (sample id, level index) -> the trial index its next append must have
-        self._next: dict[str, dict[tuple[str, int], int]] = {}
+        # run id -> what each append of the run is checked against: (its manifest or None, the
+        # samples it lists, (sample id, level index) -> the trial index its next append must have)
+        self._runs: dict[str, _Run] = {}
         # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
         # so a reader in another thread never pairs one second with another's text
         self._stamp: tuple[int, str] = (-1, "")
@@ -781,17 +803,27 @@ class TraceStore:
     def append_trial(self, record: TrialRecordLine) -> None:
         """Durably append one record, which must hold its configuration's next trial index.
 
-        A lower index raises DuplicateTrialError and a higher one ValueError,
+        The record must pass `_check_record` with its run's manifest, as
+        replay reads it: the manifest given to `completed_trials(resume=True)`,
+        else the one stored when the run's first append reads the run; a run
+        without one gets the field rules only. A refused record, or one whose
+        `meta` nests too deeply to encode, raises RecordValidationError, a
+        lower index DuplicateTrialError and a higher one ValueError, all
         before any byte is written. Each next index is the trial count that
         `completed_trials` read, so a file it refuses is refused before the
         first append.
         """
-        key, index = _check_record(vars(record))[:2]
+        data = vars(record)
+        try:
+            manifest, listed, next_index = self._runs[record.run_id]
+        except (KeyError, TypeError):  # a run not read yet, or a run id that is no string
+            manifest, listed, next_index = self._read_run(data)
+        key, index, _, _ = _check_record(data, manifest, listed)
+        try:
+            line = record.to_json().encode() + b"\n"
+        except RecursionError:
+            raise RecordValidationError("meta", "nests too deeply to encode") from None
         with self._lock:
-            next_index = self._next.get(record.run_id)
-            if next_index is None:  # not resumed; completed_trials takes no lock without resume
-                next_index = self._next[record.run_id] = {
-                    key: len(trials) for key, trials in self.completed_trials(record.run_id).items()}
             expected = next_index.get(key, 0)
             if index != expected:  # a stored index, or a skipped one
                 error = DuplicateTrialError if index < expected else ValueError
@@ -802,9 +834,27 @@ class TraceStore:
                 self.root.mkdir(parents=True, exist_ok=True)
                 handle = _open_for_append(self.trial_path(record.run_id))
                 self._handles[record.run_id] = handle
-            handle.write(record.to_json().encode() + b"\n")
+            handle.write(line)
             handle.flush()
             next_index[key] = expected + 1
+
+    def _read_run(self, data: dict) -> _Run:
+        """The writer's state of a run not read yet, from its stored manifest and records.
+
+        `data` is the first record appended; its field rules are checked
+        first, so a run id that is no string never names a file.
+        """
+        _check_record(data)
+        run_id = data["run_id"]
+        with self._lock:
+            run = self._runs.get(run_id)
+            if run is None:  # completed_trials takes no lock without resume
+                stored = self.manifest_path(run_id).exists()
+                manifest = self.read_manifest(run_id) if stored else None
+                trials = self.completed_trials(run_id, manifest=manifest)
+                run = self._runs[run_id] = (manifest, _listed(manifest),
+                                            {key: len(held) for key, held in trials.items()})
+            return run
 
     def close(self) -> None:
         with self._lock:
@@ -830,8 +880,9 @@ class TraceStore:
         (DuplicateTrialError, naming both lines) or any other gap in a
         configuration's indices raises ValueError. With resume, a torn final
         line is cut off instead of raising TornRecordError, a whole final
-        record gets its newline, and the counts read here are append_trial's
-        next indices, so the file is parsed once.
+        record gets its newline, and the manifest and the counts read here
+        are what append_trial checks against and its next indices, so the
+        file is parsed once.
 
         The file is streamed line by line, and every line that is not blank
         goes through one reader, `_read_line`: it scans the line and applies
@@ -843,7 +894,7 @@ class TraceStore:
         if manifest is None and self.manifest_path(run_id).exists():
             manifest = self.read_manifest(run_id)
         path = self.trial_path(run_id)
-        listed = frozenset(manifest.sample_ids) if manifest is not None else frozenset()
+        listed = _listed(manifest)
         read = _read_line
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
@@ -887,7 +938,8 @@ class TraceStore:
             out[key] = [outcome for _, outcome in indexed]
         if resume:  # indices are contiguous, so each count is the next index
             with self._lock:
-                self._next[run_id] = {key: len(outcomes) for key, outcomes in out.items()}
+                self._runs[run_id] = (manifest, listed,
+                                      {key: len(outcomes) for key, outcomes in out.items()})
             if path.exists():  # even when nothing is left to append
                 _open_for_append(path).close()
         return out
@@ -922,7 +974,7 @@ class TraceStore:
             raise IncompleteRunError(
                 run_id,
                 f"configuration {(exc.sample_id, exc.level_index)!r}: its records end before "
-                f"trial {exc.stats.count}, which its stop rule draws; `run --resume` draws the rest",
+                f"trial {exc.count}, which its stop rule draws; `run --resume` draws the rest",
             ) from exc
 
     def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
@@ -960,21 +1012,29 @@ def render_table(
     """Render rows as csv, json (a list of objects) or a markdown table.
 
     Cells are written with str(); in json, column i holds json_types[i](cell),
-    a string by default.
+    a string by default. In csv a cell holding a comma, a quote, CR or LF is
+    quoted, its quotes doubled (RFC 4180); in markdown `|` is escaped as `\\|`.
     """
     cells = [[str(cell) for cell in row] for row in rows]
     if fmt == "csv":
-        return "\n".join([",".join(headers), *(",".join(row) for row in cells)])
+        return "\n".join(",".join(map(_csv_cell, row)) for row in [headers, *cells])
     if fmt == "json":
         types = json_types or (str,) * len(headers)
         return json.dumps(
             [{h: t(cell) for h, t, cell in zip(headers, types, row)} for row in cells], indent=2
         )
+    cells = [[cell.replace("|", "\\|") for cell in row] for row in cells]
     widths = [max([len(h), *(len(row[i]) for row in cells)]) for i, h in enumerate(headers)]
     return "\n".join(
         "| " + " | ".join(cell.ljust(w) for cell, w in zip(line, widths)) + " |"
         for line in [headers, ["-" * w for w in widths], *cells]
     )
+
+
+def _csv_cell(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _summary_rows(bundles: Sequence[ResultBundle], sm_scale: float) -> list[tuple[object, ...]]:
@@ -998,17 +1058,15 @@ def summary_table(bundles: Sequence[ResultBundle], fmt: str, sm_scale: float = 1
     return render_table(_SUMMARY_COLUMNS, _summary_rows(bundles, sm_scale), fmt, _SUMMARY_JSON_TYPES)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    return render_table(header, rows, "csv") + "\n"
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    """Write `render_table`'s csv of `rows` under `header` to `path` atomically, newline-ended."""
+    write_atomic(path, render_table(header, rows, "csv") + "\n")
 
 
 def write_results_csv(path: str | Path, bundles: Sequence[ResultBundle], sm_scale: float = 1.0) -> None:
     """One row per bundle: model, benchmark, arise, scaling_metric, n_samples, levels."""
     rows = [row[:6] for row in _summary_rows(bundles, sm_scale)]
-    write_atomic(
-        path,
-        _csv_text(("model", "benchmark", "arise", "scaling_metric", "n_samples", "levels"), rows),
-    )
+    write_csv(path, ("model", "benchmark", "arise", "scaling_metric", "n_samples", "levels"), rows)
 
 
 def write_curve_csv(path: str | Path, bundle: ResultBundle) -> None:
@@ -1016,11 +1074,11 @@ def write_curve_csv(path: str | Path, bundle: ResultBundle) -> None:
     labels = bundle.manifest.levels
     rows = [(j, labels[j], repr(t), repr(a)) for j, (t, a) in enumerate(bundle.curve)]
     header = ("level_index", "level_label", "mean_tokens", "mean_accuracy")
-    write_atomic(path, _csv_text(header, rows))
+    write_csv(path, header, rows)
 
 
 def write_transitions_csv(path: str | Path, bundle: ResultBundle) -> None:
     """One row per adjacent level pair: TransitionMatrix's fields, in order."""
     header = _field_names(TransitionMatrix)
     rows = [[getattr(t, name) for name in header] for t in bundle.transitions]
-    write_atomic(path, _csv_text(header, rows))
+    write_csv(path, header, rows)

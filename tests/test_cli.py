@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from collections import Counter
@@ -49,6 +50,9 @@ def workers_seen(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(cli, "run_evaluation", spy)
     return seen
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # JSON nested past any recursion limit
 
 
 def do_run(runner: CliRunner, spec_file: Path, out: Path, *extra: str, seed: str = "42"):
@@ -248,6 +252,16 @@ class TestMalformedConfigs:
         assert result.stderr.startswith(f"error: {expected}")
         assert "Traceback" not in all_text(result)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_a_config_nested_too_deeply_exits_one_naming_it(self, runner, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"samples": {DEEP}}}')
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert " nests too deeply to read" in result.stderr
+        assert str(path) in result.stderr
 
 
 class TestHttpRun:
@@ -915,6 +929,20 @@ class TestFormatsAndScaling:
         header = result.output.strip().split("\n")[0]
         assert header == "model,benchmark,arise,scaling_metric,n_samples,n_levels,unconverged_count"
 
+    def test_csv_and_markdown_cells_are_escaped(self, runner, spec_file, tmp_path):
+        out, model = tmp_path / "runs", 'gpt,4 "x"|y'
+        result = runner.invoke(main, ["--format", "csv", "run", str(spec_file), "--naive", "1",
+                                      "--model", model, "--out", str(out), "--run-id", "r1"])
+        assert result.exit_code == 0, result.output
+        header, row = csv.reader(result.output.splitlines()[:2])
+        assert len(header) == len(row) == 7 and row[0] == model
+        result = runner.invoke(main, ["report", str(out / "r1.bundle.json"),
+                                      "--results-csv", str(tmp_path / "results.csv")])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[2].startswith('| gpt,4 "x"\\|y | ')
+        header, row = csv.reader((tmp_path / "results.csv").read_text().splitlines())
+        assert len(header) == len(row) == 6 and row[0] == model
+
     def test_json_format_parses(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         result = runner.invoke(
@@ -1113,6 +1141,20 @@ class TestMalformedStoredFiles:
         assert f"error: {expected}" in all_text(result)
         assert "Traceback" not in all_text(result)
 
+    def test_a_record_nested_too_deeply_names_the_file_and_line(self, runner, spec_file,
+                                                                 tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1")
+        trial_file = out / "r1.jsonl"
+        lines = trial_file.read_text().split("\n")
+        lines[5] = lines[5].replace('"meta": {}', f'"meta": {{"x": {DEEP}}}')
+        trial_file.write_text("\n".join(lines))
+        result = self.compute(runner, out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            f"error: JSON value nests too deeply to decode ({trial_file}, line 6)\n")
+
     @pytest.mark.parametrize("field, value", [
         ("level_label", "level2"),
         ("level_index", 7),
@@ -1186,7 +1228,8 @@ class TestMalformedStoredFiles:
         (lambda text: '{"run_id": ', "Expecting value: line 1 column 12 (char 11)"),
         (lambda text: text.replace('"adaptive"', '"bogus"').replace('"naive"', '"bogus"'),
          "mode: must be one of adaptive, fixed_budget, naive, got 'bogus'"),
-    ], ids=["json", "field"])
+        (lambda text: f'{{"run_id": {DEEP}}}', "JSON value nests too deeply to decode"),
+    ], ids=["json", "field", "deep"])
     def test_a_bad_manifest_names_its_file(self, runner, spec_file, tmp_path, damage, expected):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
@@ -1203,7 +1246,8 @@ class TestMalformedStoredFiles:
         (lambda text: text + "{}", r"Extra data: line \d+ column 2 \(char \d+\)"),
         (lambda text: text.replace('"curve"', '"kurve"', 1),
          "kurve: not a field of the result bundle"),
-    ], ids=["json", "field"])
+        (lambda text: DEEP, "JSON value nests too deeply to decode"),
+    ], ids=["json", "field", "deep"])
     def test_a_bad_bundle_names_its_file(self, runner, spec_file, tmp_path, damage, expected):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")

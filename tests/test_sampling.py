@@ -11,6 +11,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from arise import (
     HttpBackend,
     InfeasibleBudgetError,
     LevelOutcome,
-    LevelStatistics,
     NaiveMode,
     SamplingStateError,
     SimulatorBackend,
@@ -44,7 +44,7 @@ from arise import (
     should_continue,
 )
 
-from arise.sampling import _RunningCV
+from arise.sampling import _RunningCV, _two_pass
 from conftest import FailingBackend, ScriptedBackend, backend_config_dict
 
 
@@ -70,105 +70,99 @@ class TestTrialOutcome:
         assert pickle.loads(pickle.dumps(outcome)) == outcome
 
 
+def oracle(trials, summation=sum) -> tuple[float, float, float]:
+    """Mean accuracy, mean tokens and combined CV of `trials`, each sum taken with `summation`.
+
+    Each stream's mean is its sum over k, its population std (divisor k)
+    is taken about that mean, and its CV divides by mean + EPSILON; the
+    combined CV adds the accuracy CV to the token CV.
+    """
+    k = len(trials)
+    means, cvs = [], []
+    for stream in ([t.correct for t in trials], [t.tokens for t in trials]):
+        mean = summation(stream) / k
+        means.append(mean)
+        cvs.append(math.sqrt(summation((x - mean) ** 2 for x in stream) / k) / (mean + EPSILON))
+    return means[0], means[1], cvs[0] + cvs[1]
+
+
+def two_pass(trials) -> tuple[float, float, float]:
+    """`_two_pass` of `trials`: the statistics `run_configuration` finishes with."""
+    return _two_pass([t.correct for t in trials], [t.tokens for t in trials])
+
+
+def stream_cvs(trials) -> tuple[float, float]:
+    """Each stream's CV alone, from `_two_pass` with the other stream held constant (CV 0)."""
+    acc = two_pass([TrialOutcome(t.correct, 1.0) for t in trials])[2]
+    tok = two_pass([TrialOutcome(1.0, t.tokens) for t in trials])[2]
+    return acc, tok
+
+
+def plain_sum(xs, start=0):
+    """Left-to-right float summation, the builtin sum() before Python 3.12."""
+    total = float(start)
+    for x in xs:
+        total += x
+    return total
+
+
 class TestLevelStatistics:
+    """The statistics of one configuration's trials, as `_two_pass` takes them."""
+
     def test_accuracy_statistics_fixture(self):
-        stats = LevelStatistics(PROBE)
-        assert stats.mean_acc == 0.6666666666666666
-        assert stats.std_acc == 0.4714045207910317
-        assert stats.cv_acc == 0.707106770579946
+        assert two_pass(PROBE)[0] == 0.6666666666666666
+        assert stream_cvs(PROBE)[0] == 0.707106770579946
 
     def test_token_statistics_fixture(self):
-        stats = LevelStatistics(PROBE)
-        assert stats.mean_tok == 200.0
-        assert stats.std_tok == 81.64965809277261
-        assert stats.cv_tok == 0.4082482904434506
+        assert two_pass(PROBE)[1] == 200.0
+        assert stream_cvs(PROBE)[1] == 0.4082482904434506
 
     def test_combined_cv_fixture(self):
-        assert LevelStatistics(PROBE).cv_combined == 1.1153550610233967
+        assert two_pass(PROBE) == (0.6666666666666666, 200.0, 1.1153550610233967) == oracle(PROBE)
 
     def test_cv_sum_example(self):
         # Two symmetric trials pin each stream's CV exactly: values
         # mean +/- cv*(mean+eps) have population std cv*(mean+eps).
         d_acc = 0.3175 * (0.5 + EPSILON)
         d_tok = 0.2854 * (200.0 + EPSILON)
-        stats = LevelStatistics(
-            outcomes((0.5 + d_acc, 200.0 + d_tok), (0.5 - d_acc, 200.0 - d_tok))
-        )
-        assert stats.cv_acc == pytest.approx(0.3175, abs=1e-12)
-        assert stats.cv_tok == pytest.approx(0.2854, abs=1e-12)
-        assert stats.cv_combined == pytest.approx(0.6029, abs=1e-12)
-        assert stats.cv_combined == stats.cv_acc + stats.cv_tok
+        trials = outcomes((0.5 + d_acc, 200.0 + d_tok), (0.5 - d_acc, 200.0 - d_tok))
+        cv_acc, cv_tok = stream_cvs(trials)
+        assert cv_acc == pytest.approx(0.3175, abs=1e-12)
+        assert cv_tok == pytest.approx(0.2854, abs=1e-12)
+        assert two_pass(trials)[2] == pytest.approx(0.6029, abs=1e-12)
+        assert two_pass(trials)[2] == cv_acc + cv_tok
 
     def test_single_trial_has_zero_spread(self):
-        stats = LevelStatistics(outcomes((1.0, 150.0)))
-        assert stats.std_acc == 0.0
-        assert stats.std_tok == 0.0
-        assert stats.cv_combined == 0.0
+        assert two_pass(outcomes((1.0, 150.0))) == (1.0, 150.0, 0.0)
 
     def test_zero_accuracy_mean_stays_finite(self):
-        stats = LevelStatistics(outcomes((0.0, 100.0), (0.0, 100.0)))
-        assert stats.cv_acc == 0.0
-        assert math.isfinite(stats.cv_combined)
-
-    def test_incremental_equals_batch_bit_for_bit(self):
-        rng = random.Random(3)
-        trials = [TrialOutcome(float(rng.randint(0, 1)), rng.uniform(50, 500)) for _ in range(10)]
-        folded = LevelStatistics()
-        for t in trials:
-            folded = LevelStatistics(folded.trials + (t,))
-        batch = LevelStatistics(tuple(trials))
-        assert folded.mean_acc == batch.mean_acc
-        assert folded.std_tok == batch.std_tok
-        assert folded.cv_combined == batch.cv_combined
+        assert two_pass(outcomes((0.0, 100.0), (0.0, 100.0)))[2] == 0.0
+        assert math.isfinite(two_pass(outcomes((0.0, 100.0), (0.0, 300.0)))[2])
 
     def test_matches_numpy_population_statistics(self):
         rng = random.Random(11)
         for _ in range(50):
             k = rng.randint(1, 12)
             trials = [TrialOutcome(rng.random(), rng.uniform(1, 1e4)) for _ in range(k)]
-            stats = LevelStatistics(tuple(trials))
+            mean_acc, mean_tok, cv = two_pass(trials)
             accs = np.array([t.correct for t in trials])
             toks = np.array([t.tokens for t in trials])
-            assert stats.mean_acc == pytest.approx(accs.mean(), rel=1e-12)
-            assert stats.std_acc == pytest.approx(accs.std(), rel=1e-12, abs=1e-15)
-            assert stats.std_tok == pytest.approx(toks.std(), rel=1e-12)
+            assert mean_acc == pytest.approx(accs.mean(), rel=1e-12)
+            assert mean_tok == pytest.approx(toks.mean(), rel=1e-12)
+            expected = accs.std() / (accs.mean() + EPSILON) + toks.std() / (toks.mean() + EPSILON)
+            assert cv == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-    def test_zero_trials_raise(self):
-        empty = LevelStatistics()
-        assert empty.count == 0
-        with pytest.raises(SamplingStateError):
-            _ = empty.mean_acc
-        with pytest.raises(SamplingStateError):
-            _ = empty.cv_combined
-
-    @pytest.mark.parametrize("name", ["mean_acc", "std_acc", "mean_tok", "std_tok"])
-    def test_each_statistic_of_zero_trials_raises_on_every_read(self, name):
-        empty = LevelStatistics()
-        for _ in range(2):  # a read that raises caches nothing
-            with pytest.raises(SamplingStateError):
-                getattr(empty, name)
-
-    def test_instances_do_not_share_cached_values(self):
-        first = LevelStatistics(PROBE)
-        second = LevelStatistics(outcomes((0.0, 50.0), (0.0, 70.0)))
-        values = (first.mean_acc, first.std_acc, first.mean_tok, first.std_tok)
-        assert (second.mean_acc, second.std_acc, second.mean_tok, second.std_tok) == (
-            0.0, 0.0, 60.0, 10.0)
-        assert (first.mean_acc, first.std_acc, first.mean_tok, first.std_tok) == values == (
-            0.6666666666666666, 0.4714045207910317, 200.0, 81.64965809277261)
-
-    def test_each_mean_is_taken_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(arise.sampling, "_mean", lambda xs: calls.append(len(xs)) or 1.0)
-        stats = LevelStatistics(PROBE)
-        for _ in range(2):
-            stats.cv_combined
-        assert calls == [3, 3]  # one per stream
+    def test_means_are_plain_sums_over_k(self):
+        # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001; a correctly rounded sum gives 0.6
+        trials = outcomes((0.1, 0.1), (0.2, 0.2), (0.3, 0.3))
+        with two_pass_sums(plain_sum):
+            got = two_pass(trials)
+        assert [v.hex() for v in got] == [v.hex() for v in oracle(trials, plain_sum)]
 
     def test_final_outcome_uses_means(self):
-        final = LevelStatistics(PROBE).final
-        assert final.accuracy == 0.6666666666666666
-        assert final.tokens == 200.0
+        result = run_configuration(ScriptedBackend({("s", 0): list(PROBE)}), "s", 0,
+                                   ConvergenceConfig(), target=3)
+        assert result.final == LevelOutcome(0.6666666666666666, 200.0)
 
 
 class TestConvergenceConfig:
@@ -191,24 +185,34 @@ class TestConvergenceConfig:
             ConvergenceConfig(**kwargs)
 
 
+def running(trials, cfg: ConvergenceConfig) -> _RunningCV:
+    """The running accumulator `run_configuration` keeps, holding `trials`."""
+    stats = _RunningCV(cfg)
+    for trial in trials:
+        stats.append(trial)
+    return stats
+
+
 class TestShouldContinue:
     def test_raises_before_probe_complete(self):
         cfg = ConvergenceConfig()
         with pytest.raises(SamplingStateError, match="probing incomplete"):
-            should_continue(LevelStatistics(PROBE[:2]), cfg)
+            should_continue(running(PROBE[:2], cfg), cfg)
 
     def test_continues_while_cv_at_or_above_tau(self):
         cfg = ConvergenceConfig(tau=0.5)
-        assert should_continue(LevelStatistics(PROBE), cfg)  # cv 1.115
+        assert should_continue(running(PROBE, cfg), cfg)  # cv 1.115
 
     def test_stops_when_cv_below_tau(self):
         cfg = ConvergenceConfig(tau=1.2)
-        assert not should_continue(LevelStatistics(PROBE), cfg)
+        assert not should_continue(running(PROBE, cfg), cfg)
+        # any object with .count and .cv_combined will do
+        assert should_continue(SimpleNamespace(count=3, cv_combined=1.2), cfg)
 
     def test_stops_exactly_at_m_max(self):
         cfg = ConvergenceConfig(m_min=3, m_max=5, tau=0.001)
         noisy = outcomes(*[(float(i % 2), 100.0 * (i + 1)) for i in range(5)])
-        assert not should_continue(LevelStatistics(noisy), cfg)
+        assert not should_continue(running(noisy, cfg), cfg)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +292,7 @@ class TestRunConfiguration:
                 run_configuration(backend, "s", 0, ConvergenceConfig(), target=6,
                                   on_trial=lambda s, j, k, o: fired.append(k))
             assert (err.value.sample_id, err.value.level_index) == ("s", 0)
-            assert err.value.stats.count == fail_at == len(fired)
+            assert err.value.count == fail_at == len(fired)
             assert isinstance(err.value.__cause__, ConnectionError)
             # retrying is the backend's job: the failed trial is not drawn again
             assert [call[2] for call in backend.calls] == list(range(fail_at + 1))
@@ -308,9 +312,14 @@ class TestRunConfiguration:
         assert checks == list(range(3, 11))  # one check per stop decision, from m_min on
 
     def test_probe_cv_covers_the_first_m_min_trials(self):
-        stats = LevelStatistics(PROBE + outcomes((1.0, 100.0)) * 5)
-        assert stats.probe_cv(3) == LevelStatistics(PROBE).cv_combined
-        assert LevelStatistics(PROBE[:2]).probe_cv(3) == LevelStatistics(PROBE[:2]).cv_combined
+        flat, cfg = outcomes((1.0, 100.0)) * 3, ConvergenceConfig()
+        # (trials, whether the probe is flat): a flat probe before noisy trials, a noisy probe
+        # before flat ones, and fewer trials than m_min, whose probe is all of them
+        for trials, flat_probe in ((flat + PROBE, True), (PROBE + flat, False),
+                                   (flat[:2], True), (PROBE[:2], False)):
+            result = run_configuration(ScriptedBackend({("s", 0): list(trials)}), "s", 0, cfg,
+                                       target=len(trials))
+            assert result.zero_variance_probe == (oracle(trials[:cfg.m_min])[2] == 0.0) == flat_probe
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +338,7 @@ def neumaier_sum(xs, start=0):
 
 @contextmanager
 def two_pass_sums(summation):
-    """Run LevelStatistics' two-pass sums with `summation` in place of the builtin sum."""
+    """Run `_two_pass`'s sums with `summation` in place of the builtin sum."""
     if summation is sum:
         yield
         return
@@ -344,17 +353,11 @@ def two_pass_sums(summation):
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1e7)), min_size=1, max_size=40),
        st.sampled_from([sum, neumaier_sum]))
 def test_each_std_is_taken_about_the_cached_mean_bit_for_bit(pairs, summation):
-    """A std reads its stream's cached mean; every bit equals a two-pass std that sums the mean again."""
+    """Each std is taken about its stream's mean; every bit of `_two_pass` equals the oracle's."""
     trials = outcomes(*pairs)
     with two_pass_sums(summation):
-        stats = LevelStatistics(trials)
-        values = (stats.mean_acc, stats.std_acc, stats.mean_tok, stats.std_tok, stats.cv_combined)
-    expected = []
-    for stream in ([t.correct for t in trials], [t.tokens for t in trials]):
-        mean = summation(stream) / len(stream)
-        expected += [mean, math.sqrt(summation((x - mean) ** 2 for x in stream) / len(stream))]
-    cv = expected[1] / (expected[0] + EPSILON) + expected[3] / (expected[2] + EPSILON)
-    assert [v.hex() for v in values] == [v.hex() for v in (*expected, cv)]
+        values = two_pass(trials)
+    assert [v.hex() for v in values] == [v.hex() for v in oracle(trials, summation)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,19 +365,18 @@ def test_each_std_is_taken_about_the_cached_mean_bit_for_bit(pairs, summation):
        st.integers(1, 5), st.floats(1e-3, 3.0), st.sampled_from([sum, neumaier_sum]))
 def test_a_finished_configuration_reads_its_level_statistics_bit_for_bit(pairs, m_min, tau,
                                                                          summation):
-    """`run_configuration`'s result equals the `LevelStatistics` of its trials and of its probe."""
+    """`run_configuration`'s result equals the oracle's statistics of its trials and of its probe."""
     trials = outcomes(*pairs)
     cfg = ConvergenceConfig(m_min=m_min, m_max=max(m_min, len(trials)), tau=tau)
     with two_pass_sums(summation):
         result = run_configuration(ScriptedBackend({("s", 0): list(trials)}), "s", 0, cfg,
                                    target=len(trials))
-        stats = LevelStatistics(trials)
-        expected = (stats.mean_acc, stats.mean_tok, stats.cv_combined)
-        probe_cv = stats.probe_cv(m_min)
+    expected = oracle(trials, summation)
     got = (result.final.accuracy, result.final.tokens, result.cv_combined)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
-    assert result.converged == (stats.cv_combined < tau)
-    assert result.zero_variance_probe == (probe_cv == 0.0)
+    assert result.converged == (expected[2] < tau)
+    # the probe is the first m_min trials, all of them when fewer
+    assert result.zero_variance_probe == (oracle(trials[:m_min], summation)[2] == 0.0)
 
 
 class CountingRunningCV(_RunningCV):
@@ -393,10 +395,15 @@ class CountingRunningCV(_RunningCV):
         return super().exact_cv()
 
 
-def two_pass_k_star(trials, cfg) -> int:
+def two_pass_stats(trials, summation) -> SimpleNamespace:
+    """The `.count` and `.cv_combined` that `should_continue` reads, the CV from the oracle."""
+    return SimpleNamespace(count=len(trials), cv_combined=oracle(trials, summation)[2])
+
+
+def two_pass_k_star(trials, cfg, summation) -> int:
     """The stop rule as it reads with the statistics rebuilt from every trial at each check."""
     k = 0
-    while k < cfg.m_min or should_continue(LevelStatistics(tuple(trials[:k])), cfg):
+    while k < cfg.m_min or should_continue(two_pass_stats(trials[:k], summation), cfg):
         k += 1
     return k
 
@@ -429,8 +436,7 @@ def stop_cases(draw):
     observed_at = draw(st.none() | st.integers(m_min, m_max))
     tau = draw(st.floats(1e-3, 3.0))
     if observed_at is not None:
-        with two_pass_sums(summation):
-            cv = LevelStatistics(tuple(trials[:observed_at])).cv_combined
+        cv = oracle(trials[:observed_at], summation)[2]
         if cv > 0:
             tau = cv
         else:
@@ -441,8 +447,7 @@ def stop_cases(draw):
 
 def pinned_case(pairs, tau_at: int, summation=sum):
     trials = [TrialOutcome(c, t) for c, t in pairs]
-    with two_pass_sums(summation):
-        tau = LevelStatistics(tuple(trials[:tau_at])).cv_combined
+    tau = oracle(trials[:tau_at], summation)[2]
     return trials, ConvergenceConfig(m_min=1, m_max=len(trials), tau=tau), 0, tau_at, summation
 
 
@@ -465,9 +470,9 @@ class TestRunningStopCheck:
                     while grown.count < k:
                         grown.append(trials[grown.count])
                     running = grown
-                two_pass = LevelStatistics(tuple(trials[:k]))
+                two_pass = two_pass_stats(trials[:k], summation)
                 assert should_continue(running, cfg) == should_continue(two_pass, cfg), k
-            k_star = two_pass_k_star(trials, cfg)
+            k_star = two_pass_k_star(trials, cfg, summation)
             replay = functools.partial(run_configuration, ScriptedBackend({("s", 0): trials}),
                                        "s", 0, cfg, preloaded=trials[:prefix])
             if prefix > k_star:  # stored trials past the stop: no run could have drawn them
@@ -643,8 +648,8 @@ def reachable_trials(root: object) -> list[TrialOutcome]:
 
 class TestRunEvaluation:
     def test_the_walk_finds_a_held_trial(self):
-        result = LevelStatistics(PROBE)
-        assert sorted(reachable_trials({"held": [result]}), key=PROBE.index) == list(PROBE)
+        held = SimpleNamespace(trials=list(PROBE))  # the walk enters instances and containers
+        assert sorted(reachable_trials({"held": [held]}), key=PROBE.index) == list(PROBE)
 
     @pytest.mark.parametrize("mode", [AdaptiveMode(), NaiveMode(4), FixedBudgetMode(None)],
                              ids=["adaptive", "naive", "budget"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import functools
+import io
 import itertools
 import json
 import math
@@ -40,6 +42,7 @@ from arise import (
     arise_aggregate,
     read_mapping,
     reference_spec,
+    render_table,
     run_evaluation,
     write_atomic,
 )
@@ -492,8 +495,36 @@ def records_and_manifests(draw) -> tuple[dict, RunManifest]:
                           sample_ids=(text(data["sample_id"], "s01"),))
 
 
+@st.composite
+def disagreeing_manifests(draw) -> tuple[dict, RunManifest, str | None]:
+    """A valid record's fields, a manifest that disagrees with at most one of them, and the field.
+
+    The record is the first trial of its configuration in run r1, and the
+    field is the record field the manifest disagrees with, or None.
+    """
+    data = {**draw(valid_record_fields()), "run_id": "r1", "trial_index": 0,
+            "level_index": draw(st.integers(0, 2))}
+    level = data["level_index"]
+    levels = ["low"] * 3
+    levels[level] = data["level_label"]
+    agreed = dict(run_id="r1", model=data["model"], levels=tuple(levels),
+                  sample_ids=(data["sample_id"],))
+    name = draw(st.sampled_from([None, "run_id", "model", "sample_id", "level_label",
+                                 *(["level_index"] if level > 0 else [])]))
+    changed = {
+        None: {},
+        "run_id": {"run_id": "r2"},
+        "model": {"model": data["model"] + "x"},
+        "sample_id": {"sample_ids": (data["sample_id"] + "x",)},
+        "level_label": {"levels": (*levels[:level], data["level_label"] + "x", *levels[level + 1:])},
+        "level_index": {"levels": tuple(levels[:level])},  # too few levels to hold the record's
+    }[name]
+    return data, manifest(**{**agreed, **changed}), name
+
+
 class TestWriterAndReplayAgree:
-    """`append_trial` writes exactly the records `completed_trials` reads back, as they were written."""
+    """`append_trial` writes exactly the records `completed_trials` reads back, as they were written,
+    and refuses, with the same message and before any byte, every record that replay refuses."""
 
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -517,6 +548,102 @@ class TestWriterAndReplayAgree:
             key = (data["sample_id"], data["level_index"])
             outcome = TrialOutcome(float(data["correct"]), float(data["completion_tokens"]))
             assert store.completed_trials("r1") == {key: [outcome]}
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=disagreeing_manifests(), resumed=st.booleans())
+    def test_the_writer_gives_the_replay_refusal(self, tmp_path, drawn, resumed):
+        data, listed, name = drawn
+        store = TraceStore(Path(tempfile.mkdtemp(dir=tmp_path)))
+        if resumed:  # the manifest handed to the resume, not yet stored
+            store.completed_trials("r1", resume=True, manifest=listed)
+        # stored as run r1's even when it names another run
+        write_atomic(store.manifest_path("r1"), json.dumps(listed.to_dict()))
+        try:
+            with store:
+                store.append_trial(TrialRecordLine(**data))
+        except RecordValidationError as exc:
+            assert exc.fieldname == name
+            assert not store.trial_path("r1").exists()  # refused before any byte
+            store.trial_path("r1").write_text(json.dumps(data) + "\n")
+            with pytest.raises(RecordValidationError) as err:
+                store.completed_trials("r1")
+            assert str(err.value) == f"{exc} ({store.trial_path('r1')}, line 1)"
+        else:
+            assert name is None
+            assert store.completed_trials("r1") == {
+                (data["sample_id"], data["level_index"]):
+                    [TrialOutcome(float(data["correct"]), float(data["completion_tokens"]))]}
+
+    def test_a_model_the_manifest_does_not_say_is_refused(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest())
+        store.append_trial(record())
+        with pytest.raises(RecordValidationError, match=re.escape(
+                "model: record (sample 's01', level 0, trial 1) has 'other', but the manifest of "
+                "run 'r1' says 'm'")):
+            store.append_trial(record(trial_index=1, model="other"))
+        store.close()
+        assert store.trial_path("r1").read_text() == record().to_json() + "\n"
+
+    def test_a_run_without_a_manifest_gets_the_field_rules_only(self, tmp_path):
+        store = TraceStore(tmp_path)
+        with store:
+            store.append_trial(record(model="other", sample_id="s99"))
+            with pytest.raises(RecordValidationError, match="^correct: must be in"):
+                store.append_trial(record(model="other", sample_id="s99", trial_index=1,
+                                          correct=2.0))
+        assert store.completed_trials("r1") == {("s99", 0): [TrialOutcome(1.0, 100.0)]}
+
+
+def nested_lists(depth: int) -> list:
+    deep: list = []
+    for _ in range(depth - 1):
+        deep = [deep]
+    return deep
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past any recursion limit
+
+
+class TestDeepJson:
+    """JSON nested past the recursion limit gets a ValueError naming the file, not a RecursionError."""
+
+    def test_a_record_line_names_the_file_and_line(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest())
+        store.append_trial(record())
+        store.close()
+        line = record(trial_index=1).to_json().replace('"meta": {}', f'"meta": {{"x": {DEEP}}}')
+        with open(store.trial_path("r1"), "a") as fh:
+            fh.write(line + "\n")
+        for listed in (True, False):  # with the manifest, and without it
+            if not listed:
+                store.manifest_path("r1").unlink()
+            with pytest.raises(ValueError) as err:
+                store.completed_trials("r1")
+            assert str(err.value) == (
+                f"JSON value nests too deeply to decode ({store.trial_path('r1')}, line 2)")
+        with pytest.raises(ValueError, match="^JSON value nests too deeply to decode$"):
+            TrialRecordLine.from_json(line)
+
+    @pytest.mark.parametrize("name", ["c.json", "c.yaml"])
+    def test_a_config_names_its_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(f"a: {DEEP}\n" if name.endswith(".yaml") else f'{{"a": {DEEP}}}')
+        with pytest.raises(ValueError) as err:
+            read_mapping(path, "run config")
+        assert str(err.value) == f"run config {path} nests too deeply to read"
+
+    def test_a_meta_too_deep_to_encode_is_refused_before_any_byte(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.write_manifest(manifest())
+        with store:
+            with pytest.raises(RecordValidationError, match="^meta: nests too deeply to encode$"):
+                store.append_trial(record(meta={"x": nested_lists(2000)}))
+            assert not store.trial_path("r1").exists()
+            store.append_trial(record(meta={"x": nested_lists(50)}))  # the same index, accepted
+        assert list(store.completed_trials("r1")) == [("s01", 0)]
 
 
 class TestRecordLineErrors:
@@ -1123,7 +1250,9 @@ class TestRecompute:
 
     def test_a_sample_the_manifest_does_not_list_is_refused(self, tmp_path: Path):
         listed = manifest(n_samples=2, sample_ids=("s01", "s02"))
-        store = self.store_in_order(tmp_path, listed, ["s01", "s99"])
+        store = self.store_in_order(tmp_path, listed, ["s01"])
+        with open(store.trial_path("r1"), "a") as fh:  # written raw: the writer refuses it
+            fh.write(record(sample_id="s99").to_json() + "\n")
         with pytest.raises(RecordValidationError, match=(
             r"^sample_id: record \(sample 's99', level 0, trial 0\) has 's99', "
             r"but the manifest of run 'r1' does not list it"
@@ -1303,13 +1432,39 @@ class TestAtomicWrites:
 
 
 class TestCsvExports:
-    def bundle(self, tmp_path: Path) -> ResultBundle:
+    def bundle(self, tmp_path: Path, **fields: object) -> ResultBundle:
         store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
-        store.append_trial(record(level_index=1, level_label="high", completion_tokens=300))
+        store.write_manifest(manifest(**fields))
+        model, levels = fields.get("model", "m"), fields.get("levels", ("low", "high"))
+        store.append_trial(record(model=model, level_label=levels[0]))
+        store.append_trial(record(model=model, level_index=1, level_label=levels[1],
+                                  completion_tokens=300))
         store.close()
         return store.recompute("r1")
+
+    ODD = 'gpt,4 "x"\r\nnext|line'
+
+    def test_a_cell_with_a_comma_a_quote_or_a_line_end_is_quoted(self):
+        rows = [("plain", self.ODD, "1.5"), ("", '"', ",")]
+        text = render_table(("a", "b", "c"), rows, "csv")
+        assert text.startswith("a,b,c\nplain,")  # plain cells as they are
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b", "c"], *map(list, rows)]
+
+    def test_a_pipe_in_markdown_is_escaped(self):
+        lines = render_table(("model", "n"), [("a|b", 1)], "markdown").split("\n")
+        assert lines == ["| model | n |", "| ----- | - |", "| a\\|b  | 1 |"]
+
+    def test_every_csv_writer_quotes_its_cells(self, tmp_path: Path):
+        from arise import write_curve_csv, write_results_csv
+
+        bundle = self.bundle(tmp_path, model=self.ODD, levels=("low", "high,er"))
+        results, curve = tmp_path / "results.csv", tmp_path / "curve.csv"
+        write_results_csv(results, [bundle])
+        write_curve_csv(curve, bundle)
+        rows = list(csv.reader(io.StringIO(results.read_bytes().decode(), newline="")))
+        assert [len(row) for row in rows] == [6, 6] and rows[1][0] == self.ODD
+        rows = list(csv.reader(io.StringIO(curve.read_bytes().decode(), newline="")))
+        assert [row[1] for row in rows] == ["level_label", "low", "high,er"]
 
     def test_results_csv_columns(self, tmp_path: Path):
         from arise import write_results_csv

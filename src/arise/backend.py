@@ -199,7 +199,10 @@ def parse_judge(data: Mapping, what: str = "judge") -> Judge:
         command = config_mapping(data, what, "command")["command"]
         if not isinstance(command, list) or not command:
             raise ValueError(f"{what} 'command' must be a non-empty argv list, got {command!r}")
-        return ExternalJudge(command=tuple(str(c) for c in command))
+        for i, arg in enumerate(command):  # an argument is never made into text
+            if not isinstance(arg, str) or not arg:
+                raise ValueError(f"{what} 'command'[{i}] must be a non-empty string, got {arg!r}")
+        return ExternalJudge(command=tuple(command))
     raise ValueError(f"unknown judge type {kind!r}")
 
 
@@ -240,6 +243,12 @@ class LevelSpec:
 class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.5  # seconds; delay doubles per attempt
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"retry max_attempts must be >= 1, got {self.max_attempts}")
+        if not 0 <= self.backoff_base < math.inf:  # NaN fails too
+            raise ValueError(f"retry backoff_base must be finite and >= 0, got {self.backoff_base}")
 
 
 @dataclass(frozen=True)

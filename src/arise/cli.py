@@ -260,7 +260,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     try:
         evaluation = run_evaluation(backend, manifest.sample_ids, manifest.levels, manifest.cfg,
                                     manifest.run_mode, preloaded=preloaded,
-                                    on_trial=functools.partial(store.record, manifest),
+                                    on_trial=functools.partial(store.append_trial, manifest),
                                     max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))

@@ -2,25 +2,28 @@
 
 One run maps to three files under the store root: `<run_id>.jsonl` with
 one trial record per line, `<run_id>.manifest.json` describing the run,
-and `<run_id>.bundle.json`. Each format is one dataclass whose fields, in
-order, are its JSON keys (`_encode` / `_decode`). `ResultBundle.from_run`
-is the one bundle builder: `arise run` feeds it the run it drew, and
-`TraceStore.recompute` (`arise compute`) the run its records replay to,
-so both write the same bytes. The replay is `run_evaluation` with a
-backend that cannot draw, so the live run's stop rule decides: a
-configuration short of it raises IncompleteRunError (a resume draws the
-rest); one holding more trials than it draws, a trial stored twice
-(DuplicateTrialError) and a gap in a configuration's trial indices raise
-ValueError. One check owns every record rule (`_check_record`), and
-both sides apply it with the run's manifest: `append_trial` before
-writing a byte, and `completed_trials` through the one reader of every
-stored line. So a record must also hold the manifest's run id, model and
-level label and a sample it lists, as `TraceStore.record` writes them.
-Every writer takes its next trial indices from what `completed_trials`
-read, so it only extends a file that replay accepts. Appends flush per
-line, so a crash loses at most the in-flight record: a torn final line
-makes readers raise `TornRecordError`, and a resume cuts it off before
-appending; no other line is ever rewritten or deleted.
+and `<run_id>.bundle.json`. A record is a JSON object whose keys are
+`_RECORD_FIELDS`, in order; the manifest and the bundle are each one
+dataclass whose fields, in order, are its JSON keys (`_encode` /
+`_decode`). `ResultBundle.from_run` is the one bundle builder: `arise
+run` feeds it the run it drew, and `TraceStore.recompute` (`arise
+compute`) the run its records replay to, so both write the same bytes.
+The replay is `run_evaluation` with a backend that cannot draw, so the
+live run's stop rule decides: a configuration short of it raises
+IncompleteRunError (a resume draws the rest); one holding more trials
+than it draws, a trial stored twice (DuplicateTrialError) and a gap in a
+configuration's trial indices raise ValueError. One check owns every
+record rule (`_check_record`), and both sides apply it with the run's
+manifest: `completed_trials` through the one reader of every stored
+line, and `TraceStore.append_trial`, the one writer, before it writes a
+byte. The writer takes the run id, model and level label of each record
+from the manifest, and appends only to a run that
+`completed_trials(resume=True)` opened: that read gives it the manifest
+to check against and each configuration's next trial index, so it only
+extends a file that replay accepts. Appends flush per line, so a crash
+loses at most the in-flight record: a torn final line makes readers
+raise `TornRecordError`, and a resume cuts it off before appending; no
+other line is ever rewritten or deleted.
 Floats survive the round trip exactly (JSON serialization preserves 17
 significant digits).
 """
@@ -37,7 +40,7 @@ import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TextIO, TypeVar
 
@@ -63,7 +66,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "TrialRecordLine",
     "RunManifest",
     "SampleScore",
     "ConfigurationSummary",
@@ -132,7 +134,10 @@ def read_mapping(path: str | Path, what: str) -> dict:
         except json.JSONDecodeError:
             import yaml  # only non-JSON configs need PyYAML
 
-            data = yaml.safe_load(text)
+            try:
+                data = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{what} {path} is not valid JSON or YAML: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{what} {path} nests too deeply to read") from None
     if not isinstance(data, dict):
@@ -160,12 +165,17 @@ def config_rows(value: object, what: str, *required: str) -> list[dict]:
 def config_values(data: dict, what: str, **convert: Callable[[object], object]) -> dict:
     """The keys of `data` that `convert` names, each value converted; a key the
     config leaves out is left to the dataclass default. A value that cannot be
-    converted raises ValueError naming `what` and the key."""
+    converted raises ValueError naming `what` and the key; so does a bool or a
+    number that is not whole for `int`, which would truncate it."""
     given = {}
     for name, to in convert.items():
         if name in data:
+            value = data[name]
             try:
-                given[name] = to(data[name])
+                if to is int and (isinstance(value, bool)
+                                  or isinstance(value, float) and not value.is_integer()):
+                    raise ValueError(f"must be an integer, got {value!r}")
+                given[name] = to(value)
             except (TypeError, ValueError) as exc:  # such as int(None) or float("x")
                 raise ValueError(f"{what} {name!r}: {exc}") from exc
     return given
@@ -305,14 +315,14 @@ def _value_error(fieldname: str, message: str) -> ValueError:
     return ValueError(f"{fieldname}: {message}")
 
 
-def _check_keys(cls: type, data: dict, what: str, error: Callable[[str, str], ValueError]) -> None:
+def _check_keys(cls: type, data: dict, what: str) -> None:
     """Refuse a key that is not a field, and an absent field unless it is None by default."""
     for name in data:
         if name not in _field_names(cls):
-            raise error(name, f"not a field of the {what}")
+            raise _value_error(name, f"not a field of the {what}")
     for f in fields(cls):
         if f.name not in data and f.default is not None:  # only None is left out by _encode
-            raise error(f.name, f"missing from the {what}")
+            raise _value_error(f.name, f"missing from the {what}")
 
 
 def _decode(cls: type, data: object, what: str, /, **convert: Callable[[object], object]):
@@ -325,60 +335,19 @@ def _decode(cls: type, data: object, what: str, /, **convert: Callable[[object],
     if not isinstance(data, dict):
         raise _value_error(what, f"must be a JSON object, got {type(data).__name__}")
     if len(data) < len(_field_names(cls)):  # a complete object skips the key check
-        _check_keys(cls, data, what, _value_error)
+        _check_keys(cls, data, what)
     try:
         if convert:
             data = {k: convert[k](v) if k in convert else v for k, v in data.items()}
         return cls(**data)
     except TypeError as exc:
-        _check_keys(cls, data, what, _value_error)
+        _check_keys(cls, data, what)
         raise _value_error(what, str(exc)) from exc
 
 
 def _rows(cls: type, what: str) -> Callable[[list], tuple]:
     """A converter from a JSON list of objects to a tuple of `cls`."""
     return lambda rows: tuple(_decode(cls, row, what) for row in rows)
-
-
-@dataclass(frozen=True)
-class TrialRecordLine:
-    """One evaluation attempt, as serialized to the JSONL file."""
-
-    run_id: str
-    model: str
-    sample_id: str
-    level_index: int
-    level_label: str
-    trial_index: int
-    correct: float  # real so pre-aggregated or simulated imports are representable
-    completion_tokens: int
-    timestamp: str  # RFC3339
-    meta: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        """Raise RecordValidationError for the first field rule the record breaks (`_check_record`)."""
-        _check_record(vars(self))
-
-    def to_json(self) -> str:
-        # a record validate() accepts holds no None and no tuple, so this is json.dumps(_encode(self))
-        return json.dumps(vars(self))
-
-    @classmethod
-    def _of(cls, data: dict) -> "TrialRecordLine":
-        """The record `cls(**data)` would build, with `data` as its attribute dict.
-
-        `data` holds every field, in order. This skips the ten
-        object.__setattr__ of the frozen __init__.
-        """
-        record = object.__new__(cls)
-        object.__setattr__(record, "__dict__", data)
-        return record
-
-    @classmethod
-    def from_json(cls, line: str) -> "TrialRecordLine":
-        """The record on one stored line; a stored integer `correct` reads back as a float."""
-        data = _loads(line)
-        return cls(**{**data, "correct": _check_record(data)[2]})
 
 
 # a manifest's mode -> its mode class, whose fields are the manifest keys the mode uses
@@ -485,7 +454,10 @@ def _record_model(manifest: RunManifest) -> str:
     return manifest.model or "unknown"
 
 
-_record_values = operator.itemgetter(*_field_names(TrialRecordLine))  # in field order
+# a trial record's keys, in the order every record line holds them
+_RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", "trial_index",
+                  "correct", "completion_tokens", "timestamp", "meta")
+_record_values = operator.itemgetter(*_RECORD_FIELDS)
 
 
 def _refused(name: str, rule: str, value: object) -> RecordValidationError:
@@ -496,13 +468,14 @@ def _check_record(data: object, manifest: RunManifest | None = None,
                   listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
     """The one check of a trial record: its configuration, trial index, `correct` and tokens.
 
-    `data` is a parsed record line or a record's attribute dict. It must be
-    an object holding every field and no other key; then each field must
-    hold a value a run writes, `correct` and the token count as floats
-    (a stored integer `correct` reads as a float); then, given `manifest`,
-    it must be a record `TraceStore.record` would write for that run, of a
-    sample in `listed` (the manifest's `sample_ids`). The first rule
-    broken, in that order, raises RecordValidationError naming its field.
+    `data` is a parsed record line or the record `append_trial` builds. It
+    must be an object holding every field of `_RECORD_FIELDS` and no other
+    key; then each field must hold a value a run writes, `correct` and the
+    token count as floats (a stored integer `correct` reads as a float);
+    then, given `manifest`, it must be a record `append_trial` would write
+    for that run, of a sample in `listed` (the manifest's `sample_ids`).
+    The first rule broken, in that order, raises RecordValidationError
+    naming its field.
     """
     if not isinstance(data, dict):
         raise RecordValidationError(
@@ -512,7 +485,11 @@ def _check_record(data: object, manifest: RunManifest | None = None,
     except KeyError:
         values = None
     if values is None or len(data) > len(values):  # a field is missing, or a key is not one
-        _check_keys(TrialRecordLine, data, "trial record", RecordValidationError)
+        for name in data:
+            if name not in _RECORD_FIELDS:
+                raise RecordValidationError(name, "not a field of the trial record")
+        missing = next(name for name in _RECORD_FIELDS if name not in data)
+        raise RecordValidationError(missing, "missing from the trial record")
     run_id, model, sample_id, level, label, index, correct, tokens, stamp, meta = values
     if not isinstance(run_id, str) or not run_id:
         raise _refused("run_id", "must be a non-empty string", run_id)
@@ -716,7 +693,7 @@ class _NoDraws:
         raise LookupError(f"no record of trial {trial_index}")
 
 
-_Run = tuple[RunManifest | None, frozenset[str], dict[tuple[str, int], int]]
+_Run = tuple[RunManifest, frozenset[str], dict[tuple[str, int], int]]
 
 
 class TraceStore:
@@ -730,8 +707,8 @@ class TraceStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._handles: dict[str, BinaryIO] = {}
-        # run id -> what each append of the run is checked against: (its manifest or None, the
-        # samples it lists, (sample id, level index) -> the trial index its next append must have)
+        # run id -> what each append of the run is checked against: (its manifest, the samples
+        # it lists, (sample id, level index) -> the trial index its next append must have)
         self._runs: dict[str, _Run] = {}
         # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
         # so a reader in another thread never pairs one second with another's text
@@ -766,95 +743,70 @@ class TraceStore:
     # ------------------------------------------------------------------
     # trial records
 
-    def record(self, manifest: RunManifest, sample_id: str, level_index: int, trial_index: int,
-               outcome: TrialOutcome) -> None:
-        """Append one fresh trial of `manifest`'s run.
+    def append_trial(self, manifest: RunManifest, sample_id: str, level_index: int,
+                     trial_index: int, outcome: TrialOutcome) -> None:
+        """Durably append one fresh trial of `manifest`'s run, as its configuration's next index.
 
-        The run id, model and level label come from the manifest, the only
-        values `completed_trials` accepts when it reads the record back. A
-        token count that is not a whole number raises ValueError: the record
-        could not store it as drawn, and a replay would read another value.
+        `completed_trials(resume=True)` must have opened the run: it gives the
+        manifest each record is checked against and each configuration's next
+        index. The record takes its run id, model and level label from
+        `manifest`, and it must pass `_check_record`, as replay reads it. A
+        run not opened, or a token count that is not a whole number (the
+        record could not store it as drawn), raises ValueError; a refused
+        record RecordValidationError; a lower index DuplicateTrialError and a
+        higher one ValueError; all before any byte is written.
         """
+        run_id = manifest.run_id
+        try:
+            opened, listed, next_index = self._runs[run_id]
+        except KeyError:
+            raise ValueError(f"run {run_id!r} is not open for appending: "
+                             f"completed_trials(resume=True) opens it") from None
         tokens = outcome.tokens
         if not isinstance(tokens, (int, float)) or tokens % 1 != 0:  # NaN and infinities too
             raise ValueError(
                 f"trial (sample {sample_id!r}, level {level_index}, trial {trial_index}) "
                 f"has {tokens!r} completion tokens, not a whole number"
             )
+        try:
+            label = manifest.levels[level_index]
+        except IndexError:
+            # a stand-in: past the opened manifest's levels too (as when it is
+            # `manifest`), `_check_record` refuses the record by its index;
+            # else by this label
+            label = "-"
         second = _now_second()
         stamp = self._stamp
         if stamp[0] != second:
             stamp = self._stamp = (second, _rfc3339(second))
-        self.append_trial(
-            TrialRecordLine._of({
-                "run_id": manifest.run_id,
-                "model": _record_model(manifest),
-                "sample_id": sample_id,
-                "level_index": level_index,
-                "level_label": manifest.levels[level_index],
-                "trial_index": trial_index,
-                "correct": outcome.correct,
-                "completion_tokens": int(tokens),
-                "timestamp": stamp[1],
-                "meta": {},
-            })
-        )
-
-    def append_trial(self, record: TrialRecordLine) -> None:
-        """Durably append one record, which must hold its configuration's next trial index.
-
-        The record must pass `_check_record` with its run's manifest, as
-        replay reads it: the manifest given to `completed_trials(resume=True)`,
-        else the one stored when the run's first append reads the run; a run
-        without one gets the field rules only. A refused record, or one whose
-        `meta` nests too deeply to encode, raises RecordValidationError, a
-        lower index DuplicateTrialError and a higher one ValueError, all
-        before any byte is written. Each next index is the trial count that
-        `completed_trials` read, so a file it refuses is refused before the
-        first append.
-        """
-        data = vars(record)
-        try:
-            manifest, listed, next_index = self._runs[record.run_id]
-        except (KeyError, TypeError):  # a run not read yet, or a run id that is no string
-            manifest, listed, next_index = self._read_run(data)
-        key, index, _, _ = _check_record(data, manifest, listed)
-        try:
-            line = record.to_json().encode() + b"\n"
-        except RecursionError:
-            raise RecordValidationError("meta", "nests too deeply to encode") from None
+        data = {
+            "run_id": run_id,
+            "model": _record_model(manifest),
+            "sample_id": sample_id,
+            "level_index": level_index,
+            "level_label": label,
+            "trial_index": trial_index,
+            "correct": outcome.correct,
+            "completion_tokens": int(tokens),
+            "timestamp": stamp[1],
+            "meta": {},
+        }
+        key, index, _, _ = _check_record(data, opened, listed)
+        line = json.dumps(data).encode() + b"\n"
         with self._lock:
             expected = next_index.get(key, 0)
             if index != expected:  # a stored index, or a skipped one
                 error = DuplicateTrialError if index < expected else ValueError
-                raise error(f"trial {index} of run {record.run_id!r}, sample {key[0]!r}, "
+                raise error(f"trial {index} of run {run_id!r}, sample {key[0]!r}, "
                             f"level {key[1]} is out of order: the next index is {expected}")
-            handle = self._handles.get(record.run_id)
+            handle = self._handles.get(run_id)
             if handle is None:
                 self.root.mkdir(parents=True, exist_ok=True)
-                handle = _open_for_append(self.trial_path(record.run_id))
-                self._handles[record.run_id] = handle
+                handle = _open_for_append(self.trial_path(run_id))
+                self._handles[run_id] = handle
             handle.write(line)
             handle.flush()
             next_index[key] = expected + 1
-
-    def _read_run(self, data: dict) -> _Run:
-        """The writer's state of a run not read yet, from its stored manifest and records.
-
-        `data` is the first record appended; its field rules are checked
-        first, so a run id that is no string never names a file.
-        """
-        _check_record(data)
-        run_id = data["run_id"]
-        with self._lock:
-            run = self._runs.get(run_id)
-            if run is None:  # completed_trials takes no lock without resume
-                stored = self.manifest_path(run_id).exists()
-                manifest = self.read_manifest(run_id) if stored else None
-                trials = self.completed_trials(run_id, manifest=manifest)
-                run = self._runs[run_id] = (manifest, _listed(manifest),
-                                            {key: len(held) for key, held in trials.items()})
-            return run
 
     def close(self) -> None:
         with self._lock:
@@ -878,11 +830,13 @@ class TraceStore:
         is checked against the run's manifest (`manifest`, else the one
         stored) before anything is cut, and a trial stored twice
         (DuplicateTrialError, naming both lines) or any other gap in a
-        configuration's indices raises ValueError. With resume, a torn final
-        line is cut off instead of raising TornRecordError, a whole final
-        record gets its newline, and the manifest and the counts read here
-        are what append_trial checks against and its next indices, so the
-        file is parsed once.
+        configuration's indices raises ValueError. With resume, the run
+        must have a manifest (else IncompleteRunError, before the file is
+        touched), a torn final line is cut off instead of raising
+        TornRecordError, a whole final record gets its newline, and the run
+        is opened for `append_trial`: the manifest and the counts read here
+        are what it checks against and its next indices, so the file is
+        parsed once.
 
         The file is streamed line by line, and every line that is not blank
         goes through one reader, `_read_line`: it scans the line and applies
@@ -891,7 +845,7 @@ class TraceStore:
         raises TornRecordError; any other line that fails raises its error
         with the file and line number.
         """
-        if manifest is None and self.manifest_path(run_id).exists():
+        if manifest is None and (resume or self.manifest_path(run_id).exists()):
             manifest = self.read_manifest(run_id)
         path = self.trial_path(run_id)
         listed = _listed(manifest)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import math
+import re
 import sys
 import threading
 import time
@@ -20,6 +22,7 @@ from arise import (
     JudgeError,
     NumericMatchJudge,
     RequestLimiter,
+    RetryPolicy,
     TokenExtractionError,
     config_hash,
     dry_run,
@@ -154,12 +157,34 @@ class TestJudges:
         with pytest.raises(ValueError, match="argv list"):
             parse_judge({"type": "external", "command": "./j.sh arg"})
 
+    @pytest.mark.parametrize("command, bad", [(["python", None, 3], None), (["./j.sh", ""], ""),
+                                              ([["./j.sh"]], ["./j.sh"]), (["./j.sh", 3], 3)])
+    def test_parse_judge_never_makes_a_command_argument_into_text(self, command, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"judge 'command'[{command.index(bad)}] must be a non-empty string, got {bad!r}")):
+            parse_judge({"type": "external", "command": command})
+
 
 # ----------------------------------------------------------------------
 # configuration
 
 
 class TestBackendConfig:
+    @pytest.mark.parametrize("retry, message", [
+        ({"max_attempts": 0}, "retry max_attempts must be >= 1, got 0"),
+        ({"max_attempts": -2}, "retry max_attempts must be >= 1, got -2"),
+        ({"backoff_base": -1}, "retry backoff_base must be finite and >= 0, got -1.0"),
+        ({"backoff_base": math.inf}, "retry backoff_base must be finite and >= 0, got inf"),
+        ({"backoff_base": math.nan}, "retry backoff_base must be finite and >= 0, got nan"),
+    ])
+    def test_a_retry_policy_no_run_can_follow_is_refused(self, mock_server, retry, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BackendConfig.from_dict(backend_config_dict(mock_server.url, retry=retry))
+
+    def test_the_least_retry_policy_is_one_attempt_without_backoff(self, mock_server):
+        data = backend_config_dict(mock_server.url, retry={"max_attempts": 1, "backoff_base": 0})
+        assert BackendConfig.from_dict(data).retry == RetryPolicy(1, 0.0)
+
     def test_from_dict_round_trip_of_key_fields(self, mock_server):
         cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
         assert cfg.level_labels == ("low", "high")

@@ -231,6 +231,21 @@ class TestMalformedConfigs:
          "backend config levels[0] 'label' must be a non-empty string, got None"),
         (http_config, lambda c: c["backend"].update(model=7),
          "backend config 'model' must be a non-empty string, got 7"),
+        (http_config, lambda c: c["backend"].update(retry={"max_attempts": 0}),
+         "retry max_attempts must be >= 1, got 0"),
+        (http_config, lambda c: c["backend"].update(retry={"backoff_base": -1}),
+         "retry backoff_base must be finite and >= 0, got -1.0"),
+        (http_config,
+         lambda c: c["tasks"][0]["judge"].update(type="external", command=["python", None, 3]),
+         "tasks[0].judge 'command'[1] must be a non-empty string, got None"),
+        (http_config, lambda c: c["backend"].update(max_in_flight=2.5),
+         "backend config 'max_in_flight': must be an integer, got 2.5"),
+        (http_config, lambda c: c["backend"].update(retry={"max_attempts": 2.9}),
+         "backend config retry 'max_attempts': must be an integer, got 2.9"),
+        (http_config, lambda c: c["backend"].update(max_in_flight=True),
+         "backend config 'max_in_flight': must be an integer, got True"),
+        (lambda: reference_spec().to_dict(), lambda c: c.update(seed=4.5),
+         "simulator spec 'seed': must be an integer, got 4.5"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
@@ -238,7 +253,9 @@ class TestMalformedConfigs:
             "exact-expected-a-number", "exact-expected-empty", "sample-id-null",
             "sample-id-a-number", "prompt-null", "prompt-empty", "p-correct-null",
             "token-log-std-a-word", "seed-null", "spec-sample-id-null", "level-label-null",
-            "model-a-number"])
+            "model-a-number", "max-attempts-zero", "backoff-base-negative",
+            "judge-command-entries-not-text", "max-in-flight-not-whole",
+            "max-attempts-not-whole", "max-in-flight-a-bool", "seed-not-whole"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()
@@ -250,6 +267,21 @@ class TestMalformedConfigs:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an escaped KeyError or TypeError
         assert result.stderr.startswith(f"error: {expected}")
+        assert "Traceback" not in all_text(result)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, what", [("run", "run config"),
+                                               ("simulate", "simulator spec")])
+    def test_a_config_neither_json_nor_yaml_exits_one_naming_it(self, runner, tmp_path, command,
+                                                                what):
+        path = tmp_path / "c.yaml"
+        path.write_text("a: [1, 2\nb: {\n")
+        out = tmp_path / "runs"
+        args = [command, str(path), "--out", str(out), *(["--naive", "1"] if command == "run" else [])]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {what} {path} is not valid JSON or YAML: ")
         assert "Traceback" not in all_text(result)
         assert not out.exists()
 

@@ -25,7 +25,8 @@ from click.testing import CliRunner
 
 from arise import HttpBackend, SimulatorBackend
 from arise.cli import main
-from arise.store import ResultBundle, RunManifest, TraceStore, TrialRecordLine, _encode
+from arise.store import (_RECORD_FIELDS, ResultBundle, RunManifest, TraceStore, _check_record,
+                         _encode)
 
 from conftest import MockModelServer, backend_config_dict, keyed_reply, serve_mock_model
 
@@ -145,7 +146,9 @@ def test_stored_files_survive_a_decode_and_re_encode():
              for line in path.read_text().splitlines()]
     assert lines
     for line in lines:
-        assert TrialRecordLine.from_json(line).to_json() == line
+        data = json.loads(line)
+        _check_record(data)
+        assert tuple(data) == _RECORD_FIELDS and json.dumps(data) == line
     for suffix, cls in ((".manifest.json", RunManifest), (".bundle.json", ResultBundle)):
         paths = sorted(GOLDEN.glob(f"**/*{suffix}"))
         assert paths

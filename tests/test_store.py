@@ -16,6 +16,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -38,7 +39,6 @@ from arise import (
     TornRecordError,
     TraceStore,
     TrialOutcome,
-    TrialRecordLine,
     arise_aggregate,
     read_mapping,
     reference_spec,
@@ -48,10 +48,15 @@ from arise import (
 )
 import arise.store
 from arise.cli import _load_run_config, main
-from arise.store import _check_keys, _encode, now_rfc3339
+from arise.store import _check_record, _read_line, config_values, now_rfc3339
+
+# a trial record's keys in the order every line holds them, spelled out apart from the store's copy
+RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", "trial_index",
+                 "correct", "completion_tokens", "timestamp", "meta")
 
 
-def record(**overrides) -> TrialRecordLine:
+def record(**overrides) -> dict:
+    """A record line's object: trial 0 of sample s01 at level 0 of `manifest()`'s run."""
     base = dict(
         run_id="r1",
         model="m",
@@ -65,7 +70,7 @@ def record(**overrides) -> TrialRecordLine:
         meta={},
     )
     base.update(overrides)
-    return TrialRecordLine(**base)
+    return base
 
 
 def manifest(**overrides) -> RunManifest:
@@ -90,6 +95,30 @@ def manifest(**overrides) -> RunManifest:
     return RunManifest(**base)
 
 
+def open_run(root: Path, listed: RunManifest | None = None) -> TraceStore:
+    """A store at `root` holding the manifest `listed` (default `manifest()`), its run opened
+    for appending as `arise run` opens it."""
+    listed = listed or manifest()
+    store = TraceStore(root)
+    store.write_manifest(listed)
+    store.completed_trials(listed.run_id, resume=True)
+    return store
+
+
+@pytest.fixture()
+def opened(tmp_path: Path) -> TraceStore:
+    """A store whose run r1, of `manifest()`, is open for appending."""
+    with open_run(tmp_path) as store:
+        yield store
+
+
+def append(store: TraceStore, trial_index: int = 0, level_index: int = 0, sample_id: str = "s01",
+           correct: float = 1.0, tokens: float = 100, listed: RunManifest | None = None) -> None:
+    """Append a trial of `listed`'s run (default `manifest()`) through the one writer."""
+    store.append_trial(listed or manifest(), sample_id, level_index, trial_index,
+                       TrialOutcome(correct, tokens))
+
+
 NAMES = st.one_of(
     st.text(min_size=1),
     st.sampled_from(['"', "\\", "a\nb\tc", "\x00\x1f\x7f", "é", "日本語", "\u2028", "😀", "\ud800"]),
@@ -103,7 +132,7 @@ META_VALUES = st.recursive(
 
 @st.composite
 def valid_record_fields(draw) -> dict:
-    """The fields of a record `validate` accepts, in order, reaching for escapes and extremes."""
+    """The fields of a record `_check_record` accepts, in order, reaching for escapes and extremes."""
     count = st.one_of(st.integers(0, 10**6), st.sampled_from([2**53 + 1, 2**64, 10**30]))
     return {
         "run_id": draw(NAMES),
@@ -121,22 +150,18 @@ def valid_record_fields(draw) -> dict:
 
 
 class TestRecordSerialization:
-    def test_round_trip_is_exact(self):
-        rec = record(correct=1 / 3, completion_tokens=12345)
-        assert TrialRecordLine.from_json(rec.to_json()) == rec
+    def test_round_trip_is_exact(self, opened):
+        append(opened, correct=1 / 3, tokens=12345)
+        assert opened.completed_trials("r1") == {("s01", 0): [TrialOutcome(1 / 3, 12345.0)]}
 
-    def test_seventeen_significant_digits_survive(self):
+    def test_seventeen_significant_digits_survive(self, opened):
         value = 0.1234567890123456789  # more digits than a double holds
-        rec = record(correct=value)
-        parsed = TrialRecordLine.from_json(rec.to_json())
-        assert parsed.correct == rec.correct  # bit-for-bit
+        append(opened, correct=value)
+        assert opened.completed_trials("r1")[("s01", 0)][0].correct == value  # bit-for-bit
 
-    def test_json_field_order_is_stable(self):
-        keys = list(json.loads(record().to_json()))
-        assert keys == [
-            "run_id", "model", "sample_id", "level_index", "level_label",
-            "trial_index", "correct", "completion_tokens", "timestamp", "meta",
-        ]
+    def test_json_field_order_is_stable(self, opened):
+        append(opened)
+        assert tuple(stored_records(opened)[0]) == RECORD_FIELDS
 
     @pytest.mark.parametrize(
         ("overrides", "fieldname"),
@@ -154,45 +179,40 @@ class TestRecordSerialization:
     )
     def test_validation_names_the_offending_field(self, overrides, fieldname):
         with pytest.raises(RecordValidationError) as err:
-            record(**overrides).validate()
+            _check_record(record(**overrides))
         assert err.value.fieldname == fieldname
 
     @pytest.mark.parametrize("stored", [True, False, "0.5", " 1 ", None])
     def test_stored_correct_must_be_a_number(self, stored):
-        data = json.loads(record().to_json())
-        data["correct"] = stored
         with pytest.raises(RecordValidationError) as err:
-            TrialRecordLine.from_json(json.dumps(data))
+            _read_line(json.dumps(record(correct=stored)).encode())
         assert err.value.fieldname == "correct"
 
     def test_stored_integer_correct_reads_as_a_float(self):
-        data = json.loads(record().to_json())
-        data["correct"] = 1
-        parsed = TrialRecordLine.from_json(json.dumps(data))
-        assert parsed.correct == 1.0 and type(parsed.correct) is float
+        correct = _read_line(json.dumps(record(correct=1)).encode())[2]
+        assert correct == 1.0 and type(correct) is float
 
     @settings(max_examples=300, deadline=None)
     @given(fields=valid_record_fields())
-    def test_to_json_writes_the_bytes_of_encode(self, fields):
-        """`to_json` dumps the attribute dict, which for a valid record is what `_encode` gives."""
-        for rec in (TrialRecordLine(**fields), TrialRecordLine._of(dict(fields))):
-            rec.validate()
-            assert rec.to_json() == json.dumps(_encode(rec))
-            assert TrialRecordLine.from_json(rec.to_json()) == rec
+    def test_a_valid_line_reads_back_as_written(self, fields):
+        """Any record the check accepts, escapes and extreme counts included, reads back exactly."""
+        assert _read_line(json.dumps(fields).encode()) == (
+            (fields["sample_id"], fields["level_index"]), fields["trial_index"],
+            float(fields["correct"]), float(fields["completion_tokens"]))
 
     @pytest.mark.parametrize("fieldname", ["meta", "timestamp"])
     def test_every_field_must_be_stored(self, fieldname):
-        data = json.loads(record().to_json())
+        data = record()
         del data[fieldname]
         with pytest.raises(RecordValidationError) as err:
-            TrialRecordLine.from_json(json.dumps(data))
+            _read_line(json.dumps(data).encode())
         assert err.value.fieldname == fieldname
 
 
-def stored_records(store: TraceStore, run_id: str = "r1") -> list[TrialRecordLine]:
+def stored_records(store: TraceStore, run_id: str = "r1") -> list[dict]:
     """The records in `run_id`'s record file, in file order."""
     lines = store.trial_path(run_id).read_text().splitlines()
-    return [TrialRecordLine.from_json(line) for line in lines if line.strip()]
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def replay(store: TraceStore) -> object:
@@ -203,7 +223,7 @@ def replay(store: TraceStore) -> object:
         return type(exc), str(exc)
 
 
-def checked_record(data: object) -> TrialRecordLine:
+def checked_record(data: object) -> SimpleNamespace:
     """A parsed record line through the key and field rules, an integer `correct` widened.
 
     The rules are spelled out here, one field at a time, so the store's one
@@ -214,8 +234,13 @@ def checked_record(data: object) -> TrialRecordLine:
     if not isinstance(data, dict):
         raise RecordValidationError("trial record",
                                     f"must be a JSON object, got {type(data).__name__}")
-    _check_keys(TrialRecordLine, data, "trial record", RecordValidationError)
-    r = TrialRecordLine(**data)
+    for name in data:
+        if name not in RECORD_FIELDS:
+            raise RecordValidationError(name, "not a field of the trial record")
+    for name in RECORD_FIELDS:
+        if name not in data:
+            raise RecordValidationError(name, "missing from the trial record")
+    r = SimpleNamespace(**data)
     for name in ("run_id", "model", "sample_id", "level_label", "timestamp"):
         value = getattr(r, name)
         if not isinstance(value, str) or not value:
@@ -238,7 +263,7 @@ def checked_record(data: object) -> TrialRecordLine:
     return r
 
 
-def manifest_check(r: TrialRecordLine, listed: RunManifest, ids: frozenset[str]) -> None:
+def manifest_check(r: SimpleNamespace, listed: RunManifest, ids: frozenset[str]) -> None:
     """Refuse a record that the manifest `listed`, whose samples are `ids`, does not describe."""
     levels = listed.levels
     if r.sample_id not in ids:
@@ -322,7 +347,7 @@ JSON_VALUES = st.one_of(
 
 def valid_line() -> dict:
     """The object of a valid record line, the second trial of its configuration."""
-    return json.loads(record(trial_index=1, completion_tokens=150).to_json())
+    return record(trial_index=1, completion_tokens=150)
 
 
 @st.composite
@@ -366,8 +391,8 @@ def raw_record_files(draw) -> bytes:
     `sample_id` that is a list or an object; then the file may lose its
     final newline or be torn inside its last line.
     """
-    lines = [record().to_json().encode(),
-             record(level_index=1, level_label="high", completion_tokens=200).to_json().encode()]
+    lines = [json.dumps(record()).encode(),
+             json.dumps(record(level_index=1, level_label="high", completion_tokens=200)).encode()]
     ends = [b"\n"] * len(lines)
     i = draw(st.integers(0, len(lines) - 1))
     kind = draw(st.sampled_from(["none", "lead", "trail", "crlf", "two", "split", "bom",
@@ -421,8 +446,8 @@ class TestDecodePaths:
         return store
 
     def replays_as_checked(self, tmp_path: Path, data: dict, listed: RunManifest | None) -> None:
-        lines = [record(trial_index=0).to_json(), json.dumps(data),
-                 record(level_index=1, level_label="high").to_json()]
+        lines = [json.dumps(record(trial_index=0)), json.dumps(data),
+                 json.dumps(record(level_index=1, level_label="high"))]
         store = self.write(tmp_path, lines, listed)
         assert replay(store) == replay_checked(store.trial_path("r1"), listed)
 
@@ -444,8 +469,8 @@ class TestDecodePaths:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(trial_orders(), st.sampled_from(LISTED[1:]))
     def test_any_trial_order_replays_as_the_sorted_grouping_does(self, tmp_path, keys, listed):
-        lines = [record(sample_id=sid, level_index=j, level_label=("low", "high")[j],
-                        trial_index=t, correct=float(t % 2), completion_tokens=100 + t).to_json()
+        lines = [json.dumps(record(sample_id=sid, level_index=j, level_label=("low", "high")[j],
+                                   trial_index=t, correct=float(t % 2), completion_tokens=100 + t))
                  for sid, j, t in keys]
         store = self.write(tmp_path, lines, listed)
         assert replay(store) == replay_checked(store.trial_path("r1"), listed)
@@ -472,135 +497,184 @@ class TestDecodePaths:
         assert result.exit_code == code, result.output
 
 
-@st.composite
-def records_and_manifests(draw) -> tuple[dict, RunManifest]:
-    """A record's fields, one value maybe swapped for any JSON value, and a manifest agreeing with them.
+STAMPED = "2026-08-15T00:00:00+00:00"
 
-    The record is the first trial of its configuration in run r1 (its
-    `run_id` names the record file, so it stays). The manifest lists its
-    sample, gives its level its label and says its model, wherever those
-    values are ones a manifest can hold.
+
+def written(listed: RunManifest, sample_id: str, level_index: int, outcome: TrialOutcome,
+            stamp: str = STAMPED) -> dict:
+    """The object of the line the writer builds for trial 0 of a configuration, spelled out.
+
+    The run id, model and level label come from `listed` (a level index it
+    has no label for gets the writer's stand-in, "-"); a whole token count
+    is stored as an integer, any other as it is.
     """
-    data = {**draw(valid_record_fields()), "run_id": "r1", "trial_index": 0,
-            "level_index": draw(st.integers(0, 2))}
-    name = draw(st.sampled_from([None, *(name for name in data if name != "run_id")]))
-    if name is not None:
-        # no manifest has 2**70 levels
-        data[name] = draw(JSON_VALUES.filter(lambda v: name != "level_index" or v != 2**70))
-    text = lambda value, default: value if type(value) is str and value else default
-    level = data["level_index"] if type(data["level_index"]) is int and data["level_index"] > 0 else 0
-    levels = ["low"] * max(3, level + 1)
-    levels[level] = text(data["level_label"], "low")
-    return data, manifest(model=text(data["model"], "m"), levels=tuple(levels),
-                          sample_ids=(text(data["sample_id"], "s01"),))
+    levels, tokens = listed.levels, outcome.tokens
+    return {
+        "run_id": listed.run_id,
+        "model": listed.model or "unknown",
+        "sample_id": sample_id,
+        "level_index": level_index,
+        "level_label": levels[level_index] if -len(levels) <= level_index < len(levels) else "-",
+        "trial_index": 0,
+        "correct": outcome.correct,
+        "completion_tokens": int(tokens) if tokens % 1 == 0 else tokens,
+        "timestamp": stamp,
+        "meta": {},
+    }
 
 
 @st.composite
-def disagreeing_manifests(draw) -> tuple[dict, RunManifest, str | None]:
-    """A valid record's fields, a manifest that disagrees with at most one of them, and the field.
+def trials_and_manifests(draw) -> tuple[RunManifest, str, int, TrialOutcome]:
+    """A manifest of run r1 and the (sample, level, outcome) of a trial the writer is handed for it.
 
-    The record is the first trial of its configuration in run r1, and the
-    field is the record field the manifest disagrees with, or None.
+    The sample may be one the manifest does not list, or empty; the level
+    index negative or past the manifest's levels; `correct` any float, an
+    integer beyond float range or a bool; the token count not whole, not
+    positive, or beyond float range.
     """
-    data = {**draw(valid_record_fields()), "run_id": "r1", "trial_index": 0,
-            "level_index": draw(st.integers(0, 2))}
-    level = data["level_index"]
+    ids = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    levels = draw(st.lists(NAMES, min_size=1, max_size=3))
+    listed = manifest(model=draw(st.one_of(st.none(), NAMES)), levels=tuple(levels),
+                      n_samples=len(ids), sample_ids=tuple(ids))
+    sample_id = draw(st.one_of(st.sampled_from(ids), st.sampled_from(["", "s99"]), NAMES))
+    level_index = draw(st.integers(-2, len(levels) + 1))
+    correct = draw(st.one_of(
+        st.floats(0.0, 1.0), st.floats(),
+        st.sampled_from([0, 1, 2, -0.0, 5e-324, 1.5, math.nan, math.inf, True, False, 10**400])))
+    tokens = draw(st.one_of(
+        st.integers(-2, 10**6), st.floats(),
+        st.sampled_from([12.0, 12.5, 0.1, 2**53 + 1, 2**64, 10**400, math.nan, math.inf])))
+    return listed, sample_id, level_index, TrialOutcome(correct, tokens)
+
+
+@st.composite
+def disagreeing_manifests(draw) -> tuple[RunManifest, RunManifest, str, int, TrialOutcome,
+                                         str | None]:
+    """The manifest a writer is handed, the run's own one, a valid trial and the field they split on.
+
+    The two manifests disagree in at most one value the record takes from
+    the writer's or is checked against in the run's: the run id, the model,
+    the level's label, the sample list, or the level count (either has too
+    few levels for the trial's). The trial is the first of its
+    configuration; the field is the record field the refusal names, or None.
+    """
+    fields = draw(valid_record_fields())
+    sample_id, level = fields["sample_id"], draw(st.integers(0, 2))
     levels = ["low"] * 3
-    levels[level] = data["level_label"]
-    agreed = dict(run_id="r1", model=data["model"], levels=tuple(levels),
-                  sample_ids=(data["sample_id"],))
-    name = draw(st.sampled_from([None, "run_id", "model", "sample_id", "level_label",
-                                 *(["level_index"] if level > 0 else [])]))
-    changed = {
-        None: {},
-        "run_id": {"run_id": "r2"},
-        "model": {"model": data["model"] + "x"},
-        "sample_id": {"sample_ids": (data["sample_id"] + "x",)},
-        "level_label": {"levels": (*levels[:level], data["level_label"] + "x", *levels[level + 1:])},
-        "level_index": {"levels": tuple(levels[:level])},  # too few levels to hold the record's
-    }[name]
-    return data, manifest(**{**agreed, **changed}), name
+    levels[level] = label = fields["level_label"]
+    agreed = dict(model=fields["model"], levels=tuple(levels), sample_ids=(sample_id,))
+    case = draw(st.sampled_from([None, "run_id", "model", "sample_id", "level_label",
+                                 *(["level_index", "writer_levels"] if level > 0 else [])]))
+    writer, run, name = {
+        None: ({}, {}, None),
+        "run_id": ({}, {"run_id": "r2"}, "run_id"),
+        "model": ({}, {"model": fields["model"] + "x"}, "model"),
+        "sample_id": ({}, {"sample_ids": (sample_id + "x",)}, "sample_id"),
+        "level_label": ({}, {"levels": (*levels[:level], label + "x", *levels[level + 1:])},
+                        "level_label"),
+        # the run's manifest has too few levels to hold the record's
+        "level_index": ({}, {"levels": tuple(levels[:level])}, "level_index"),
+        # the writer's has: its stand-in label meets the run's one
+        "writer_levels": ({"levels": tuple(levels[:level])}, {},
+                          "level_label" if label != "-" else None),
+    }[case]
+    outcome = TrialOutcome(fields["correct"], fields["completion_tokens"])
+    return (manifest(**{**agreed, **writer}), manifest(**{**agreed, **run}), sample_id, level,
+            outcome, name)
 
 
 class TestWriterAndReplayAgree:
-    """`append_trial` writes exactly the records `completed_trials` reads back, as they were written,
-    and refuses, with the same message and before any byte, every record that replay refuses."""
+    """`append_trial` accepts exactly the trials whose line `completed_trials` reads back, writes
+    that line, and refuses every other trial before any byte, with the replay's message."""
 
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(drawn=records_and_manifests())
+    @given(drawn=trials_and_manifests())
     def test_an_appended_record_reads_back_as_written(self, tmp_path, drawn):
-        data, listed = drawn
-        root = Path(tempfile.mkdtemp(dir=tmp_path))
-        store = TraceStore(root)
-        store.write_manifest(listed)
+        listed, sample_id, level_index, outcome = drawn
+        store = open_run(Path(tempfile.mkdtemp(dir=tmp_path)), listed)
+        path = store.trial_path("r1")
         try:
             with store:
-                store.append_trial(TrialRecordLine(**data))
+                store.append_trial(listed, sample_id, level_index, 0, outcome)
         except ValueError as exc:
-            assert not store.trial_path("r1").exists()  # refused before any byte
-            store.trial_path("r1").write_text(json.dumps(data) + "\n")
+            assert not path.exists()  # refused before any byte
+            path.write_text(json.dumps(written(listed, sample_id, level_index, outcome)) + "\n")
             with pytest.raises(ValueError) as err:
                 store.completed_trials("r1")
-            if isinstance(exc, RecordValidationError):  # else an index out of order, or a gap
-                assert str(err.value) == f"{exc} ({store.trial_path('r1')}, line 1)"
+            if isinstance(exc, RecordValidationError):  # else a token count that is not whole
+                assert str(err.value) == f"{exc} ({path}, line 1)"
         else:
-            key = (data["sample_id"], data["level_index"])
-            outcome = TrialOutcome(float(data["correct"]), float(data["completion_tokens"]))
-            assert store.completed_trials("r1") == {key: [outcome]}
+            stamp = stored_records(store)[0]["timestamp"]
+            line = json.dumps(written(listed, sample_id, level_index, outcome, stamp))
+            assert path.read_text() == line + "\n"
+            assert store.completed_trials("r1") == {
+                (sample_id, level_index): [TrialOutcome(float(outcome.correct),
+                                                        float(outcome.tokens))]}
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(drawn=disagreeing_manifests(), resumed=st.booleans())
-    def test_the_writer_gives_the_replay_refusal(self, tmp_path, drawn, resumed):
-        data, listed, name = drawn
+    @given(drawn=disagreeing_manifests(), handed=st.booleans())
+    def test_the_writer_gives_the_replay_refusal(self, tmp_path, drawn, handed):
+        writer, run, sample_id, level, outcome, name = drawn
         store = TraceStore(Path(tempfile.mkdtemp(dir=tmp_path)))
-        if resumed:  # the manifest handed to the resume, not yet stored
-            store.completed_trials("r1", resume=True, manifest=listed)
         # stored as run r1's even when it names another run
-        write_atomic(store.manifest_path("r1"), json.dumps(listed.to_dict()))
+        write_atomic(store.manifest_path("r1"), json.dumps(run.to_dict()))
+        # the run's manifest handed to the opening read, or read from its file
+        store.completed_trials("r1", resume=True, manifest=run if handed else None)
+        path = store.trial_path("r1")
         try:
             with store:
-                store.append_trial(TrialRecordLine(**data))
+                store.append_trial(writer, sample_id, level, 0, outcome)
         except RecordValidationError as exc:
             assert exc.fieldname == name
-            assert not store.trial_path("r1").exists()  # refused before any byte
-            store.trial_path("r1").write_text(json.dumps(data) + "\n")
+            assert not path.exists()  # refused before any byte
+            path.write_text(json.dumps(written(writer, sample_id, level, outcome)) + "\n")
             with pytest.raises(RecordValidationError) as err:
                 store.completed_trials("r1")
-            assert str(err.value) == f"{exc} ({store.trial_path('r1')}, line 1)"
+            assert str(err.value) == f"{exc} ({path}, line 1)"
         else:
             assert name is None
             assert store.completed_trials("r1") == {
-                (data["sample_id"], data["level_index"]):
-                    [TrialOutcome(float(data["correct"]), float(data["completion_tokens"]))]}
+                (sample_id, level): [TrialOutcome(float(outcome.correct), float(outcome.tokens))]}
 
-    def test_a_model_the_manifest_does_not_say_is_refused(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
+    def test_a_model_the_manifest_does_not_say_is_refused(self, opened):
+        append(opened)
         with pytest.raises(RecordValidationError, match=re.escape(
                 "model: record (sample 's01', level 0, trial 1) has 'other', but the manifest of "
                 "run 'r1' says 'm'")):
-            store.append_trial(record(trial_index=1, model="other"))
-        store.close()
-        assert store.trial_path("r1").read_text() == record().to_json() + "\n"
+            append(opened, trial_index=1, listed=manifest(model="other"))
+        opened.close()
+        assert [r["model"] for r in stored_records(opened)] == ["m"]
 
-    def test_a_run_without_a_manifest_gets_the_field_rules_only(self, tmp_path):
+    @pytest.mark.parametrize("level, message", [
+        (2, "level_index: record (sample 's01', level 2, trial 0) has 2, but the manifest of run "
+            "'r1' has 2 levels"),
+        (-1, "level_index: must be a non-negative integer, got -1"),
+    ], ids=["past-the-levels", "negative"])
+    def test_a_level_index_without_a_level_is_refused_by_the_record_check(self, opened, level,
+                                                                          message):
+        with pytest.raises(RecordValidationError, match=f"^{re.escape(message)}$"):
+            append(opened, level_index=level)
+        assert not opened.trial_path("r1").exists()
+
+    def test_a_run_not_opened_is_refused_before_any_byte(self, tmp_path):
         store = TraceStore(tmp_path)
-        with store:
-            store.append_trial(record(model="other", sample_id="s99"))
-            with pytest.raises(RecordValidationError, match="^correct: must be in"):
-                store.append_trial(record(model="other", sample_id="s99", trial_index=1,
-                                          correct=2.0))
-        assert store.completed_trials("r1") == {("s99", 0): [TrialOutcome(1.0, 100.0)]}
+        store.write_manifest(manifest())
+        store.completed_trials("r1")  # a read that does not resume opens nothing
+        with pytest.raises(ValueError, match="^run 'r1' is not open for appending"):
+            append(store)
+        assert not store.trial_path("r1").exists()
 
-
-def nested_lists(depth: int) -> list:
-    deep: list = []
-    for _ in range(depth - 1):
-        deep = [deep]
-    return deep
+    def test_a_resume_without_a_manifest_raises_before_touching_the_file(self, tmp_path):
+        store = TraceStore(tmp_path)
+        torn = (json.dumps(record()) + "\n" + json.dumps(record(trial_index=1))[:30]).encode()
+        store.trial_path("r1").write_bytes(torn)
+        with pytest.raises(IncompleteRunError, match="^run 'r1': no manifest found$"):
+            store.completed_trials("r1", resume=True)
+        assert store.trial_path("r1").read_bytes() == torn
+        with pytest.raises(ValueError, match="not open for appending"):
+            append(store, trial_index=1)
 
 
 DEEP = "[" * 100_000 + "]" * 100_000  # past any recursion limit
@@ -610,11 +684,9 @@ class TestDeepJson:
     """JSON nested past the recursion limit gets a ValueError naming the file, not a RecursionError."""
 
     def test_a_record_line_names_the_file_and_line(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
-        store.close()
-        line = record(trial_index=1).to_json().replace('"meta": {}', f'"meta": {{"x": {DEEP}}}')
+        with open_run(tmp_path) as store:
+            append(store)
+        line = json.dumps(record(trial_index=1)).replace('"meta": {}', f'"meta": {{"x": {DEEP}}}')
         with open(store.trial_path("r1"), "a") as fh:
             fh.write(line + "\n")
         for listed in (True, False):  # with the manifest, and without it
@@ -625,7 +697,7 @@ class TestDeepJson:
             assert str(err.value) == (
                 f"JSON value nests too deeply to decode ({store.trial_path('r1')}, line 2)")
         with pytest.raises(ValueError, match="^JSON value nests too deeply to decode$"):
-            TrialRecordLine.from_json(line)
+            _read_line(line.encode())
 
     @pytest.mark.parametrize("name", ["c.json", "c.yaml"])
     def test_a_config_names_its_file(self, tmp_path, name):
@@ -635,26 +707,14 @@ class TestDeepJson:
             read_mapping(path, "run config")
         assert str(err.value) == f"run config {path} nests too deeply to read"
 
-    def test_a_meta_too_deep_to_encode_is_refused_before_any_byte(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        with store:
-            with pytest.raises(RecordValidationError, match="^meta: nests too deeply to encode$"):
-                store.append_trial(record(meta={"x": nested_lists(2000)}))
-            assert not store.trial_path("r1").exists()
-            store.append_trial(record(meta={"x": nested_lists(50)}))  # the same index, accepted
-        assert list(store.completed_trials("r1")) == [("s01", 0)]
-
 
 class TestRecordLineErrors:
     """An error from a record line names the record file and the line; a torn tail keeps its message."""
 
     def seed_store(self, tmp_path: Path) -> TraceStore:
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        for k in range(8):
-            store.append_trial(record(trial_index=k))
-        store.close()
+        with open_run(tmp_path) as store:
+            for k in range(8):
+                append(store, trial_index=k)
         return store
 
     def replace_line(self, store: TraceStore, number: int, line: bytes) -> None:
@@ -665,7 +725,7 @@ class TestRecordLineErrors:
 
     @pytest.mark.parametrize("line, error, message", [
         (b'{"run_id" "r1"}\n', json.JSONDecodeError, "Expecting ':' delimiter: line 1 column 11"),
-        (record(trial_index=5, correct=2.0).to_json().encode() + b"\n", RecordValidationError,
+        (json.dumps(record(trial_index=5, correct=2.0)).encode() + b"\n", RecordValidationError,
          "correct: must be in [0, 1], got 2.0"),
         (b'{"run_id": "\xff"}\n', UnicodeDecodeError, "can't decode byte 0xff"),
     ])
@@ -683,7 +743,7 @@ class TestRecordLineErrors:
 
     def test_a_record_the_manifest_refuses_names_the_file_and_line(self, tmp_path):
         store = self.seed_store(tmp_path)
-        self.replace_line(store, 6, record(trial_index=5, model="other").to_json().encode() + b"\n")
+        self.replace_line(store, 6, json.dumps(record(trial_index=5, model="other")).encode() + b"\n")
         with pytest.raises(RecordValidationError) as err:
             store.completed_trials("r1")
         assert str(err.value) == (
@@ -695,7 +755,7 @@ class TestRecordLineErrors:
                              ids=["completion_tokens", "correct"])
     def test_a_number_beyond_float_range_names_the_file_and_line(self, tmp_path, field, rule):
         store = self.seed_store(tmp_path)
-        self.replace_line(store, 6, record(trial_index=5, **{field: 10**400}).to_json().encode()
+        self.replace_line(store, 6, json.dumps(record(trial_index=5, **{field: 10**400})).encode()
                           + b"\n")
         where = f"({store.trial_path('r1')}, line 6)"
         for listed in (True, False):  # with the manifest, and without it
@@ -719,20 +779,18 @@ class TestRecordLineErrors:
 
 class TestTokenCounts:
     @pytest.mark.parametrize("tokens", [12.5, 0.1, math.nan, math.inf, -math.inf])
-    def test_a_count_that_is_not_whole_is_refused(self, tmp_path, tokens):
-        store = TraceStore(tmp_path)
+    def test_a_count_that_is_not_whole_is_refused(self, opened, tokens):
         with pytest.raises(ValueError) as err:
-            store.record(manifest(), "s01", 1, 4, TrialOutcome(1.0, tokens))
+            append(opened, trial_index=4, level_index=1, tokens=tokens)
         assert str(err.value) == (f"trial (sample 's01', level 1, trial 4) has {tokens!r} "
                                   f"completion tokens, not a whole number")
-        assert not store.trial_path("r1").exists()
+        assert not opened.trial_path("r1").exists()
 
     @pytest.mark.parametrize("tokens", [12.0, 12])
-    def test_a_whole_count_is_stored_as_drawn(self, tmp_path, tokens):
-        store = TraceStore(tmp_path)
-        store.record(manifest(), "s01", 1, 0, TrialOutcome(1.0, tokens))
-        store.close()
-        assert [r.completion_tokens for r in stored_records(store)] == [12]
+    def test_a_whole_count_is_stored_as_drawn(self, opened, tokens):
+        append(opened, level_index=1, tokens=tokens)
+        opened.close()
+        assert [r["completion_tokens"] for r in stored_records(opened)] == [12]
 
 
 class TestManifest:
@@ -824,13 +882,12 @@ class TestManifest:
 
 class TestAppend:
     def test_append_then_read_back(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            store.write_manifest(manifest())
-            store.append_trial(record())
-            store.append_trial(record(level_index=1, level_label="high", completion_tokens=333))
+        with open_run(tmp_path) as store:
+            append(store)
+            append(store, level_index=1, tokens=333)
         stored = stored_records(TraceStore(tmp_path))
         assert len(stored) == 2
-        assert stored[0] == record()
+        assert stored[0] == record(timestamp=stored[0]["timestamp"])
 
     @pytest.mark.parametrize("first_write", ["manifest", "record"])
     def test_root_is_created_by_the_first_write(self, tmp_path: Path, first_write):
@@ -839,113 +896,110 @@ class TestAppend:
             assert store.run_ids() == [] and not root.exists()
             if first_write == "manifest":
                 store.write_manifest(manifest())
-            else:
-                store.append_trial(record())
+            else:  # a new run: opened with the manifest it has not stored yet
+                store.completed_trials("r1", resume=True, manifest=manifest())
+                assert not root.exists()
+                append(store)
         assert TraceStore(root).run_ids() == ["r1"]
 
-    def test_duplicate_key_conflicts(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            store.append_trial(record())
-            with pytest.raises(DuplicateTrialError):
-                store.append_trial(record(correct=0.0))
+    def test_duplicate_key_conflicts(self, opened):
+        append(opened)
+        with pytest.raises(DuplicateTrialError):
+            append(opened, correct=0.0)
 
     def test_duplicate_detected_across_store_instances(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            store.append_trial(record())
-        with TraceStore(tmp_path) as reopened:
+        with open_run(tmp_path) as store:
+            append(store)
+        with open_run(tmp_path) as reopened:
             with pytest.raises(DuplicateTrialError):
-                reopened.append_trial(record())
+                append(reopened)
 
-    def test_the_next_index_of_each_configuration_is_accepted(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            for k in range(3):
-                store.append_trial(record(trial_index=k))
-            store.append_trial(record(level_index=1, level_label="high"))
-        assert [(r.level_index, r.trial_index) for r in stored_records(store)] == [
+    def test_the_next_index_of_each_configuration_is_accepted(self, opened):
+        for k in range(3):
+            append(opened, trial_index=k)
+        append(opened, level_index=1)
+        opened.close()
+        assert [(r["level_index"], r["trial_index"]) for r in stored_records(opened)] == [
             (0, 0), (0, 1), (0, 2), (1, 0)]
 
-    def test_a_stored_index_is_refused(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            store.append_trial(record())
-            store.append_trial(record(trial_index=1))
-            before = store.trial_path("r1").read_bytes()
-            with pytest.raises(DuplicateTrialError) as err:
-                store.append_trial(record(correct=0.0))
+    def test_a_stored_index_is_refused(self, opened):
+        append(opened)
+        append(opened, trial_index=1)
+        before = opened.trial_path("r1").read_bytes()
+        with pytest.raises(DuplicateTrialError) as err:
+            append(opened, correct=0.0)
         assert str(err.value) == ("trial 0 of run 'r1', sample 's01', level 0 is out of order: "
                                   "the next index is 2")
-        assert store.trial_path("r1").read_bytes() == before
+        assert opened.trial_path("r1").read_bytes() == before
 
     @pytest.mark.parametrize("level, trial, expected", [(0, 2, 1), (1, 1, 0)],
                              ids=["after-a-stored-one", "first-of-its-configuration"])
-    def test_a_skipped_index_is_refused_before_any_write(self, tmp_path: Path, level, trial,
-                                                          expected):
-        with TraceStore(tmp_path) as store:
-            store.append_trial(record())
-            before = store.trial_path("r1").read_bytes()
-            with pytest.raises(ValueError) as err:
-                store.append_trial(record(level_index=level, level_label=("low", "high")[level],
-                                          trial_index=trial))
+    def test_a_skipped_index_is_refused_before_any_write(self, opened, level, trial, expected):
+        append(opened)
+        before = opened.trial_path("r1").read_bytes()
+        with pytest.raises(ValueError) as err:
+            append(opened, level_index=level, trial_index=trial)
         assert not isinstance(err.value, DuplicateTrialError)
         assert str(err.value).endswith(f"is out of order: the next index is {expected}")
-        assert store.trial_path("r1").read_bytes() == before
+        assert opened.trial_path("r1").read_bytes() == before
 
     def test_a_store_that_reads_the_file_starts_from_completed_trials(self, tmp_path: Path):
+        TraceStore(tmp_path).write_manifest(manifest())
         path = TraceStore(tmp_path).trial_path("r1")
         for stored, error, message in (
                 ([0, 2], ValueError, "non-contiguous trial indices \\[0, 2\\]$"),
                 ([0, 0], DuplicateTrialError, "holds trial 0 twice")):
-            path.write_text("".join(record(trial_index=k).to_json() + "\n" for k in stored))
+            path.write_text("".join(json.dumps(record(trial_index=k)) + "\n" for k in stored))
             before = path.read_bytes()
-            with TraceStore(tmp_path) as store:  # refused before the first append
+            with TraceStore(tmp_path) as store:  # refused when the run is opened
                 with pytest.raises(error, match=message):
-                    store.append_trial(record(trial_index=len(stored)))
+                    store.completed_trials("r1", resume=True)
+                with pytest.raises(ValueError, match="not open for appending"):
+                    append(store, trial_index=len(stored))
             assert path.read_bytes() == before
-        path.write_text(record().to_json() + "\n" + record(trial_index=1).to_json() + "\n")
-        with TraceStore(tmp_path) as store:
+        path.write_text(json.dumps(record()) + "\n" + json.dumps(record(trial_index=1)) + "\n")
+        with open_run(tmp_path) as store:
             with pytest.raises(DuplicateTrialError, match="the next index is 2$"):
-                store.append_trial(record(trial_index=1))
+                append(store, trial_index=1)
             with pytest.raises(ValueError, match="the next index is 2$"):
-                store.append_trial(record(trial_index=3))
-            store.append_trial(record(trial_index=2))
-        assert [r.trial_index for r in stored_records(store)] == [0, 1, 2]
+                append(store, trial_index=3)
+            append(store, trial_index=2)
+        assert [r["trial_index"] for r in stored_records(store)] == [0, 1, 2]
 
-    def test_appends_never_rewrite_existing_lines(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.append_trial(record())
-        first = store.trial_path("r1").read_text()
-        store.append_trial(record(trial_index=1))
-        second = store.trial_path("r1").read_text()
-        store.close()
+    def test_appends_never_rewrite_existing_lines(self, opened):
+        append(opened)
+        first = opened.trial_path("r1").read_text()
+        append(opened, trial_index=1)
+        second = opened.trial_path("r1").read_text()
         assert second.startswith(first)
 
-    def test_invalid_record_rejected_before_write(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
+    def test_invalid_record_rejected_before_write(self, opened):
         with pytest.raises(RecordValidationError):
-            store.append_trial(record(completion_tokens=0))
-        assert not store.trial_path("r1").exists()
+            append(opened, tokens=0)
+        assert not opened.trial_path("r1").exists()
 
     @pytest.mark.parametrize("field, rule", [("completion_tokens", "must fit in a float"),
                                              ("correct", "must be in [0, 1]")],
                              ids=["completion_tokens", "correct"])
-    def test_a_number_beyond_float_range_is_refused_before_any_write(self, tmp_path: Path, field,
-                                                                      rule):
-        with TraceStore(tmp_path) as store:
-            with pytest.raises(RecordValidationError, match=re.escape(f"{field}: {rule}, got 1000")):
-                store.append_trial(record(**{field: 10**400}))
-            assert not store.trial_path("r1").exists()
-            store.append_trial(record())
-            before = store.trial_path("r1").read_bytes()
-            with pytest.raises(RecordValidationError) as err:
-                store.append_trial(record(trial_index=1, **{field: 10**400}))
-            assert err.value.fieldname == field
-            assert store.trial_path("r1").read_bytes() == before
+    def test_a_number_beyond_float_range_is_refused_before_any_write(self, opened, field, rule):
+        beyond = {"tokens" if field == "completion_tokens" else "correct": 10**400}
+        with pytest.raises(RecordValidationError, match=re.escape(f"{field}: {rule}, got 1000")):
+            append(opened, **beyond)
+        assert not opened.trial_path("r1").exists()
+        append(opened)
+        before = opened.trial_path("r1").read_bytes()
+        with pytest.raises(RecordValidationError) as err:
+            append(opened, trial_index=1, **beyond)
+        assert err.value.fieldname == field
+        assert opened.trial_path("r1").read_bytes() == before
 
     def test_concurrent_appends_all_land(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
+        listed = manifest(n_samples=4, sample_ids=("s00", "s01", "s02", "s03"))
+        store = open_run(tmp_path, listed)
 
         def worker(offset: int) -> None:  # one configuration per thread, in index order
             for k in range(25):
-                store.append_trial(record(sample_id=f"s{offset:02d}", trial_index=k))
+                append(store, trial_index=k, sample_id=f"s{offset:02d}", listed=listed)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         for t in threads:
@@ -966,27 +1020,26 @@ def stamp_second(stamp: str) -> int:
 
 
 class TestRecordStamp:
-    """`TraceStore.record` stamps each record from a cache of the current second."""
+    """`TraceStore.append_trial` stamps each record from a cache of the current second."""
 
-    def test_a_stamp_lies_between_the_clock_reads_around_the_append(self, tmp_path: Path):
-        with TraceStore(tmp_path) as store:
-            for k in range(3):
-                before = now_rfc3339()
-                store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
-                after = now_rfc3339()
-                stamp = stored_records(store)[-1].timestamp
-                assert before <= stamp <= after
-                assert stamp_second(before) <= stamp_second(stamp) <= stamp_second(after)
+    def test_a_stamp_lies_between_the_clock_reads_around_the_append(self, opened):
+        for k in range(3):
+            before = now_rfc3339()
+            append(opened, trial_index=k, tokens=10.0)
+            after = now_rfc3339()
+            stamp = stored_records(opened)[-1]["timestamp"]
+            assert before <= stamp <= after
+            assert stamp_second(before) <= stamp_second(stamp) <= stamp_second(after)
 
     def test_the_record_after_a_second_turns_carries_the_new_second(self, tmp_path: Path,
                                                                   monkeypatch):
         second = 1_786_000_000  # 2026-08-06T07:06:40+00:00
         clock = iter([second * 10**9 + 999_999_999, (second + 1) * 10**9, (second + 1) * 10**9 + 1])
         monkeypatch.setattr(arise.store.time, "time_ns", lambda: next(clock))
-        with TraceStore(tmp_path) as store:
+        with open_run(tmp_path) as store:
             for k in range(3):
-                store.record(manifest(), "s01", 0, k, TrialOutcome(1.0, 10.0))
-        assert [r.timestamp for r in stored_records(store)] == [
+                append(store, trial_index=k, tokens=10.0)
+        assert [r["timestamp"] for r in stored_records(store)] == [
             "2026-08-06T07:06:40+00:00", "2026-08-06T07:06:41+00:00", "2026-08-06T07:06:41+00:00"]
 
     @staticmethod
@@ -997,12 +1050,11 @@ class TestRecordStamp:
         seconds of each thread's sample, in its append order.
         """
         runs = manifest(n_samples=8)
-        store = TraceStore(tmp_path)
-        store.completed_trials("r1", resume=True)
+        store = open_run(tmp_path, runs)
 
         def worker(sample_id: str) -> None:
             for k in range(records):
-                store.record(runs, sample_id, 0, k, TrialOutcome(1.0, 10.0))
+                append(store, trial_index=k, sample_id=sample_id, tokens=10.0, listed=runs)
 
         threads = [threading.Thread(target=worker, args=(sid,), name=sid, daemon=True)
                    for sid in runs.sample_ids]
@@ -1019,7 +1071,7 @@ class TestRecordStamp:
         store.close()
         seconds: dict[str, list[int]] = {}
         for r in stored_records(store):
-            seconds.setdefault(r.sample_id, []).append(stamp_second(r.timestamp))
+            seconds.setdefault(r["sample_id"], []).append(stamp_second(r["timestamp"]))
         assert sorted(seconds) == list(runs.sample_ids)
         return seconds
 
@@ -1055,15 +1107,15 @@ class TestCompletedTrials:
     def test_replay_orders_by_trial_index(self, tmp_path: Path):
         store = TraceStore(tmp_path)
         store.trial_path("r1").write_text(
-            record(trial_index=1, correct=0.0, completion_tokens=200).to_json() + "\n"
-            + record(trial_index=0, correct=1.0, completion_tokens=100).to_json() + "\n")
+            json.dumps(record(trial_index=1, correct=0.0, completion_tokens=200)) + "\n"
+            + json.dumps(record(trial_index=0, correct=1.0, completion_tokens=100)) + "\n")
         replayed = store.completed_trials("r1")[("s01", 0)]
         assert [t.tokens for t in replayed] == [100.0, 200.0]
 
     def test_non_contiguous_indices_rejected(self, tmp_path: Path):
         store = TraceStore(tmp_path)
         store.trial_path("r1").write_text(
-            record(trial_index=0).to_json() + "\n" + record(trial_index=2).to_json() + "\n")
+            json.dumps(record(trial_index=0)) + "\n" + json.dumps(record(trial_index=2)) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 "run 'r1': configuration ('s01', 0) has non-contiguous trial indices [0, 2]")):
             store.completed_trials("r1")
@@ -1073,10 +1125,9 @@ class TestTornTail:
     """A crash can cut the final line short; only that line is forgiven, and only by a resume."""
 
     def seed_store(self, tmp_path: Path) -> tuple[TraceStore, bytes]:
-        store = TraceStore(tmp_path)
-        for k in range(3):
-            store.append_trial(record(trial_index=k))
-        store.close()
+        with open_run(tmp_path) as store:
+            for k in range(3):
+                append(store, trial_index=k)
         return store, store.trial_path("r1").read_bytes()
 
     def test_drop_torn_tail_cuts_the_file_at_the_last_newline(self, tmp_path: Path):
@@ -1091,21 +1142,20 @@ class TestTornTail:
         store, data = self.seed_store(tmp_path)
         store.trial_path("r1").write_bytes(data[:-1])
         fresh = TraceStore(tmp_path)
-        assert len(fresh.completed_trials("r1")[("s01", 0)]) == 3
-        fresh.append_trial(record(trial_index=3))
+        assert len(fresh.completed_trials("r1", resume=True)[("s01", 0)]) == 3
+        append(fresh, trial_index=3)
         fresh.close()
-        assert [r.trial_index for r in stored_records(fresh)] == [0, 1, 2, 3]
+        assert [r["trial_index"] for r in stored_records(fresh)] == [0, 1, 2, 3]
 
 
 class TestResumeRead:
     """`completed_trials(resume=True)` reads the file once for both the preload and the duplicate check."""
 
     def seed_store(self, tmp_path: Path) -> None:
-        store = TraceStore(tmp_path)
-        for level in (0, 1):
-            for k in range(3):
-                store.append_trial(record(level_index=level, trial_index=k))
-        store.close()
+        with open_run(tmp_path, manifest(n_samples=2)) as store:
+            for level in (0, 1):
+                for k in range(3):
+                    append(store, level_index=level, trial_index=k)
 
     def test_each_stored_line_is_parsed_once(self, tmp_path: Path, monkeypatch):
         self.seed_store(tmp_path)
@@ -1120,7 +1170,7 @@ class TestResumeRead:
         monkeypatch.setattr(arise.store, "_read_line", counting)
         store = TraceStore(tmp_path)
         store.completed_trials("r1", resume=True)
-        store.append_trial(record(trial_index=3))
+        append(store, trial_index=3)
         store.close()
         assert len(lines) == stored
 
@@ -1129,8 +1179,8 @@ class TestResumeRead:
         store = TraceStore(tmp_path)
         store.completed_trials("r1", resume=True)
         with pytest.raises(DuplicateTrialError):
-            store.append_trial(record(level_index=1, trial_index=2))
-        store.append_trial(record(level_index=1, trial_index=3))
+            append(store, level_index=1, trial_index=2)
+        append(store, level_index=1, trial_index=3)
         store.close()
         assert len(stored_records(store)) == 7
 
@@ -1139,30 +1189,21 @@ class TestResumeRead:
         store = TraceStore(tmp_path)
         store.completed_trials("r1", resume=True)
         with pytest.raises(ValueError, match="the next index is 3$"):
-            store.append_trial(record(level_index=1, trial_index=4))
-        store.append_trial(record(sample_id="s02"))
+            append(store, level_index=1, trial_index=4)
+        append(store, sample_id="s02")
         store.close()
         assert len(stored_records(store)) == 7
 
 
 class TestRecompute:
     def seed_store(self, tmp_path: Path) -> TraceStore:
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest(trials=3))
+        store = open_run(tmp_path, manifest(trials=3))
         rows = [
             (0, 0, 1.0, 100), (0, 1, 0.0, 200), (0, 2, 1.0, 300),
             (1, 0, 1.0, 400), (1, 1, 1.0, 500), (1, 2, 1.0, 600),
         ]
         for level, k, correct, tokens in rows:
-            store.append_trial(
-                record(
-                    level_index=level,
-                    level_label=("low", "high")[level],
-                    trial_index=k,
-                    correct=correct,
-                    completion_tokens=tokens,
-                )
-            )
+            append(store, trial_index=k, level_index=level, correct=correct, tokens=tokens)
         store.close()
         return store
 
@@ -1185,18 +1226,16 @@ class TestRecompute:
         )
 
     def test_missing_level_names_the_configuration(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
-        store.close()
+        with open_run(tmp_path) as store:
+            append(store)
         with pytest.raises(IncompleteRunError, match=re.escape(
                 "run 'r1': configuration ('s01', 1): its records end before trial 0, ")):
             store.recompute("r1")
 
     def test_missing_manifest_is_incomplete(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.append_trial(record())
-        store.close()
+        with open_run(tmp_path) as store:
+            append(store)
+        store.manifest_path("r1").unlink()
         with pytest.raises(IncompleteRunError):
             store.recompute("r1")
 
@@ -1230,13 +1269,11 @@ class TestRecompute:
         assert lines == [line.encode() for line in stored]
 
     def store_in_order(self, tmp_path: Path, listed: RunManifest, sample_ids: list[str]) -> TraceStore:
-        store = TraceStore(tmp_path)
-        store.write_manifest(listed)
-        for sid in sample_ids:
-            for level, label in enumerate(("low", "high")):
-                store.append_trial(record(sample_id=sid, level_index=level, level_label=label,
-                                          completion_tokens=100 * (level + 1)))
-        store.close()
+        with open_run(tmp_path, listed) as store:
+            for sid in sample_ids:
+                for level in (0, 1):
+                    append(store, level_index=level, sample_id=sid, tokens=100 * (level + 1),
+                           listed=listed)
         return store
 
     def test_sample_order_follows_the_manifest(self, tmp_path: Path):
@@ -1252,7 +1289,7 @@ class TestRecompute:
         listed = manifest(n_samples=2, sample_ids=("s01", "s02"))
         store = self.store_in_order(tmp_path, listed, ["s01"])
         with open(store.trial_path("r1"), "a") as fh:  # written raw: the writer refuses it
-            fh.write(record(sample_id="s99").to_json() + "\n")
+            fh.write(json.dumps(record(sample_id="s99")) + "\n")
         with pytest.raises(RecordValidationError, match=(
             r"^sample_id: record \(sample 's99', level 0, trial 0\) has 's99', "
             r"but the manifest of run 'r1' does not list it"
@@ -1267,12 +1304,9 @@ class TestRecompute:
             store.recompute("r1")
 
     def test_a_configuration_short_of_its_stop_rule_is_incomplete(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest(trials=2))
-        for level, k in [(0, 0), (0, 1), (1, 0)]:
-            store.append_trial(record(level_index=level, level_label=("low", "high")[level],
-                                      trial_index=k))
-        store.close()
+        with open_run(tmp_path, manifest(trials=2)) as store:
+            for level, k in [(0, 0), (0, 1), (1, 0)]:
+                append(store, trial_index=k, level_index=level)
         for replay in (store.recompute, store.load_trajectories):
             with pytest.raises(IncompleteRunError) as err:
                 replay("r1")
@@ -1281,11 +1315,9 @@ class TestRecompute:
                 "stop rule draws; `run --resume` draws the rest")
 
     def test_sample_count_mismatch_rejected(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest(n_samples=2))
-        store.append_trial(record())
-        store.append_trial(record(level_index=1, level_label="high"))
-        store.close()
+        with open_run(tmp_path, manifest(n_samples=2)) as store:
+            append(store)
+            append(store, level_index=1)
         with pytest.raises(IncompleteRunError, match=re.escape(
                 "run 'r1': configuration ('s02', 0): its records end before trial 0, ")):
             store.recompute("r1")
@@ -1295,12 +1327,11 @@ class TestRecomputeMatchesLiveRun:
     def test_recomputed_trajectories_equal_live_values(self, tmp_path: Path):
         spec = reference_spec()
         labels = ["level0", "level1", "level2"]
-        store = TraceStore(tmp_path)
         live = manifest(run_id="live", levels=tuple(labels), n_samples=spec.n_samples, trials=2)
-        store.write_manifest(live)
+        store = open_run(tmp_path, live)
         run = run_evaluation(
             SimulatorBackend(spec), list(spec.sample_ids), labels,
-            ConvergenceConfig(), NaiveMode(2), on_trial=functools.partial(store.record, live),
+            ConvergenceConfig(), NaiveMode(2), on_trial=functools.partial(store.append_trial, live),
         )
         store.close()
         bundle = store.recompute("live")
@@ -1310,21 +1341,17 @@ class TestRecomputeMatchesLiveRun:
         assert bundle.aggregate_arise == arise_aggregate(run.trajectories)
 
     def test_recompute_is_idempotent(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
-        store.append_trial(record(level_index=1, level_label="high", completion_tokens=300))
-        store.close()
+        with open_run(tmp_path) as store:
+            append(store)
+            append(store, level_index=1, tokens=300)
         assert store.recompute("r1").to_json() == store.recompute("r1").to_json()
 
 
 class TestBundleSerialization:
     def test_round_trip(self, tmp_path: Path):
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest())
-        store.append_trial(record())
-        store.append_trial(record(level_index=1, level_label="high", completion_tokens=300))
-        store.close()
+        with open_run(tmp_path) as store:
+            append(store)
+            append(store, level_index=1, tokens=300)
         bundle = store.recompute("r1")
         parsed = ResultBundle.from_json(bundle.to_json())
         assert parsed == bundle
@@ -1347,6 +1374,32 @@ class TestReadMapping:
         path.write_text(text)
         with pytest.raises(ValueError, match="not a mapping"):
             loader(path)
+
+
+    @pytest.mark.parametrize("what, loader", [
+        ("run config", _load_run_config), ("simulator spec", SyntheticModelSpec.from_file),
+        ("backend config", BackendConfig.from_file)])
+    def test_a_file_neither_json_nor_yaml_is_named(self, tmp_path: Path, what, loader):
+        path = tmp_path / "c.yaml"
+        path.write_text("a: [1, 2\nb: {\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {path}')} is not valid JSON "
+                                             f"or YAML: "):
+            loader(path)
+
+
+class TestConfigValues:
+    """An `int` setting takes a whole number and never truncates one."""
+
+    @pytest.mark.parametrize("value", [4, 4.0, -3.0, "4"])
+    def test_a_whole_number_is_an_int(self, value):
+        given = config_values({"n": value}, "config", n=int)
+        assert given == {"n": int(value)} and type(given["n"]) is int
+
+    @pytest.mark.parametrize("value", [2.5, 2.9, -0.5, True, False, math.inf, math.nan])
+    def test_a_bool_or_a_number_that_is_not_whole_is_refused(self, value):
+        with pytest.raises(ValueError, match=f"^config 'n': must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            config_values({"n": value}, "config", n=int)
 
 
 class TestAtomicWrites:
@@ -1433,13 +1486,10 @@ class TestAtomicWrites:
 
 class TestCsvExports:
     def bundle(self, tmp_path: Path, **fields: object) -> ResultBundle:
-        store = TraceStore(tmp_path)
-        store.write_manifest(manifest(**fields))
-        model, levels = fields.get("model", "m"), fields.get("levels", ("low", "high"))
-        store.append_trial(record(model=model, level_label=levels[0]))
-        store.append_trial(record(model=model, level_index=1, level_label=levels[1],
-                                  completion_tokens=300))
-        store.close()
+        listed = manifest(**fields)
+        with open_run(tmp_path, listed) as store:
+            append(store, listed=listed)
+            append(store, level_index=1, tokens=300, listed=listed)
         return store.recompute("r1")
 
     ODD = 'gpt,4 "x"\r\nnext|line'

@@ -301,14 +301,9 @@ class BackendConfig:
             ),
             retry=RetryPolicy(**config_values(retry, "backend config retry", max_attempts=int,
                                               backoff_base=float)),
-            **config_values(
-                data,
-                "backend config",
-                usage_path=str,
-                response_text_path=str,
-                max_in_flight=int,
-                min_request_interval=float,
-            ),
+            **{key: config_text(data, "backend config", key)
+               for key in ("usage_path", "response_text_path") if key in data},
+            **config_values(data, "backend config", max_in_flight=int, min_request_interval=float),
         )
 
     @classmethod
@@ -378,10 +373,6 @@ class HttpBackend:
         self._tasks = {t.sample_id: t for t in tasks}
         self._limiter = RequestLimiter(cfg.max_in_flight, cfg.min_request_interval)
         self._session = session or requests.Session()
-
-    @property
-    def sample_ids(self) -> tuple[str, ...]:
-        return tuple(self._tasks)
 
     @property
     def outcome_config(self) -> dict:

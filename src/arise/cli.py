@@ -253,14 +253,14 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             model=model or default_model, benchmark=benchmark or config.stem, config_hash=digest)
 
     # a new run is a resume of a run with no records: its record file is absent
-    preloaded = store.completed_trials(run_id, resume=True, manifest=read)
+    preloaded = store.completed_trials(read, resume=True)
     manifest = dataclasses.replace(read, status="running")
     store.write_manifest(manifest)
 
     try:
         evaluation = run_evaluation(backend, manifest.sample_ids, manifest.levels, manifest.cfg,
                                     manifest.run_mode, preloaded=preloaded,
-                                    on_trial=functools.partial(store.append_trial, manifest),
+                                    on_trial=functools.partial(store.append_trial, run_id),
                                     max_workers=workers)
     except ConfigurationError:
         store.write_manifest(dataclasses.replace(manifest, status="failed"))

@@ -123,6 +123,12 @@ class ConvergenceConfig:
     tau: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("m_min", "m_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
+            raise ValueError(f"tau must be a real number, got {self.tau!r}")
         if self.m_min < 1:
             raise ValueError(f"m_min must be >= 1, got {self.m_min}")
         if self.m_max < self.m_min:

@@ -12,18 +12,21 @@ The replay is `run_evaluation` with a backend that cannot draw, so the
 live run's stop rule decides: a configuration short of it raises
 IncompleteRunError (a resume draws the rest); one holding more trials
 than it draws, a trial stored twice (DuplicateTrialError) and a gap in a
-configuration's trial indices raise ValueError. One check owns every
-record rule (`_check_record`), and both sides apply it with the run's
-manifest: `completed_trials` through the one reader of every stored
-line, and `TraceStore.append_trial`, the one writer, before it writes a
-byte. The writer takes the run id, model and level label of each record
-from the manifest, and appends only to a run that
-`completed_trials(resume=True)` opened: that read gives it the manifest
-to check against and each configuration's next trial index, so it only
-extends a file that replay accepts. Appends flush per line, so a crash
-loses at most the in-flight record: a torn final line makes readers
-raise `TornRecordError`, and a resume cuts it off before appending; no
-other line is ever rewritten or deleted.
+configuration's trial indices raise ValueError. A run is addressed by
+its manifest: `read_manifest` refuses a manifest that names another run,
+and every record is checked against the one manifest read (or built)
+for its run. One check owns every record rule (`_check_record`), and
+both sides apply it with that manifest: `completed_trials(manifest)`
+through the one reader of every stored line, and
+`TraceStore.append_trial(run_id, ...)`, the one writer, before it
+writes a byte. The writer appends only to a run that
+`completed_trials(resume=True)` opened, and builds each record's run
+id, model and level label from the manifest it was opened with: that
+read also gives each configuration's next trial index, so the writer
+only extends a file that replay accepts. Appends flush per line, so a
+crash loses at most the in-flight record: a torn final line makes
+readers raise `TornRecordError`, and a resume cuts it off before
+appending; no other line is ever rewritten or deleted.
 Floats survive the round trip exactly (JSON serialization preserves 17
 significant digits).
 """
@@ -162,21 +165,23 @@ def config_rows(value: object, what: str, *required: str) -> list[dict]:
     return [config_mapping(row, f"{what}[{i}]", *required) for i, row in enumerate(value)]
 
 
-def config_values(data: dict, what: str, **convert: Callable[[object], object]) -> dict:
-    """The keys of `data` that `convert` names, each value converted; a key the
-    config leaves out is left to the dataclass default. A value that cannot be
-    converted raises ValueError naming `what` and the key; so does a bool or a
-    number that is not whole for `int`, which would truncate it."""
+def config_values(data: dict, what: str, **convert: type[int] | type[float]) -> dict:
+    """The keys of `data` that `convert` names, each value made an `int` or a `float`; a key
+    the config leaves out is left to the dataclass default. A value that cannot be converted
+    raises ValueError naming `what` and the key; so does a bool, and for `int` a number that
+    is not whole, which would truncate it. A numeric string is converted: PyYAML reads `1e-3`
+    as a string."""
     given = {}
     for name, to in convert.items():
         if name in data:
             value = data[name]
             try:
-                if to is int and (isinstance(value, bool)
-                                  or isinstance(value, float) and not value.is_integer()):
-                    raise ValueError(f"must be an integer, got {value!r}")
+                if isinstance(value, bool) or (to is int and isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError(f"must be {'an integer' if to is int else 'a number'}, "
+                                     f"got {value!r}")
                 given[name] = to(value)
-            except (TypeError, ValueError) as exc:  # such as int(None) or float("x")
+            except (TypeError, ValueError, OverflowError) as exc:  # int(None), float("x"), 10**400
                 raise ValueError(f"{what} {name!r}: {exc}") from exc
     return given
 
@@ -464,18 +469,18 @@ def _refused(name: str, rule: str, value: object) -> RecordValidationError:
     return RecordValidationError(name, f"{rule}, got {value!r}")
 
 
-def _check_record(data: object, manifest: RunManifest | None = None,
-                  listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
+def _check_record(data: object, manifest: RunManifest,
+                  listed: frozenset[str]) -> tuple[tuple[str, int], int, float, float]:
     """The one check of a trial record: its configuration, trial index, `correct` and tokens.
 
     `data` is a parsed record line or the record `append_trial` builds. It
     must be an object holding every field of `_RECORD_FIELDS` and no other
     key; then each field must hold a value a run writes, `correct` and the
     token count as floats (a stored integer `correct` reads as a float);
-    then, given `manifest`, it must be a record `append_trial` would write
-    for that run, of a sample in `listed` (the manifest's `sample_ids`).
-    The first rule broken, in that order, raises RecordValidationError
-    naming its field.
+    then it must be a record `append_trial` would write for `manifest`'s
+    run, of a sample in `listed` (the manifest's `sample_ids`). The first
+    rule broken, in that order, raises RecordValidationError naming its
+    field.
     """
     if not isinstance(data, dict):
         raise RecordValidationError(
@@ -523,9 +528,6 @@ def _check_record(data: object, manifest: RunManifest | None = None,
         raise _refused("correct", "must be in [0, 1]", correct)
     if not isinstance(meta, dict):
         raise RecordValidationError("meta", f"must be an object, got {type(meta).__name__}")
-    checked = (sample_id, level), index, correct, tokens
-    if manifest is None:
-        return checked
     levels = manifest.levels
     if sample_id not in listed:
         name, expected = "sample_id", "does not list it"
@@ -538,7 +540,7 @@ def _check_record(data: object, manifest: RunManifest | None = None,
     elif label != levels[level]:
         name, expected = "level_label", f"says {levels[level]!r}"
     else:
-        return checked
+        return (sample_id, level), index, correct, tokens
     raise RecordValidationError(
         name,
         f"record (sample {sample_id!r}, level {level}, trial {index}) has {data[name]!r}, "
@@ -546,13 +548,8 @@ def _check_record(data: object, manifest: RunManifest | None = None,
     )
 
 
-def _listed(manifest: RunManifest | None) -> frozenset[str]:
-    """The samples `manifest` lists, for `_check_record`; none without a manifest."""
-    return frozenset(manifest.sample_ids) if manifest is not None else frozenset()
-
-
-def _read_line(line: bytes, manifest: RunManifest | None = None,
-               listed: frozenset[str] = frozenset()) -> tuple[tuple[str, int], int, float, float]:
+def _read_line(line: bytes, manifest: RunManifest,
+               listed: frozenset[str]) -> tuple[tuple[str, int], int, float, float]:
     """`_check_record` of the value on one stored line, stripped and not blank.
 
     A line that is not one JSON value raises the error `json.loads` gives it,
@@ -707,8 +704,8 @@ class TraceStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._handles: dict[str, BinaryIO] = {}
-        # run id -> what each append of the run is checked against: (its manifest, the samples
-        # it lists, (sample id, level index) -> the trial index its next append must have)
+        # run id -> what each append of the run is built from and checked against: (its manifest,
+        # the samples it lists, (sample id, level index) -> the trial index its next append must have)
         self._runs: dict[str, _Run] = {}
         # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
         # so a reader in another thread never pairs one second with another's text
@@ -735,30 +732,36 @@ class TraceStore:
         write_atomic(self.manifest_path(manifest.run_id), json.dumps(manifest.to_dict(), indent=2))
 
     def read_manifest(self, run_id: str) -> RunManifest:
+        """The manifest of run `run_id`: IncompleteRunError if there is none, and ValueError
+        if it does not decode or names another run."""
         path = self.manifest_path(run_id)
         if not path.exists():
             raise IncompleteRunError(run_id, "no manifest found")
-        return decode_file(path, RunManifest.from_dict)
+        manifest = decode_file(path, RunManifest.from_dict)
+        if manifest.run_id != run_id:
+            raise _value_error("run_id", f"the manifest of run {run_id!r} names run "
+                                         f"{manifest.run_id!r} ({path})")
+        return manifest
 
     # ------------------------------------------------------------------
     # trial records
 
-    def append_trial(self, manifest: RunManifest, sample_id: str, level_index: int,
-                     trial_index: int, outcome: TrialOutcome) -> None:
-        """Durably append one fresh trial of `manifest`'s run, as its configuration's next index.
+    def append_trial(self, run_id: str, sample_id: str, level_index: int, trial_index: int,
+                     outcome: TrialOutcome) -> None:
+        """Durably append one fresh trial of run `run_id`, as its configuration's next index.
 
         `completed_trials(resume=True)` must have opened the run: it gives the
-        manifest each record is checked against and each configuration's next
-        index. The record takes its run id, model and level label from
-        `manifest`, and it must pass `_check_record`, as replay reads it. A
-        run not opened, or a token count that is not a whole number (the
-        record could not store it as drawn), raises ValueError; a refused
-        record RecordValidationError; a lower index DuplicateTrialError and a
-        higher one ValueError; all before any byte is written.
+        manifest that each record is built from and checked against, and each
+        configuration's next index. The record takes its run id, model and
+        level label from that manifest, and it must pass `_check_record`, as
+        replay reads it. A run not opened, or a token count that is not a
+        whole number (the record could not store it as drawn), raises
+        ValueError; a refused record RecordValidationError; a lower index
+        DuplicateTrialError and a higher one ValueError; all before any byte
+        is written.
         """
-        run_id = manifest.run_id
         try:
-            opened, listed, next_index = self._runs[run_id]
+            manifest, listed, next_index = self._runs[run_id]
         except KeyError:
             raise ValueError(f"run {run_id!r} is not open for appending: "
                              f"completed_trials(resume=True) opens it") from None
@@ -770,10 +773,7 @@ class TraceStore:
             )
         try:
             label = manifest.levels[level_index]
-        except IndexError:
-            # a stand-in: past the opened manifest's levels too (as when it is
-            # `manifest`), `_check_record` refuses the record by its index;
-            # else by this label
+        except IndexError:  # a stand-in: `_check_record` refuses the record by its index
             label = "-"
         second = _now_second()
         stamp = self._stamp
@@ -791,7 +791,7 @@ class TraceStore:
             "timestamp": stamp[1],
             "meta": {},
         }
-        key, index, _, _ = _check_record(data, opened, listed)
+        key, index, _, _ = _check_record(data, manifest, listed)
         line = json.dumps(data).encode() + b"\n"
         with self._lock:
             expected = next_index.get(key, 0)
@@ -821,34 +821,31 @@ class TraceStore:
         self.close()
 
     def completed_trials(
-        self, run_id: str, resume: bool = False, *, manifest: RunManifest | None = None
+        self, manifest: RunManifest, resume: bool = False
     ) -> dict[tuple[str, int], list[TrialOutcome]]:
-        """Replay stored outcomes per configuration, in trial-index order.
+        """Replay the stored outcomes of `manifest`'s run per configuration, in trial-index order.
 
-        Keys follow the first appearance of each configuration in the record
-        file; feed the result to run_evaluation(preloaded=...). Each record
-        is checked against the run's manifest (`manifest`, else the one
-        stored) before anything is cut, and a trial stored twice
-        (DuplicateTrialError, naming both lines) or any other gap in a
-        configuration's indices raises ValueError. With resume, the run
-        must have a manifest (else IncompleteRunError, before the file is
-        touched), a torn final line is cut off instead of raising
+        `manifest` names the run: the one `read_manifest` read, or the one a
+        new run built. Keys follow the first appearance of each configuration
+        in the record file; feed the result to run_evaluation(preloaded=...).
+        Each record is checked against `manifest` before anything is cut,
+        and a trial stored twice (DuplicateTrialError, naming both lines) or
+        any other gap in a configuration's indices raises ValueError. With
+        resume, a torn final line is cut off instead of raising
         TornRecordError, a whole final record gets its newline, and the run
-        is opened for `append_trial`: the manifest and the counts read here
-        are what it checks against and its next indices, so the file is
-        parsed once.
+        is opened for `append_trial`: `manifest` and the counts read here are
+        what it builds from and checks against and its next indices, so the
+        file is parsed once.
 
         The file is streamed line by line, and every line that is not blank
         goes through one reader, `_read_line`: it scans the line and applies
-        `_check_record`, the check `append_trial` applies before it writes,
-        with the manifest's rules when there is a manifest. A torn final line
-        raises TornRecordError; any other line that fails raises its error
-        with the file and line number.
+        `_check_record` with `manifest`, the check `append_trial` applies
+        before it writes. A torn final line raises TornRecordError; any other
+        line that fails raises its error with the file and line number.
         """
-        if manifest is None and (resume or self.manifest_path(run_id).exists()):
-            manifest = self.read_manifest(run_id)
+        run_id = manifest.run_id
         path = self.trial_path(run_id)
-        listed = _listed(manifest)
+        listed = frozenset(manifest.sample_ids)
         read = _read_line
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
@@ -881,7 +878,7 @@ class TraceStore:
             if indices != list(range(len(indexed))):
                 repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
                 if repeated is not None:
-                    first, second = self._lines_holding(run_id, key, repeated)[:2]
+                    first, second = self._lines_holding(manifest, listed, key, repeated)[:2]
                     raise DuplicateTrialError(
                         f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
                         f"({path}, lines {first} and {second})"
@@ -898,20 +895,22 @@ class TraceStore:
                 _open_for_append(path).close()
         return out
 
-    def _lines_holding(self, run_id: str, key: tuple[str, int], index: int) -> list[int]:
-        """The numbers of the record file's lines that hold trial `index` of configuration `key`.
+    def _lines_holding(self, manifest: RunManifest, listed: frozenset[str], key: tuple[str, int],
+                       index: int) -> list[int]:
+        """The numbers of the run's record file lines that hold trial `index` of configuration `key`.
 
         Only an error path calls this, so it reads the file again rather
         than have every replay keep line numbers.
         """
-        with open(self.trial_path(run_id), "rb") as fh:
+        with open(self.trial_path(manifest.run_id), "rb") as fh:
             lines = ((number, raw.strip()) for number, raw in enumerate(fh, 1))
-            return [number for number, line in lines if line and _read_line(line)[:2] == (key, index)]
+            return [number for number, line in lines
+                    if line and _read_line(line, manifest, listed)[:2] == (key, index)]
 
     # ------------------------------------------------------------------
     # trajectory assembly and recomputation
 
-    def _evaluation(self, run_id: str, manifest: RunManifest) -> EvaluationRun:
+    def _evaluation(self, manifest: RunManifest) -> EvaluationRun:
         """The run the stored records hold: `run_evaluation` as a resume that cannot draw.
 
         The live run's stop rule and budget allocation decide every
@@ -920,25 +919,25 @@ class TraceStore:
         IncompleteRunError, since `run --resume` would draw its remaining
         trials; one holding more trials than its rule draws raises ValueError.
         """
-        per_config = self.completed_trials(run_id, manifest=manifest)
+        per_config = self.completed_trials(manifest)
         try:
             return run_evaluation(_NoDraws(), manifest.sample_ids, manifest.levels, manifest.cfg,
                                   manifest.run_mode, preloaded=per_config)
         except ConfigurationError as exc:
             raise IncompleteRunError(
-                run_id,
+                manifest.run_id,
                 f"configuration {(exc.sample_id, exc.level_index)!r}: its records end before "
                 f"trial {exc.count}, which its stop rule draws; `run --resume` draws the rest",
             ) from exc
 
     def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
         """Mean accuracy and tokens per configuration, levels ordered by index."""
-        return list(self._evaluation(run_id, self.read_manifest(run_id)).trajectories)
+        return list(self._evaluation(self.read_manifest(run_id)).trajectories)
 
     def recompute(self, run_id: str) -> ResultBundle:
         """Re-derive the full result bundle from stored records and manifest."""
         manifest = self.read_manifest(run_id)
-        return ResultBundle.from_run(manifest, self._evaluation(run_id, manifest))
+        return ResultBundle.from_run(manifest, self._evaluation(manifest))
 
 
 # ----------------------------------------------------------------------

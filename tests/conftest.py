@@ -218,18 +218,18 @@ def no_record_reads(monkeypatch) -> Callable[[], object]:
     must carry the same bytes.
     """
     import arise.store
-    from arise import TraceStore
+    from arise import RunManifest, TraceStore
 
     real_completed, real_read = TraceStore.completed_trials, arise.store._read_line
     preloading = False
 
-    def completed_trials(self, run_id: str, resume: bool = False, **kwargs):
+    def completed_trials(self, manifest: RunManifest, resume: bool = False):
         nonlocal preloading
         if not resume:
-            raise AssertionError(f"run {run_id!r}: stored records replayed")
+            raise AssertionError(f"run {manifest.run_id!r}: stored records replayed")
         preloading = True
         try:
-            return real_completed(self, run_id, resume=True, **kwargs)
+            return real_completed(self, manifest, resume=True)
         finally:
             preloading = False
 

@@ -149,6 +149,10 @@ class TestJudges:
         parsed = parse_judge({"type": "external", "command": ["./j.sh", "arg"]})
         assert parsed == ExternalJudge(("./j.sh", "arg"))
 
+    def test_a_bool_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="^judge 'tol': must be a number, got True$"):
+            parse_judge({"type": "numeric_match", "expected": 2, "tol": True})
+
     def test_parse_judge_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="unknown judge type"):
             parse_judge({"type": "vibes"})
@@ -202,6 +206,21 @@ class TestBackendConfig:
         data["levels"][1]["label"] = "low"
         with pytest.raises(ValueError, match="unique"):
             BackendConfig.from_dict(data)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"retry": {"backoff_base": True}},
+         "backend config retry 'backoff_base': must be a number, got True"),
+        ({"min_request_interval": False},
+         "backend config 'min_request_interval': must be a number, got False"),
+        ({"max_in_flight": True}, "backend config 'max_in_flight': must be an integer, got True"),
+        ({"usage_path": 5}, "backend config 'usage_path' must be a non-empty string, got 5"),
+        ({"usage_path": ""}, "backend config 'usage_path' must be a non-empty string, got ''"),
+        ({"response_text_path": None},
+         "backend config 'response_text_path' must be a non-empty string, got None"),
+    ], ids=lambda value: next(iter(value)) if isinstance(value, dict) else None)
+    def test_a_setting_of_the_wrong_type_is_refused(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BackendConfig.from_dict(backend_config_dict("http://127.0.0.1:8/v1", **change))
 
     def test_rejects_unknown_level_kind(self, mock_server):
         data = backend_config_dict(mock_server.url)

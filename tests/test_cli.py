@@ -1241,6 +1241,10 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(run_id=""), "run_id: must be a non-empty string, got ''"),
         (lambda m: m.update(benchmark=7), "benchmark: must be a string, got 7"),
         (lambda m: m.update(model=["m"]), "model: must be a string, got ['m']"),
+        (lambda m: m["cfg"].update(m_min=2.5), "m_min must be an integer, got 2.5"),
+        (lambda m: m["cfg"].update(m_min=True, tau=True), "m_min must be an integer, got True"),
+        (lambda m: m["cfg"].update(m_max="10"), "m_max must be an integer, got '10'"),
+        (lambda m: m["cfg"].update(tau=True), "tau must be a real number, got True"),
     ])
     def test_bad_manifest(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"
@@ -1255,6 +1259,26 @@ class TestMalformedStoredFiles:
             assert result.exit_code == 1
             assert f"error: {expected}" in all_text(result)
         assert manifest.read_bytes() == damaged  # a resume never rewrites what it cannot read
+
+    @pytest.mark.parametrize("records", [False, True], ids=["no-records", "records"])
+    def test_a_manifest_naming_another_run_is_refused_before_any_write(self, runner, spec_file,
+                                                                      tmp_path, records):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        manifest = out / "r1.manifest.json"
+        self.edit_json(manifest, lambda m: m.update(run_id="r2"))
+        if not records:
+            (out / "r1.jsonl").unlink()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for args in (["compute", str(out), "--run-id", "r1"],
+                     ["--seed", "42", "run", str(spec_file), "--out", str(out),
+                      "--run-id", "r1", "--resume"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert result.stderr == (
+                f"error: run_id: the manifest of run 'r1' names run 'r2' ({manifest})\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not (out / "r2.manifest.json").exists()
 
     @pytest.mark.parametrize("damage, expected", [
         (lambda text: '{"run_id": ', "Expecting value: line 1 column 12 (char 11)"),

@@ -141,14 +141,18 @@ def test_http_runs_match_golden(tmp_path, mock_server, api_key):
 
 
 def test_stored_files_survive_a_decode_and_re_encode():
-    """Every checked-in record line, manifest and bundle reads back and writes out the same bytes."""
-    lines = [line for path in sorted(GOLDEN.glob("**/*.jsonl"))
-             for line in path.read_text().splitlines()]
-    assert lines
-    for line in lines:
-        data = json.loads(line)
-        _check_record(data)
-        assert tuple(data) == _RECORD_FIELDS and json.dumps(data) == line
+    """Every checked-in record line, manifest and bundle reads back and writes out the same bytes;
+    each record line agrees with its own run's manifest."""
+    paths = sorted(GOLDEN.glob("**/*.jsonl"))
+    assert paths
+    for path in paths:
+        run = TraceStore(path.parent).read_manifest(path.stem)
+        lines = path.read_text().splitlines()
+        assert lines
+        for line in lines:
+            data = json.loads(line)
+            _check_record(data, run, frozenset(run.sample_ids))
+            assert tuple(data) == _RECORD_FIELDS and json.dumps(data) == line
     for suffix, cls in ((".manifest.json", RunManifest), (".bundle.json", ResultBundle)):
         paths = sorted(GOLDEN.glob(f"**/*{suffix}"))
         assert paths

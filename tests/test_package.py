@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,6 +13,7 @@ import pytest
 import arise
 
 MODULES = ("metrics", "sampling", "simulator", "store", "backend")
+SOURCE = Path(arise.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -43,3 +45,50 @@ def test_every_traced_entry_point_exists(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracing.TARGETS and tracer.missing == []
+
+
+def module_imports(tree: ast.Module) -> dict[str, int]:
+    """The names a module's own imports bind (not those inside a function or a class) -> line."""
+    bound: dict[str, int] = {}
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, in code or in a string annotation, and every name in its
+    `__all__`, which it may import only to export."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+        annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """An import that a removal left behind fails here."""
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in module_imports(tree).items() if name not in used]
+    assert unused == []

@@ -184,6 +184,23 @@ class TestConvergenceConfig:
         with pytest.raises(ValueError):
             ConvergenceConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"m_min": 2.5}, "m_min must be an integer, got 2.5"),
+        ({"m_min": 3.0}, "m_min must be an integer, got 3.0"),
+        ({"m_max": "10"}, "m_max must be an integer, got '10'"),
+        ({"m_min": True}, "m_min must be an integer, got True"),
+        ({"m_max": True, "m_min": 1}, "m_max must be an integer, got True"),
+        ({"tau": True}, "tau must be a real number, got True"),
+        ({"tau": "0.5"}, "tau must be a real number, got '0.5'"),
+        ({"tau": None}, "tau must be a real number, got None"),
+    ])
+    def test_refuses_a_value_of_the_wrong_type(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConvergenceConfig(**kwargs)
+
+    def test_an_integer_tau_is_a_real_number(self):
+        assert ConvergenceConfig(tau=1).tau == 1
+
 
 def running(trials, cfg: ConvergenceConfig) -> _RunningCV:
     """The running accumulator `run_configuration` keeps, holding `trials`."""

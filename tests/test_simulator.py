@@ -227,6 +227,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticModelSpec(seed=1, samples=())
 
+    @pytest.mark.parametrize("key", ["p_correct", "token_log_mean", "token_log_std"])
+    def test_a_bool_setting_is_refused(self, key):
+        data = tiny_spec().to_dict()
+        data["samples"][0]["levels"][0][key] = True
+        with pytest.raises(ValueError, match=(
+                f"^simulator spec samples\\[0\\].levels\\[0\\] '{key}': must be a number, "
+                f"got True$")):
+            SyntheticModelSpec.from_dict(data)
+
 
 class TestSpecSerialization:
     def test_round_trip_preserves_exact_values(self):

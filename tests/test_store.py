@@ -95,13 +95,19 @@ def manifest(**overrides) -> RunManifest:
     return RunManifest(**base)
 
 
+def read(line: bytes, listed: RunManifest | None = None) -> tuple:
+    """`_read_line` of `line` against `listed` (default `manifest()`, which `record()` agrees with)."""
+    listed = listed or manifest()
+    return _read_line(line, listed, frozenset(listed.sample_ids))
+
+
 def open_run(root: Path, listed: RunManifest | None = None) -> TraceStore:
     """A store at `root` holding the manifest `listed` (default `manifest()`), its run opened
     for appending as `arise run` opens it."""
     listed = listed or manifest()
     store = TraceStore(root)
     store.write_manifest(listed)
-    store.completed_trials(listed.run_id, resume=True)
+    store.completed_trials(listed, resume=True)
     return store
 
 
@@ -113,10 +119,9 @@ def opened(tmp_path: Path) -> TraceStore:
 
 
 def append(store: TraceStore, trial_index: int = 0, level_index: int = 0, sample_id: str = "s01",
-           correct: float = 1.0, tokens: float = 100, listed: RunManifest | None = None) -> None:
-    """Append a trial of `listed`'s run (default `manifest()`) through the one writer."""
-    store.append_trial(listed or manifest(), sample_id, level_index, trial_index,
-                       TrialOutcome(correct, tokens))
+           correct: float = 1.0, tokens: float = 100) -> None:
+    """Append a trial of run r1 through the one writer."""
+    store.append_trial("r1", sample_id, level_index, trial_index, TrialOutcome(correct, tokens))
 
 
 NAMES = st.one_of(
@@ -138,7 +143,7 @@ def valid_record_fields(draw) -> dict:
         "run_id": draw(NAMES),
         "model": draw(NAMES),
         "sample_id": draw(NAMES),
-        "level_index": draw(count),
+        "level_index": draw(st.one_of(st.integers(0, 3), count)),
         "level_label": draw(NAMES),
         "trial_index": draw(count),
         "correct": draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))),
@@ -152,12 +157,12 @@ def valid_record_fields(draw) -> dict:
 class TestRecordSerialization:
     def test_round_trip_is_exact(self, opened):
         append(opened, correct=1 / 3, tokens=12345)
-        assert opened.completed_trials("r1") == {("s01", 0): [TrialOutcome(1 / 3, 12345.0)]}
+        assert opened.completed_trials(manifest()) == {("s01", 0): [TrialOutcome(1 / 3, 12345.0)]}
 
     def test_seventeen_significant_digits_survive(self, opened):
         value = 0.1234567890123456789  # more digits than a double holds
         append(opened, correct=value)
-        assert opened.completed_trials("r1")[("s01", 0)][0].correct == value  # bit-for-bit
+        assert opened.completed_trials(manifest())[("s01", 0)][0].correct == value  # bit-for-bit
 
     def test_json_field_order_is_stable(self, opened):
         append(opened)
@@ -179,25 +184,36 @@ class TestRecordSerialization:
     )
     def test_validation_names_the_offending_field(self, overrides, fieldname):
         with pytest.raises(RecordValidationError) as err:
-            _check_record(record(**overrides))
+            _check_record(record(**overrides), manifest(), frozenset({"s01"}))
         assert err.value.fieldname == fieldname
 
     @pytest.mark.parametrize("stored", [True, False, "0.5", " 1 ", None])
     def test_stored_correct_must_be_a_number(self, stored):
         with pytest.raises(RecordValidationError) as err:
-            _read_line(json.dumps(record(correct=stored)).encode())
+            read(json.dumps(record(correct=stored)).encode())
         assert err.value.fieldname == "correct"
 
     def test_stored_integer_correct_reads_as_a_float(self):
-        correct = _read_line(json.dumps(record(correct=1)).encode())[2]
+        correct = read(json.dumps(record(correct=1)).encode())[2]
         assert correct == 1.0 and type(correct) is float
 
     @settings(max_examples=300, deadline=None)
     @given(fields=valid_record_fields())
     def test_a_valid_line_reads_back_as_written(self, fields):
-        """Any record the check accepts, escapes and extreme counts included, reads back exactly."""
-        assert _read_line(json.dumps(fields).encode()) == (
-            (fields["sample_id"], fields["level_index"]), fields["trial_index"],
+        """Any record the check accepts, escapes and extreme counts included, reads back exactly
+        against a manifest it agrees with; a level index past the manifest's levels is refused."""
+        level = fields["level_index"]
+        levels = ("x",) * min(level, 3) + (fields["level_label"],)
+        listed = manifest(run_id=fields["run_id"], model=fields["model"], levels=levels,
+                          sample_ids=(fields["sample_id"],))
+        line = json.dumps(fields).encode()
+        if level >= len(levels):
+            with pytest.raises(RecordValidationError, match=f"has {len(levels)} levels$") as err:
+                read(line, listed)
+            assert err.value.fieldname == "level_index"
+            return
+        assert read(line, listed) == (
+            (fields["sample_id"], level), fields["trial_index"],
             float(fields["correct"]), float(fields["completion_tokens"]))
 
     @pytest.mark.parametrize("fieldname", ["meta", "timestamp"])
@@ -205,7 +221,7 @@ class TestRecordSerialization:
         data = record()
         del data[fieldname]
         with pytest.raises(RecordValidationError) as err:
-            _read_line(json.dumps(data).encode())
+            read(json.dumps(data).encode())
         assert err.value.fieldname == fieldname
 
 
@@ -215,10 +231,10 @@ def stored_records(store: TraceStore, run_id: str = "r1") -> list[dict]:
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def replay(store: TraceStore) -> object:
-    """What `completed_trials` gives for run r1, or the type and message of what it raises."""
+def replay(store: TraceStore, listed: RunManifest) -> object:
+    """What `completed_trials` gives for `listed`'s run, or the type and message of what it raises."""
     try:
-        return repr(store.completed_trials("r1"))
+        return repr(store.completed_trials(listed))
     except (ValueError, IncompleteRunError) as exc:
         return type(exc), str(exc)
 
@@ -285,7 +301,7 @@ def manifest_check(r: SimpleNamespace, listed: RunManifest, ids: frozenset[str])
     )
 
 
-def replay_checked(path: Path, listed: RunManifest | None) -> object:
+def replay_checked(path: Path, listed: RunManifest) -> object:
     """`replay` as the store gave it before its decode fast path.
 
     Every line goes through the checked decode and the manifest check,
@@ -293,7 +309,7 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
     stored twice (named by its first two lines) and for gaps. A final line
     without its newline that fails to decode is a torn tail.
     """
-    ids = frozenset(listed.sample_ids) if listed is not None else None
+    ids = frozenset(listed.sample_ids)
     grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
     lines: dict[tuple[str, int, int], list[int]] = {}
     raws = path.read_bytes().split(b"\n")
@@ -304,8 +320,7 @@ def replay_checked(path: Path, listed: RunManifest | None) -> object:
             continue
         try:
             r = checked_record(json.loads(raw.strip().decode()))
-            if listed is not None:
-                manifest_check(r, listed, ids)
+            manifest_check(r, listed, ids)
         except ValueError as exc:
             if number == len(raws) and isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
                 return TornRecordError, (f"run 'r1': record file ends in a torn line at byte "
@@ -435,21 +450,19 @@ def raw_record_files(draw) -> bytes:
 class TestDecodePaths:
     """Every line replays as the checked decode and the manifest check read it, rule by rule."""
 
-    LISTED = (manifest(), manifest(n_samples=2), None)  # lists s01; lists s01 and s02; no manifest
+    LISTED = (manifest(), manifest(n_samples=2))  # lists s01; lists s01 and s02
 
-    def write(self, tmp_path: Path, lines: list[str], listed: RunManifest | None) -> TraceStore:
+    def write(self, tmp_path: Path, lines: list[str], listed: RunManifest) -> TraceStore:
         (tmp_path / "r1.jsonl").write_text("".join(line + "\n" for line in lines))
-        (tmp_path / "r1.manifest.json").unlink(missing_ok=True)
         store = TraceStore(tmp_path)
-        if listed is not None:
-            store.write_manifest(listed)
+        store.write_manifest(listed)
         return store
 
-    def replays_as_checked(self, tmp_path: Path, data: dict, listed: RunManifest | None) -> None:
+    def replays_as_checked(self, tmp_path: Path, data: dict, listed: RunManifest) -> None:
         lines = [json.dumps(record(trial_index=0)), json.dumps(data),
                  json.dumps(record(level_index=1, level_label="high"))]
         store = self.write(tmp_path, lines, listed)
-        assert replay(store) == replay_checked(store.trial_path("r1"), listed)
+        assert replay(store, listed) == replay_checked(store.trial_path("r1"), listed)
 
     @pytest.mark.parametrize("fieldname", list(valid_line()))
     @settings(max_examples=150, deadline=None,
@@ -467,13 +480,13 @@ class TestDecodePaths:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(trial_orders(), st.sampled_from(LISTED[1:]))
+    @given(trial_orders(), st.just(LISTED[1]))
     def test_any_trial_order_replays_as_the_sorted_grouping_does(self, tmp_path, keys, listed):
         lines = [json.dumps(record(sample_id=sid, level_index=j, level_label=("low", "high")[j],
                                    trial_index=t, correct=float(t % 2), completion_tokens=100 + t))
                  for sid, j, t in keys]
         store = self.write(tmp_path, lines, listed)
-        assert replay(store) == replay_checked(store.trial_path("r1"), listed)
+        assert replay(store, listed) == replay_checked(store.trial_path("r1"), listed)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -483,9 +496,7 @@ class TestDecodePaths:
         store = self.write(tmp_path, [], listed)
         store.trial_path("r1").write_bytes(data)
         expected = replay_checked(store.trial_path("r1"), listed)
-        assert replay(store) == expected
-        if listed is None:
-            return
+        assert replay(store, listed) == expected
         if isinstance(expected, tuple):  # IncompleteRunError exits 2, any other error 1
             code = 2 if issubclass(expected[0], IncompleteRunError) else 1
         else:  # the run is complete when every record was read and the manifest lists one sample
@@ -548,39 +559,28 @@ def trials_and_manifests(draw) -> tuple[RunManifest, str, int, TrialOutcome]:
 
 
 @st.composite
-def disagreeing_manifests(draw) -> tuple[RunManifest, RunManifest, str, int, TrialOutcome,
-                                         str | None]:
-    """The manifest a writer is handed, the run's own one, a valid trial and the field they split on.
+def disagreeing_manifests(draw) -> tuple[RunManifest, str, int, TrialOutcome, str | None]:
+    """The run's manifest, a valid trial the writer is handed for it, and the field they split on.
 
-    The two manifests disagree in at most one value the record takes from
-    the writer's or is checked against in the run's: the run id, the model,
-    the level's label, the sample list, or the level count (either has too
-    few levels for the trial's). The trial is the first of its
-    configuration; the field is the record field the refusal names, or None.
+    The manifest disagrees with the trial in at most one value the record is
+    checked against but does not take from the manifest: the sample list, or
+    the level count (too few levels for the trial's). The trial is the first
+    of its configuration; the field is the record field the refusal names,
+    or None.
     """
     fields = draw(valid_record_fields())
     sample_id, level = fields["sample_id"], draw(st.integers(0, 2))
     levels = ["low"] * 3
-    levels[level] = label = fields["level_label"]
+    levels[level] = fields["level_label"]
     agreed = dict(model=fields["model"], levels=tuple(levels), sample_ids=(sample_id,))
-    case = draw(st.sampled_from([None, "run_id", "model", "sample_id", "level_label",
-                                 *(["level_index", "writer_levels"] if level > 0 else [])]))
-    writer, run, name = {
-        None: ({}, {}, None),
-        "run_id": ({}, {"run_id": "r2"}, "run_id"),
-        "model": ({}, {"model": fields["model"] + "x"}, "model"),
-        "sample_id": ({}, {"sample_ids": (sample_id + "x",)}, "sample_id"),
-        "level_label": ({}, {"levels": (*levels[:level], label + "x", *levels[level + 1:])},
-                        "level_label"),
-        # the run's manifest has too few levels to hold the record's
-        "level_index": ({}, {"levels": tuple(levels[:level])}, "level_index"),
-        # the writer's has: its stand-in label meets the run's one
-        "writer_levels": ({"levels": tuple(levels[:level])}, {},
-                          "level_label" if label != "-" else None),
-    }[case]
+    name = draw(st.sampled_from([None, "sample_id", *(["level_index"] if level > 0 else [])]))
+    run = {
+        None: {},
+        "sample_id": {"sample_ids": (sample_id + "x",)},
+        "level_index": {"levels": tuple(levels[:level])},  # too few levels to hold the record's
+    }[name]
     outcome = TrialOutcome(fields["correct"], fields["completion_tokens"])
-    return (manifest(**{**agreed, **writer}), manifest(**{**agreed, **run}), sample_id, level,
-            outcome, name)
+    return manifest(**{**agreed, **run}), sample_id, level, outcome, name
 
 
 class TestWriterAndReplayAgree:
@@ -596,19 +596,19 @@ class TestWriterAndReplayAgree:
         path = store.trial_path("r1")
         try:
             with store:
-                store.append_trial(listed, sample_id, level_index, 0, outcome)
+                store.append_trial("r1", sample_id, level_index, 0, outcome)
         except ValueError as exc:
             assert not path.exists()  # refused before any byte
             path.write_text(json.dumps(written(listed, sample_id, level_index, outcome)) + "\n")
             with pytest.raises(ValueError) as err:
-                store.completed_trials("r1")
+                store.completed_trials(listed)
             if isinstance(exc, RecordValidationError):  # else a token count that is not whole
                 assert str(err.value) == f"{exc} ({path}, line 1)"
         else:
             stamp = stored_records(store)[0]["timestamp"]
             line = json.dumps(written(listed, sample_id, level_index, outcome, stamp))
             assert path.read_text() == line + "\n"
-            assert store.completed_trials("r1") == {
+            assert store.completed_trials(listed) == {
                 (sample_id, level_index): [TrialOutcome(float(outcome.correct),
                                                         float(outcome.tokens))]}
 
@@ -616,36 +616,33 @@ class TestWriterAndReplayAgree:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(drawn=disagreeing_manifests(), handed=st.booleans())
     def test_the_writer_gives_the_replay_refusal(self, tmp_path, drawn, handed):
-        writer, run, sample_id, level, outcome, name = drawn
+        run, sample_id, level, outcome, name = drawn
         store = TraceStore(Path(tempfile.mkdtemp(dir=tmp_path)))
-        # stored as run r1's even when it names another run
-        write_atomic(store.manifest_path("r1"), json.dumps(run.to_dict()))
-        # the run's manifest handed to the opening read, or read from its file
-        store.completed_trials("r1", resume=True, manifest=run if handed else None)
+        store.write_manifest(run)
+        # the run opened with its manifest as a new run builds it, or as a resume reads it back
+        store.completed_trials(run if handed else store.read_manifest("r1"), resume=True)
         path = store.trial_path("r1")
         try:
             with store:
-                store.append_trial(writer, sample_id, level, 0, outcome)
+                store.append_trial("r1", sample_id, level, 0, outcome)
         except RecordValidationError as exc:
             assert exc.fieldname == name
             assert not path.exists()  # refused before any byte
-            path.write_text(json.dumps(written(writer, sample_id, level, outcome)) + "\n")
+            path.write_text(json.dumps(written(run, sample_id, level, outcome)) + "\n")
             with pytest.raises(RecordValidationError) as err:
-                store.completed_trials("r1")
+                store.completed_trials(run)
             assert str(err.value) == f"{exc} ({path}, line 1)"
         else:
             assert name is None
-            assert store.completed_trials("r1") == {
+            assert store.completed_trials(run) == {
                 (sample_id, level): [TrialOutcome(float(outcome.correct), float(outcome.tokens))]}
 
-    def test_a_model_the_manifest_does_not_say_is_refused(self, opened):
-        append(opened)
-        with pytest.raises(RecordValidationError, match=re.escape(
-                "model: record (sample 's01', level 0, trial 1) has 'other', but the manifest of "
-                "run 'r1' says 'm'")):
-            append(opened, trial_index=1, listed=manifest(model="other"))
-        opened.close()
-        assert [r["model"] for r in stored_records(opened)] == ["m"]
+    def test_the_record_takes_run_id_model_and_label_from_the_opened_manifest(self, tmp_path):
+        with open_run(tmp_path, manifest(model=None, levels=("low", "high,er"))) as store:
+            append(store, level_index=1)
+        stored = stored_records(store)[0]
+        assert (stored["run_id"], stored["model"], stored["level_label"]) == (
+            "r1", "unknown", "high,er")
 
     @pytest.mark.parametrize("level, message", [
         (2, "level_index: record (sample 's01', level 2, trial 0) has 2, but the manifest of run "
@@ -661,7 +658,7 @@ class TestWriterAndReplayAgree:
     def test_a_run_not_opened_is_refused_before_any_byte(self, tmp_path):
         store = TraceStore(tmp_path)
         store.write_manifest(manifest())
-        store.completed_trials("r1")  # a read that does not resume opens nothing
+        store.completed_trials(manifest())  # a read that does not resume opens nothing
         with pytest.raises(ValueError, match="^run 'r1' is not open for appending"):
             append(store)
         assert not store.trial_path("r1").exists()
@@ -671,7 +668,7 @@ class TestWriterAndReplayAgree:
         torn = (json.dumps(record()) + "\n" + json.dumps(record(trial_index=1))[:30]).encode()
         store.trial_path("r1").write_bytes(torn)
         with pytest.raises(IncompleteRunError, match="^run 'r1': no manifest found$"):
-            store.completed_trials("r1", resume=True)
+            store.read_manifest("r1")  # a resume reads the manifest before it opens the run
         assert store.trial_path("r1").read_bytes() == torn
         with pytest.raises(ValueError, match="not open for appending"):
             append(store, trial_index=1)
@@ -689,15 +686,12 @@ class TestDeepJson:
         line = json.dumps(record(trial_index=1)).replace('"meta": {}', f'"meta": {{"x": {DEEP}}}')
         with open(store.trial_path("r1"), "a") as fh:
             fh.write(line + "\n")
-        for listed in (True, False):  # with the manifest, and without it
-            if not listed:
-                store.manifest_path("r1").unlink()
-            with pytest.raises(ValueError) as err:
-                store.completed_trials("r1")
-            assert str(err.value) == (
-                f"JSON value nests too deeply to decode ({store.trial_path('r1')}, line 2)")
+        with pytest.raises(ValueError) as err:
+            store.completed_trials(manifest())
+        assert str(err.value) == (
+            f"JSON value nests too deeply to decode ({store.trial_path('r1')}, line 2)")
         with pytest.raises(ValueError, match="^JSON value nests too deeply to decode$"):
-            _read_line(line.encode())
+            read(line.encode())
 
     @pytest.mark.parametrize("name", ["c.json", "c.yaml"])
     def test_a_config_names_its_file(self, tmp_path, name):
@@ -732,20 +726,16 @@ class TestRecordLineErrors:
     def test_a_bad_line_names_the_file_and_line(self, tmp_path, line, error, message):
         store = self.seed_store(tmp_path)
         self.replace_line(store, 6, line)
-        where = f"({store.trial_path('r1')}, line 6)"
-        for listed in (True, False):  # with the manifest, and with every line checked
-            if not listed:
-                store.manifest_path("r1").unlink()
-            with pytest.raises(error) as err:
-                store.completed_trials("r1")
-            assert message in str(err.value)
-            assert str(err.value).endswith(where)
+        with pytest.raises(error) as err:
+            store.completed_trials(manifest())
+        assert message in str(err.value)
+        assert str(err.value).endswith(f"({store.trial_path('r1')}, line 6)")
 
     def test_a_record_the_manifest_refuses_names_the_file_and_line(self, tmp_path):
         store = self.seed_store(tmp_path)
         self.replace_line(store, 6, json.dumps(record(trial_index=5, model="other")).encode() + b"\n")
         with pytest.raises(RecordValidationError) as err:
-            store.completed_trials("r1")
+            store.completed_trials(manifest())
         assert str(err.value) == (
             f"model: record (sample 's01', level 0, trial 5) has 'other', but the manifest of "
             f"run 'r1' says 'm' ({store.trial_path('r1')}, line 6)")
@@ -757,21 +747,17 @@ class TestRecordLineErrors:
         store = self.seed_store(tmp_path)
         self.replace_line(store, 6, json.dumps(record(trial_index=5, **{field: 10**400})).encode()
                           + b"\n")
-        where = f"({store.trial_path('r1')}, line 6)"
-        for listed in (True, False):  # with the manifest, and without it
-            if not listed:
-                store.manifest_path("r1").unlink()
-            with pytest.raises(RecordValidationError) as err:
-                store.completed_trials("r1")
-            assert err.value.fieldname == field
-            assert str(err.value) == f"{field}: {rule}, got {10**400} {where}"
+        with pytest.raises(RecordValidationError) as err:
+            store.completed_trials(manifest())
+        assert err.value.fieldname == field
+        assert str(err.value) == f"{field}: {rule}, got {10**400} ({store.trial_path('r1')}, line 6)"
 
     def test_a_torn_tail_names_its_offset_only(self, tmp_path):
         store = self.seed_store(tmp_path)
         data = store.trial_path("r1").read_bytes()
         store.trial_path("r1").write_bytes(data[:-20])
         with pytest.raises(TornRecordError) as err:
-            store.completed_trials("r1")
+            store.completed_trials(manifest())
         offset = data.rindex(b"\n", 0, len(data) - 1) + 1
         assert str(err.value) == (f"run 'r1': record file ends in a torn line at byte {offset}; "
                                   f"`run --resume` drops it")
@@ -872,6 +858,17 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"^sample_ids: {message}"):
             RunManifest.from_dict(data)
 
+    def test_a_manifest_naming_another_run_is_refused(self, tmp_path):
+        """A run is read by its manifest only when the manifest names it; else ValueError, no write."""
+        store = TraceStore(tmp_path)
+        path = store.manifest_path("r1")
+        write_atomic(path, json.dumps(manifest(run_id="r2").to_dict()))
+        for read_run in (store.read_manifest, store.load_trajectories, store.recompute):
+            with pytest.raises(ValueError) as err:
+                read_run("r1")
+            assert str(err.value) == f"run_id: the manifest of run 'r1' names run 'r2' ({path})"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_sample_ids_round_trip_after_n_samples(self):
         listed = manifest(n_samples=2, sample_ids=("s02", "s01"))
         data = listed.to_dict()
@@ -897,7 +894,7 @@ class TestAppend:
             if first_write == "manifest":
                 store.write_manifest(manifest())
             else:  # a new run: opened with the manifest it has not stored yet
-                store.completed_trials("r1", resume=True, manifest=manifest())
+                store.completed_trials(manifest(), resume=True)
                 assert not root.exists()
                 append(store)
         assert TraceStore(root).run_ids() == ["r1"]
@@ -953,7 +950,7 @@ class TestAppend:
             before = path.read_bytes()
             with TraceStore(tmp_path) as store:  # refused when the run is opened
                 with pytest.raises(error, match=message):
-                    store.completed_trials("r1", resume=True)
+                    store.completed_trials(manifest(), resume=True)
                 with pytest.raises(ValueError, match="not open for appending"):
                     append(store, trial_index=len(stored))
             assert path.read_bytes() == before
@@ -999,7 +996,7 @@ class TestAppend:
 
         def worker(offset: int) -> None:  # one configuration per thread, in index order
             for k in range(25):
-                append(store, trial_index=k, sample_id=f"s{offset:02d}", listed=listed)
+                append(store, trial_index=k, sample_id=f"s{offset:02d}")
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         for t in threads:
@@ -1054,7 +1051,7 @@ class TestRecordStamp:
 
         def worker(sample_id: str) -> None:
             for k in range(records):
-                append(store, trial_index=k, sample_id=sample_id, tokens=10.0, listed=runs)
+                append(store, trial_index=k, sample_id=sample_id, tokens=10.0)
 
         threads = [threading.Thread(target=worker, args=(sid,), name=sid, daemon=True)
                    for sid in runs.sample_ids]
@@ -1109,7 +1106,7 @@ class TestCompletedTrials:
         store.trial_path("r1").write_text(
             json.dumps(record(trial_index=1, correct=0.0, completion_tokens=200)) + "\n"
             + json.dumps(record(trial_index=0, correct=1.0, completion_tokens=100)) + "\n")
-        replayed = store.completed_trials("r1")[("s01", 0)]
+        replayed = store.completed_trials(manifest())[("s01", 0)]
         assert [t.tokens for t in replayed] == [100.0, 200.0]
 
     def test_non_contiguous_indices_rejected(self, tmp_path: Path):
@@ -1118,7 +1115,7 @@ class TestCompletedTrials:
             json.dumps(record(trial_index=0)) + "\n" + json.dumps(record(trial_index=2)) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 "run 'r1': configuration ('s01', 0) has non-contiguous trial indices [0, 2]")):
-            store.completed_trials("r1")
+            store.completed_trials(manifest())
 
 
 class TestTornTail:
@@ -1134,7 +1131,7 @@ class TestTornTail:
         store, data = self.seed_store(tmp_path)
         start = data.rindex(b"\n", 0, len(data) - 1) + 1
         store.trial_path("r1").write_bytes(data[: start + 30])
-        replayed = store.completed_trials("r1", resume=True)
+        replayed = store.completed_trials(manifest(), resume=True)
         assert len(replayed[("s01", 0)]) == 2
         assert store.trial_path("r1").read_bytes() == data[:start]
 
@@ -1142,7 +1139,7 @@ class TestTornTail:
         store, data = self.seed_store(tmp_path)
         store.trial_path("r1").write_bytes(data[:-1])
         fresh = TraceStore(tmp_path)
-        assert len(fresh.completed_trials("r1", resume=True)[("s01", 0)]) == 3
+        assert len(fresh.completed_trials(manifest(), resume=True)[("s01", 0)]) == 3
         append(fresh, trial_index=3)
         fresh.close()
         assert [r["trial_index"] for r in stored_records(fresh)] == [0, 1, 2, 3]
@@ -1169,7 +1166,7 @@ class TestResumeRead:
 
         monkeypatch.setattr(arise.store, "_read_line", counting)
         store = TraceStore(tmp_path)
-        store.completed_trials("r1", resume=True)
+        store.completed_trials(manifest(n_samples=2), resume=True)
         append(store, trial_index=3)
         store.close()
         assert len(lines) == stored
@@ -1177,7 +1174,7 @@ class TestResumeRead:
     def test_a_stored_key_still_conflicts(self, tmp_path: Path):
         self.seed_store(tmp_path)
         store = TraceStore(tmp_path)
-        store.completed_trials("r1", resume=True)
+        store.completed_trials(manifest(n_samples=2), resume=True)
         with pytest.raises(DuplicateTrialError):
             append(store, level_index=1, trial_index=2)
         append(store, level_index=1, trial_index=3)
@@ -1187,7 +1184,7 @@ class TestResumeRead:
     def test_a_resume_seeds_each_next_index_from_its_count(self, tmp_path: Path):
         self.seed_store(tmp_path)
         store = TraceStore(tmp_path)
-        store.completed_trials("r1", resume=True)
+        store.completed_trials(manifest(n_samples=2), resume=True)
         with pytest.raises(ValueError, match="the next index is 3$"):
             append(store, level_index=1, trial_index=4)
         append(store, sample_id="s02")
@@ -1272,8 +1269,7 @@ class TestRecompute:
         with open_run(tmp_path, listed) as store:
             for sid in sample_ids:
                 for level in (0, 1):
-                    append(store, level_index=level, sample_id=sid, tokens=100 * (level + 1),
-                           listed=listed)
+                    append(store, level_index=level, sample_id=sid, tokens=100 * (level + 1))
         return store
 
     def test_sample_order_follows_the_manifest(self, tmp_path: Path):
@@ -1331,7 +1327,7 @@ class TestRecomputeMatchesLiveRun:
         store = open_run(tmp_path, live)
         run = run_evaluation(
             SimulatorBackend(spec), list(spec.sample_ids), labels,
-            ConvergenceConfig(), NaiveMode(2), on_trial=functools.partial(store.append_trial, live),
+            ConvergenceConfig(), NaiveMode(2), on_trial=functools.partial(store.append_trial, "live"),
         )
         store.close()
         bundle = store.recompute("live")
@@ -1388,7 +1384,8 @@ class TestReadMapping:
 
 
 class TestConfigValues:
-    """An `int` setting takes a whole number and never truncates one."""
+    """A number setting takes a number or a numeric string, never a bool; an `int` one takes a
+    whole number and never truncates one."""
 
     @pytest.mark.parametrize("value", [4, 4.0, -3.0, "4"])
     def test_a_whole_number_is_an_int(self, value):
@@ -1400,6 +1397,21 @@ class TestConfigValues:
         with pytest.raises(ValueError, match=f"^config 'n': must be an integer, got "
                                              f"{re.escape(repr(value))}$"):
             config_values({"n": value}, "config", n=int)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_is_not_a_float(self, value):
+        with pytest.raises(ValueError, match=f"^config 'p': must be a number, got {value!r}$"):
+            config_values({"p": value}, "config", p=float)
+
+    @pytest.mark.parametrize("value, number", [(3, 3.0), (0.5, 0.5), ("0.5", 0.5), ("1e-3", 0.001)])
+    def test_a_number_or_a_numeric_string_is_a_float(self, value, number):
+        """A numeric string stays accepted: PyYAML reads `1e-3` as one."""
+        given = config_values({"p": value}, "config", p=float)
+        assert given == {"p": number} and type(given["p"]) is float
+
+    def test_an_integer_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="^config 'p': int too large to convert to float$"):
+            config_values({"p": 10**400}, "config", p=float)
 
 
 class TestAtomicWrites:
@@ -1488,8 +1500,8 @@ class TestCsvExports:
     def bundle(self, tmp_path: Path, **fields: object) -> ResultBundle:
         listed = manifest(**fields)
         with open_run(tmp_path, listed) as store:
-            append(store, listed=listed)
-            append(store, level_index=1, tokens=300, listed=listed)
+            append(store)
+            append(store, level_index=1, tokens=300)
         return store.recompute("r1")
 
     ODD = 'gpt,4 "x"\r\nnext|line'

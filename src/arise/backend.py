@@ -21,13 +21,12 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import requests
 
 from .sampling import TrialOutcome
-from .store import config_mapping, config_rows, config_text, config_values, read_mapping
+from .store import config_mapping, config_rows, config_text, config_values
 
 __all__ = [
     "BackendError",
@@ -305,10 +304,6 @@ class BackendConfig:
                for key in ("usage_path", "response_text_path") if key in data},
             **config_values(data, "backend config", max_in_flight=int, min_request_interval=float),
         )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "BackendConfig":
-        return cls.from_dict(read_mapping(path, "backend config"))
 
 
 class RequestLimiter:

@@ -1,8 +1,10 @@
 """Command-line surface: run evaluations, recompute bundles, replicate studies, export report files.
 
-Exit codes: 0 on success, 2 when a run is incomplete or aborted (resumable),
-1 on validation errors. Output files are written to a temp sibling and
-renamed on success, so a failed invocation leaves no partial artifacts.
+Exit codes: 0 on success, 2 when `run --resume` continues the run (a torn
+last record line, a configuration short of its stop rule, an aborted
+trial), 1 on every other error, click's usage errors included. Output
+files are written to a temp sibling and renamed on success, so a failed
+invocation leaves no partial artifacts.
 """
 
 from __future__ import annotations
@@ -76,7 +78,26 @@ def guarded(fn: Callable) -> Callable:
     return wrapper
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group; its usage errors (a bad option, argument or command) exit 1, not
+    click's 2, since exit 2 says that `run --resume` continues the run."""
+
+    def make_context(self, *args: object, **kwargs: object) -> click.Context:
+        try:  # the group's own options
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:  # the command's name, options and arguments
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Commands)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Base seed; overrides the seed in simulator specs.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown", "json"]),
@@ -100,10 +121,10 @@ def _locate_run(traces: Path, run_id: str | None) -> tuple[Path, str]:
     runs = store.run_ids()
     if run_id is not None:
         if run_id not in runs:
-            raise IncompleteRunError(run_id, f"not found under {traces}")
+            raise ValueError(f"run {run_id!r}: not found under {traces}")
         return traces, run_id
     if not runs:
-        raise IncompleteRunError("?", f"no runs found under {traces}")
+        raise ValueError(f"no runs found under {traces}")
     if len(runs) > 1:
         raise ValueError(f"multiple runs under {traces}: {runs}; pick one with --run-id")
     return traces, runs[0]
@@ -246,18 +267,18 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if run_id is None:
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
         if run_id in store.run_ids():
+            store.read_manifest(run_id)  # records without a manifest: no command continues them
             raise ValueError(f"run {run_id!r} already exists under {out}; continue it with --resume")
         read = RunManifest.for_mode(
             mode, run_id=run_id, cfg=cfg, levels=labels, n_samples=len(samples),
             sample_ids=samples, started_at=now_rfc3339(), status="running", seed=seed,
             model=model or default_model, benchmark=benchmark or config.stem, config_hash=digest)
 
-    # a new run is a resume of a run with no records: its record file is absent
+    # a new run is a resume of a run with no records; the opener creates and locks its record file
     preloaded = store.completed_trials(read, resume=True)
     manifest = dataclasses.replace(read, status="running")
-    store.write_manifest(manifest)
-
     try:
+        store.write_manifest(manifest)
         evaluation = run_evaluation(backend, manifest.sample_ids, manifest.levels, manifest.cfg,
                                     manifest.run_mode, preloaded=preloaded,
                                     on_trial=functools.partial(store.append_trial, run_id),

@@ -20,13 +20,16 @@ both sides apply it with that manifest: `completed_trials(manifest)`
 through the one reader of every stored line, and
 `TraceStore.append_trial(run_id, ...)`, the one writer, before it
 writes a byte. The writer appends only to a run that
-`completed_trials(resume=True)` opened, and builds each record's run
-id, model and level label from the manifest it was opened with: that
-read also gives each configuration's next trial index, so the writer
-only extends a file that replay accepts. Appends flush per line, so a
-crash loses at most the in-flight record: a torn final line makes
-readers raise `TornRecordError`, and a resume cuts it off before
-appending; no other line is ever rewritten or deleted.
+`completed_trials(resume=True)` opened: that is the one open of a record
+file for appending, and it locks the file until the store closes, so a
+run has one writer. The writer builds each record's run id, model and
+level label from the manifest the run was opened with: that read also
+gives each configuration's next trial index, so the writer only extends
+a file that replay accepts. Appends flush per line, and a line is stored
+once its newline is written, so a crash loses at most the in-flight
+record: bytes after the last newline are a torn line, which makes
+readers raise `TornRecordError` and a resume cut it off before appending;
+no other line is ever rewritten or deleted.
 Floats survive the round trip exactly (JSON serialization preserves 17
 significant digits).
 """
@@ -113,7 +116,7 @@ class IncompleteRunError(RuntimeError):
 
 
 class TornRecordError(IncompleteRunError):
-    """The last line of a record file is cut short: the record in flight when the writer stopped."""
+    """Bytes after a record file's last newline: the line in flight when the writer stopped."""
 
     def __init__(self, run_id: str, offset: int):
         super().__init__(
@@ -272,16 +275,6 @@ def decode_file(path: str | Path, decode: Callable[[object], T]) -> T:
 
 # the JSON decoder's value scanner (C when available): (value, end index) of the value at an index
 _scan = json.scanner.make_scanner(json.JSONDecoder())
-
-
-def _open_for_append(path: Path) -> BinaryIO:
-    """Open a record file for appending; a final line cut off just before its newline gets one."""
-    handle = open(path, "ab+")
-    if handle.seek(0, os.SEEK_END) > 0:
-        handle.seek(-1, os.SEEK_END)
-        if handle.read(1) != b"\n":
-            handle.write(b"\n")
-    return handle
 
 
 # ----------------------------------------------------------------------
@@ -641,10 +634,6 @@ class ResultBundle:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ResultBundle":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_run(cls, manifest: RunManifest, run: EvaluationRun) -> "ResultBundle":
         """The bundle of `manifest`'s run, from its configurations; samples in `run.samples` order.
 
@@ -690,22 +679,23 @@ class _NoDraws:
         raise LookupError(f"no record of trial {trial_index}")
 
 
-_Run = tuple[RunManifest, frozenset[str], dict[tuple[str, int], int]]
+_Run = tuple[RunManifest, frozenset[str], dict[tuple[str, int], int], BinaryIO]
 
 
 class TraceStore:
-    """Filesystem store rooted at one directory; single writer per run.
+    """Filesystem store rooted at one directory; single writer per run, which the lock that
+    `completed_trials(resume=True)` holds on the record file until `close()` enforces.
 
-    The root is created by the first write (a manifest or a record), so a
+    The root is created by the first write (a manifest, or that opener's record file), so a
     command that fails validation leaves no directory behind.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._lock = threading.Lock()
-        self._handles: dict[str, BinaryIO] = {}
-        # run id -> what each append of the run is built from and checked against: (its manifest,
-        # the samples it lists, (sample id, level index) -> the trial index its next append must have)
+        # run id -> what each append of the run is built from, checked against and written to: (its
+        # manifest, the samples it lists, (sample id, level index) -> the trial index its next
+        # append must have, the record file opened for appending)
         self._runs: dict[str, _Run] = {}
         # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
         # so a reader in another thread never pairs one second with another's text
@@ -732,11 +722,15 @@ class TraceStore:
         write_atomic(self.manifest_path(manifest.run_id), json.dumps(manifest.to_dict(), indent=2))
 
     def read_manifest(self, run_id: str) -> RunManifest:
-        """The manifest of run `run_id`: IncompleteRunError if there is none, and ValueError
-        if it does not decode or names another run."""
+        """The manifest of run `run_id`; ValueError if there is none, if it does not decode or if
+        it names another run. Records without a manifest cannot be replayed or resumed, so the
+        missing manifest's error names them."""
         path = self.manifest_path(run_id)
         if not path.exists():
-            raise IncompleteRunError(run_id, "no manifest found")
+            records = self.trial_path(run_id)
+            orphan = f"; its records ({records}) cannot be replayed or resumed without one"
+            raise ValueError(f"run {run_id!r}: no manifest found"
+                             f"{orphan if records.exists() else ''}")
         manifest = decode_file(path, RunManifest.from_dict)
         if manifest.run_id != run_id:
             raise _value_error("run_id", f"the manifest of run {run_id!r} names run "
@@ -751,17 +745,17 @@ class TraceStore:
         """Durably append one fresh trial of run `run_id`, as its configuration's next index.
 
         `completed_trials(resume=True)` must have opened the run: it gives the
-        manifest that each record is built from and checked against, and each
-        configuration's next index. The record takes its run id, model and
-        level label from that manifest, and it must pass `_check_record`, as
-        replay reads it. A run not opened, or a token count that is not a
-        whole number (the record could not store it as drawn), raises
-        ValueError; a refused record RecordValidationError; a lower index
-        DuplicateTrialError and a higher one ValueError; all before any byte
-        is written.
+        manifest that each record is built from and checked against, each
+        configuration's next index and the file the line is written to. The
+        record takes its run id, model and level label from that manifest, and
+        it must pass `_check_record`, as replay reads it. A run not opened (or
+        closed), or a token count that is not a whole number (the record could
+        not store it as drawn), raises ValueError; a refused record
+        RecordValidationError; a lower index DuplicateTrialError and a higher
+        one ValueError; all before any byte is written.
         """
         try:
-            manifest, listed, next_index = self._runs[run_id]
+            manifest, listed, next_index, handle = self._runs[run_id]
         except KeyError:
             raise ValueError(f"run {run_id!r} is not open for appending: "
                              f"completed_trials(resume=True) opens it") from None
@@ -799,20 +793,16 @@ class TraceStore:
                 error = DuplicateTrialError if index < expected else ValueError
                 raise error(f"trial {index} of run {run_id!r}, sample {key[0]!r}, "
                             f"level {key[1]} is out of order: the next index is {expected}")
-            handle = self._handles.get(run_id)
-            if handle is None:
-                self.root.mkdir(parents=True, exist_ok=True)
-                handle = _open_for_append(self.trial_path(run_id))
-                self._handles[run_id] = handle
             handle.write(line)
             handle.flush()
             next_index[key] = expected + 1
 
     def close(self) -> None:
+        """Close every opened run's record file, releasing its lock; appends to it are refused."""
         with self._lock:
-            for handle in self._handles.values():
+            for *_, handle in self._runs.values():
                 handle.close()
-            self._handles.clear()
+            self._runs.clear()
 
     def __enter__(self) -> "TraceStore":
         return self
@@ -828,20 +818,20 @@ class TraceStore:
         `manifest` names the run: the one `read_manifest` read, or the one a
         new run built. Keys follow the first appearance of each configuration
         in the record file; feed the result to run_evaluation(preloaded=...).
-        Each record is checked against `manifest` before anything is cut,
-        and a trial stored twice (DuplicateTrialError, naming both lines) or
-        any other gap in a configuration's indices raises ValueError. With
-        resume, a torn final line is cut off instead of raising
-        TornRecordError, a whole final record gets its newline, and the run
-        is opened for `append_trial`: `manifest` and the counts read here are
-        what it builds from and checks against and its next indices, so the
-        file is parsed once.
+        The file is streamed; a line is stored once its newline is written, so
+        bytes after the last newline are a torn line and raise TornRecordError.
+        Every other line that is not blank goes through one reader,
+        `_read_line`, which applies `_check_record` with `manifest`, as
+        `append_trial` does before it writes; a line it refuses raises with the
+        file and line number. A trial stored twice (DuplicateTrialError) or any
+        other gap in a configuration's indices raises ValueError.
 
-        The file is streamed line by line, and every line that is not blank
-        goes through one reader, `_read_line`: it scans the line and applies
-        `_check_record` with `manifest`, the check `append_trial` applies
-        before it writes. A torn final line raises TornRecordError; any other
-        line that fails raises its error with the file and line number.
+        With resume, this is the record file's one opener: before it reads a
+        byte it creates the root and the file, opens it for appending and locks
+        it until `close()` (ValueError if another writer holds it). A torn line
+        is cut off, to be drawn again. The run is then open for `append_trial`,
+        which builds from, checks against and writes to `manifest`, the counts
+        read here and the handle. A refusal closes the file.
         """
         run_id = manifest.run_id
         path = self.trial_path(run_id)
@@ -849,50 +839,59 @@ class TraceStore:
         read = _read_line
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
-        offset = 0
+        offset, handle = 0, None
         try:
-            with open(path, "rb") if path.exists() else contextlib.nullcontext(()) as fh:
+            if resume:
+                import fcntl  # only a writer locks; `compute`, `report` and `simulate` skip it
+
+                self.root.mkdir(parents=True, exist_ok=True)
+                handle = open(path, "ab+")  # the one append-mode open of a record file
+                try:
+                    fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise ValueError(f"run {run_id!r} has another writer: it holds the lock on "
+                                     f"{path}") from None
+                handle.seek(0)
+            with (contextlib.nullcontext(handle) if resume else
+                  open(path, "rb") if path.exists() else contextlib.nullcontext(())) as fh:
                 for number, raw in enumerate(fh, 1):
+                    if not raw.endswith(b"\n"):  # only the last line can lack it
+                        if not resume:
+                            raise TornRecordError(run_id, offset)
+                        handle.truncate(offset)
+                        break
                     line = raw.strip()
                     if line:
                         try:
                             key, index, correct, tokens = read(line, manifest, listed)
                         except ValueError as exc:
-                            # only the final line can lack its newline
-                            if not raw.endswith(b"\n") and isinstance(
-                                exc, (json.JSONDecodeError, UnicodeDecodeError)
-                            ):
-                                raise TornRecordError(run_id, offset) from exc
                             _append_to_message(exc, f"({path}, line {number})")
                             raise
                         grouped.setdefault(key, []).append((index, TrialOutcome(correct, tokens)))
                     offset += len(raw)
-        except TornRecordError as exc:
-            if not resume:
-                raise
-            os.truncate(path, exc.offset)
-        out: dict[tuple[str, int], list[TrialOutcome]] = {}
-        for key, indexed in grouped.items():
-            indexed.sort(key=lambda pair: pair[0])
-            indices = [index for index, _ in indexed]
-            if indices != list(range(len(indexed))):
-                repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
-                if repeated is not None:
-                    first, second = self._lines_holding(manifest, listed, key, repeated)[:2]
-                    raise DuplicateTrialError(
-                        f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
-                        f"({path}, lines {first} and {second})"
-                    )
-                raise ValueError(
-                    f"run {run_id!r}: configuration {key!r} has non-contiguous trial indices {indices}"
-                )
-            out[key] = [outcome for _, outcome in indexed]
+            out: dict[tuple[str, int], list[TrialOutcome]] = {}
+            for key, indexed in grouped.items():
+                indexed.sort(key=lambda pair: pair[0])
+                indices = [index for index, _ in indexed]
+                if indices != list(range(len(indexed))):
+                    repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
+                    if repeated is not None:
+                        first, second = self._lines_holding(manifest, listed, key, repeated)[:2]
+                        raise DuplicateTrialError(
+                            f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
+                            f"({path}, lines {first} and {second})"
+                        )
+                    raise ValueError(f"run {run_id!r}: configuration {key!r} has non-contiguous "
+                                     f"trial indices {indices}")
+                out[key] = [outcome for _, outcome in indexed]
+        except BaseException:
+            if handle is not None:
+                handle.close()
+            raise
         if resume:  # indices are contiguous, so each count is the next index
             with self._lock:
                 self._runs[run_id] = (manifest, listed,
-                                      {key: len(outcomes) for key, outcomes in out.items()})
-            if path.exists():  # even when nothing is left to append
-                _open_for_append(path).close()
+                                      {key: len(outcomes) for key, outcomes in out.items()}, handle)
         return out
 
     def _lines_holding(self, manifest: RunManifest, listed: frozenset[str], key: tuple[str, int],

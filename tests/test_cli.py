@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import re
 from collections import Counter
@@ -138,6 +139,8 @@ class TestRun:
     @pytest.mark.parametrize("kept", [("r1.manifest.json", "r1.jsonl"), ("r1.manifest.json",),
                                       ("r1.jsonl",)], ids=["both", "manifest", "records"])
     def test_a_reused_run_id_needs_resume(self, runner, spec_file, tmp_path, kept):
+        """A reused run id is refused before any write; `--resume` is offered only for a run that
+        has its manifest, since records without one are no run that any command continues."""
         out = tmp_path / "runs"
         assert do_run(runner, spec_file, out, "--naive", "3", "--run-id", "r1").exit_code == 0
         for path in out.iterdir():
@@ -146,7 +149,12 @@ class TestRun:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         result = do_run(runner, spec_file, out, "--run-id", "r1")
         assert result.exit_code == 1
-        assert "--resume" in all_text(result)
+        if "r1.manifest.json" in kept:
+            assert "continue it with --resume" in all_text(result)
+        else:
+            assert (f"error: run 'r1': no manifest found; its records ({out / 'r1.jsonl'}) "
+                    f"cannot be replayed or resumed without one\n") in all_text(result)
+            assert "--resume" not in all_text(result)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("command", [
@@ -347,7 +355,7 @@ class TestHttpRun:
         assert len(mock_server.bodies) == 3  # the backend's max_attempts, and no more
         manifest = json.loads((out / "h1.manifest.json").read_text())
         assert manifest["status"] == "failed"
-        assert not (out / "h1.jsonl").exists()
+        assert (out / "h1.jsonl").read_bytes() == b""  # opened by the run, and no trial stored
 
     @pytest.mark.parametrize("max_in_flight", [3, 1])
     def test_configurations_in_flight_follow_max_in_flight(self, runner, tmp_path, mock_server,
@@ -389,17 +397,36 @@ class TestCompute:
         result = runner.invoke(main, ["compute", str(out / "r1.jsonl")])
         assert result.exit_code == 0, result.output
 
-    def test_empty_store_exits_two(self, runner, tmp_path):
+    def test_empty_store_exits_one(self, runner, tmp_path):
+        """No run to continue: exit 2 is only for a run that `run --resume` continues."""
         empty = tmp_path / "none"
         empty.mkdir()
         result = runner.invoke(main, ["compute", str(empty)])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert f"error: no runs found under {empty}\n" in all_text(result)
 
-    def test_unknown_run_id_exits_two(self, runner, spec_file, tmp_path):
+    def test_every_cut_short_of_the_whole_file_exits_two(self, runner, tmp_path):
+        """A line is stored once its newline is written, so at every cut of a finished run, the
+        one that keeps the last record whole but for its newline included, `compute` exits 2."""
+        levels = [{"p_correct": 0.5, "token_log_mean": 5.0, "token_log_std": 0.4},
+                  {"p_correct": 0.7, "token_log_mean": 6.0, "token_log_std": 0.3}]
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps({"seed": 3, "samples": [{"id": "s", "levels": levels}]}))
+        out = tmp_path / "runs"
+        do_run(runner, spec, out, "--naive", "2", "--run-id", "r1")
+        data = (out / "r1.jsonl").read_bytes()
+        assert data.count(b"\n") == 4
+        for cut in range(len(data) + 1):
+            (out / "r1.jsonl").write_bytes(data[:cut])
+            result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+            assert result.exit_code == (0 if cut == len(data) else 2), (cut, result.output)
+
+    def test_unknown_run_id_exits_one(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
         result = runner.invoke(main, ["compute", str(out), "--run-id", "ghost"])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert f"error: run 'ghost': not found under {out}\n" in all_text(result)
 
     def test_incomplete_records_exit_two(self, runner, spec_file, tmp_path):
         out = tmp_path / "runs"
@@ -585,6 +612,28 @@ class TestResume:
         assert "seed 7" in text
         assert f"seed {seed_args[1] if seed_args else 42}" in text
         assert trial_file.read_bytes() == before
+
+    def test_a_resume_while_another_writer_holds_the_run_exits_one(self, runner, spec_file,
+                                                                  tmp_path):
+        full, out = tmp_path / "full", tmp_path / "cut"
+        do_run(runner, spec_file, full, "--naive", "2", "--run-id", "r1")
+        data = (full / "r1.jsonl").read_bytes()
+        out.mkdir()
+        (out / "r1.manifest.json").write_bytes((full / "r1.manifest.json").read_bytes())
+        (out / "r1.jsonl").write_bytes(data[:data.index(b"\n", len(data) // 2) - 10])
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        resume = ["--seed", "42", "run", str(spec_file), "--out", str(out), "--run-id", "r1",
+                  "--resume"]
+        with open(out / "r1.jsonl", "rb") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            result = runner.invoke(main, resume)
+            assert result.exit_code == 1, result.output
+            assert (f"error: run 'r1' has another writer: it holds the lock on "
+                    f"{out / 'r1.jsonl'}") in all_text(result)
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        result = runner.invoke(main, resume)
+        assert result.exit_code == 0, result.output
+        assert (out / "r1.bundle.json").read_bytes() == (full / "r1.bundle.json").read_bytes()
 
     @pytest.mark.parametrize("keep", [1, 90, -1])
     def test_resume_drops_a_torn_final_line(self, runner, spec_file, tmp_path, keep):
@@ -881,14 +930,16 @@ class TestRecordsNoRunWrites:
         extra = {**records[last], "trial_index": 3}
         (out / "r1.jsonl").write_text("".join([*lines[:2], *lines[3:], json.dumps(extra) + "\n"]))
         before = manifest.read_bytes()
-        opened = []
-        real = arise.store._open_for_append
+        opened = []  # the record file handle of each run opened for appending
+        real = arise.store.TraceStore.completed_trials
 
-        def spy(path):
-            opened.append(real(path))
-            return opened[-1]
+        def spy(store, listed, resume=False):
+            replayed = real(store, listed, resume)
+            if resume:
+                opened.append(store._runs[listed.run_id][-1])
+            return replayed
 
-        monkeypatch.setattr(arise.store, "_open_for_append", spy)
+        monkeypatch.setattr(arise.store.TraceStore, "completed_trials", spy)
         result = runner.invoke(main, ["--seed", "42", "run", str(spec_file), "--out", str(out),
                                       "--run-id", "r1", "--resume"])
         assert result.exit_code == 1, result.output
@@ -1004,6 +1055,41 @@ class TestFormatsAndScaling:
         plain_sm = json.loads(plain.output[: plain.output.rindex("]") + 1])[0]["scaling_metric"]
         scaled_sm = json.loads(scaled.output[: scaled.output.rindex("]") + 1])[0]["scaling_metric"]
         assert scaled_sm == pytest.approx(1000 * plain_sm, abs=5e-4)  # both rounded to 6 dp
+
+
+class TestExitCodes:
+    """Exit 2 says that `run --resume` continues the run; every other refusal exits 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["compute", "nowhere", "--run-id", "r1"],
+        ["run", "{spec}", "--naive", "x", "--out", "runs"],
+        ["--format", "xml", "compute", "runs"],
+        ["frobnicate"],
+    ], ids=["missing-path", "bad-option-value", "bad-group-option", "unknown-command"])
+    def test_a_usage_error_exits_one(self, runner, spec_file, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [arg.format(spec=spec_file) for arg in args])
+        assert result.exit_code == 1, result.output
+        assert "Error:" in all_text(result)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["compute", "resume"])
+    def test_records_without_a_manifest_exit_one_naming_them(self, runner, spec_file, tmp_path,
+                                                             command):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        (out / "r1.manifest.json").unlink()
+        (out / "r1.bundle.json").unlink()
+        before = (out / "r1.jsonl").read_bytes()
+        if command == "compute":
+            result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        else:
+            result = do_run(runner, spec_file, out, "--run-id", "r1", "--resume")
+        assert result.exit_code == 1, result.output
+        assert (f"error: run 'r1': no manifest found; its records ({out / 'r1.jsonl'}) cannot "
+                f"be replayed or resumed without one") in all_text(result)
+        assert [path.name for path in out.iterdir()] == ["r1.jsonl"]
+        assert (out / "r1.jsonl").read_bytes() == before
 
 
 class TestHelp:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import fcntl
 import functools
 import io
 import itertools
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 
 from arise import (
     AdaptiveMode,
-    BackendConfig,
     ConvergenceConfig,
     DuplicateTrialError,
     FixedBudgetMode,
@@ -306,8 +306,8 @@ def replay_checked(path: Path, listed: RunManifest) -> object:
 
     Every line goes through the checked decode and the manifest check,
     and each configuration's trials are sorted, then checked for a trial
-    stored twice (named by its first two lines) and for gaps. A final line
-    without its newline that fails to decode is a torn tail.
+    stored twice (named by its first two lines) and for gaps. Bytes after
+    the last newline are a torn tail, whether or not they decode.
     """
     ids = frozenset(listed.sample_ids)
     grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
@@ -316,15 +316,15 @@ def replay_checked(path: Path, listed: RunManifest) -> object:
     offset = 0
     for number, raw in enumerate(raws, 1):
         start, offset = offset, offset + len(raw) + 1
+        if number == len(raws) and raw:  # the file's last byte is not a newline
+            return TornRecordError, (f"run 'r1': record file ends in a torn line at byte "
+                                     f"{start}; `run --resume` drops it")
         if not raw.strip():
             continue
         try:
             r = checked_record(json.loads(raw.strip().decode()))
             manifest_check(r, listed, ids)
         except ValueError as exc:
-            if number == len(raws) and isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
-                return TornRecordError, (f"run 'r1': record file ends in a torn line at byte "
-                                         f"{start}; `run --resume` drops it")
             return type(exc), f"{exc} ({path}, line {number})"
         grouped.setdefault((r.sample_id, r.level_index), []).append(
             (r.trial_index, TrialOutcome(r.correct, float(r.completion_tokens))))
@@ -598,7 +598,7 @@ class TestWriterAndReplayAgree:
             with store:
                 store.append_trial("r1", sample_id, level_index, 0, outcome)
         except ValueError as exc:
-            assert not path.exists()  # refused before any byte
+            assert path.read_bytes() == b""  # refused before any byte
             path.write_text(json.dumps(written(listed, sample_id, level_index, outcome)) + "\n")
             with pytest.raises(ValueError) as err:
                 store.completed_trials(listed)
@@ -627,7 +627,7 @@ class TestWriterAndReplayAgree:
                 store.append_trial("r1", sample_id, level, 0, outcome)
         except RecordValidationError as exc:
             assert exc.fieldname == name
-            assert not path.exists()  # refused before any byte
+            assert path.read_bytes() == b""  # refused before any byte
             path.write_text(json.dumps(written(run, sample_id, level, outcome)) + "\n")
             with pytest.raises(RecordValidationError) as err:
                 store.completed_trials(run)
@@ -653,7 +653,7 @@ class TestWriterAndReplayAgree:
                                                                           message):
         with pytest.raises(RecordValidationError, match=f"^{re.escape(message)}$"):
             append(opened, level_index=level)
-        assert not opened.trial_path("r1").exists()
+        assert opened.trial_path("r1").read_bytes() == b""  # refused before any byte
 
     def test_a_run_not_opened_is_refused_before_any_byte(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -667,7 +667,7 @@ class TestWriterAndReplayAgree:
         store = TraceStore(tmp_path)
         torn = (json.dumps(record()) + "\n" + json.dumps(record(trial_index=1))[:30]).encode()
         store.trial_path("r1").write_bytes(torn)
-        with pytest.raises(IncompleteRunError, match="^run 'r1': no manifest found$"):
+        with pytest.raises(ValueError, match="^run 'r1': no manifest found; its records "):
             store.read_manifest("r1")  # a resume reads the manifest before it opens the run
         assert store.trial_path("r1").read_bytes() == torn
         with pytest.raises(ValueError, match="not open for appending"):
@@ -770,7 +770,7 @@ class TestTokenCounts:
             append(opened, trial_index=4, level_index=1, tokens=tokens)
         assert str(err.value) == (f"trial (sample 's01', level 1, trial 4) has {tokens!r} "
                                   f"completion tokens, not a whole number")
-        assert not opened.trial_path("r1").exists()
+        assert opened.trial_path("r1").read_bytes() == b""  # refused before any byte
 
     @pytest.mark.parametrize("tokens", [12.0, 12])
     def test_a_whole_count_is_stored_as_drawn(self, opened, tokens):
@@ -893,9 +893,9 @@ class TestAppend:
             assert store.run_ids() == [] and not root.exists()
             if first_write == "manifest":
                 store.write_manifest(manifest())
-            else:  # a new run: opened with the manifest it has not stored yet
+            else:  # a new run, opened with the manifest it has not stored yet: its first write
                 store.completed_trials(manifest(), resume=True)
-                assert not root.exists()
+                assert store.trial_path("r1").read_bytes() == b""
                 append(store)
         assert TraceStore(root).run_ids() == ["r1"]
 
@@ -973,7 +973,7 @@ class TestAppend:
     def test_invalid_record_rejected_before_write(self, opened):
         with pytest.raises(RecordValidationError):
             append(opened, tokens=0)
-        assert not opened.trial_path("r1").exists()
+        assert opened.trial_path("r1").read_bytes() == b""  # refused before any byte
 
     @pytest.mark.parametrize("field, rule", [("completion_tokens", "must fit in a float"),
                                              ("correct", "must be in [0, 1]")],
@@ -982,7 +982,7 @@ class TestAppend:
         beyond = {"tokens" if field == "completion_tokens" else "correct": 10**400}
         with pytest.raises(RecordValidationError, match=re.escape(f"{field}: {rule}, got 1000")):
             append(opened, **beyond)
-        assert not opened.trial_path("r1").exists()
+        assert opened.trial_path("r1").read_bytes() == b""  # refused before any byte
         append(opened)
         before = opened.trial_path("r1").read_bytes()
         with pytest.raises(RecordValidationError) as err:
@@ -1136,13 +1136,19 @@ class TestTornTail:
         assert store.trial_path("r1").read_bytes() == data[:start]
 
     def test_append_after_a_record_missing_its_newline_starts_a_new_line(self, tmp_path: Path):
+        """A record whose newline was never written is torn: a resume cuts it and draws it again."""
         store, data = self.seed_store(tmp_path)
         store.trial_path("r1").write_bytes(data[:-1])
+        start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        with pytest.raises(TornRecordError) as err:
+            store.completed_trials(manifest())
+        assert err.value.offset == start
         fresh = TraceStore(tmp_path)
-        assert len(fresh.completed_trials(manifest(), resume=True)[("s01", 0)]) == 3
-        append(fresh, trial_index=3)
+        assert len(fresh.completed_trials(manifest(), resume=True)[("s01", 0)]) == 2
+        assert fresh.trial_path("r1").read_bytes() == data[:start]
+        append(fresh, trial_index=2)
         fresh.close()
-        assert [r["trial_index"] for r in stored_records(fresh)] == [0, 1, 2, 3]
+        assert [r["trial_index"] for r in stored_records(fresh)] == [0, 1, 2]
 
 
 class TestResumeRead:
@@ -1192,6 +1198,74 @@ class TestResumeRead:
         assert len(stored_records(store)) == 7
 
 
+def unlocked(path: Path) -> bool:
+    """Whether no open handle holds the lock on the record file `path`."""
+    with open(path, "rb") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
+
+
+class TestOneOpener:
+    """`completed_trials(resume=True)` alone opens a record file for appending, and holds its lock
+    until `close()`: a second opener of the run is refused, and a refusal leaves the file closed."""
+
+    def seed_store(self, tmp_path: Path) -> bytes:
+        with open_run(tmp_path) as store:
+            for k in range(3):
+                append(store, trial_index=k)
+        return store.trial_path("r1").read_bytes()
+
+    def test_a_second_store_is_refused_until_the_first_closes(self, tmp_path: Path):
+        data = self.seed_store(tmp_path)
+        path = tmp_path / "r1.jsonl"
+        path.write_bytes(data[:-5])  # a torn line the refused opener must not cut
+        first, second = TraceStore(tmp_path), TraceStore(tmp_path)
+        assert len(first.completed_trials(manifest(), resume=True)[("s01", 0)]) == 2
+        cut = path.read_bytes()
+        assert cut == data[:data.rindex(b"\n", 0, len(data) - 1) + 1]
+        with pytest.raises(ValueError) as err:
+            second.completed_trials(manifest(), resume=True)
+        assert str(err.value) == f"run 'r1' has another writer: it holds the lock on {path}"
+        with pytest.raises(ValueError, match="is not open for appending"):
+            append(second, trial_index=2)
+        assert path.read_bytes() == cut
+        first.close()
+        assert len(second.completed_trials(manifest(), resume=True)[("s01", 0)]) == 2
+        append(second, trial_index=2)
+        second.close()
+        assert [r["trial_index"] for r in stored_records(second)] == [0, 1, 2]
+
+    def test_close_releases_the_lock_and_forgets_the_run(self, tmp_path: Path):
+        store = open_run(tmp_path)
+        assert not unlocked(store.trial_path("r1"))
+        store.close()
+        assert unlocked(store.trial_path("r1"))
+        with pytest.raises(ValueError, match="is not open for appending"):
+            append(store)
+
+    @pytest.mark.parametrize("stored, error", [
+        ([0, 2], "has non-contiguous trial indices [0, 2]"),
+        ([0, 1, 1], "holds trial 1 twice"),
+        ([0, {"model": "other"}], "but the manifest of run 'r1' says 'm'"),
+    ], ids=["gap", "duplicate", "disagreeing-record"])
+    def test_a_refusal_closes_the_file(self, tmp_path: Path, stored, error):
+        lines = [record(trial_index=k) if isinstance(k, int) else record(trial_index=1, **k)
+                 for k in stored]
+        path = tmp_path / "r1.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        before = path.read_bytes()
+        store = TraceStore(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(error)) as err:
+            store.completed_trials(manifest(), resume=True)
+        # `err` keeps the opener's frame, and with it any handle it left open, alive
+        assert err.traceback and unlocked(path) and path.read_bytes() == before
+        with pytest.raises(ValueError, match="is not open for appending"):
+            append(store, trial_index=len(stored))
+
+
 class TestRecompute:
     def seed_store(self, tmp_path: Path) -> TraceStore:
         store = open_run(tmp_path, manifest(trials=3))
@@ -1229,12 +1303,17 @@ class TestRecompute:
                 "run 'r1': configuration ('s01', 1): its records end before trial 0, ")):
             store.recompute("r1")
 
-    def test_missing_manifest_is_incomplete(self, tmp_path: Path):
+    def test_missing_manifest_is_refused_naming_the_records(self, tmp_path: Path):
+        """Records without a manifest are no run a resume can finish: ValueError, not incomplete."""
         with open_run(tmp_path) as store:
             append(store)
         store.manifest_path("r1").unlink()
-        with pytest.raises(IncompleteRunError):
+        with pytest.raises(ValueError) as err:
             store.recompute("r1")
+        assert type(err.value) is ValueError
+        assert str(err.value) == (f"run 'r1': no manifest found; its records "
+                                  f"({store.trial_path('r1')}) cannot be replayed or resumed "
+                                  f"without one")
 
     def test_no_records_is_incomplete(self, tmp_path: Path):
         store = TraceStore(tmp_path)
@@ -1349,7 +1428,7 @@ class TestBundleSerialization:
             append(store)
             append(store, level_index=1, tokens=300)
         bundle = store.recompute("r1")
-        parsed = ResultBundle.from_json(bundle.to_json())
+        parsed = ResultBundle.from_dict(json.loads(bundle.to_json()))
         assert parsed == bundle
 
 
@@ -1362,9 +1441,7 @@ class TestReadMapping:
         assert isinstance(data["tau"], float)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "- a\n- b\n", "7", ""])
-    @pytest.mark.parametrize(
-        "loader", [_load_run_config, SyntheticModelSpec.from_file, BackendConfig.from_file]
-    )
+    @pytest.mark.parametrize("loader", [_load_run_config, SyntheticModelSpec.from_file])
     def test_every_loader_rejects_a_non_mapping(self, tmp_path: Path, loader, text: str):
         path = tmp_path / "config"
         path.write_text(text)
@@ -1373,8 +1450,7 @@ class TestReadMapping:
 
 
     @pytest.mark.parametrize("what, loader", [
-        ("run config", _load_run_config), ("simulator spec", SyntheticModelSpec.from_file),
-        ("backend config", BackendConfig.from_file)])
+        ("run config", _load_run_config), ("simulator spec", SyntheticModelSpec.from_file)])
     def test_a_file_neither_json_nor_yaml_is_named(self, tmp_path: Path, what, loader):
         path = tmp_path / "c.yaml"
         path.write_text("a: [1, 2\nb: {\n")

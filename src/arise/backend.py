@@ -26,7 +26,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import requests
 
 from .sampling import TrialOutcome
-from .store import config_mapping, config_rows, config_text, config_values
+from .store import read_config
 
 __all__ = [
     "BackendError",
@@ -40,6 +40,7 @@ __all__ = [
     "RetryPolicy",
     "RequestLimiter",
     "BackendConfig",
+    "HttpRunConfig",
     "HttpBackend",
     "DryRunReport",
     "merge_patch",
@@ -143,6 +144,10 @@ class NumericMatchJudge:
     expected: float
     tol: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.tol >= 0:  # NaN fails too: such a judge marks no answer correct
+            raise ValueError(f"numeric_match tol must be >= 0, got {self.tol}")
+
     def judge(self, text: str, sample_id: str) -> float:
         try:
             value = float(text.strip())
@@ -184,25 +189,29 @@ class ExternalJudge:
 
 
 Judge = ExactMatchJudge | NumericMatchJudge | ExternalJudge
+# a judge config's `type` -> the class that its other keys are read into
+_JUDGES = {"exact_match": ExactMatchJudge, "numeric_match": NumericMatchJudge,
+           "external": ExternalJudge}
+
+
+def _read_argv(command: object, what: str, key: str) -> tuple[str, ...]:
+    if not isinstance(command, list) or not command:
+        raise ValueError(f"{what} {key!r} must be a non-empty argv list, got {command!r}")
+    for i, arg in enumerate(command):  # an argument is never made into text
+        if not isinstance(arg, str) or not arg:
+            raise ValueError(f"{what} {key!r}[{i}] must be a non-empty string, got {arg!r}")
+    return tuple(command)
 
 
 def parse_judge(data: Mapping, what: str = "judge") -> Judge:
-    kind = config_mapping(data, what).get("type")
-    if kind == "exact_match":
-        return ExactMatchJudge(expected=config_text(config_mapping(data, what, "expected"), what,
-                                                    "expected"))
-    if kind == "numeric_match":
-        return NumericMatchJudge(**config_values(config_mapping(data, what, "expected"), what,
-                                                 expected=float, tol=float))
-    if kind == "external":
-        command = config_mapping(data, what, "command")["command"]
-        if not isinstance(command, list) or not command:
-            raise ValueError(f"{what} 'command' must be a non-empty argv list, got {command!r}")
-        for i, arg in enumerate(command):  # an argument is never made into text
-            if not isinstance(arg, str) or not arg:
-                raise ValueError(f"{what} 'command'[{i}] must be a non-empty string, got {arg!r}")
-        return ExternalJudge(command=tuple(command))
-    raise ValueError(f"unknown judge type {kind!r}")
+    """The judge class that `data`'s `type` names, read from `data`'s other keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(data).__name__}")
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in _JUDGES:
+        raise ValueError(f"unknown judge type {kind!r}")
+    return read_config(_JUDGES[kind], {k: v for k, v in data.items() if k != "type"}, what,
+                       command=_read_argv)
 
 
 @dataclass(frozen=True)
@@ -214,15 +223,10 @@ class JudgedTask:
     judge: Judge
 
 
-def parse_tasks(entries: Sequence[Mapping]) -> list[JudgedTask]:
-    return [
-        JudgedTask(
-            sample_id=config_text(e, f"tasks[{i}]", "sample_id"),
-            prompt=config_text(e, f"tasks[{i}]", "prompt"),
-            judge=parse_judge(e["judge"], f"tasks[{i}].judge"),
-        )
-        for i, e in enumerate(config_rows(entries, "tasks", "sample_id", "prompt", "judge"))
-    ]
+def parse_tasks(entries: Sequence[Mapping]) -> tuple[JudgedTask, ...]:
+    # a task is a list entry, so its judge is named `tasks[i].judge`
+    return read_config(tuple[JudgedTask, ...], entries, "tasks",
+                       judge=lambda data, task, key: parse_judge(data, f"{task}.{key}"))
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +278,9 @@ class BackendConfig:
                 raise ValueError(f"level {lv.label!r} has unknown kind {lv.kind!r}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.min_request_interval < 0:
-            raise ValueError("min_request_interval must be >= 0")
+        if not 0 <= self.min_request_interval < math.inf:  # NaN fails too
+            raise ValueError(f"min_request_interval must be finite and >= 0, "
+                             f"got {self.min_request_interval}")
 
     @property
     def level_labels(self) -> tuple[str, ...]:
@@ -283,27 +288,15 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BackendConfig":
-        config_mapping(data, "backend config", "base_url", "auth_env_var", "model",
-                       "request_template", "levels")
-        retry = config_mapping(data.get("retry", {}), "backend config retry")
-        rows = config_rows(data["levels"], "backend config levels", "label", "kind")
-        return cls(
-            base_url=config_text(data, "backend config", "base_url"),
-            auth_env_var=config_text(data, "backend config", "auth_env_var"),
-            model=config_text(data, "backend config", "model"),
-            request_template=data["request_template"],
-            levels=tuple(
-                LevelSpec(label=config_text(lv, f"backend config levels[{i}]", "label"),
-                          kind=config_text(lv, f"backend config levels[{i}]", "kind"),
-                          request_overrides=lv.get("request_overrides", {}))
-                for i, lv in enumerate(rows)
-            ),
-            retry=RetryPolicy(**config_values(retry, "backend config retry", max_attempts=int,
-                                              backoff_base=float)),
-            **{key: config_text(data, "backend config", key)
-               for key in ("usage_path", "response_text_path") if key in data},
-            **config_values(data, "backend config", max_in_flight=int, min_request_interval=float),
-        )
+        return read_config(cls, data, "backend config")
+
+
+@dataclass(frozen=True)
+class HttpRunConfig:
+    """An HTTP run config: the backend and the tasks a run asks it (`--dry-run` needs none)."""
+
+    backend: BackendConfig
+    tasks: tuple[JudgedTask, ...] = ()
 
 
 class RequestLimiter:

@@ -41,6 +41,7 @@ from .store import (
     config_hash,
     decode_file,
     now_rfc3339,
+    read_config,
     read_mapping,
     render_table,
     summary_table,
@@ -205,7 +206,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         cfg = ConvergenceConfig(m_min=m_min, m_max=m_max, tau=tau)
         mode = _pick_mode(adaptive, budget, naive)
     data = _load_run_config(config)
-    if "samples" in data and "base_url" not in data:
+    if "samples" in data:
         if dry:
             raise ValueError("--dry-run applies to HTTP backend configs only")
         spec = SyntheticModelSpec.from_dict(data)
@@ -218,9 +219,13 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         default_model = "simulator"
         workers = 1
     else:  # only HTTP configs load the backend, and with it requests
-        from .backend import BackendConfig, HttpBackend, dry_run, parse_tasks
+        from .backend import BackendConfig, HttpBackend, HttpRunConfig, dry_run, parse_tasks
 
-        backend_cfg = BackendConfig.from_dict(data.get("backend", data))
+        # each part keeps the name it has on its own: `backend config ...`, `tasks[i] ...`
+        http = read_config(HttpRunConfig, data, "run config",
+                           backend=lambda value, *_: BackendConfig.from_dict(value),
+                           tasks=lambda value, *_: parse_tasks(value))
+        backend_cfg, tasks = http.backend, http.tasks
         if dry:
             report = dry_run(backend_cfg, probe=probe)
             for level_request in report.requests:
@@ -232,7 +237,6 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             elif report.probe_tokens is not None:
                 click.echo(f"probe resolved {report.usage_path} -> {report.probe_tokens}", err=True)
             sys.exit(0 if report.ok else 1)
-        tasks = parse_tasks(data.get("tasks", []))
         if not tasks:
             raise ValueError("backend run config has no tasks")
         backend = HttpBackend(backend_cfg, tasks)

@@ -37,7 +37,7 @@ from .sampling import (
     check_mode,
     run_evaluation,
 )
-from .store import config_mapping, config_rows, config_text, config_values, read_mapping
+from .store import _encode, read_config, read_mapping
 
 __all__ = [
     "LevelParams",
@@ -101,10 +101,13 @@ class SyntheticModelSpec:
                     raise ValueError(
                         f"sample {sample.id!r} level {j}: p_correct {params.p_correct!r} not in [0, 1]"
                     )
-                if params.token_log_std < 0:
-                    raise ValueError(
-                        f"sample {sample.id!r} level {j}: token_log_std {params.token_log_std!r} < 0"
-                    )
+                # a token draw is exp() of a normal draw: NaN fails these too
+                if not 0 <= params.token_log_std < math.inf:
+                    raise ValueError(f"sample {sample.id!r} level {j}: token_log_std "
+                                     f"{params.token_log_std!r} must be finite and >= 0")
+                if not -math.inf < params.token_log_mean <= 709.78:  # exp() of more overflows
+                    raise ValueError(f"sample {sample.id!r} level {j}: token_log_mean "
+                                     f"{params.token_log_mean!r} must be finite and <= 709.78")
 
     @property
     def n_samples(self) -> int:
@@ -132,33 +135,11 @@ class SyntheticModelSpec:
         return sample.levels[level_index]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": [
-                # a level's fields are its keys; `dataclasses.asdict` is some 17 times slower here
-                {"id": s.id, "levels": [dict(vars(p)) for p in s.levels]}
-                for s in self.samples
-            ],
-        }
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticModelSpec":
-        config_mapping(data, "simulator spec", "seed", "samples")
-        rows = "simulator spec samples"
-        samples = tuple(
-            SyntheticSample(
-                id=config_text(entry, f"{rows}[{i}]", "id"),
-                levels=tuple(
-                    LevelParams(**config_values(level, f"{rows}[{i}].levels[{j}]", p_correct=float,
-                                                token_log_mean=float, token_log_std=float))
-                    for j, level in enumerate(config_rows(
-                        entry["levels"], f"{rows}[{i}].levels",
-                        "p_correct", "token_log_mean", "token_log_std"))
-                ),
-            )
-            for i, entry in enumerate(config_rows(data["samples"], rows, "id", "levels"))
-        )
-        return cls(seed=config_values(data, "simulator spec", seed=int)["seed"], samples=samples)
+        return read_config(cls, data, "simulator spec")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticModelSpec":

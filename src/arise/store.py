@@ -36,6 +36,7 @@ significant digits).
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import datetime as dt
 import functools
@@ -46,7 +47,9 @@ import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, fields, is_dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TextIO, TypeVar
 
@@ -151,50 +154,68 @@ def read_mapping(path: str | Path, what: str) -> dict:
     return data
 
 
-def config_mapping(value: object, what: str, *required: str) -> dict:
-    """`value`, a config entry that must be a mapping holding every `required` key; else ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a mapping, got {type(value).__name__}")
-    for key in required:
-        if key not in value:
-            raise ValueError(f"{what} has no {key!r}")
-    return value
+@functools.cache
+def _config_fields(cls: type) -> dict[str, tuple[object, bool]]:
+    """Each init field of `cls`: its type, and whether a config mapping must give it."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls) if f.init}
 
 
-def config_rows(value: object, what: str, *required: str) -> list[dict]:
-    """`value`, a config list of `config_mapping` entries; a bad one is named as `what[i]`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
-    return [config_mapping(row, f"{what}[{i}]", *required) for i, row in enumerate(value)]
-
-
-def config_values(data: dict, what: str, **convert: type[int] | type[float]) -> dict:
-    """The keys of `data` that `convert` names, each value made an `int` or a `float`; a key
-    the config leaves out is left to the dataclass default. A value that cannot be converted
-    raises ValueError naming `what` and the key; so does a bool, and for `int` a number that
-    is not whole, which would truncate it. A numeric string is converted: PyYAML reads `1e-3`
-    as a string."""
+def read_config(cls: object, data: object, what: str, /, **read: Callable) -> object:
+    """Read the config mapping `data`, named `what`, into the dataclass `cls`, whose init fields
+    are the keys `data` may hold; one left out takes its default. A field's type drives the read:
+    `str` takes a non-empty string, never made into text; `int` and `float` a number or numeric
+    string (PyYAML reads `1e-3` as one), never a bool, and `int` no number it would truncate;
+    `Mapping` a mapping; a dataclass or `tuple[<dataclass>, ...]` (`cls` may be one too) is read
+    by this function as `what key` (`what.key` under a list entry), entry i as `…[i]`. `read`
+    gives a reader `(value, what, key)` for a field whose type cannot. Anything else raises
+    ValueError (`backend config retry has unknown key 'max_attempt'`). Unlike `_decode` of the
+    stored formats the program writes, this converts numeric strings: people write configs."""
+    if type(cls) is types.GenericAlias:  # tuple[<dataclass>, ...]
+        if not isinstance(data, list):
+            raise ValueError(f"{what} must be a list, got {type(data).__name__}")
+        return tuple(read_config(cls.__args__[0], row, f"{what}[{i}]", **read)
+                     for i, row in enumerate(data))
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(data).__name__}")
+    config_fields = _config_fields(cls)
+    for key in data:
+        if key not in config_fields:
+            raise ValueError(f"{what} has unknown key {key!r}")
     given = {}
-    for name, to in convert.items():
-        if name in data:
-            value = data[name]
-            try:
-                if isinstance(value, bool) or (to is int and isinstance(value, float)
-                                               and not value.is_integer()):
-                    raise ValueError(f"must be {'an integer' if to is int else 'a number'}, "
-                                     f"got {value!r}")
-                given[name] = to(value)
-            except (TypeError, ValueError, OverflowError) as exc:  # int(None), float("x"), 10**400
-                raise ValueError(f"{what} {name!r}: {exc}") from exc
-    return given
+    for key, (tp, required) in config_fields.items():
+        if key not in data:
+            if required:
+                raise ValueError(f"{what} has no {key!r}")
+        elif key in read:
+            given[key] = read[key](data[key], what, key)
+        else:
+            given[key] = _read_value(data[key], what, key, tp)
+    return cls(**given)
 
 
-def config_text(data: dict, what: str, key: str) -> str:
-    """`data[key]`, which must be a non-empty string: a config value is never made into text."""
-    value = data[key]
-    if not isinstance(value, str) or not value:
+def _read_value(value: object, what: str, key: str, tp: object) -> object:
+    """`read_config` of the value of a field of type `tp`."""
+    if tp is int or tp is float:
+        if type(value) is tp:
+            return value
+        try:
+            if isinstance(value, bool) or (tp is int and isinstance(value, float)
+                                           and not value.is_integer()):  # it would truncate
+                raise ValueError(f"must be {'an integer' if tp is int else 'a number'}, got {value!r}")
+            return tp(value)
+        except (TypeError, ValueError, OverflowError) as exc:  # int(None), float("x"), 10**400
+            raise ValueError(f"{what} {key!r}: {exc}") from exc
+    if tp is str:
+        if isinstance(value, str) and value:  # a config value is never made into text
+            return value
         raise ValueError(f"{what} {key!r} must be a non-empty string, got {value!r}")
-    return value
+    if typing.get_origin(tp) is collections.abc.Mapping:
+        if isinstance(value, dict):
+            return value
+        raise ValueError(f"{what} {key!r} must be a mapping, got {value!r}")
+    return read_config(tp, value, f"{what}.{key}" if what.endswith("]") else f"{what} {key}")
 
 
 def config_hash(config: object) -> str:
@@ -285,7 +306,7 @@ _SCALARS = frozenset((str, int, float, bool, dict))  # written to JSON as they a
 
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def _plain(value: object) -> object:

@@ -205,7 +205,7 @@ class TestMalformedConfigs:
          "backend config 'max_in_flight': "),
         (http_config, lambda c: c["backend"].update(retry={"max_attempts": None}),
          "backend config retry 'max_attempts': "),
-        (http_config, lambda c: c["tasks"][0]["judge"].update(type="external", command=5),
+        (http_config, lambda c: c["tasks"][0].update(judge={"type": "external", "command": 5}),
          "tasks[0].judge 'command' must be a non-empty argv list, got 5"),
         (http_config, lambda c: c["tasks"][0]["judge"].update(type="numeric_match", expected=None),
          "tasks[0].judge 'expected': "),
@@ -244,7 +244,8 @@ class TestMalformedConfigs:
         (http_config, lambda c: c["backend"].update(retry={"backoff_base": -1}),
          "retry backoff_base must be finite and >= 0, got -1.0"),
         (http_config,
-         lambda c: c["tasks"][0]["judge"].update(type="external", command=["python", None, 3]),
+         lambda c: c["tasks"][0].update(judge={"type": "external",
+                                               "command": ["python", None, 3]}),
          "tasks[0].judge 'command'[1] must be a non-empty string, got None"),
         (http_config, lambda c: c["backend"].update(max_in_flight=2.5),
          "backend config 'max_in_flight': must be an integer, got 2.5"),
@@ -254,6 +255,58 @@ class TestMalformedConfigs:
          "backend config 'max_in_flight': must be an integer, got True"),
         (lambda: reference_spec().to_dict(), lambda c: c.update(seed=4.5),
          "simulator spec 'seed': must be an integer, got 4.5"),
+        (lambda: reference_spec().to_dict(), lambda c: c.update(sed=7),
+         "simulator spec has unknown key 'sed'"),
+        (lambda: reference_spec().to_dict(), lambda c: c["samples"][0].update(name="first"),
+         "simulator spec samples[0] has unknown key 'name'"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][1]["levels"][2].update(p_corect=0.5),
+         "simulator spec samples[1].levels[2] has unknown key 'p_corect'"),
+        (http_config, lambda c: c["backend"].update(max_inflight=4),
+         "backend config has unknown key 'max_inflight'"),
+        (http_config, lambda c: c["backend"].update(retry={"max_attempt": 9}),
+         "backend config retry has unknown key 'max_attempt'"),
+        (http_config, lambda c: c["backend"]["levels"][1].update(overrides={}),
+         "backend config levels[1] has unknown key 'overrides'"),
+        (http_config, lambda c: c["tasks"][0].update(answer="42"),
+         "tasks[0] has unknown key 'answer'"),
+        (http_config, lambda c: c["tasks"][0]["judge"].update(tol=0.5),
+         "tasks[0].judge has unknown key 'tol'"),
+        (http_config,
+         lambda c: c["tasks"][0].update(judge={"type": "numeric_match", "expected": 42, "tolerance": 1}),
+         "tasks[0].judge has unknown key 'tolerance'"),
+        (http_config,
+         lambda c: c["tasks"][0].update(judge={"type": "external", "command": ["./j.sh"], "expected": "42"}),
+         "tasks[0].judge has unknown key 'expected'"),
+        (http_config, lambda c: c.update(task=c.pop("tasks")), "run config has unknown key 'task'"),
+        (lambda: backend_config_dict("http://127.0.0.1:9"), lambda c: None,
+         "run config has unknown key 'base_url'"),
+        (http_config, lambda c: c["backend"].update(request_template="hello"),
+         "backend config 'request_template' must be a mapping, got 'hello'"),
+        (http_config, lambda c: c["backend"].update(request_template=[1, 2]),
+         "backend config 'request_template' must be a mapping, got [1, 2]"),
+        (http_config, lambda c: c["backend"]["levels"][0].update(request_overrides=5),
+         "backend config levels[0] 'request_overrides' must be a mapping, got 5"),
+        (http_config, lambda c: c["backend"].update(min_request_interval=float("inf")),
+         "min_request_interval must be finite and >= 0, got inf"),
+        (http_config, lambda c: c["backend"].update(min_request_interval=float("nan")),
+         "min_request_interval must be finite and >= 0, got nan"),
+        (http_config,
+         lambda c: c["tasks"][0].update(judge={"type": "numeric_match", "expected": 42, "tol": -1}),
+         "numeric_match tol must be >= 0, got -1.0"),
+        (http_config,
+         lambda c: c["tasks"][0].update(judge={"type": "numeric_match", "expected": 42,
+                                               "tol": float("nan")}),
+         "numeric_match tol must be >= 0, got nan"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][0]["levels"][1].update(token_log_std=float("nan")),
+         "sample 's01' level 1: token_log_std nan must be finite and >= 0"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][0]["levels"][1].update(token_log_mean=float("inf")),
+         "sample 's01' level 1: token_log_mean inf must be finite and <= 709.78"),
+        (lambda: reference_spec().to_dict(),
+         lambda c: c["samples"][0]["levels"][1].update(token_log_mean=1000),
+         "sample 's01' level 1: token_log_mean 1000.0 must be finite and <= 709.78"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
@@ -263,7 +316,14 @@ class TestMalformedConfigs:
             "token-log-std-a-word", "seed-null", "spec-sample-id-null", "level-label-null",
             "model-a-number", "max-attempts-zero", "backoff-base-negative",
             "judge-command-entries-not-text", "max-in-flight-not-whole",
-            "max-attempts-not-whole", "max-in-flight-a-bool", "seed-not-whole"])
+            "max-attempts-not-whole", "max-in-flight-a-bool", "seed-not-whole",
+            "unknown-spec-key", "unknown-sample-key", "unknown-spec-level-key",
+            "unknown-backend-key", "unknown-retry-key", "unknown-backend-level-key",
+            "unknown-task-key", "unknown-exact-match-key", "unknown-numeric-match-key",
+            "unknown-external-key", "unknown-run-config-key", "flat-backend-config",
+            "request-template-a-string", "request-template-a-list", "request-overrides-a-number",
+            "min-request-interval-inf", "min-request-interval-nan", "tol-negative", "tol-nan",
+            "token-log-std-nan", "token-log-mean-inf", "token-log-mean-overflows"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()

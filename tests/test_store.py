@@ -16,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,7 +49,7 @@ from arise import (
 )
 import arise.store
 from arise.cli import _load_run_config, main
-from arise.store import _check_record, _read_line, config_values, now_rfc3339
+from arise.store import _check_record, _read_line, now_rfc3339, read_config
 
 # a trial record's keys in the order every line holds them, spelled out apart from the store's copy
 RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", "trial_index",
@@ -1459,35 +1460,45 @@ class TestReadMapping:
             loader(path)
 
 
+@dataclass(frozen=True)
+class _Count:
+    n: int
+
+
+@dataclass(frozen=True)
+class _Share:
+    p: float
+
+
 class TestConfigValues:
     """A number setting takes a number or a numeric string, never a bool; an `int` one takes a
     whole number and never truncates one."""
 
     @pytest.mark.parametrize("value", [4, 4.0, -3.0, "4"])
     def test_a_whole_number_is_an_int(self, value):
-        given = config_values({"n": value}, "config", n=int)
-        assert given == {"n": int(value)} and type(given["n"]) is int
+        given = read_config(_Count, {"n": value}, "config")
+        assert given == _Count(int(value)) and type(given.n) is int
 
     @pytest.mark.parametrize("value", [2.5, 2.9, -0.5, True, False, math.inf, math.nan])
     def test_a_bool_or_a_number_that_is_not_whole_is_refused(self, value):
         with pytest.raises(ValueError, match=f"^config 'n': must be an integer, got "
                                              f"{re.escape(repr(value))}$"):
-            config_values({"n": value}, "config", n=int)
+            read_config(_Count, {"n": value}, "config")
 
     @pytest.mark.parametrize("value", [True, False])
     def test_a_bool_is_not_a_float(self, value):
         with pytest.raises(ValueError, match=f"^config 'p': must be a number, got {value!r}$"):
-            config_values({"p": value}, "config", p=float)
+            read_config(_Share, {"p": value}, "config")
 
     @pytest.mark.parametrize("value, number", [(3, 3.0), (0.5, 0.5), ("0.5", 0.5), ("1e-3", 0.001)])
     def test_a_number_or_a_numeric_string_is_a_float(self, value, number):
         """A numeric string stays accepted: PyYAML reads `1e-3` as one."""
-        given = config_values({"p": value}, "config", p=float)
-        assert given == {"p": number} and type(given["p"]) is float
+        given = read_config(_Share, {"p": value}, "config")
+        assert given == _Share(number) and type(given.p) is float
 
     def test_an_integer_beyond_float_range_is_refused(self):
         with pytest.raises(ValueError, match="^config 'p': int too large to convert to float$"):
-            config_values({"p": 10**400}, "config", p=float)
+            read_config(_Share, {"p": 10**400}, "config")
 
 
 class TestAtomicWrites:

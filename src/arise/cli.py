@@ -47,6 +47,7 @@ from .store import (
     summary_table,
     write_csv,
     write_curve_csv,
+    write_document,
     write_results_csv,
     write_transitions_csv,
 )
@@ -144,7 +145,7 @@ def compute(opts: Options, traces: Path, run_id: str | None, out: Path | None) -
     store = TraceStore(root)
     bundle = store.recompute(rid)
     destination = out if out is not None else store.bundle_path(rid)
-    bundle.write(destination)
+    write_document(destination, bundle)
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"bundle written to {destination}", err=True)
 
@@ -300,7 +301,7 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     # the bundle of the trials drawn, the bytes `compute` rebuilds from the records
     bundle = ResultBundle.from_run(manifest, evaluation)
     del evaluation, preloaded  # free the resumed trials before the bundle is encoded
-    bundle.write(store.bundle_path(run_id))
+    write_document(store.bundle_path(run_id), bundle)
     click.echo(summary_table([bundle], opts.fmt, opts.sm_scale))
     click.echo(f"run {run_id} complete; bundle at {store.bundle_path(run_id)}", err=True)
 
@@ -372,7 +373,7 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
 def report(opts: Options, bundles: tuple[Path, ...], curves: bool, transitions: bool,
            results_csv: Path | None, out_dir: Path) -> None:
     """Render bundle summaries and export curve/transition CSVs."""
-    loaded = [decode_file(path, ResultBundle.from_dict) for path in bundles]
+    loaded = [decode_file(path, ResultBundle) for path in bundles]
     click.echo(summary_table(loaded, opts.fmt, opts.sm_scale))
     if results_csv is not None:
         write_results_csv(results_csv, loaded, sm_scale=opts.sm_scale)

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 EPSILON = 1e-8  # CV denominator guard; keeps zero-mean statistics finite
+_MAX_TOKENS = 2**53  # the largest count a float holds exactly; far larger ones overflow _pstd
 
 # A proportional budget share that is integral in exact arithmetic can land
 # one ulp below the integer in floats; nudge by this before flooring.
@@ -309,15 +310,19 @@ def run_configuration(
     correct, tokens = running.correct, running.tokens
     while _draws_more(running, cfg, target):
         idx = len(correct)
-        if idx < len(preloaded):
-            running.append(preloaded[idx])
-            continue
-        try:
-            outcome = backend.evaluate(sample_id, level_index, idx)
-        except Exception as exc:
-            raise ConfigurationError(sample_id, level_index, idx, exc) from exc
+        fresh = idx >= len(preloaded)
+        if fresh:
+            try:
+                outcome = backend.evaluate(sample_id, level_index, idx)
+            except Exception as exc:
+                raise ConfigurationError(sample_id, level_index, idx, exc) from exc
+        else:
+            outcome = preloaded[idx]
+        if outcome.tokens > _MAX_TOKENS:
+            raise ValueError(f"configuration ({sample_id!r}, level {level_index}) trial {idx} has "
+                             f"{outcome.tokens!r} completion tokens, more than 2**53")
         running.append(outcome)
-        if on_trial is not None:
+        if fresh and on_trial is not None:
             on_trial(sample_id, level_index, idx, outcome)
     k = len(correct)
     if k < len(preloaded):

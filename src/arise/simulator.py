@@ -160,7 +160,10 @@ def simulate_trial(
     if params.token_log_std == 0:
         raw = math.exp(params.token_log_mean)
     else:
-        raw = rng.lognormvariate(params.token_log_mean, params.token_log_std)
+        try:
+            raw = rng.lognormvariate(params.token_log_mean, params.token_log_std)
+        except OverflowError:  # past the float range: the sampler refuses it as too many tokens
+            return TrialOutcome(correct, math.inf)
     return TrialOutcome(correct, float(max(1, round(raw))))
 
 

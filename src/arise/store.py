@@ -4,7 +4,9 @@ One run maps to three files under the store root: `<run_id>.jsonl` with
 one trial record per line, `<run_id>.manifest.json` describing the run,
 and `<run_id>.bundle.json`. A record is a JSON object whose keys are
 `_RECORD_FIELDS`, in order; the manifest and the bundle are each one
-dataclass whose fields, in order, are its JSON keys (`_encode` /
+dataclass whose init fields, in order, are its JSON keys, and whose field
+types say how each value decodes. `write_document` is the one writer of
+these documents and `decode_file(path, cls)` the one reader (`_encode` /
 `_decode`). `ResultBundle.from_run` is the one bundle builder: `arise
 run` feeds it the run it drew, and `TraceStore.recompute` (`arise
 compute`) the run its records replay to, so both write the same bytes.
@@ -49,12 +51,11 @@ import threading
 import time
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TextIO, TypeVar
 
 from .metrics import (
-    SampleTrajectory,
     TransitionMatrix,
     arise_aggregate,
     arise_sample,
@@ -92,6 +93,7 @@ __all__ = [
     "summary_table",
     "write_atomic",
     "write_csv",
+    "write_document",
     "write_results_csv",
     "write_curve_csv",
     "write_transitions_csv",
@@ -156,7 +158,8 @@ def read_mapping(path: str | Path, what: str) -> dict:
 
 @functools.cache
 def _config_fields(cls: type) -> dict[str, tuple[object, bool]]:
-    """Each init field of `cls`: its type, and whether a config mapping must give it."""
+    """Each init field of `cls`, in order: its type, and whether a config mapping must give it.
+    The keys are also a stored class's JSON keys (`_encode`, `_decode`)."""
     hints = typing.get_type_hints(cls)
     return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
             for f in fields(cls) if f.init}
@@ -285,13 +288,20 @@ def _loads(text: str) -> object:
         raise ValueError("JSON value nests too deeply to decode") from None
 
 
-def decode_file(path: str | Path, decode: Callable[[object], T]) -> T:
-    """`decode` of the JSON value in `path`; a ValueError it raises ends with the path."""
+def decode_file(path: str | Path, cls: type[T]) -> T:
+    """`_decode(cls, ...)` of the JSON value in `path`; a ValueError it raises ends with the path."""
     try:
-        return decode(_loads(Path(path).read_text()))
+        return _decode(cls, _loads(Path(path).read_text()))
     except ValueError as exc:
         _append_to_message(exc, f"({path})")
         raise
+
+
+def write_document(path: str | Path, obj: object) -> None:
+    """Write `_encode(obj)` to `path` as JSON indented by 2, atomically and streamed: the whole
+    text is never held. The one writer of manifests and bundles, which `decode_file` reads."""
+    data = _encode(obj)
+    write_atomic(path, lambda handle: json.dump(data, handle, indent=2))
 
 
 # the JSON decoder's value scanner (C when available): (value, end index) of the value at an index
@@ -304,11 +314,6 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 _SCALARS = frozenset((str, int, float, bool, dict))  # written to JSON as they are
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
-
-
 def _plain(value: object) -> object:
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
@@ -318,9 +323,9 @@ def _plain(value: object) -> object:
 
 
 def _encode(obj: object) -> dict:
-    """A dataclass as a JSON object: fields in order, None left out, tuples as lists."""
+    """A dataclass as a JSON object: init fields in order, None left out, tuples as lists."""
     data = {}
-    for name in _field_names(type(obj)):
+    for name in _config_fields(type(obj)):
         value = getattr(obj, name)
         if type(value) not in _SCALARS:  # records hold only scalars, so they skip both checks
             if value is None:
@@ -335,38 +340,51 @@ def _value_error(fieldname: str, message: str) -> ValueError:
 
 
 def _check_keys(cls: type, data: dict, what: str) -> None:
-    """Refuse a key that is not a field, and an absent field unless it is None by default."""
+    """Refuse a key that is not an init field, and an absent one unless it is None by default."""
     for name in data:
-        if name not in _field_names(cls):
+        if name not in _config_fields(cls):
             raise _value_error(name, f"not a field of the {what}")
     for f in fields(cls):
-        if f.name not in data and f.default is not None:  # only None is left out by _encode
+        if f.init and f.name not in data and f.default is not None:  # _encode leaves out only None
             raise _value_error(f.name, f"missing from the {what}")
 
 
-def _decode(cls: type, data: object, what: str, /, **convert: Callable[[object], object]):
-    """Build `cls` from a JSON object whose keys are its fields, as `_encode` wrote them.
-
-    `convert` maps a field to the function that turns its JSON value into
-    the field's type. A non-object, an unknown or missing field, or a value
-    the class cannot take raises ValueError naming the field or `what`.
+def _decode(cls: type[T], data: object) -> T:
+    """Build the stored class `cls` from a JSON object whose keys are its fields, as `_encode`
+    wrote them. Each field's type drives the read: a stored class is decoded by this function, a
+    list in a `tuple[X, ...]` field becomes a tuple of decoded X, and a fixed-length `tuple[X, Y]`
+    takes only a list of that length; any other value is passed as it is, for the class to
+    refuse. No scalar is converted. A non-object, an unknown or missing field, or a value the
+    class cannot take raises ValueError naming the field or the class's `_STORED` name.
     """
+    what = _STORED[cls]
     if not isinstance(data, dict):
         raise _value_error(what, f"must be a JSON object, got {type(data).__name__}")
-    if len(data) < len(_field_names(cls)):  # a complete object skips the key check
+    stored_fields = _config_fields(cls)
+    if len(data) < len(stored_fields):  # a complete object skips the key check
         _check_keys(cls, data, what)
     try:
-        if convert:
-            data = {k: convert[k](v) if k in convert else v for k, v in data.items()}
-        return cls(**data)
+        return cls(**{key: _decode_value(stored_fields[key][0], value, key)
+                      if key in stored_fields else value for key, value in data.items()})
     except TypeError as exc:
         _check_keys(cls, data, what)
         raise _value_error(what, str(exc)) from exc
 
 
-def _rows(cls: type, what: str) -> Callable[[list], tuple]:
-    """A converter from a JSON list of objects to a tuple of `cls`."""
-    return lambda rows: tuple(_decode(cls, row, what) for row in rows)
+def _decode_value(tp: object, value: object, key: str) -> object:
+    """`_decode` of the JSON value of field `key`, of type `tp`."""
+    if tp in _STORED:
+        return _decode(tp, value)
+    if type(tp) is types.GenericAlias:  # tuple[X, ...] or tuple[X, Y]
+        args = tp.__args__
+        if args[-1] is Ellipsis:
+            if isinstance(value, list):
+                return tuple([_decode_value(args[0], v, key) for v in value])
+        elif isinstance(value, list) and len(value) == len(args):
+            return tuple([_decode_value(t, v, key) for t, v in zip(args, value)])
+        else:
+            raise _value_error(key, f"{value!r} is not a list of {len(args)} values")
+    return value
 
 
 # a manifest's mode -> its mode class, whose fields are the manifest keys the mode uses
@@ -376,11 +394,6 @@ _STATUSES = ("running", "complete", "failed")
 
 def _is_count(value: object) -> bool:
     return type(value) is int and value >= 1
-
-
-def _as_tuple(value: object) -> object:
-    """A JSON list as a tuple; anything else as it is, for `__post_init__` to refuse."""
-    return tuple(value) if isinstance(value, list) else value
 
 
 def _check_names(fieldname: str, value: object) -> None:
@@ -409,6 +422,7 @@ class RunManifest:
     model: str | None = None
     benchmark: str | None = None
     config_hash: str  # `config_hash` of what decides outcomes
+    listed: frozenset[str] = field(init=False, repr=False, compare=False)  # sample_ids as a set
 
     def __post_init__(self) -> None:
         """Refuse values a run cannot hold, so a write and a read refuse the same manifests."""
@@ -426,7 +440,7 @@ class RunManifest:
             value = getattr(self, name)
             if value is None:
                 continue
-            if name not in _field_names(_MODES[self.mode]):
+            if name not in _config_fields(_MODES[self.mode]):
                 raise _value_error(name, f"does not apply to {self.mode} mode")
             if not _is_count(value):
                 raise _value_error(name, f"must be a positive integer, got {value!r}")
@@ -435,8 +449,10 @@ class RunManifest:
             raise _value_error("n_samples", f"must be a positive integer, got {self.n_samples!r}")
         ids = self.sample_ids
         _check_names("sample_ids", ids)
-        if len(set(ids)) != len(ids):
+        listed = frozenset(ids)
+        if len(listed) != len(ids):
             raise _value_error("sample_ids", "must be unique")
+        object.__setattr__(self, "listed", listed)
         if len(ids) != self.n_samples:
             raise _value_error(
                 "sample_ids", f"lists {len(ids)} samples, but n_samples is {self.n_samples}"
@@ -454,19 +470,8 @@ class RunManifest:
     def run_mode(self) -> RunMode:
         """The mode the manifest records, for a resume; an absent count takes the mode's default."""
         mode_class = _MODES[self.mode]
-        stored = {name: getattr(self, name) for name in _field_names(mode_class)}
+        stored = {name: getattr(self, name) for name in _config_fields(mode_class)}
         return mode_class(**{name: value for name, value in stored.items() if value is not None})
-
-    def to_dict(self) -> dict:
-        return _encode(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        return _decode(
-            cls, data, "manifest",
-            cfg=lambda cfg: _decode(ConvergenceConfig, cfg, "manifest cfg"), levels=_as_tuple,
-            sample_ids=_as_tuple,
-        )
 
 
 def _record_model(manifest: RunManifest) -> str:
@@ -483,8 +488,7 @@ def _refused(name: str, rule: str, value: object) -> RecordValidationError:
     return RecordValidationError(name, f"{rule}, got {value!r}")
 
 
-def _check_record(data: object, manifest: RunManifest,
-                  listed: frozenset[str]) -> tuple[tuple[str, int], int, float, float]:
+def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int], int, float, float]:
     """The one check of a trial record: its configuration, trial index, `correct` and tokens.
 
     `data` is a parsed record line or the record `append_trial` builds. It
@@ -492,7 +496,7 @@ def _check_record(data: object, manifest: RunManifest,
     key; then each field must hold a value a run writes, `correct` and the
     token count as floats (a stored integer `correct` reads as a float);
     then it must be a record `append_trial` would write for `manifest`'s
-    run, of a sample in `listed` (the manifest's `sample_ids`). The first
+    run, of a sample the manifest lists. The first
     rule broken, in that order, raises RecordValidationError naming its
     field.
     """
@@ -543,7 +547,7 @@ def _check_record(data: object, manifest: RunManifest,
     if not isinstance(meta, dict):
         raise RecordValidationError("meta", f"must be an object, got {type(meta).__name__}")
     levels = manifest.levels
-    if sample_id not in listed:
+    if sample_id not in manifest.listed:
         name, expected = "sample_id", "does not list it"
     elif level >= len(levels):
         name, expected = "level_index", f"has {len(levels)} levels"
@@ -562,8 +566,7 @@ def _check_record(data: object, manifest: RunManifest,
     )
 
 
-def _read_line(line: bytes, manifest: RunManifest,
-               listed: frozenset[str]) -> tuple[tuple[str, int], int, float, float]:
+def _read_line(line: bytes, manifest: RunManifest) -> tuple[tuple[str, int], int, float, float]:
     """`_check_record` of the value on one stored line, stripped and not blank.
 
     A line that is not one JSON value raises the error `json.loads` gives it,
@@ -576,7 +579,7 @@ def _read_line(line: bytes, manifest: RunManifest,
         end = -1
     if end != len(text):
         data = _loads(text)
-    return _check_record(data, manifest, listed)
+    return _check_record(data, manifest)
 
 
 @dataclass(frozen=True)
@@ -599,10 +602,6 @@ class ConfigurationSummary:
     zero_variance_probe: bool
 
 
-# how a bundle is encoded, for `to_json` and for the file `write` streams alike
-_BUNDLE_JSON = {"indent": 2}
-
-
 @dataclass(frozen=True)
 class ResultBundle:
     """Everything derived from one run: a pure function of records + manifest."""
@@ -616,6 +615,10 @@ class ResultBundle:
     transitions: tuple[TransitionMatrix, ...]
 
     def __post_init__(self) -> None:
+        for name in ("sample_scores", "curve", "configurations", "transitions"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):  # `_decode` passes a non-list on, for this to refuse
+                raise _value_error(name, f"must be a list, got {value!r}")
         if len(self.curve) != len(self.manifest.levels):  # no run writes such a bundle
             raise _value_error("curve", f"has {len(self.curve)} points, but the manifest has "
                                         f"{len(self.manifest.levels)} levels")
@@ -631,28 +634,6 @@ class ResultBundle:
     @property
     def unconverged_count(self) -> int:
         return sum(1 for c in self.configurations if not c.converged)
-
-    def to_dict(self) -> dict:
-        return _encode(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **_BUNDLE_JSON)
-
-    def write(self, path: str | Path) -> None:
-        """Write `to_json()`'s text to `path` atomically, streamed: the whole text is never held."""
-        data = self.to_dict()
-        write_atomic(path, lambda handle: json.dump(data, handle, **_BUNDLE_JSON))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultBundle":
-        return _decode(
-            cls, data, "result bundle",
-            manifest=RunManifest.from_dict,
-            sample_scores=_rows(SampleScore, "sample score"),
-            curve=lambda points: tuple((t, a) for t, a in points),
-            configurations=_rows(ConfigurationSummary, "configuration summary"),
-            transitions=_rows(TransitionMatrix, "transition matrix"),
-        )
 
     @classmethod
     def from_run(cls, manifest: RunManifest, run: EvaluationRun) -> "ResultBundle":
@@ -693,6 +674,12 @@ class ResultBundle:
         )
 
 
+# every stored class -> the name its decode errors use
+_STORED = {RunManifest: "manifest", ConvergenceConfig: "manifest cfg", SampleScore: "sample score",
+           ConfigurationSummary: "configuration summary", TransitionMatrix: "transition matrix",
+           ResultBundle: "result bundle"}
+
+
 class _NoDraws:
     """The backend of a replay: every trial it needs is stored, so a draw means one is missing."""
 
@@ -700,7 +687,7 @@ class _NoDraws:
         raise LookupError(f"no record of trial {trial_index}")
 
 
-_Run = tuple[RunManifest, frozenset[str], dict[tuple[str, int], int], BinaryIO]
+_Run = tuple[RunManifest, dict[tuple[str, int], int], BinaryIO]
 
 
 class TraceStore:
@@ -715,8 +702,8 @@ class TraceStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         # run id -> what each append of the run is built from, checked against and written to: (its
-        # manifest, the samples it lists, (sample id, level index) -> the trial index its next
-        # append must have, the record file opened for appending)
+        # manifest, (sample id, level index) -> the trial index its next append must have, the
+        # record file opened for appending)
         self._runs: dict[str, _Run] = {}
         # (second, its RFC3339 text) for record timestamps; replaced whole when the second turns,
         # so a reader in another thread never pairs one second with another's text
@@ -740,7 +727,7 @@ class TraceStore:
     # manifests
 
     def write_manifest(self, manifest: RunManifest) -> None:
-        write_atomic(self.manifest_path(manifest.run_id), json.dumps(manifest.to_dict(), indent=2))
+        write_document(self.manifest_path(manifest.run_id), manifest)
 
     def read_manifest(self, run_id: str) -> RunManifest:
         """The manifest of run `run_id`; ValueError if there is none, if it does not decode or if
@@ -752,7 +739,7 @@ class TraceStore:
             orphan = f"; its records ({records}) cannot be replayed or resumed without one"
             raise ValueError(f"run {run_id!r}: no manifest found"
                              f"{orphan if records.exists() else ''}")
-        manifest = decode_file(path, RunManifest.from_dict)
+        manifest = decode_file(path, RunManifest)
         if manifest.run_id != run_id:
             raise _value_error("run_id", f"the manifest of run {run_id!r} names run "
                                          f"{manifest.run_id!r} ({path})")
@@ -776,7 +763,7 @@ class TraceStore:
         one ValueError; all before any byte is written.
         """
         try:
-            manifest, listed, next_index, handle = self._runs[run_id]
+            manifest, next_index, handle = self._runs[run_id]
         except KeyError:
             raise ValueError(f"run {run_id!r} is not open for appending: "
                              f"completed_trials(resume=True) opens it") from None
@@ -806,7 +793,7 @@ class TraceStore:
             "timestamp": stamp[1],
             "meta": {},
         }
-        key, index, _, _ = _check_record(data, manifest, listed)
+        key, index, _, _ = _check_record(data, manifest)
         line = json.dumps(data).encode() + b"\n"
         with self._lock:
             expected = next_index.get(key, 0)
@@ -856,7 +843,6 @@ class TraceStore:
         """
         run_id = manifest.run_id
         path = self.trial_path(run_id)
-        listed = frozenset(manifest.sample_ids)
         read = _read_line
         # keep only (trial index, outcome) per record, so whole records never pile up
         grouped: dict[tuple[str, int], list[tuple[int, TrialOutcome]]] = {}
@@ -884,7 +870,7 @@ class TraceStore:
                     line = raw.strip()
                     if line:
                         try:
-                            key, index, correct, tokens = read(line, manifest, listed)
+                            key, index, correct, tokens = read(line, manifest)
                         except ValueError as exc:
                             _append_to_message(exc, f"({path}, line {number})")
                             raise
@@ -897,7 +883,7 @@ class TraceStore:
                 if indices != list(range(len(indexed))):
                     repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
                     if repeated is not None:
-                        first, second = self._lines_holding(manifest, listed, key, repeated)[:2]
+                        first, second = self._lines_holding(manifest, key, repeated)[:2]
                         raise DuplicateTrialError(
                             f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
                             f"({path}, lines {first} and {second})"
@@ -911,12 +897,11 @@ class TraceStore:
             raise
         if resume:  # indices are contiguous, so each count is the next index
             with self._lock:
-                self._runs[run_id] = (manifest, listed,
-                                      {key: len(outcomes) for key, outcomes in out.items()}, handle)
+                self._runs[run_id] = (manifest, {key: len(outcomes) for key, outcomes in out.items()},
+                                      handle)
         return out
 
-    def _lines_holding(self, manifest: RunManifest, listed: frozenset[str], key: tuple[str, int],
-                       index: int) -> list[int]:
+    def _lines_holding(self, manifest: RunManifest, key: tuple[str, int], index: int) -> list[int]:
         """The numbers of the run's record file lines that hold trial `index` of configuration `key`.
 
         Only an error path calls this, so it reads the file again rather
@@ -925,7 +910,7 @@ class TraceStore:
         with open(self.trial_path(manifest.run_id), "rb") as fh:
             lines = ((number, raw.strip()) for number, raw in enumerate(fh, 1))
             return [number for number, line in lines
-                    if line and _read_line(line, manifest, listed)[:2] == (key, index)]
+                    if line and _read_line(line, manifest)[:2] == (key, index)]
 
     # ------------------------------------------------------------------
     # trajectory assembly and recomputation
@@ -949,10 +934,6 @@ class TraceStore:
                 f"configuration {(exc.sample_id, exc.level_index)!r}: its records end before "
                 f"trial {exc.count}, which its stop rule draws; `run --resume` draws the rest",
             ) from exc
-
-    def load_trajectories(self, run_id: str) -> list[SampleTrajectory]:
-        """Mean accuracy and tokens per configuration, levels ordered by index."""
-        return list(self._evaluation(self.read_manifest(run_id)).trajectories)
 
     def recompute(self, run_id: str) -> ResultBundle:
         """Re-derive the full result bundle from stored records and manifest."""
@@ -1014,7 +995,7 @@ def _summary_rows(bundles: Sequence[ResultBundle], sm_scale: float) -> list[tupl
     # metric columns always carry 6 decimal places
     return [
         (
-            b.manifest.model or "unknown",
+            _record_model(b.manifest),
             b.manifest.benchmark or "unknown",
             f"{b.aggregate_arise:.6f}",
             f"{b.scaling_metric * sm_scale:.6f}",
@@ -1052,6 +1033,6 @@ def write_curve_csv(path: str | Path, bundle: ResultBundle) -> None:
 
 def write_transitions_csv(path: str | Path, bundle: ResultBundle) -> None:
     """One row per adjacent level pair: TransitionMatrix's fields, in order."""
-    header = _field_names(TransitionMatrix)
+    header = tuple(_config_fields(TransitionMatrix))
     rows = [[getattr(t, name) for name in header] for t in bundle.transitions]
     write_csv(path, header, rows)

@@ -13,6 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import arise.store
 from arise import RunManifest, cli, reference_spec
 from arise.cli import main
 
@@ -582,13 +583,14 @@ class TestCompute:
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
         decoded = []
-        real = RunManifest.from_dict.__func__
+        real = arise.store._decode
 
         def counting(cls, data):
-            decoded.append(data["run_id"])
+            if cls is RunManifest:
+                decoded.append(data["run_id"])
             return real(cls, data)
 
-        monkeypatch.setattr(RunManifest, "from_dict", classmethod(counting))
+        monkeypatch.setattr(arise.store, "_decode", counting)
         for args in (["compute", str(out), "--run-id", "r1"],
                      ["--seed", "42", "run", str(spec_file), "--out", str(out),
                       "--run-id", "r1", "--resume"]):
@@ -1019,6 +1021,67 @@ class TestRecordsNoRunWrites:
         (out / "r1.jsonl").write_text("".join([lines[0], *lines[2:]]))
         self.refused(runner, spec_file, out,
                      "run 'r1': configuration ('s01', 0) has non-contiguous trial indices [0, 2]")
+
+
+# a level whose token draws are finite but far past 2**53: trial 0 of ('a', 1) draws about 6e306
+HUGE_TOKENS_SPEC = {"seed": 7, "samples": [
+    {"id": "a", "levels": [{"p_correct": 0.5, "token_log_mean": 5, "token_log_std": 0.5},
+                           {"p_correct": 0.5, "token_log_mean": 705, "token_log_std": 3}]},
+    {"id": "b", "levels": [{"p_correct": 0.5, "token_log_mean": 5, "token_log_std": 0.5},
+                           {"p_correct": 0.5, "token_log_mean": 6, "token_log_std": 0.5}]}]}
+PAST_2_TO_THE_53 = re.compile(r"^error: configuration \('a', level 1\) trial 0 has "
+                              r"[0-9.]+e\+30[0-9] completion tokens, more than 2\*\*53\n\Z")
+
+
+class TestTokenCountsPast2To53:
+    """A trial with more tokens than a float holds exactly exits 1, drawn or stored, and is never
+    written; the stop rule's statistics of such counts overflowed into a traceback."""
+
+    @pytest.fixture()
+    def huge_spec(self, tmp_path: Path) -> Path:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_TOKENS_SPEC))
+        return path
+
+    def test_run_and_its_resume_refuse_the_draw(self, runner, huge_spec, tmp_path):
+        out = tmp_path / "runs"
+        args = ["run", str(huge_spec), "--out", str(out), "--run-id", "r1"]
+        result = runner.invoke(main, [*args, "--naive", "10"])
+        assert result.exit_code == 1
+        assert PAST_2_TO_THE_53.match(result.stderr), result.stderr
+        records = [json.loads(line) for line in (out / "r1.jsonl").read_text().splitlines()]
+        assert {(r["sample_id"], r["level_index"]) for r in records} == {("a", 0)}
+        assert len(records) == 10
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = runner.invoke(main, [*args, "--resume"])
+        assert result.exit_code == 1
+        assert PAST_2_TO_THE_53.match(result.stderr), result.stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_simulate_refuses_the_draw(self, runner, huge_spec):
+        result = runner.invoke(main, ["simulate", str(huge_spec), "-m", "naive:10", "--runs", "1"])
+        assert result.exit_code == 1
+        assert PAST_2_TO_THE_53.match(result.stderr), result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("tokens, code", [(2**53, 0), (2**53 + 2, 1), (10**300, 1)],
+                             ids=["2**53", "2**53+2", "10**300"])
+    def test_compute_refuses_a_stored_count(self, runner, spec_file, tmp_path, tokens, code):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        (out / "r1.bundle.json").unlink()
+        trial_file = out / "r1.jsonl"
+        first, *rest = trial_file.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        trial_file.write_text(json.dumps({**record, "completion_tokens": tokens}) + "\n"
+                              + "".join(rest))
+        result = runner.invoke(main, ["compute", str(out), "--run-id", "r1"])
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.stderr == (
+                f"error: configuration ({record['sample_id']!r}, level {record['level_index']}) "
+                f"trial 0 has {float(tokens)!r} completion tokens, more than 2**53\n")
+            assert not (out / "r1.bundle.json").exists()
 
 
 class TestRunBundleComesFromTheDrawnTrials:
@@ -1467,6 +1530,10 @@ class TestMalformedStoredFiles:
          "curve: has 4 points, but the manifest has 3 levels"),
         (lambda b: b["manifest"].update(started_at=5),
          "started_at: must be a non-empty string, got 5"),
+        (lambda b: b["curve"].__setitem__(0, [1.0, 0.5, 2.0]),
+         "curve: [1.0, 0.5, 2.0] is not a list of 2 values"),
+        (lambda b: b["curve"].__setitem__(0, 7), "curve: 7 is not a list of 2 values"),
+        (lambda b: b.update(sample_scores=5), "sample_scores: must be a list, got 5"),
     ])
     def test_bad_bundle_in_report(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

@@ -92,3 +92,33 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in module_imports(tree).items() if name not in used]
     assert unused == []
+
+
+def is_click_command(node: ast.AST) -> bool:
+    """Decorated with `<group>.command(...)` or `click.group(...)`: click calls it."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_no_definition_is_only_used_by_tests():
+    """Every function, method and class of the package is named by package code, listed in an
+    `__all__` or a click command: code that only tests call is dead code with a test."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    named, exported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    unused = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in named | exported and not is_click_command(node)]
+    assert unused == []

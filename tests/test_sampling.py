@@ -328,6 +328,21 @@ class TestRunConfiguration:
         assert adaptive.k_star == 10
         assert checks == list(range(3, 11))  # one check per stop decision, from m_min on
 
+    @pytest.mark.parametrize("tokens", [2.0**53 + 2, 1e200, math.inf])
+    @pytest.mark.parametrize("stored", [False, True], ids=["drawn", "stored"])
+    def test_more_than_2_to_the_53_tokens_is_refused(self, tokens, stored):
+        """Drawn or stored, a trial past the largest count a float holds exactly stops the
+        configuration before any statistic of it is taken or `on_trial` sees it."""
+        trials = [TrialOutcome(1.0, 100.0), TrialOutcome(1.0, tokens), TrialOutcome(1.0, 100.0)]
+        fired: list[int] = []
+        with pytest.raises(ValueError) as err:
+            run_configuration(ScriptedBackend({("s", 0): trials}), "s", 0, ConvergenceConfig(),
+                              preloaded=trials if stored else (),
+                              on_trial=lambda s, j, k, o: fired.append(k))
+        assert str(err.value) == (f"configuration ('s', level 0) trial 1 has {tokens!r} completion "
+                                  f"tokens, more than 2**53")
+        assert fired == ([] if stored else [0])
+
     def test_probe_cv_covers_the_first_m_min_trials(self):
         flat, cfg = outcomes((1.0, 100.0)) * 3, ConvergenceConfig()
         # (trials, whether the probe is flat): a flat probe before noisy trials, a noisy probe

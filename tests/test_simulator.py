@@ -117,6 +117,18 @@ class TestSimulateTrial:
             assert tokens >= 1.0
             assert tokens == int(tokens)
 
+    def test_a_draw_past_the_float_range_is_infinitely_many_tokens(self):
+        """exp() of a normal draw above 709.78 overflows: the trial holds inf tokens, which the
+        sampler refuses, instead of raising from the draw."""
+        spec = SyntheticModelSpec(
+            seed=5,
+            samples=(SyntheticSample("x", (LevelParams(0.5, 709.78, 3.0),
+                                           LevelParams(0.5, 1.0, 0.0))),),
+        )
+        tokens = [simulate_trial(spec, "x", 0, k).tokens for k in range(20)]
+        assert math.inf in tokens
+        assert all(t == math.inf or t == int(t) for t in tokens)
+
     def test_unknown_sample_and_level_rejected(self):
         spec = tiny_spec()
         with pytest.raises(ValueError, match="unknown sample"):

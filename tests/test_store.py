@@ -49,7 +49,8 @@ from arise import (
 )
 import arise.store
 from arise.cli import _load_run_config, main
-from arise.store import _check_record, _read_line, now_rfc3339, read_config
+from arise.store import (_check_record, _decode, _encode, _read_line, decode_file, now_rfc3339,
+                         read_config, write_document)
 
 # a trial record's keys in the order every line holds them, spelled out apart from the store's copy
 RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", "trial_index",
@@ -99,7 +100,12 @@ def manifest(**overrides) -> RunManifest:
 def read(line: bytes, listed: RunManifest | None = None) -> tuple:
     """`_read_line` of `line` against `listed` (default `manifest()`, which `record()` agrees with)."""
     listed = listed or manifest()
-    return _read_line(line, listed, frozenset(listed.sample_ids))
+    return _read_line(line, listed)
+
+
+def trajectories(store: TraceStore, run_id: str) -> tuple:
+    """The trajectories that run `run_id`'s stored records replay to."""
+    return store._evaluation(store.read_manifest(run_id)).trajectories
 
 
 def open_run(root: Path, listed: RunManifest | None = None) -> TraceStore:
@@ -185,7 +191,7 @@ class TestRecordSerialization:
     )
     def test_validation_names_the_offending_field(self, overrides, fieldname):
         with pytest.raises(RecordValidationError) as err:
-            _check_record(record(**overrides), manifest(), frozenset({"s01"}))
+            _check_record(record(**overrides), manifest())
         assert err.value.fieldname == fieldname
 
     @pytest.mark.parametrize("stored", [True, False, "0.5", " 1 ", None])
@@ -783,10 +789,10 @@ class TestTokenCounts:
 class TestManifest:
     def test_round_trip(self):
         m = manifest()
-        assert RunManifest.from_dict(m.to_dict()) == m
+        assert _decode(RunManifest, _encode(m)) == m
 
     def test_dict_shape(self):
-        data = manifest(mode="fixed_budget", budget=120, trials=None).to_dict()
+        data = _encode(manifest(mode="fixed_budget", budget=120, trials=None))
         assert data["cfg"] == {"m_min": 3, "m_max": 10, "tau": 0.5}
         assert data["budget"] == 120
         assert "trials" not in data
@@ -794,7 +800,7 @@ class TestManifest:
             assert key in data
 
     def test_optional_keys_omitted_when_absent(self):
-        data = manifest(budget=None, trials=None, seed=None, model=None, benchmark=None).to_dict()
+        data = _encode(manifest(budget=None, trials=None, seed=None, model=None, benchmark=None))
         assert not {"budget", "trials", "seed", "model", "benchmark"} & set(data)
 
     @pytest.mark.parametrize("mode, name, budget, trials", [
@@ -803,10 +809,11 @@ class TestManifest:
         (FixedBudgetMode(120), "fixed_budget", 120, None),
     ])
     def test_mode_fields_round_trip(self, mode, name, budget, trials):
-        fields = {k: v for k, v in vars(manifest()).items() if k not in ("mode", "budget", "trials")}
+        fields = {k: v for k, v in vars(manifest()).items()
+                  if k not in ("mode", "budget", "trials", "listed")}
         m = RunManifest.for_mode(mode, **fields)
         assert (m.mode, m.budget, m.trials) == (name, budget, trials)
-        assert RunManifest.from_dict(m.to_dict()).run_mode == mode
+        assert _decode(RunManifest, _encode(m)).run_mode == mode
 
     def test_naive_manifest_without_a_count_resumes_single_sampling(self):
         assert manifest(trials=None).run_mode == NaiveMode(1)
@@ -832,10 +839,10 @@ class TestManifest:
 
     @pytest.mark.parametrize("levels", ["ab", ["low", ""], ["low", 1], None])
     def test_levels_must_be_a_list_of_labels(self, levels):
-        data = manifest().to_dict()
+        data = _encode(manifest())
         data["levels"] = levels
         with pytest.raises(ValueError, match="^levels: must be a list of non-empty strings"):
-            RunManifest.from_dict(data)
+            _decode(RunManifest, data)
 
     @pytest.mark.parametrize("sample_ids, message", [
         (("s01", "s01"), "must be unique"),
@@ -854,17 +861,17 @@ class TestManifest:
         (["s01", "s02", "s03"], "lists 3 samples"),
     ])
     def test_sample_ids_are_checked_on_read(self, sample_ids, message):
-        data = manifest(n_samples=2).to_dict()
+        data = _encode(manifest(n_samples=2))
         data["sample_ids"] = sample_ids
         with pytest.raises(ValueError, match=f"^sample_ids: {message}"):
-            RunManifest.from_dict(data)
+            _decode(RunManifest, data)
 
     def test_a_manifest_naming_another_run_is_refused(self, tmp_path):
         """A run is read by its manifest only when the manifest names it; else ValueError, no write."""
         store = TraceStore(tmp_path)
         path = store.manifest_path("r1")
-        write_atomic(path, json.dumps(manifest(run_id="r2").to_dict()))
-        for read_run in (store.read_manifest, store.load_trajectories, store.recompute):
+        write_document(path, manifest(run_id="r2"))
+        for read_run in (store.read_manifest, store.recompute):
             with pytest.raises(ValueError) as err:
                 read_run("r1")
             assert str(err.value) == f"run_id: the manifest of run 'r1' names run 'r2' ({path})"
@@ -872,10 +879,10 @@ class TestManifest:
 
     def test_sample_ids_round_trip_after_n_samples(self):
         listed = manifest(n_samples=2, sample_ids=("s02", "s01"))
-        data = listed.to_dict()
+        data = _encode(listed)
         assert list(data)[list(data).index("n_samples") + 1] == "sample_ids"
         assert data["sample_ids"] == ["s02", "s01"]
-        assert RunManifest.from_dict(json.loads(json.dumps(data))) == listed
+        assert _decode(RunManifest, json.loads(json.dumps(data))) == listed
 
 
 class TestAppend:
@@ -1281,7 +1288,7 @@ class TestRecompute:
 
     def test_trajectory_means(self, tmp_path: Path):
         store = self.seed_store(tmp_path)
-        trajs = store.load_trajectories("r1")
+        trajs = trajectories(store, "r1")
         assert trajs[0].levels[0].accuracy == 0.6666666666666666
         assert trajs[0].levels[0].tokens == 200.0
         assert trajs[0].levels[1].accuracy == 1.0
@@ -1293,9 +1300,7 @@ class TestRecompute:
         assert bundle.n_levels == 2
         assert len(bundle.configurations) == 2
         assert len(bundle.transitions) == 1
-        assert bundle.aggregate_arise == arise_aggregate(
-            TraceStore(tmp_path).load_trajectories("r1")
-        )
+        assert bundle.aggregate_arise == arise_aggregate(trajectories(TraceStore(tmp_path), "r1"))
 
     def test_missing_level_names_the_configuration(self, tmp_path: Path):
         with open_run(tmp_path) as store:
@@ -1383,7 +1388,7 @@ class TestRecompute:
         with open_run(tmp_path, manifest(trials=2)) as store:
             for level, k in [(0, 0), (0, 1), (1, 0)]:
                 append(store, trial_index=k, level_index=level)
-        for replay in (store.recompute, store.load_trajectories):
+        for replay in (store.recompute, functools.partial(trajectories, store)):
             with pytest.raises(IncompleteRunError) as err:
                 replay("r1")
             assert str(err.value) == (
@@ -1411,7 +1416,7 @@ class TestRecomputeMatchesLiveRun:
         )
         store.close()
         bundle = store.recompute("live")
-        recomputed = {t.sample_id: t for t in store.load_trajectories("live")}
+        recomputed = {t.sample_id: t for t in trajectories(store, "live")}
         for traj in run.trajectories:
             assert recomputed[traj.sample_id] == traj  # bit-for-bit, no tolerance
         assert bundle.aggregate_arise == arise_aggregate(run.trajectories)
@@ -1420,7 +1425,7 @@ class TestRecomputeMatchesLiveRun:
         with open_run(tmp_path) as store:
             append(store)
             append(store, level_index=1, tokens=300)
-        assert store.recompute("r1").to_json() == store.recompute("r1").to_json()
+        assert _encode(store.recompute("r1")) == _encode(store.recompute("r1"))
 
 
 class TestBundleSerialization:
@@ -1429,8 +1434,8 @@ class TestBundleSerialization:
             append(store)
             append(store, level_index=1, tokens=300)
         bundle = store.recompute("r1")
-        parsed = ResultBundle.from_dict(json.loads(bundle.to_json()))
-        assert parsed == bundle
+        write_document(tmp_path / "r1.bundle.json", bundle)
+        assert decode_file(tmp_path / "r1.bundle.json", ResultBundle) == bundle
 
 
 class TestReadMapping:

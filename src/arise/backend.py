@@ -20,13 +20,13 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 import requests
 
 from .sampling import TrialOutcome
-from .store import read_config
+from .store import _encode, read_config
 
 __all__ = [
     "BackendError",
@@ -55,6 +55,8 @@ log = logging.getLogger("arise.backend")
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Za-z0-9_.]+)\}\}")
 _RETRY_STATUSES = {429} | set(range(500, 600))
+# the `BackendConfig` fields that say how a request travels, not what it asks: never hashed
+_TRANSPORT = ("base_url", "auth_env_var", "max_in_flight", "min_request_interval", "retry")
 
 
 class BackendError(RuntimeError):
@@ -276,6 +278,12 @@ class BackendConfig:
         for lv in self.levels:
             if lv.kind not in ("effort", "mode"):
                 raise ValueError(f"level {lv.label!r} has unknown kind {lv.kind!r}")
+        values = _request_values(self, self.levels[0], "")  # a name is known whatever its value
+        trees = (self.request_template, *(lv.request_overrides for lv in self.levels))
+        unknown = sorted({name for tree in trees for name in render_template(tree, values)[1]})
+        if unknown:
+            raise ValueError(f"backend config has unknown placeholders {unknown}; "
+                             f"known: {', '.join(values)}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if not 0 <= self.min_request_interval < math.inf:  # NaN fails too
@@ -321,16 +329,24 @@ class RequestLimiter:
             yield
 
 
-def _render_request(cfg: BackendConfig, prompt: str, level: LevelSpec) -> tuple[dict, list[str]]:
-    values = {
-        "prompt": prompt,
-        "model": cfg.model,
-        "level.label": level.label,
-        "level.kind": level.kind,
-    }
-    rendered, unresolved = render_template(cfg.request_template, values)
-    overrides, more_unresolved = render_template(level.request_overrides, values)
-    return merge_patch(rendered, overrides), unresolved + more_unresolved
+def _request_values(cfg: BackendConfig, level: LevelSpec, prompt: str) -> dict[str, str]:
+    """The value of each placeholder a request may hold; its keys are the only names known."""
+    return {"prompt": prompt, "model": cfg.model, "level.label": level.label,
+            "level.kind": level.kind}
+
+
+def _render_request(cfg: BackendConfig, prompt: str, level: LevelSpec) -> dict:
+    # every placeholder resolves: `BackendConfig` refuses an unknown one
+    values = _request_values(cfg, level, prompt)
+    return merge_patch(render_template(cfg.request_template, values)[0],
+                       render_template(level.request_overrides, values)[0])
+
+
+def _response_text(cfg: BackendConfig, payload: Any) -> Any:
+    try:
+        return resolve_pointer(payload, cfg.response_text_path)
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
+        raise BackendError(f"response has no text at {cfg.response_text_path!r}") from exc
 
 
 def _extract_tokens(cfg: BackendConfig, payload: Any) -> int:
@@ -364,25 +380,14 @@ class HttpBackend:
 
     @property
     def outcome_config(self) -> dict:
-        """What decides the outcomes: the model, the requests, the response paths and the tasks.
-
-        Transport settings (base_url, auth_env_var, max_in_flight,
-        min_request_interval, retry) are left out, so a run can resume
-        through another endpoint or at another concurrency.
-        """
-        cfg = self.cfg
-        return {
-            "model": cfg.model,
-            "request_template": cfg.request_template,
-            "levels": [asdict(level) for level in cfg.levels],
-            "usage_path": cfg.usage_path,
-            "response_text_path": cfg.response_text_path,
-            "tasks": [
-                {"sample_id": t.sample_id, "prompt": t.prompt,
-                 "judge": {"type": type(t.judge).__name__, **asdict(t.judge)}}
-                for t in self._tasks.values()
-            ],
-        }
+        """What decides the outcomes: every `BackendConfig` field not in `_TRANSPORT` (so a new
+        field is hashed), and the tasks, each judge with its class name as `type`. Transport
+        settings are left out, so a run can resume through another endpoint or concurrency."""
+        config = {k: v for k, v in _encode(self.cfg).items() if k not in _TRANSPORT}
+        config["tasks"] = [{**_encode(t), "judge": {"type": type(t.judge).__name__,
+                                                    **_encode(t.judge)}}
+                           for t in self._tasks.values()]
+        return config
 
     def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
         """One API call -> one judged trial outcome."""
@@ -392,17 +397,9 @@ class HttpBackend:
         if not 0 <= level_index < len(self.cfg.levels):
             raise ValueError(f"level index {level_index} out of range")
         level = self.cfg.levels[level_index]
-        payload, unresolved = _render_request(self.cfg, task.prompt, level)
-        if unresolved:
-            raise BackendError(f"unresolved placeholders: {sorted(set(unresolved))}")
-        response = self._post(payload, sample_id, level.label, trial_index)
-        try:
-            text = resolve_pointer(response, self.cfg.response_text_path)
-        except (KeyError, IndexError, ValueError, TypeError) as exc:
-            raise BackendError(
-                f"response has no text at {self.cfg.response_text_path!r}"
-            ) from exc
-        correct = task.judge.judge(str(text), sample_id)
+        response = self._post(_render_request(self.cfg, task.prompt, level), sample_id,
+                              level.label, trial_index)
+        correct = task.judge.judge(str(_response_text(self.cfg, response)), sample_id)
         tokens = _extract_tokens(self.cfg, response)
         return TrialOutcome(float(correct), float(tokens))
 
@@ -446,31 +443,25 @@ class HttpBackend:
 
 @dataclass(frozen=True)
 class DryRunReport:
-    """What would be sent, per level, and anything that cannot resolve."""
+    """What would be sent, per level, and what a probe found. Placeholders all resolve here:
+    `BackendConfig` refuses an unknown one."""
 
     requests: tuple[dict, ...]  # rendered with a stand-in prompt, one per level
-    unresolved: tuple[str, ...]  # placeholder names with no value
     usage_path: str
     probe_tokens: int | None = None  # set when a probe call ran and resolved
     probe_error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.unresolved and self.probe_error is None
+        return self.probe_error is None
 
 
 def dry_run(cfg: BackendConfig, probe: bool = False, session: requests.Session | None = None) -> DryRunReport:
-    """Render one request per level without sending; optionally send one probe.
-
-    Template problems are collected into the report, never raised.
-    """
+    """Render one request per level without sending; optionally send one probe, the first
+    level's request, whose response must resolve both response paths as a trial's does. A
+    probe's failure goes into the report, never raised."""
     stand_in = "(sample prompt)"
-    rendered: list[dict] = []
-    unresolved: list[str] = []
-    for level in cfg.levels:
-        request, missing = _render_request(cfg, stand_in, level)
-        rendered.append(request)
-        unresolved.extend(missing)
+    rendered = [_render_request(cfg, stand_in, level) for level in cfg.levels]
     probe_tokens: int | None = None
     probe_error: str | None = None
     if probe:
@@ -479,12 +470,12 @@ def dry_run(cfg: BackendConfig, probe: bool = False, session: requests.Session |
         )
         try:
             response = backend._post(rendered[0], "probe", cfg.levels[0].label, 0)
+            _response_text(cfg, response)
             probe_tokens = _extract_tokens(cfg, response)
         except BackendError as exc:
             probe_error = str(exc)
     return DryRunReport(
         requests=tuple(rendered),
-        unresolved=tuple(sorted(set(unresolved))),
         usage_path=cfg.usage_path,
         probe_tokens=probe_tokens,
         probe_error=probe_error,

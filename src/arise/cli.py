@@ -1,10 +1,11 @@
 """Command-line surface: run evaluations, recompute bundles, replicate studies, export report files.
 
-Exit codes: 0 on success, 2 when `run --resume` continues the run (a torn
-last record line, a configuration short of its stop rule, an aborted
-trial), 1 on every other error, click's usage errors included. Output
-files are written to a temp sibling and renamed on success, so a failed
-invocation leaves no partial artifacts.
+Exit codes, which the command group `_Commands` alone maps: 0 on success,
+2 when `run --resume` continues the run (a torn last record line, a
+configuration short of its stop rule, an aborted trial), 1 on every other
+error, click's usage errors included. Output files are written to a temp
+sibling and renamed on success, so a failed invocation leaves no partial
+artifacts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import click
 from click.core import ParameterSource
@@ -63,26 +63,12 @@ class Options:
         return 1000.0 if self.sm_x1000 else 1.0
 
 
-def guarded(fn: Callable) -> Callable:
-    """Map domain errors onto the exit-code contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args: object, **kwargs: object) -> None:
-        try:
-            fn(*args, **kwargs)
-        except (IncompleteRunError, ConfigurationError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
 class _Commands(click.Group):
-    """The command group; its usage errors (a bad option, argument or command) exit 1, not
-    click's 2, since exit 2 says that `run --resume` continues the run."""
+    """The command group, the one owner of exit codes. Exit 2 says that `run --resume`
+    continues the run: a run short of its records (`IncompleteRunError`) or an aborted
+    configuration (`ConfigurationError`). Every other refusal exits 1: a usage error (a bad
+    option, argument or command, which click would exit 2), a `ValueError` or an `OSError`. A
+    command's own error prints one `error:` line."""
 
     def make_context(self, *args: object, **kwargs: object) -> click.Context:
         try:  # the group's own options
@@ -92,11 +78,17 @@ class _Commands(click.Group):
             raise
 
     def invoke(self, ctx: click.Context) -> object:
-        try:  # the command's name, options and arguments
+        try:  # the command's name, options and arguments, then the command itself
             return super().invoke(ctx)
         except click.UsageError as exc:
             exc.exit_code = 1
             raise
+        except (IncompleteRunError, ConfigurationError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except (ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Commands)
@@ -138,7 +130,6 @@ def _locate_run(traces: Path, run_id: str | None) -> tuple[Path, str]:
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Bundle destination (default: <store>/<run_id>.bundle.json).")
 @click.pass_obj
-@guarded
 def compute(opts: Options, traces: Path, run_id: str | None, out: Path | None) -> None:
     """Recompute a result bundle from stored trial records."""
     root, rid = _locate_run(traces, run_id)
@@ -187,7 +178,6 @@ def _pick_mode(adaptive: bool, budget: int | None, naive: int | None) -> RunMode
 @click.option("--dry-run", "dry", is_flag=True, help="Render backend requests without running.")
 @click.option("--probe", is_flag=True, help="With --dry-run: send one probe request.")
 @click.pass_obj
-@guarded
 def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: int | None,
         out: Path, run_id: str | None, resume: bool, model: str | None, benchmark: str | None,
         m_min: int, m_max: int, tau: float, dry: bool, probe: bool) -> None:
@@ -231,8 +221,6 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
             report = dry_run(backend_cfg, probe=probe)
             for level_request in report.requests:
                 click.echo(json.dumps(level_request, indent=2))
-            if report.unresolved:
-                click.echo(f"unresolved placeholders: {list(report.unresolved)}", err=True)
             if report.probe_error:
                 click.echo(f"probe failed: {report.probe_error}", err=True)
             elif report.probe_tokens is not None:
@@ -271,9 +259,10 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
     if not resume:
         if run_id is None:
             run_id = "run-" + dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d-%H%M%S-%f")
-        if run_id in store.run_ids():
+        taken = f"run {run_id!r} already exists under {out}; continue it with --resume"
+        if store.manifest_path(run_id).exists() or store.trial_path(run_id).exists():
             store.read_manifest(run_id)  # records without a manifest: no command continues them
-            raise ValueError(f"run {run_id!r} already exists under {out}; continue it with --resume")
+            raise ValueError(taken)
         read = RunManifest.for_mode(
             mode, run_id=run_id, cfg=cfg, levels=labels, n_samples=len(samples),
             sample_ids=samples, started_at=now_rfc3339(), status="running", seed=seed,
@@ -281,6 +270,9 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
 
     # a new run is a resume of a run with no records; the opener creates and locks its record file
     preloaded = store.completed_trials(read, resume=True)
+    if not resume and (preloaded or store.manifest_path(run_id).exists()):
+        store.close()  # another new run of this id passed the check above first: it is the run
+        raise ValueError(taken)
     manifest = dataclasses.replace(read, status="running")
     try:
         store.write_manifest(manifest)
@@ -318,7 +310,6 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Per-run CSV (mode, run, arise, scaling_metric, trials, unconverged).")
 @click.pass_obj
-@guarded
 def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
              m_min: int, m_max: int, tau: float, out: Path | None) -> None:
     """Replicate a study on the synthetic backend and summarize stability."""
@@ -369,7 +360,6 @@ def simulate(opts: Options, spec: Path, runs: int, modes: tuple[str, ...],
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Destination for exported CSVs.")
 @click.pass_obj
-@guarded
 def report(opts: Options, bundles: tuple[Path, ...], curves: bool, transitions: bool,
            results_csv: Path | None, out_dir: Path) -> None:
     """Render bundle summaries and export curve/transition CSVs."""

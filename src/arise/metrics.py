@@ -194,8 +194,6 @@ def scaling_metric(curve: ScalingCurve) -> float:
     rescaling tokens: multiplying all token values by c scales it by 1/c.
     """
     pts = curve.points
-    if len(pts) < 2:
-        raise ValueError("scaling metric needs at least 2 curve points")
     total = 0.0
     n_pairs = 0
     for i in range(len(pts)):

@@ -222,6 +222,17 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BackendConfig.from_dict(backend_config_dict("http://127.0.0.1:8/v1", **change))
 
+    @pytest.mark.parametrize("where", ["request_template", "request_overrides"])
+    def test_an_unknown_placeholder_is_refused(self, where):
+        data = backend_config_dict("http://127.0.0.1:8/v1")
+        tree = (data["request_template"] if where == "request_template"
+                else data["levels"][1]["request_overrides"])
+        tree["reasoning_effort"] = "{{level.effort}}"
+        message = ("backend config has unknown placeholders ['level.effort']; "
+                   "known: prompt, model, level.label, level.kind")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BackendConfig.from_dict(data)
+
     def test_rejects_unknown_level_kind(self, mock_server):
         data = backend_config_dict(mock_server.url)
         data["levels"][0]["kind"] = "vibes"
@@ -475,13 +486,6 @@ class TestDryRun:
         assert report.requests[0]["messages"][0]["content"] == "Answer directly."
         assert report.requests[1]["messages"][0]["content"].startswith("Think step by step")
 
-    def test_unresolved_placeholders_are_reported_not_raised(self, mock_server):
-        data = backend_config_dict(mock_server.url)
-        data["request_template"]["surprise"] = "{{nonexistent}}"
-        report = dry_run(BackendConfig.from_dict(data))
-        assert "nonexistent" in report.unresolved
-        assert not report.ok
-
     def test_probe_resolves_usage_path(self, mock_server, api_key):
         cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
         report = dry_run(cfg, probe=True)
@@ -495,4 +499,12 @@ class TestDryRun:
         report = dry_run(cfg, probe=True)
         assert report.probe_tokens is None
         assert report.probe_error is not None
+        assert not report.ok
+
+    def test_probe_fails_on_a_response_with_no_text_at_the_text_path(self, mock_server, api_key):
+        cfg = BackendConfig.from_dict(
+            backend_config_dict(mock_server.url, response_text_path="/choices/0/text"))
+        report = dry_run(cfg, probe=True)
+        assert report.probe_error == "response has no text at '/choices/0/text'"
+        assert report.probe_tokens is None
         assert not report.ok

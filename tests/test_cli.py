@@ -14,7 +14,7 @@ import yaml
 from click.testing import CliRunner
 
 import arise.store
-from arise import RunManifest, cli, reference_spec
+from arise import ConfigurationError, IncompleteRunError, RunManifest, cli, reference_spec
 from arise.cli import main
 
 from conftest import backend_config_dict, keyed_reply
@@ -308,6 +308,10 @@ class TestMalformedConfigs:
         (lambda: reference_spec().to_dict(),
          lambda c: c["samples"][0]["levels"][1].update(token_log_mean=1000),
          "sample 's01' level 1: token_log_mean 1000.0 must be finite and <= 709.78"),
+        (http_config,
+         lambda c: c["backend"]["levels"][1]["request_overrides"].update(x="{{level.effort}}"),
+         "backend config has unknown placeholders ['level.effort']; "
+         "known: prompt, model, level.label, level.kind\n"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
@@ -324,7 +328,8 @@ class TestMalformedConfigs:
             "unknown-external-key", "unknown-run-config-key", "flat-backend-config",
             "request-template-a-string", "request-template-a-list", "request-overrides-a-number",
             "min-request-interval-inf", "min-request-interval-nan", "tol-negative", "tol-nan",
-            "token-log-std-nan", "token-log-mean-inf", "token-log-mean-overflows"])
+            "token-log-std-nan", "token-log-mean-inf", "token-log-mean-overflows",
+            "unknown-placeholder"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()
@@ -441,6 +446,29 @@ class TestHttpRun:
         assert result.exit_code == 0, result.output
         assert '"reasoning_effort": "low"' in result.output
         assert mock_server.bodies == []
+
+    def test_dry_run_refuses_an_unknown_placeholder(self, runner, tmp_path, mock_server):
+        backend = backend_config_dict(mock_server.url)
+        backend["levels"][1]["request_overrides"]["reasoning_effort"] = "{{level.effort}}"
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps({"backend": backend}))
+        result = runner.invoke(main, ["run", str(path), "--dry-run"])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == ("error: backend config has unknown placeholders "
+                                 "['level.effort']; known: prompt, model, level.label, "
+                                 "level.kind\n")
+        assert result.stdout == ""
+        assert mock_server.bodies == []
+
+    def test_a_probe_with_no_text_at_the_text_path_exits_one(self, runner, tmp_path, mock_server,
+                                                             api_key):
+        backend = backend_config_dict(mock_server.url, response_text_path="/choices/0/text")
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps({"backend": backend}))
+        result = runner.invoke(main, ["run", str(path), "--dry-run", "--probe"])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "probe failed: response has no text at '/choices/0/text'\n"
+        assert len(mock_server.bodies) == 1
 
 
 class TestCompute:
@@ -696,6 +724,35 @@ class TestResume:
         result = runner.invoke(main, resume)
         assert result.exit_code == 0, result.output
         assert (out / "r1.bundle.json").read_bytes() == (full / "r1.bundle.json").read_bytes()
+
+    @pytest.mark.parametrize("others", [("manifest.json",), ("manifest.json", "jsonl")],
+                             ids=["manifest", "manifest-and-records"])
+    def test_a_new_run_that_another_starts_first_exits_one(self, runner, spec_file, tmp_path,
+                                                           monkeypatch, others):
+        """Two new runs of one id both pass the check before the lock: the one that locks second
+        finds the other's files under the lock, refuses, and writes nothing."""
+        first, out = tmp_path / "first", tmp_path / "runs"
+        do_run(runner, spec_file, first, "--naive", "1", "--run-id", "r1", seed="7")
+        real = arise.store.TraceStore.completed_trials
+
+        def started_meanwhile(self, manifest, resume=False):
+            out.mkdir(exist_ok=True)
+            for suffix in others:
+                (out / f"r1.{suffix}").write_bytes((first / f"r1.{suffix}").read_bytes())
+            return real(self, manifest, resume)
+
+        monkeypatch.setattr(arise.store.TraceStore, "completed_trials", started_meanwhile)
+        result = do_run(runner, spec_file, out, "--naive", "2", "--run-id", "r1")
+        assert result.exit_code == 1, result.output
+        assert result.stderr == (f"error: run 'r1' already exists under {out}; "
+                                 f"continue it with --resume\n")
+        assert ((out / "r1.manifest.json").read_bytes()
+                == (first / "r1.manifest.json").read_bytes())
+        if "jsonl" in others:
+            assert (out / "r1.jsonl").read_bytes() == (first / "r1.jsonl").read_bytes()
+        else:  # the opener created the record file; the run refused before it stored a trial
+            assert (out / "r1.jsonl").read_bytes() == b""
+        assert not (out / "r1.bundle.json").exists()
 
     @pytest.mark.parametrize("keep", [1, 90, -1])
     def test_resume_drops_a_torn_final_line(self, runner, spec_file, tmp_path, keep):
@@ -1213,6 +1270,29 @@ class TestExitCodes:
                 f"be replayed or resumed without one") in all_text(result)
         assert [path.name for path in out.iterdir()] == ["r1.jsonl"]
         assert (out / "r1.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("bad value"), 1),
+        (OSError("bad file"), 1),
+        (IncompleteRunError("r1", "short of records"), 2),
+        (ConfigurationError("a", 0, 3, RuntimeError("backend down")), 2),
+    ], ids=["ValueError", "OSError", "IncompleteRunError", "ConfigurationError"])
+    @pytest.mark.parametrize("command, callee", [
+        ("run", "_load_run_config"),
+        ("compute", "_locate_run"),
+        ("simulate", "check_study"),
+        ("report", "decode_file"),
+    ], ids=["run", "compute", "simulate", "report"])
+    def test_each_command_maps_an_error_to_its_code_and_one_error_line(
+            self, runner, spec_file, tmp_path, monkeypatch, command, callee, error, code):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, callee, refuse)
+        path = str(tmp_path if command == "compute" else spec_file)
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"error: {error}\n"
 
 
 class TestHelp:

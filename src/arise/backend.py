@@ -42,7 +42,7 @@ __all__ = [
     "BackendConfig",
     "HttpRunConfig",
     "HttpBackend",
-    "DryRunReport",
+    "send_probe",
     "merge_patch",
     "resolve_pointer",
     "render_template",
@@ -55,6 +55,7 @@ log = logging.getLogger("arise.backend")
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Za-z0-9_.]+)\}\}")
 _RETRY_STATUSES = {429} | set(range(500, 600))
+_STAND_IN = "(sample prompt)"  # the prompt of `dry_run`'s requests and of the probe's task
 # the `BackendConfig` fields that say how a request travels, not what it asks: never hashed
 _TRANSPORT = ("base_url", "auth_env_var", "max_in_flight", "min_request_interval", "retry")
 
@@ -342,14 +343,20 @@ def _render_request(cfg: BackendConfig, prompt: str, level: LevelSpec) -> dict:
                        render_template(level.request_overrides, values)[0])
 
 
-def _response_text(cfg: BackendConfig, payload: Any) -> Any:
+def _response_text(cfg: BackendConfig, payload: Any) -> str:
+    """The text a judge reads: a string, or a number, boolean or null as `str` writes it."""
     try:
-        return resolve_pointer(payload, cfg.response_text_path)
+        value = resolve_pointer(payload, cfg.response_text_path)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise BackendError(f"response has no text at {cfg.response_text_path!r}") from exc
+    if isinstance(value, (dict, list)):
+        kind = "an object" if isinstance(value, dict) else "an array"
+        raise BackendError(f"response value at {cfg.response_text_path!r} is {kind}, not text")
+    return str(value)
 
 
-def _extract_tokens(cfg: BackendConfig, payload: Any) -> int:
+def _extract_tokens(cfg: BackendConfig, payload: Any) -> float:
+    """The whole, positive count at the usage path, as the float a trial outcome holds."""
     try:
         value = resolve_pointer(payload, cfg.usage_path)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
@@ -358,25 +365,30 @@ def _extract_tokens(cfg: BackendConfig, payload: Any) -> int:
         ) from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TokenExtractionError(f"usage value at {cfg.usage_path!r} is not a number: {value!r}")
-    if isinstance(value, float) and not (math.isfinite(value) and value == int(value)):
+    try:
+        tokens = float(value)
+    except OverflowError:  # an integer such as 10**400
+        raise TokenExtractionError(
+            f"usage value at {cfg.usage_path!r} is an integer too large for a float") from None
+    if not (math.isfinite(tokens) and tokens.is_integer()):
         raise TokenExtractionError(f"usage value at {cfg.usage_path!r} is not an integer: {value!r}")
-    tokens = int(value)
     if tokens <= 0:
-        raise TokenExtractionError(f"usage value at {cfg.usage_path!r} must be > 0, got {tokens}")
+        raise TokenExtractionError(
+            f"usage value at {cfg.usage_path!r} must be > 0, got {int(tokens)}")
     return tokens
 
 
 class HttpBackend:
     """EvaluationBackend over an HTTP JSON API for a fixed task set."""
 
-    def __init__(self, cfg: BackendConfig, tasks: Sequence[JudgedTask], session: requests.Session | None = None):
+    def __init__(self, cfg: BackendConfig, tasks: Sequence[JudgedTask]):
         ids = [t.sample_id for t in tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("task sample ids must be unique")
         self.cfg = cfg
         self._tasks = {t.sample_id: t for t in tasks}
         self._limiter = RequestLimiter(cfg.max_in_flight, cfg.min_request_interval)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     @property
     def outcome_config(self) -> dict:
@@ -399,9 +411,8 @@ class HttpBackend:
         level = self.cfg.levels[level_index]
         response = self._post(_render_request(self.cfg, task.prompt, level), sample_id,
                               level.label, trial_index)
-        correct = task.judge.judge(str(_response_text(self.cfg, response)), sample_id)
-        tokens = _extract_tokens(self.cfg, response)
-        return TrialOutcome(float(correct), float(tokens))
+        correct = task.judge.judge(_response_text(self.cfg, response), sample_id)
+        return TrialOutcome(float(correct), _extract_tokens(self.cfg, response))
 
     def _post(self, payload: dict, sample_id: str, level_label: str, trial_index: int) -> Any:
         credential = os.environ.get(self.cfg.auth_env_var)
@@ -441,42 +452,15 @@ class HttpBackend:
         ) from last_error
 
 
-@dataclass(frozen=True)
-class DryRunReport:
-    """What would be sent, per level, and what a probe found. Placeholders all resolve here:
-    `BackendConfig` refuses an unknown one."""
-
-    requests: tuple[dict, ...]  # rendered with a stand-in prompt, one per level
-    usage_path: str
-    probe_tokens: int | None = None  # set when a probe call ran and resolved
-    probe_error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.probe_error is None
+def dry_run(cfg: BackendConfig) -> tuple[dict, ...]:
+    """The request each level would send, rendered with the stand-in prompt; nothing is sent.
+    Every placeholder resolves: `BackendConfig` refuses an unknown one."""
+    return tuple(_render_request(cfg, _STAND_IN, level) for level in cfg.levels)
 
 
-def dry_run(cfg: BackendConfig, probe: bool = False, session: requests.Session | None = None) -> DryRunReport:
-    """Render one request per level without sending; optionally send one probe, the first
-    level's request, whose response must resolve both response paths as a trial's does. A
-    probe's failure goes into the report, never raised."""
-    stand_in = "(sample prompt)"
-    rendered = [_render_request(cfg, stand_in, level) for level in cfg.levels]
-    probe_tokens: int | None = None
-    probe_error: str | None = None
-    if probe:
-        backend = HttpBackend(
-            cfg, [JudgedTask("probe", stand_in, ExactMatchJudge(""))], session=session
-        )
-        try:
-            response = backend._post(rendered[0], "probe", cfg.levels[0].label, 0)
-            _response_text(cfg, response)
-            probe_tokens = _extract_tokens(cfg, response)
-        except BackendError as exc:
-            probe_error = str(exc)
-    return DryRunReport(
-        requests=tuple(rendered),
-        usage_path=cfg.usage_path,
-        probe_tokens=probe_tokens,
-        probe_error=probe_error,
-    )
+def send_probe(cfg: BackendConfig) -> int:
+    """One trial of a stand-in task at the first level, `HttpBackend.evaluate` of `dry_run`'s
+    first request: a reply that a trial refuses raises the trial's BackendError. Returns the
+    trial's token count."""
+    task = JudgedTask("probe", _STAND_IN, ExactMatchJudge(""))
+    return int(HttpBackend(cfg, [task]).evaluate("probe", 0, 0).tokens)

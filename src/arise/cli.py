@@ -210,7 +210,8 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         default_model = "simulator"
         workers = 1
     else:  # only HTTP configs load the backend, and with it requests
-        from .backend import BackendConfig, HttpBackend, HttpRunConfig, dry_run, parse_tasks
+        from .backend import (BackendConfig, BackendError, HttpBackend, HttpRunConfig, dry_run,
+                              parse_tasks, send_probe)
 
         # each part keeps the name it has on its own: `backend config ...`, `tasks[i] ...`
         http = read_config(HttpRunConfig, data, "run config",
@@ -218,14 +219,16 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
                            tasks=lambda value, *_: parse_tasks(value))
         backend_cfg, tasks = http.backend, http.tasks
         if dry:
-            report = dry_run(backend_cfg, probe=probe)
-            for level_request in report.requests:
+            for level_request in dry_run(backend_cfg):
                 click.echo(json.dumps(level_request, indent=2))
-            if report.probe_error:
-                click.echo(f"probe failed: {report.probe_error}", err=True)
-            elif report.probe_tokens is not None:
-                click.echo(f"probe resolved {report.usage_path} -> {report.probe_tokens}", err=True)
-            sys.exit(0 if report.ok else 1)
+            if probe:
+                try:
+                    tokens = send_probe(backend_cfg)
+                except BackendError as exc:
+                    click.echo(f"probe failed: {exc}", err=True)
+                    sys.exit(1)
+                click.echo(f"probe resolved {backend_cfg.usage_path} -> {tokens}", err=True)
+            return
         if not tasks:
             raise ValueError("backend run config has no tasks")
         backend = HttpBackend(backend_cfg, tasks)

@@ -53,10 +53,6 @@ class SampleTrajectory:
     sample_id: str
     levels: tuple[LevelOutcome, ...]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class TrajectoryDiagnostics:

@@ -110,10 +110,6 @@ class SyntheticModelSpec:
                                      f"{params.token_log_mean!r} must be finite and <= 709.78")
 
     @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-    @property
     def n_levels(self) -> int:
         return len(self.samples[0].levels)
 

@@ -327,7 +327,7 @@ def _encode(obj: object) -> dict:
     data = {}
     for name in _config_fields(type(obj)):
         value = getattr(obj, name)
-        if type(value) not in _SCALARS:  # records hold only scalars, so they skip both checks
+        if type(value) not in _SCALARS:  # a bundle row's values, scalars, skip both checks
             if value is None:
                 continue
             value = _plain(value)
@@ -354,21 +354,24 @@ def _decode(cls: type[T], data: object) -> T:
     wrote them. Each field's type drives the read: a stored class is decoded by this function, a
     list in a `tuple[X, ...]` field becomes a tuple of decoded X, and a fixed-length `tuple[X, Y]`
     takes only a list of that length; any other value is passed as it is, for the class to
-    refuse. No scalar is converted. A non-object, an unknown or missing field, or a value the
-    class cannot take raises ValueError naming the field or the class's `_STORED` name.
+    refuse. No scalar is converted: after the class's `__post_init__`, whose messages come first,
+    `_check_type` refuses a `str`, `int`, `float` or `bool` field, or tuple element, of another
+    JSON type. A non-object, an unknown or missing field, or a value the class cannot take
+    raises ValueError naming the field or the class's `_STORED` name.
     """
     what = _STORED[cls]
     if not isinstance(data, dict):
         raise _value_error(what, f"must be a JSON object, got {type(data).__name__}")
+    _check_keys(cls, data, what)
     stored_fields = _config_fields(cls)
-    if len(data) < len(stored_fields):  # a complete object skips the key check
-        _check_keys(cls, data, what)
     try:
-        return cls(**{key: _decode_value(stored_fields[key][0], value, key)
-                      if key in stored_fields else value for key, value in data.items()})
+        obj = cls(**{key: _decode_value(stored_fields[key][0], value, key)
+                     for key, value in data.items()})
     except TypeError as exc:
-        _check_keys(cls, data, what)
         raise _value_error(what, str(exc)) from exc
+    for key, (tp, _) in stored_fields.items():
+        _check_type(tp, getattr(obj, key), key)
+    return obj
 
 
 def _decode_value(tp: object, value: object, key: str) -> object:
@@ -385,6 +388,20 @@ def _decode_value(tp: object, value: object, key: str) -> object:
         else:
             raise _value_error(key, f"{value!r} is not a list of {len(args)} values")
     return value
+
+
+# a scalar field type -> the types of the JSON values it takes (a bool is no int), and their name
+_JSON_TYPES = {str: ({str}, "a string"), int: ({int}, "an integer"),
+               float: ({int, float}, "a number"), bool: ({bool}, "a boolean")}
+
+
+def _check_type(tp: object, value: object, key: str) -> None:
+    """Refuse a decoded value of field `key` whose JSON type is not the type `tp` says."""
+    if tp in _JSON_TYPES and type(value) not in _JSON_TYPES[tp][0]:
+        raise _value_error(key, f"must be {_JSON_TYPES[tp][1]}, got {value!r}")
+    if type(tp) is types.GenericAlias:  # a tuple, which `_decode_value` built
+        for i, v in enumerate(value):
+            _check_type(tp.__args__[0 if tp.__args__[-1] is Ellipsis else i], v, key)
 
 
 # a manifest's mode -> its mode class, whose fields are the manifest keys the mode uses

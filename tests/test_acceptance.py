@@ -256,8 +256,8 @@ def test_12_token_rescaling_invariance():
         assert abs(arise_sample(after)[0] - arise_sample(before)[0]) <= 1e-12
 
     # dataset-level: group into equal-length cohorts so curves are well-formed
-    cohort = [t for t in trajs if t.n_levels == trajs[0].n_levels][:10]
-    scaled_cohort = [t for t in scaled_trajs if t.n_levels == trajs[0].n_levels][:10]
+    cohort = [t for t in trajs if len(t.levels) == len(trajs[0].levels)][:10]
+    scaled_cohort = [t for t in scaled_trajs if len(t.levels) == len(trajs[0].levels)][:10]
     sm = scaling_metric(build_scaling_curve(cohort))
     sm_scaled = scaling_metric(build_scaling_curve(scaled_cohort))
     assert abs(sm_scaled - sm / c) <= 1e-12

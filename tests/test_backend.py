@@ -20,10 +20,12 @@ from arise import (
     ExternalJudge,
     HttpBackend,
     JudgeError,
+    JudgedTask,
     NumericMatchJudge,
     RequestLimiter,
     RetryPolicy,
     TokenExtractionError,
+    TrialOutcome,
     config_hash,
     dry_run,
     merge_patch,
@@ -31,6 +33,7 @@ from arise import (
     parse_tasks,
     render_template,
     resolve_pointer,
+    send_probe,
 )
 
 from conftest import backend_config_dict
@@ -384,6 +387,40 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="no text"):
             make_backend(mock_server).evaluate("q1", 0, 0)
 
+    @pytest.mark.parametrize("path, kind", [("/choices/0", "an object"), ("/choices", "an array")])
+    def test_response_text_that_is_not_text_is_refused(self, mock_server, api_key, path, kind):
+        message = f"response value at {path!r} is {kind}, not text"
+        with pytest.raises(BackendError) as err:
+            make_backend(mock_server, response_text_path=path).evaluate("q1", 0, 0)
+        assert str(err.value) == message
+        # the probe is a trial, so it refuses the same reply with the same error
+        with pytest.raises(BackendError) as err:
+            send_probe(BackendConfig.from_dict(
+                backend_config_dict(mock_server.url, response_text_path=path)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("content, text", [(42, "42"), (4.5, "4.5"), (True, "True"),
+                                               (None, "None")])
+    def test_a_number_boolean_or_null_is_judged_as_str_writes_it(self, mock_server, api_key,
+                                                                 content, text):
+        mock_server.reply = lambda body: {"choices": [{"message": {"content": content}}],
+                                          "usage": {"completion_tokens": 3}}
+        cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
+        for expected, correct in ((text, 1.0), ("other", 0.0)):
+            task = JudgedTask("q1", "?", ExactMatchJudge(expected))
+            assert HttpBackend(cfg, [task]).evaluate("q1", 0, 0) == TrialOutcome(correct, 3.0)
+
+    def test_a_usage_count_beyond_the_float_range_is_refused(self, mock_server, api_key):
+        mock_server.reply = lambda body: {"choices": [{"message": {"content": "42"}}],
+                                          "usage": {"completion_tokens": 10**400}}
+        message = "usage value at '/usage/completion_tokens' is an integer too large for a float"
+        with pytest.raises(TokenExtractionError) as err:
+            make_backend(mock_server).evaluate("q1", 0, 0)
+        assert str(err.value) == message
+        with pytest.raises(TokenExtractionError) as err:
+            send_probe(BackendConfig.from_dict(backend_config_dict(mock_server.url)))
+        assert str(err.value) == message
+
     def test_credential_never_reaches_logs(self, mock_server, api_key, caplog):
         with caplog.at_level(logging.DEBUG, logger="arise.backend"):
             make_backend(mock_server).evaluate("q1", 0, 0)
@@ -440,11 +477,11 @@ class TestPacing:
 class TestDryRun:
     def test_renders_one_request_per_level(self, mock_server):
         cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
-        report = dry_run(cfg)
-        assert len(report.requests) == 2
-        assert report.requests[0]["reasoning_effort"] == "low"
-        assert report.requests[1]["reasoning_effort"] == "high"
-        assert report.ok
+        requests = dry_run(cfg)
+        assert len(requests) == 2
+        assert requests[0]["reasoning_effort"] == "low"
+        assert requests[1]["reasoning_effort"] == "high"
+        assert mock_server.bodies == []
 
     def test_effort_levels_differ_only_in_the_effort_field(self, mock_server):
         data = backend_config_dict(mock_server.url)
@@ -452,9 +489,8 @@ class TestDryRun:
             {"label": lab, "kind": "effort", "request_overrides": {"reasoning_effort": lab}}
             for lab in ("low", "medium", "high")
         ]
-        report = dry_run(BackendConfig.from_dict(data))
         stripped = []
-        for request in report.requests:
+        for request in dry_run(BackendConfig.from_dict(data)):
             body = dict(request)
             body.pop("reasoning_effort")
             stripped.append(body)
@@ -482,29 +518,27 @@ class TestDryRun:
                 },
             },
         ]
-        report = dry_run(BackendConfig.from_dict(data))
-        assert report.requests[0]["messages"][0]["content"] == "Answer directly."
-        assert report.requests[1]["messages"][0]["content"].startswith("Think step by step")
+        requests = dry_run(BackendConfig.from_dict(data))
+        assert requests[0]["messages"][0]["content"] == "Answer directly."
+        assert requests[1]["messages"][0]["content"].startswith("Think step by step")
 
     def test_probe_resolves_usage_path(self, mock_server, api_key):
         cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
-        report = dry_run(cfg, probe=True)
-        assert report.probe_tokens == 128
-        assert report.probe_error is None
+        assert send_probe(cfg) == 128
+        # the probe sends the first request that `dry_run` renders, once
+        assert mock_server.bodies == [dry_run(cfg)[0]]
 
-    def test_probe_failure_is_reported_not_raised(self, mock_server, api_key, monkeypatch):
+    def test_a_probe_failure_raises_the_trials_error(self, mock_server, api_key, monkeypatch):
         monkeypatch.setattr("arise.backend.time.sleep", lambda s: None)
         mock_server.status_queue = [500, 500, 500]
         cfg = BackendConfig.from_dict(backend_config_dict(mock_server.url))
-        report = dry_run(cfg, probe=True)
-        assert report.probe_tokens is None
-        assert report.probe_error is not None
-        assert not report.ok
+        with pytest.raises(BackendError, match="request failed after 3 attempts: HTTP 500"):
+            send_probe(cfg)
+        assert len(mock_server.bodies) == 3
 
     def test_probe_fails_on_a_response_with_no_text_at_the_text_path(self, mock_server, api_key):
         cfg = BackendConfig.from_dict(
             backend_config_dict(mock_server.url, response_text_path="/choices/0/text"))
-        report = dry_run(cfg, probe=True)
-        assert report.probe_error == "response has no text at '/choices/0/text'"
-        assert report.probe_tokens is None
-        assert not report.ok
+        with pytest.raises(BackendError) as err:
+            send_probe(cfg)
+        assert str(err.value) == "response has no text at '/choices/0/text'"

@@ -470,6 +470,62 @@ class TestHttpRun:
         assert result.stderr == "probe failed: response has no text at '/choices/0/text'\n"
         assert len(mock_server.bodies) == 1
 
+    def test_a_probe_of_a_reply_a_trial_accepts_exits_zero(self, runner, tmp_path, mock_server,
+                                                           api_key):
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps({"backend": backend_config_dict(mock_server.url)}))
+        dry = runner.invoke(main, ["run", str(path), "--dry-run"])
+        assert dry.exit_code == 0, dry.output
+        result = runner.invoke(main, ["run", str(path), "--dry-run", "--probe"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == dry.stdout
+        assert result.stderr == "probe resolved /usage/completion_tokens -> 128\n"
+        assert [body["messages"][0]["content"] for body in mock_server.bodies] == [
+            "(sample prompt)"]
+
+    TEXT = {"message": {"content": "42"}}
+
+    @pytest.mark.parametrize("overrides, reply, status, message", [
+        ({"response_text_path": "/choices/0"}, {"choices": [TEXT], "usage": {"completion_tokens": 5}},
+         200, "response value at '/choices/0' is an object, not text"),
+        ({}, {"choices": [TEXT]}, 200,
+         "response has no usage value at '/usage/completion_tokens'"),
+        ({}, {"choices": [TEXT], "usage": {"completion_tokens": 0}}, 200,
+         "usage value at '/usage/completion_tokens' must be > 0, got 0"),
+        ({}, {"choices": [TEXT], "usage": {"completion_tokens": 10**400}}, 200,
+         "usage value at '/usage/completion_tokens' is an integer too large for a float"),
+        ({}, {}, 400, 'HTTP 400: {"error": {"code": 400}}'),
+    ], ids=["object-text", "no-usage", "usage-0", "usage-10**400", "http-400"])
+    def test_a_probe_of_a_reply_a_trial_refuses_exits_one(self, runner, tmp_path, mock_server,
+                                                          api_key, overrides, reply, status,
+                                                          message):
+        mock_server.reply = lambda body: reply
+        mock_server.status_queue = [status]
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps({"backend": backend_config_dict(mock_server.url, **overrides)}))
+        result = runner.invoke(main, ["run", str(path), "--dry-run", "--probe"])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"probe failed: {message}\n"
+        assert result.stdout == runner.invoke(main, ["run", str(path), "--dry-run"]).stdout
+        assert len(mock_server.bodies) == 1
+
+    def test_a_usage_count_beyond_the_float_range_aborts_the_run(self, runner, tmp_path,
+                                                                 mock_server, api_key):
+        mock_server.reply = lambda body: {"choices": [{"message": {"content": "42"}}],
+                                          "usage": {"completion_tokens": 10**400}}
+        config = {"backend": backend_config_dict(mock_server.url),
+                  "tasks": [{"sample_id": "q1", "prompt": "?",
+                             "judge": {"type": "exact_match", "expected": "42"}}]}
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", str(path), "--naive", "1", "--out", str(out),
+                                      "--run-id", "h1"])
+        assert result.exit_code == 2
+        assert ("usage value at '/usage/completion_tokens' is an integer too large for a float"
+                in result.stderr)
+        assert (out / "h1.jsonl").read_bytes() == b""
+
 
 class TestCompute:
     def test_recompute_reproduces_the_live_bundle(self, runner, spec_file, tmp_path):
@@ -1614,6 +1670,14 @@ class TestMalformedStoredFiles:
          "curve: [1.0, 0.5, 2.0] is not a list of 2 values"),
         (lambda b: b["curve"].__setitem__(0, 7), "curve: 7 is not a list of 2 values"),
         (lambda b: b.update(sample_scores=5), "sample_scores: must be a list, got 5"),
+        (lambda b: b.update(scaling_metric=None), "scaling_metric: must be a number, got None"),
+        (lambda b: b.update(aggregate_arise="x"), "aggregate_arise: must be a number, got 'x'"),
+        (lambda b: b["configurations"][0].update(converged="no"),
+         "converged: must be a boolean, got 'no'"),
+        (lambda b: b["curve"][0].__setitem__(1, None), "curve: must be a number, got None"),
+        (lambda b: b["sample_scores"][0].update(improve=True),
+         "improve: must be an integer, got True"),
+        (lambda b: b["sample_scores"][0].update(sample_id=7), "sample_id: must be a string, got 7"),
     ])
     def test_bad_bundle_in_report(self, runner, spec_file, tmp_path, edit, expected):
         out = tmp_path / "runs"

@@ -10,18 +10,24 @@ configuration draws does not depend on the other configurations.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import arise
 from arise.cli import main
 
 from conftest import MockModelServer, backend_config_dict, body_key, keyed_reply
 
 PROMPTS = {f"q{i}": f"Question {i}: what is six times seven?" for i in range(4)}
 MODES = {"naive": ("--naive", "3"), "budget": ("--budget", "40")}
+SRC = str(Path(arise.__file__).resolve().parent.parent)
 
 
 class Served:
@@ -122,15 +128,17 @@ def test_bundles_do_not_depend_on_max_in_flight(tmp_path, mock_server, api_key, 
     assert (reordered / "r.bundle.json").read_bytes() == (outs[4] / "r.bundle.json").read_bytes()
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_a_concurrent_run_cut_mid_line_resumes_to_the_uncut_bundle(tmp_path, mock_server, api_key,
-                                                                     mode):
-    config = write_config(tmp_path / "config", mock_server.url, 4)
+def cut_run(tmp_path: Path, server: MockModelServer, max_in_flight: int,
+            mode: str) -> tuple[Path, Path, Path, dict[str, int]]:
+    """A run drawn whole, and a copy of it cut inside a record line: (config, whole run's store,
+    cut store, answers each body had before the cut), the last for `Served(server, start)`, so
+    the server resumes each configuration at the trial the store resumes it at."""
+    config = write_config(tmp_path / "config", server.url, max_in_flight)
     full = tmp_path / "full"
-    Served(mock_server)
+    Served(server)
     run(config, full, *MODES[mode])
     bodies = {(b["messages"][0]["content"], b["reasoning_effort"]): body_key(b)
-              for b in mock_server.bodies}
+              for b in server.bodies}
 
     data = (full / "r.jsonl").read_bytes()
     cut = data.index(b"\n", len(data) // 2) - 10  # inside a record line
@@ -138,19 +146,73 @@ def test_a_concurrent_run_cut_mid_line_resumes_to_the_uncut_bundle(tmp_path, moc
     cut_dir.mkdir()
     (cut_dir / "r.manifest.json").write_bytes((full / "r.manifest.json").read_bytes())
     (cut_dir / "r.jsonl").write_bytes(data[:cut])
-    runner = CliRunner()
-    assert runner.invoke(main, ["compute", str(cut_dir), "--run-id", "r"]).exit_code == 2
-
-    # the server resumes each configuration at the trial the store resumes it at
     kept = Counter((r["sample_id"], r["level_index"])
                    for r in map(json.loads, data[:cut].splitlines()[:-1]))
     labels = ("low", "high")
-    start = {bodies[(PROMPTS[sid], labels[j])]: n for (sid, j), n in kept.items()}
+    return config, full, cut_dir, {bodies[(PROMPTS[sid], labels[j])]: n
+                                   for (sid, j), n in kept.items()}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_a_concurrent_run_cut_mid_line_resumes_to_the_uncut_bundle(tmp_path, mock_server, api_key,
+                                                                     mode):
+    config, full, cut_dir, start = cut_run(tmp_path, mock_server, 4, mode)
+    runner = CliRunner()
+    assert runner.invoke(main, ["compute", str(cut_dir), "--run-id", "r"]).exit_code == 2
+
     served = Served(mock_server, start)
     run(config, cut_dir, "--resume")
-    resumed = len(records_without_clock(cut_dir)) - sum(kept.values())
+    resumed = len(records_without_clock(cut_dir)) - sum(start.values())
     assert served.posts == resumed + served.refused
     assert bundle_without_clock(cut_dir) == bundle_without_clock(full)
+
+
+def test_of_two_resumes_in_two_processes_one_finishes_and_one_writes_nothing(tmp_path, mock_server,
+                                                                             api_key):
+    """Two `arise run --resume` children of one cut run overlap: the server holds its replies to
+    the first, which holds the run's lock, until the second has exited."""
+    config, full, cut_dir, start = cut_run(tmp_path, mock_server, 2, "naive")
+    Served(mock_server, start)
+    keyed, asked, released = mock_server.reply, threading.Event(), threading.Event()
+
+    def held(body: dict) -> dict:
+        asked.set()
+        released.wait(timeout=120)
+        return keyed(body)
+
+    mock_server.reply = held
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    resume = [sys.executable, "-m", "arise.cli", "run", str(config), "--out", str(cut_dir),
+              "--run-id", "r", "--resume"]
+
+    def start() -> subprocess.Popen:
+        return subprocess.Popen(resume, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+
+    first = start()
+    try:
+        while not asked.wait(timeout=0.05):  # the first child has locked the run and is drawing
+            assert first.poll() is None, first.communicate()
+        before = {path.name: path.read_bytes() for path in cut_dir.iterdir()}
+        second = start()
+        # a timeout kills nothing: a second writer would wait on the held replies, then draw
+        second_out, second_err = second.communicate(timeout=60)
+        after = {path.name: path.read_bytes() for path in cut_dir.iterdir()}
+    finally:
+        released.set()
+    stdout, stderr = first.communicate(timeout=120)
+    assert first.returncode == 0, stderr
+    assert second.returncode == 1, second_err
+    assert second_err == (f"error: run 'r' has another writer: it holds the lock on "
+                          f"{cut_dir / 'r.jsonl'}\n")
+    assert second_out == ""
+    assert after == before
+
+    result = CliRunner().invoke(main, ["compute", str(cut_dir), "--run-id", "r"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == stdout
+    assert (cut_dir / "r.bundle.json").read_bytes() == (full / "r.bundle.json").read_bytes()
 
 
 def test_a_concurrent_run_writes_the_bundle_compute_replays(tmp_path, mock_server, api_key,

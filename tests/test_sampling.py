@@ -711,7 +711,7 @@ class TestRunEvaluation:
             ["level0", "level1", "level2"], ConvergenceConfig(), NaiveMode(4),
         )
         assert all(r.k_star == 4 for r in run.configurations.values())
-        assert run.total_trials == 4 * spec.n_samples * spec.n_levels
+        assert run.total_trials == 4 * len(spec.samples) * spec.n_levels
 
     def test_naive_mode_rejects_zero_trials(self):
         spec = reference_spec()
@@ -735,7 +735,7 @@ class TestRunEvaluation:
 
     def test_budget_mode_spends_exactly_the_budget(self):
         spec = reference_spec()
-        n, J = spec.n_samples, spec.n_levels
+        n, J = len(spec.samples), spec.n_levels
         B = 7 * n * J
         run = run_evaluation(
             SimulatorBackend(spec), list(spec.sample_ids),
@@ -749,7 +749,7 @@ class TestRunEvaluation:
             SimulatorBackend(spec), list(spec.sample_ids),
             ["level0", "level1", "level2"], ConvergenceConfig(), FixedBudgetMode(None),
         )
-        assert run.total_trials == 5 * spec.n_samples * spec.n_levels
+        assert run.total_trials == 5 * len(spec.samples) * spec.n_levels
 
     def test_budget_mode_rejects_infeasible_budget(self):
         spec = reference_spec()

@@ -361,7 +361,7 @@ class TestReferenceSpec:
     def test_shape_and_seed(self):
         spec = reference_spec()
         assert spec.seed == 42
-        assert spec.n_samples == 8
+        assert len(spec.samples) == 8
         assert spec.n_levels == 3
 
     def test_custom_seed_keeps_parameters(self):

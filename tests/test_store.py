@@ -1408,7 +1408,7 @@ class TestRecomputeMatchesLiveRun:
     def test_recomputed_trajectories_equal_live_values(self, tmp_path: Path):
         spec = reference_spec()
         labels = ["level0", "level1", "level2"]
-        live = manifest(run_id="live", levels=tuple(labels), n_samples=spec.n_samples, trials=2)
+        live = manifest(run_id="live", levels=tuple(labels), n_samples=len(spec.samples), trials=2)
         store = open_run(tmp_path, live)
         run = run_evaluation(
             SimulatorBackend(spec), list(spec.sample_ids), labels,
@@ -1436,6 +1436,35 @@ class TestBundleSerialization:
         bundle = store.recompute("r1")
         write_document(tmp_path / "r1.bundle.json", bundle)
         assert decode_file(tmp_path / "r1.bundle.json", ResultBundle) == bundle
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b.update(scaling_metric=True), "scaling_metric: must be a number, got True"),
+        (lambda b: b["sample_scores"][0].update(improve=1.0),
+         "improve: must be an integer, got 1.0"),
+        (lambda b: b["configurations"][0].update(zero_variance_probe=0),
+         "zero_variance_probe: must be a boolean, got 0"),
+        (lambda b: b["transitions"][0].update(from_level="0"),
+         "from_level: must be an integer, got '0'"),
+        (lambda b: b["curve"][1].__setitem__(0, "300"), "curve: must be a number, got '300'"),
+    ])
+    def test_every_typed_scalar_is_checked_on_read(self, tmp_path: Path, edit, message):
+        with open_run(tmp_path) as store:
+            append(store)
+            append(store, level_index=1, tokens=300)
+        data = json.loads(json.dumps(_encode(store.recompute("r1"))))
+        edit(data)
+        with pytest.raises(ValueError) as err:
+            _decode(ResultBundle, data)
+        assert str(err.value) == message
+
+    def test_an_integer_reads_as_a_number(self, tmp_path: Path):
+        with open_run(tmp_path) as store:
+            append(store)
+            append(store, level_index=1, tokens=300)
+        data = json.loads(json.dumps(_encode(store.recompute("r1"))))
+        data["scaling_metric"], data["curve"][0][0] = 0, 100
+        bundle = _decode(ResultBundle, data)
+        assert (bundle.scaling_metric, bundle.curve[0][0]) == (0, 100)
 
 
 class TestReadMapping:

@@ -30,8 +30,6 @@ from .store import _encode, read_config
 
 __all__ = [
     "BackendError",
-    "TokenExtractionError",
-    "JudgeError",
     "ExactMatchJudge",
     "NumericMatchJudge",
     "ExternalJudge",
@@ -61,19 +59,7 @@ _TRANSPORT = ("base_url", "auth_env_var", "max_in_flight", "min_request_interval
 
 
 class BackendError(RuntimeError):
-    """The API call could not produce a usable response."""
-
-
-class TokenExtractionError(BackendError):
-    """The response lacks a positive integer at the usage path."""
-
-
-class JudgeError(BackendError):
-    """The judging process itself failed (not a wrong answer)."""
-
-    def __init__(self, message: str, response: str):
-        super().__init__(message)
-        self.response = response  # raw model response text for postmortems
+    """The API call, or the judge, could not produce a usable trial outcome."""
 
 
 def merge_patch(target: Any, patch: Any) -> Any:
@@ -179,15 +165,13 @@ class ExternalJudge:
                 timeout=120,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            raise JudgeError(f"judge command failed to run: {exc}", response=text) from exc
+            raise BackendError(f"judge command failed to run: {exc}") from exc
         if proc.returncode != 0:
-            raise JudgeError(
-                f"judge command exited {proc.returncode}: {proc.stderr.strip()[:200]}",
-                response=text,
-            )
+            raise BackendError(
+                f"judge command exited {proc.returncode}: {proc.stderr.strip()[:200]}")
         verdict = proc.stdout.strip()
         if verdict not in ("0", "1"):
-            raise JudgeError(f"judge printed {verdict!r}, expected '0' or '1'", response=text)
+            raise BackendError(f"judge printed {verdict!r}, expected '0' or '1'")
         return float(verdict)
 
 
@@ -360,21 +344,18 @@ def _extract_tokens(cfg: BackendConfig, payload: Any) -> float:
     try:
         value = resolve_pointer(payload, cfg.usage_path)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
-        raise TokenExtractionError(
-            f"response has no usage value at {cfg.usage_path!r}"
-        ) from exc
+        raise BackendError(f"response has no usage value at {cfg.usage_path!r}") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TokenExtractionError(f"usage value at {cfg.usage_path!r} is not a number: {value!r}")
+        raise BackendError(f"usage value at {cfg.usage_path!r} is not a number: {value!r}")
     try:
         tokens = float(value)
     except OverflowError:  # an integer such as 10**400
-        raise TokenExtractionError(
+        raise BackendError(
             f"usage value at {cfg.usage_path!r} is an integer too large for a float") from None
     if not (math.isfinite(tokens) and tokens.is_integer()):
-        raise TokenExtractionError(f"usage value at {cfg.usage_path!r} is not an integer: {value!r}")
+        raise BackendError(f"usage value at {cfg.usage_path!r} is not an integer: {value!r}")
     if tokens <= 0:
-        raise TokenExtractionError(
-            f"usage value at {cfg.usage_path!r} must be > 0, got {int(tokens)}")
+        raise BackendError(f"usage value at {cfg.usage_path!r} must be > 0, got {int(tokens)}")
     return tokens
 
 
@@ -439,7 +420,7 @@ class HttpBackend:
                     if resp.status_code == 200:
                         try:
                             return resp.json()
-                        except ValueError as exc:
+                        except (ValueError, RecursionError) as exc:  # or nested too deeply
                             raise BackendError(f"response is not JSON: {exc}") from exc
                     if resp.status_code not in _RETRY_STATUSES:
                         raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")

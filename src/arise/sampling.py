@@ -35,8 +35,6 @@ __all__ = [
     "FixedBudgetMode",
     "NaiveMode",
     "RunMode",
-    "SamplingStateError",
-    "InfeasibleBudgetError",
     "ConfigurationError",
     "should_continue",
     "run_configuration",
@@ -52,14 +50,6 @@ _MAX_TOKENS = 2**53  # the largest count a float holds exactly; far larger ones 
 # A proportional budget share that is integral in exact arithmetic can land
 # one ulp below the integer in floats; nudge by this before flooring.
 _FLOOR_GUARD = 1e-9
-
-
-class SamplingStateError(RuntimeError):
-    """An operation was invoked before the state it needs exists."""
-
-
-class InfeasibleBudgetError(ValueError):
-    """The total budget cannot cover the mandatory probe trials."""
 
 
 class ConfigurationError(RuntimeError):
@@ -148,9 +138,7 @@ def should_continue(stats: _RunningCV, cfg: ConvergenceConfig) -> bool:
     combined CV is the `_two_pass` one.
     """
     if stats.count < cfg.m_min:
-        raise SamplingStateError(
-            f"probing incomplete: {stats.count} of {cfg.m_min} trials collected"
-        )
+        raise ValueError(f"probing incomplete: {stats.count} of {cfg.m_min} trials collected")
     return stats.cv_combined >= cfg.tau and stats.count < cfg.m_max
 
 
@@ -423,7 +411,7 @@ def check_mode(mode: RunMode, n: int, J: int, cfg: ConvergenceConfig) -> RunMode
     """Refuse a mode that cannot run on n samples x J levels; resolve the default budget.
 
     Naive mode needs at least one trial per configuration; a budget must
-    cover the n*J*m_min probe trials (InfeasibleBudgetError otherwise).
+    cover the n*J*m_min probe trials (ValueError otherwise).
     Returns the mode with a budget of None replaced by 5*n*J.
     """
     if isinstance(mode, NaiveMode) and mode.trials < 1:
@@ -432,7 +420,7 @@ def check_mode(mode: RunMode, n: int, J: int, cfg: ConvergenceConfig) -> RunMode
         budget = 5 * n * J if mode.budget is None else mode.budget
         minimum = n * J * cfg.m_min
         if budget < minimum:
-            raise InfeasibleBudgetError(
+            raise ValueError(
                 f"budget {budget} is below the minimum feasible {minimum} "
                 f"(n*J*m_min = {n}*{J}*{cfg.m_min})"
             )

@@ -13,9 +13,9 @@ compute`) the run its records replay to, so both write the same bytes.
 The replay is `run_evaluation` with a backend that cannot draw, so the
 live run's stop rule decides: a configuration short of it raises
 IncompleteRunError (a resume draws the rest); one holding more trials
-than it draws, a trial stored twice (DuplicateTrialError) and a gap in a
-configuration's trial indices raise ValueError. A run is addressed by
-its manifest: `read_manifest` refuses a manifest that names another run,
+than it draws, a trial stored twice and a gap in a configuration's trial
+indices raise ValueError. A run is addressed by its manifest:
+`read_manifest` refuses a manifest that names another run,
 and every record is checked against the one manifest read (or built)
 for its run. One check owns every record rule (`_check_record`), and
 both sides apply it with that manifest: `completed_trials(manifest)`
@@ -30,7 +30,7 @@ gives each configuration's next trial index, so the writer only extends
 a file that replay accepts. Appends flush per line, and a line is stored
 once its newline is written, so a crash loses at most the in-flight
 record: bytes after the last newline are a torn line, which makes
-readers raise `TornRecordError` and a resume cut it off before appending;
+readers raise `IncompleteRunError` and a resume cut it off before appending;
 no other line is ever rewritten or deleted.
 Floats survive the round trip exactly (JSON serialization preserves 17
 significant digits).
@@ -81,10 +81,7 @@ __all__ = [
     "ConfigurationSummary",
     "ResultBundle",
     "TraceStore",
-    "RecordValidationError",
-    "DuplicateTrialError",
     "IncompleteRunError",
-    "TornRecordError",
     "config_hash",
     "decode_file",
     "now_rfc3339",
@@ -100,35 +97,12 @@ __all__ = [
 ]
 
 
-class RecordValidationError(ValueError):
-    """A trial record field failed validation."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.fieldname = fieldname
-
-
-class DuplicateTrialError(ValueError):
-    """A trial that is already stored: appended again, or found twice in a record file."""
-
-
 class IncompleteRunError(RuntimeError):
-    """A run is missing records needed to assemble trajectories."""
+    """A run that `run --resume` continues: its records stop short, or end in a torn line."""
 
     def __init__(self, run_id: str, message: str):
         super().__init__(f"run {run_id!r}: {message}")
         self.run_id = run_id
-
-
-class TornRecordError(IncompleteRunError):
-    """Bytes after a record file's last newline: the line in flight when the writer stopped."""
-
-    def __init__(self, run_id: str, offset: int):
-        super().__init__(
-            run_id,
-            f"record file ends in a torn line at byte {offset}; `run --resume` drops it",
-        )
-        self.offset = offset  # where the torn line starts: the length of the intact prefix
 
 
 def read_mapping(path: str | Path, what: str) -> dict:
@@ -336,6 +310,7 @@ def _encode(obj: object) -> dict:
 
 
 def _value_error(fieldname: str, message: str) -> ValueError:
+    """The refusal of a field's value, `"<field>: <message>"`, for every stored format."""
     return ValueError(f"{fieldname}: {message}")
 
 
@@ -355,9 +330,10 @@ def _decode(cls: type[T], data: object) -> T:
     list in a `tuple[X, ...]` field becomes a tuple of decoded X, and a fixed-length `tuple[X, Y]`
     takes only a list of that length; any other value is passed as it is, for the class to
     refuse. No scalar is converted: after the class's `__post_init__`, whose messages come first,
-    `_check_type` refuses a `str`, `int`, `float` or `bool` field, or tuple element, of another
-    JSON type. A non-object, an unknown or missing field, or a value the class cannot take
-    raises ValueError naming the field or the class's `_STORED` name.
+    `_check_type` refuses a `str`, `int`, `float` or `bool` field (alone, as `X | None` unless
+    None, or as a tuple element) of another JSON type. A non-object, an unknown or missing field,
+    or a value the class cannot take raises ValueError naming the field or the class's `_STORED`
+    name.
     """
     what = _STORED[cls]
     if not isinstance(data, dict):
@@ -396,7 +372,12 @@ _JSON_TYPES = {str: ({str}, "a string"), int: ({int}, "an integer"),
 
 
 def _check_type(tp: object, value: object, key: str) -> None:
-    """Refuse a decoded value of field `key` whose JSON type is not the type `tp` says."""
+    """Refuse a decoded value of field `key` whose JSON type is not the type `tp` says; a field
+    typed `X | None` takes None, and anything else as an X."""
+    if type(tp) is types.UnionType:  # X | None
+        if value is None:
+            return
+        tp = tp.__args__[0]
     if tp in _JSON_TYPES and type(value) not in _JSON_TYPES[tp][0]:
         raise _value_error(key, f"must be {_JSON_TYPES[tp][1]}, got {value!r}")
     if type(tp) is types.GenericAlias:  # a tuple, which `_decode_value` built
@@ -451,7 +432,7 @@ class RunManifest:
             value = getattr(self, name)
             if not (value is None or isinstance(value, str)):
                 raise _value_error(name, f"must be a string, got {value!r}")
-        if self.mode not in _MODES:
+        if not (isinstance(self.mode, str) and self.mode in _MODES):  # a list is unhashable
             raise _value_error("mode", f"must be one of {', '.join(_MODES)}, got {self.mode!r}")
         for name in ("budget", "trials"):
             value = getattr(self, name)
@@ -501,8 +482,8 @@ _RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", 
 _record_values = operator.itemgetter(*_RECORD_FIELDS)
 
 
-def _refused(name: str, rule: str, value: object) -> RecordValidationError:
-    return RecordValidationError(name, f"{rule}, got {value!r}")
+def _refused(name: str, rule: str, value: object) -> ValueError:
+    return _value_error(name, f"{rule}, got {value!r}")
 
 
 def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int], int, float, float]:
@@ -513,13 +494,11 @@ def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int],
     key; then each field must hold a value a run writes, `correct` and the
     token count as floats (a stored integer `correct` reads as a float);
     then it must be a record `append_trial` would write for `manifest`'s
-    run, of a sample the manifest lists. The first
-    rule broken, in that order, raises RecordValidationError naming its
-    field.
+    run, of a sample the manifest lists. The first rule broken, in that
+    order, raises the ValueError of `_value_error` naming its field.
     """
     if not isinstance(data, dict):
-        raise RecordValidationError(
-            "trial record", f"must be a JSON object, got {type(data).__name__}")
+        raise _value_error("trial record", f"must be a JSON object, got {type(data).__name__}")
     try:
         values = _record_values(data)
     except KeyError:
@@ -527,9 +506,9 @@ def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int],
     if values is None or len(data) > len(values):  # a field is missing, or a key is not one
         for name in data:
             if name not in _RECORD_FIELDS:
-                raise RecordValidationError(name, "not a field of the trial record")
+                raise _value_error(name, "not a field of the trial record")
         missing = next(name for name in _RECORD_FIELDS if name not in data)
-        raise RecordValidationError(missing, "missing from the trial record")
+        raise _value_error(missing, "missing from the trial record")
     run_id, model, sample_id, level, label, index, correct, tokens, stamp, meta = values
     if not isinstance(run_id, str) or not run_id:
         raise _refused("run_id", "must be a non-empty string", run_id)
@@ -562,7 +541,7 @@ def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int],
     if not 0.0 <= correct <= 1.0:  # NaN fails too
         raise _refused("correct", "must be in [0, 1]", correct)
     if not isinstance(meta, dict):
-        raise RecordValidationError("meta", f"must be an object, got {type(meta).__name__}")
+        raise _value_error("meta", f"must be an object, got {type(meta).__name__}")
     levels = manifest.levels
     if sample_id not in manifest.listed:
         name, expected = "sample_id", "does not list it"
@@ -576,11 +555,9 @@ def _check_record(data: object, manifest: RunManifest) -> tuple[tuple[str, int],
         name, expected = "level_label", f"says {levels[level]!r}"
     else:
         return (sample_id, level), index, correct, tokens
-    raise RecordValidationError(
-        name,
-        f"record (sample {sample_id!r}, level {level}, trial {index}) has {data[name]!r}, "
-        f"but the manifest of run {manifest.run_id!r} {expected}",
-    )
+    raise _value_error(name, f"record (sample {sample_id!r}, level {level}, trial {index}) has "
+                             f"{data[name]!r}, but the manifest of run {manifest.run_id!r} "
+                             f"{expected}")
 
 
 def _read_line(line: bytes, manifest: RunManifest) -> tuple[tuple[str, int], int, float, float]:
@@ -775,9 +752,8 @@ class TraceStore:
         record takes its run id, model and level label from that manifest, and
         it must pass `_check_record`, as replay reads it. A run not opened (or
         closed), or a token count that is not a whole number (the record could
-        not store it as drawn), raises ValueError; a refused record
-        RecordValidationError; a lower index DuplicateTrialError and a higher
-        one ValueError; all before any byte is written.
+        not store it as drawn), a refused record and an index other than the
+        next raise ValueError, all before any byte is written.
         """
         try:
             manifest, next_index, handle = self._runs[run_id]
@@ -815,9 +791,8 @@ class TraceStore:
         with self._lock:
             expected = next_index.get(key, 0)
             if index != expected:  # a stored index, or a skipped one
-                error = DuplicateTrialError if index < expected else ValueError
-                raise error(f"trial {index} of run {run_id!r}, sample {key[0]!r}, "
-                            f"level {key[1]} is out of order: the next index is {expected}")
+                raise ValueError(f"trial {index} of run {run_id!r}, sample {key[0]!r}, "
+                                 f"level {key[1]} is out of order: the next index is {expected}")
             handle.write(line)
             handle.flush()
             next_index[key] = expected + 1
@@ -844,12 +819,12 @@ class TraceStore:
         new run built. Keys follow the first appearance of each configuration
         in the record file; feed the result to run_evaluation(preloaded=...).
         The file is streamed; a line is stored once its newline is written, so
-        bytes after the last newline are a torn line and raise TornRecordError.
+        bytes after the last newline are a torn line and raise IncompleteRunError.
         Every other line that is not blank goes through one reader,
         `_read_line`, which applies `_check_record` with `manifest`, as
         `append_trial` does before it writes; a line it refuses raises with the
-        file and line number. A trial stored twice (DuplicateTrialError) or any
-        other gap in a configuration's indices raises ValueError.
+        file and line number. A trial stored twice or any other gap in a
+        configuration's indices raises ValueError.
 
         With resume, this is the record file's one opener: before it reads a
         byte it creates the root and the file, opens it for appending and locks
@@ -881,7 +856,9 @@ class TraceStore:
                 for number, raw in enumerate(fh, 1):
                     if not raw.endswith(b"\n"):  # only the last line can lack it
                         if not resume:
-                            raise TornRecordError(run_id, offset)
+                            raise IncompleteRunError(
+                                run_id, f"record file ends in a torn line at byte {offset}; "
+                                        f"`run --resume` drops it")
                         handle.truncate(offset)
                         break
                     line = raw.strip()
@@ -901,7 +878,7 @@ class TraceStore:
                     repeated = next((i for i, j in zip(indices, indices[1:]) if i == j), None)
                     if repeated is not None:
                         first, second = self._lines_holding(manifest, key, repeated)[:2]
-                        raise DuplicateTrialError(
+                        raise ValueError(
                             f"run {run_id!r}: configuration {key!r} holds trial {repeated} twice "
                             f"({path}, lines {first} and {second})"
                         )

@@ -63,7 +63,7 @@ class MockModelServer:
         self.status: Callable[[dict], int] = lambda body: 200  # called under `lock`
         self.handler_delay = 0.0
         self.handler_jitter = 0.0  # each reply waits handler_delay plus up to this much more
-        self.reply = self.default_reply
+        self.reply = self.default_reply  # body -> a JSON value, or the raw bytes of the reply
 
     @staticmethod
     def default_reply(body: dict) -> dict:
@@ -98,7 +98,7 @@ def serve_mock_model() -> Iterator[MockModelServer]:
                 with state.lock:
                     state.in_flight -= 1
             reply = state.reply(body) if status == 200 else {"error": {"code": status}}
-            payload = json.dumps(reply).encode()
+            payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))

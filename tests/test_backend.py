@@ -19,12 +19,10 @@ from arise import (
     ExactMatchJudge,
     ExternalJudge,
     HttpBackend,
-    JudgeError,
     JudgedTask,
     NumericMatchJudge,
     RequestLimiter,
     RetryPolicy,
-    TokenExtractionError,
     TrialOutcome,
     config_hash,
     dry_run,
@@ -137,14 +135,13 @@ class TestJudges:
 
     def test_external_judge_bad_exit_code_raises(self):
         judge = ExternalJudge((sys.executable, "-c", "import sys; sys.exit(3)"))
-        with pytest.raises(JudgeError):
+        with pytest.raises(BackendError, match="^judge command exited 3: $"):
             judge.judge("text", "s")
 
     def test_external_judge_bad_output_raises(self):
         judge = ExternalJudge((sys.executable, "-c", "print('maybe')"))
-        with pytest.raises(JudgeError) as err:
+        with pytest.raises(BackendError, match="^judge printed 'maybe', expected '0' or '1'$"):
             judge.judge("text", "s")
-        assert err.value.response == "text"
 
     def test_parse_judge_forms(self):
         assert parse_judge({"type": "exact_match", "expected": "x"}) == ExactMatchJudge("x")
@@ -371,7 +368,7 @@ class TestHttpBackend:
 
     def test_missing_usage_value_raises_extraction_error(self, mock_server, api_key):
         mock_server.reply = lambda body: {"choices": [{"message": {"content": "42"}}]}
-        with pytest.raises(TokenExtractionError):
+        with pytest.raises(BackendError, match="^response has no usage value at "):
             make_backend(mock_server).evaluate("q1", 0, 0)
 
     def test_non_integral_usage_value_rejected(self, mock_server, api_key):
@@ -379,8 +376,16 @@ class TestHttpBackend:
             "choices": [{"message": {"content": "42"}}],
             "usage": {"completion_tokens": 12.7},
         }
-        with pytest.raises(TokenExtractionError, match="not an integer"):
+        with pytest.raises(BackendError, match="not an integer"):
             make_backend(mock_server).evaluate("q1", 0, 0)
+
+    @pytest.mark.parametrize("reply", [b"nope", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-a-value", "nested-too-deeply"])
+    def test_a_reply_that_is_not_json_raises(self, mock_server, api_key, reply):
+        mock_server.reply = lambda body: reply
+        with pytest.raises(BackendError, match="^response is not JSON: "):
+            make_backend(mock_server).evaluate("q1", 0, 0)
+        assert len(mock_server.bodies) == 1  # not retried
 
     def test_missing_response_text_raises(self, mock_server, api_key):
         mock_server.reply = lambda body: {"usage": {"completion_tokens": 5}}
@@ -414,10 +419,10 @@ class TestHttpBackend:
         mock_server.reply = lambda body: {"choices": [{"message": {"content": "42"}}],
                                           "usage": {"completion_tokens": 10**400}}
         message = "usage value at '/usage/completion_tokens' is an integer too large for a float"
-        with pytest.raises(TokenExtractionError) as err:
+        with pytest.raises(BackendError) as err:
             make_backend(mock_server).evaluate("q1", 0, 0)
         assert str(err.value) == message
-        with pytest.raises(TokenExtractionError) as err:
+        with pytest.raises(BackendError) as err:
             send_probe(BackendConfig.from_dict(backend_config_dict(mock_server.url)))
         assert str(err.value) == message
 

@@ -526,6 +526,24 @@ class TestHttpRun:
                 in result.stderr)
         assert (out / "h1.jsonl").read_bytes() == b""
 
+    def test_a_reply_nested_too_deeply_fails_the_probe_and_aborts_the_run(self, runner, tmp_path,
+                                                                          mock_server, api_key):
+        mock_server.reply = lambda body: b"[" * 100_000 + b"]" * 100_000
+        config = {"backend": backend_config_dict(mock_server.url),
+                  "tasks": [{"sample_id": "q1", "prompt": "?",
+                             "judge": {"type": "exact_match", "expected": "42"}}]}
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(config))
+        probe = runner.invoke(main, ["run", str(path), "--dry-run", "--probe"])
+        assert probe.exit_code == 1, probe.output
+        assert re.fullmatch(r"probe failed: response is not JSON: [^\n]+\n", probe.stderr)
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", str(path), "--naive", "1", "--out", str(out),
+                                      "--run-id", "h1"])
+        assert result.exit_code == 2
+        assert "response is not JSON: " in result.stderr
+        assert (out / "h1.jsonl").read_bytes() == b""
+
 
 class TestCompute:
     def test_recompute_reproduces_the_live_bundle(self, runner, spec_file, tmp_path):
@@ -1576,6 +1594,11 @@ class TestMalformedStoredFiles:
         (lambda m: m.update(spec_hash="abc"), "spec_hash: not a field of the manifest"),
         (lambda m: m["cfg"].pop("tau"), "tau: missing from the manifest cfg"),
         (lambda m: m.update(mode="bogus"), "mode: must be one of adaptive, fixed_budget, naive"),
+        (lambda m: m.update(mode=["a"]),
+         "mode: must be one of adaptive, fixed_budget, naive, got ['a'] ("),
+        (lambda m: m.update(seed="x"), "seed: must be an integer, got 'x' ("),
+        (lambda m: m.update(seed=1.5), "seed: must be an integer, got 1.5 ("),
+        (lambda m: m.update(seed=True), "seed: must be an integer, got True ("),
         (lambda m: m.update(levels="ab"), "levels: must be a list of non-empty strings, got 'ab'"),
         (lambda m: m.update(n_samples="8"), "n_samples: must be a positive integer, got '8'"),
         (lambda m: m.update(sample_ids=m["sample_ids"][:-1]), "sample_ids: lists 7 samples"),
@@ -1666,6 +1689,7 @@ class TestMalformedStoredFiles:
          "curve: has 4 points, but the manifest has 3 levels"),
         (lambda b: b["manifest"].update(started_at=5),
          "started_at: must be a non-empty string, got 5"),
+        (lambda b: b["manifest"].update(seed="x"), "seed: must be an integer, got 'x'"),
         (lambda b: b["curve"].__setitem__(0, [1.0, 0.5, 2.0]),
          "curve: [1.0, 0.5, 2.0] is not a list of 2 values"),
         (lambda b: b["curve"].__setitem__(0, 7), "curve: 7 is not a list of 2 values"),

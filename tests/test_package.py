@@ -122,3 +122,28 @@ def test_no_definition_is_only_used_by_tests():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in named | exported and not is_click_command(node)]
     assert unused == []
+
+
+def caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The names an `except` clause catches: `except X`, `except m.X` and `except (X, Y)`."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr
+            for t in types if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_class_is_caught_by_package_code():
+    """An exception class is kept only where a caller tells it apart: some `except` clause of the
+    package names it. One that none names raises what its base would, under another name."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    caught = {name for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for name in caught_names(node)}
+    uncaught = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("arise" if stem == "__init__" else f"arise.{stem}")
+        uncaught += [f"{stem}.py:{node.lineno} {node.name}" for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and issubclass(getattr(module, node.name), BaseException)
+                     and node.name not in caught]
+    assert uncaught == []

@@ -28,10 +28,8 @@ from arise import (
     ConvergenceConfig,
     FixedBudgetMode,
     HttpBackend,
-    InfeasibleBudgetError,
     LevelOutcome,
     NaiveMode,
-    SamplingStateError,
     SimulatorBackend,
     TrialOutcome,
     allocate_budget,
@@ -213,7 +211,7 @@ def running(trials, cfg: ConvergenceConfig) -> _RunningCV:
 class TestShouldContinue:
     def test_raises_before_probe_complete(self):
         cfg = ConvergenceConfig()
-        with pytest.raises(SamplingStateError, match="probing incomplete"):
+        with pytest.raises(ValueError, match="^probing incomplete: 2 of 3 trials collected$"):
             should_continue(running(PROBE[:2], cfg), cfg)
 
     def test_continues_while_cv_at_or_above_tau(self):
@@ -551,7 +549,7 @@ class TestCheckMode:
 
     def test_budget_below_the_probes_is_infeasible(self):
         assert check_mode(FixedBudgetMode(12), 2, 2, self.CFG) == FixedBudgetMode(12)
-        with pytest.raises(InfeasibleBudgetError, match="minimum feasible 12"):
+        with pytest.raises(ValueError, match="minimum feasible 12"):
             check_mode(FixedBudgetMode(11), 2, 2, self.CFG)
 
     def test_other_modes_pass_unchanged(self):
@@ -577,7 +575,7 @@ class TestAllocateBudget:
         assert sum(plan.values()) == 10
 
     def test_infeasible_budget_names_the_minimum(self):
-        with pytest.raises(InfeasibleBudgetError, match="minimum feasible 6"):
+        with pytest.raises(ValueError, match="minimum feasible 6"):
             allocate_budget({("s1", 0): 0.3, ("s2", 0): 0.1}, 2, 1, self.CFG, 5)
 
     def test_exact_minimum_gives_probe_counts_only(self):
@@ -753,7 +751,7 @@ class TestRunEvaluation:
 
     def test_budget_mode_rejects_infeasible_budget(self):
         spec = reference_spec()
-        with pytest.raises(InfeasibleBudgetError):
+        with pytest.raises(ValueError, match="below the minimum feasible"):
             run_evaluation(
                 SimulatorBackend(spec), list(spec.sample_ids),
                 ["level0", "level1", "level2"], ConvergenceConfig(), FixedBudgetMode(10),

@@ -204,7 +204,6 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if opts.seed is not None:
             spec = dataclasses.replace(spec, seed=opts.seed)
         backend = SimulatorBackend(spec)
-        digest = config_hash(spec.to_dict())  # the whole spec decides the outcomes, seed included
         samples, labels = spec.sample_ids, spec.level_labels
         seed = spec.seed
         default_model = "simulator"
@@ -232,13 +231,13 @@ def run(opts: Options, config: Path, adaptive: bool, budget: int | None, naive: 
         if not tasks:
             raise ValueError("backend run config has no tasks")
         backend = HttpBackend(backend_cfg, tasks)
-        digest = config_hash(backend.outcome_config)
         samples, labels = tuple(t.sample_id for t in tasks), backend_cfg.level_labels
         seed = opts.seed
         default_model = backend_cfg.model
         # configurations in flight; the backend's limiter still caps the requests
         workers = backend_cfg.max_in_flight
     del data  # the backend holds what the draws need; free the parsed mapping before them
+    digest = config_hash(backend.outcome_config)
 
     store = TraceStore(out)
     if resume:

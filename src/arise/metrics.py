@@ -21,7 +21,7 @@ from typing import Sequence
 __all__ = [
     "LevelOutcome",
     "SampleTrajectory",
-    "TrajectoryDiagnostics",
+    "SampleScore",
     "ScalingCurve",
     "TransitionMatrix",
     "transition_weight",
@@ -55,9 +55,11 @@ class SampleTrajectory:
 
 
 @dataclass(frozen=True)
-class TrajectoryDiagnostics:
-    """Side observations collected while scoring one trajectory."""
+class SampleScore:
+    """One trajectory's score and what scoring it observed: a result bundle's per-sample row."""
 
+    sample_id: str
+    arise: float
     non_monotone_tokens: bool  # some adjacent pair had tokens fail to increase
     improve: int
     degrade: int
@@ -117,12 +119,12 @@ def transition_contribution(prev: LevelOutcome, nxt: LevelOutcome) -> float:
     return (nxt.accuracy - prev.accuracy) * transition_weight(prev, nxt)
 
 
-def arise_sample(traj: SampleTrajectory) -> tuple[float, TrajectoryDiagnostics]:
+def arise_sample(traj: SampleTrajectory) -> SampleScore:
     """Score one trajectory: the sum of adjacent-pair contributions only.
 
     Non-adjacent levels never interact. Token means that fail to increase
-    between adjacent levels are scored on their raw values and flagged in
-    the diagnostics rather than clamped or dropped.
+    between adjacent levels are scored on their raw values and flagged as
+    `non_monotone_tokens` rather than clamped or dropped.
     """
     levels = traj.levels
     if len(levels) < 2:
@@ -143,7 +145,7 @@ def arise_sample(traj: SampleTrajectory) -> tuple[float, TrajectoryDiagnostics]:
         if nxt.tokens <= prev.tokens:
             non_monotone = True
         score += transition_contribution(prev, nxt)
-    return score, TrajectoryDiagnostics(non_monotone, improve, degrade, unchanged)
+    return SampleScore(traj.sample_id, score, non_monotone, improve, degrade, unchanged)
 
 
 def _check_level_counts(trajs: Sequence[SampleTrajectory]) -> int:
@@ -163,8 +165,7 @@ def arise_aggregate(trajs: Sequence[SampleTrajectory]) -> float:
     _check_level_counts(trajs)
     total = 0.0
     for traj in trajs:
-        score, _ = arise_sample(traj)
-        total += score
+        total += arise_sample(traj).arise
     return total / len(trajs)
 
 

@@ -451,8 +451,6 @@ def parse_mode(text: str) -> RunMode:
 class EvaluationRun:
     """The outcome of one full evaluation across all configurations."""
 
-    samples: tuple[str, ...]
-    levels: tuple[str, ...]
     configurations: Mapping[tuple[str, int], ConfigurationResult]
     trajectories: tuple[SampleTrajectory, ...]
 
@@ -489,8 +487,6 @@ def run_evaluation(
     flight finish, then the first failure is raised. Trajectories follow
     `samples` order and feed the metric functions unchanged.
     """
-    samples = tuple(samples)
-    levels = tuple(levels)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     if len(levels) < 2:
@@ -545,4 +541,4 @@ def run_evaluation(
     trajectories = tuple(
         SampleTrajectory(sid, tuple(results[(sid, j)].final for j in range(J))) for sid in samples
     )
-    return EvaluationRun(samples, levels, results, trajectories)
+    return EvaluationRun(results, trajectories)

@@ -50,7 +50,6 @@ __all__ = [
     "ground_truth_trajectories",
     "check_study",
     "replicate_study",
-    "reference_spec",
 ]
 
 
@@ -130,9 +129,6 @@ class SyntheticModelSpec:
             raise ValueError(f"level index {level_index} out of range for sample {sample_id!r}")
         return sample.levels[level_index]
 
-    def to_dict(self) -> dict:
-        return _encode(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticModelSpec":
         return read_config(cls, data, "simulator spec")
@@ -168,6 +164,11 @@ class SimulatorBackend:
 
     def __init__(self, spec: SyntheticModelSpec):
         self.spec = spec
+
+    @property
+    def outcome_config(self) -> dict:
+        """What decides the outcomes: the whole spec, seed included."""
+        return _encode(self.spec)
 
     def evaluate(self, sample_id: str, level_index: int, trial_index: int) -> TrialOutcome:
         return simulate_trial(self.spec, sample_id, level_index, trial_index)
@@ -329,35 +330,3 @@ def replicate_study(
             )
         )
     return tuple(studies)
-
-
-def reference_spec(seed: int = 42) -> SyntheticModelSpec:
-    """The checked-in 8-sample, 3-level workload used by the acceptance suite.
-
-    Accuracy patterns mix steady improvement, flat-high, flat-low, and
-    degradation (including a 0.9 -> 0.4 drop) so the aggregate score
-    exercises both reward and penalty paths; token scales grow roughly
-    2.5x per level with varied log-space spread so probe CVs differ
-    enough to make adaptive allocation meaningful.
-    """
-
-    def sample(sid: str, ps: tuple[float, ...], base_tokens: tuple[float, ...], stds: tuple[float, ...]) -> SyntheticSample:
-        return SyntheticSample(
-            id=sid,
-            levels=tuple(
-                LevelParams(p, math.log(t), s) for p, t, s in zip(ps, base_tokens, stds)
-            ),
-        )
-
-    tokens = (600.0, 1500.0, 3600.0)
-    samples = (
-        sample("s01", (0.15, 0.55, 0.90), tokens, (0.45, 0.40, 0.35)),
-        sample("s02", (0.30, 0.35, 0.85), tokens, (0.30, 0.55, 0.30)),
-        sample("s03", (0.92, 0.94, 0.96), tokens, (0.25, 0.25, 0.25)),
-        sample("s04", (0.90, 0.40, 0.25), tokens, (0.35, 0.50, 0.45)),
-        sample("s05", (0.75, 0.70, 0.55), tokens, (0.40, 0.35, 0.30)),
-        sample("s06", (0.50, 0.50, 0.50), tokens, (0.60, 0.55, 0.50)),
-        sample("s07", (0.20, 0.25, 0.70), tokens, (0.30, 0.45, 0.55)),
-        sample("s08", (0.10, 0.12, 0.15), tokens, (0.35, 0.30, 0.40)),
-    )
-    return SyntheticModelSpec(seed=seed, samples=samples)

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TextIO, TypeVar
 
 from .metrics import (
+    SampleScore,
     TransitionMatrix,
     arise_aggregate,
     arise_sample,
@@ -77,7 +78,6 @@ from .sampling import (
 
 __all__ = [
     "RunManifest",
-    "SampleScore",
     "ConfigurationSummary",
     "ResultBundle",
     "TraceStore",
@@ -102,7 +102,6 @@ class IncompleteRunError(RuntimeError):
 
     def __init__(self, run_id: str, message: str):
         super().__init__(f"run {run_id!r}: {message}")
-        self.run_id = run_id
 
 
 def read_mapping(path: str | Path, what: str) -> dict:
@@ -340,11 +339,8 @@ def _decode(cls: type[T], data: object) -> T:
         raise _value_error(what, f"must be a JSON object, got {type(data).__name__}")
     _check_keys(cls, data, what)
     stored_fields = _config_fields(cls)
-    try:
-        obj = cls(**{key: _decode_value(stored_fields[key][0], value, key)
-                     for key, value in data.items()})
-    except TypeError as exc:
-        raise _value_error(what, str(exc)) from exc
+    obj = cls(**{key: _decode_value(stored_fields[key][0], value, key)
+                 for key, value in data.items()})
     for key, (tp, _) in stored_fields.items():
         _check_type(tp, getattr(obj, key), key)
     return obj
@@ -577,16 +573,6 @@ def _read_line(line: bytes, manifest: RunManifest) -> tuple[tuple[str, int], int
 
 
 @dataclass(frozen=True)
-class SampleScore:
-    sample_id: str
-    arise: float
-    non_monotone_tokens: bool
-    improve: int
-    degrade: int
-    unchanged: int
-
-
-@dataclass(frozen=True)
 class ConfigurationSummary:
     sample_id: str
     level_index: int
@@ -631,17 +617,12 @@ class ResultBundle:
 
     @classmethod
     def from_run(cls, manifest: RunManifest, run: EvaluationRun) -> "ResultBundle":
-        """The bundle of `manifest`'s run, from its configurations; samples in `run.samples` order.
+        """The bundle of `manifest`'s run, from its configurations; samples in the manifest's order.
 
         `arise run` passes the run it drew and `compute` the run its records
         replay to, so both write the same bytes.
         """
-        trajectories = list(run.trajectories)
-        scores = []
-        for traj in trajectories:
-            score, diags = arise_sample(traj)
-            # a score row is the sample, its score and every TrajectoryDiagnostics field
-            scores.append(SampleScore(traj.sample_id, score, **vars(diags)))
+        trajectories = run.trajectories
         configurations = tuple(
             ConfigurationSummary(
                 sample_id=r.sample_id,
@@ -651,13 +632,13 @@ class ResultBundle:
                 converged=r.converged,
                 zero_variance_probe=r.zero_variance_probe,
             )
-            for r in (run.configurations[(sid, j)] for sid in run.samples
-                      for j in range(len(run.levels)))
+            for r in (run.configurations[(sid, j)] for sid in manifest.sample_ids
+                      for j in range(len(manifest.levels)))
         )
         curve = build_scaling_curve(trajectories)
         return cls(
             manifest=manifest,
-            sample_scores=tuple(scores),
+            sample_scores=tuple(arise_sample(traj) for traj in trajectories),
             aggregate_arise=arise_aggregate(trajectories),
             curve=curve.points,
             scaling_metric=scaling_metric(curve),

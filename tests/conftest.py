@@ -1,4 +1,4 @@
-"""Shared fixtures: scripted backends and an in-process mock HTTP endpoint."""
+"""Shared fixtures: the reference spec, scripted backends and an in-process mock HTTP endpoint."""
 
 from __future__ import annotations
 
@@ -10,11 +10,26 @@ import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 import pytest
 
-from arise import TrialOutcome
+from arise import SyntheticModelSpec, TrialOutcome
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_SPEC = CONFIGS / "reference_spec.json"
+
+
+def reference_config() -> dict:
+    """The 8-sample, 3-level reference spec as `configs/reference_spec.json` holds it: its
+    accuracies mix steady gains, flat levels and drops, so a run scores rewards and penalties."""
+    return json.loads(REFERENCE_SPEC.read_text())
+
+
+def reference_spec() -> SyntheticModelSpec:
+    """`reference_config()` read as a spec."""
+    return SyntheticModelSpec.from_dict(reference_config())
 
 
 class ScriptedBackend:

@@ -25,7 +25,6 @@ from arise import (
     arise_sample,
     build_scaling_curve,
     ground_truth_trajectories,
-    reference_spec,
     replicate_study,
     run_configuration,
     run_evaluation,
@@ -35,6 +34,8 @@ from arise import (
 from arise.cli import main
 from arise.simulator import LevelParams, SyntheticModelSpec, SyntheticSample
 
+from conftest import reference_config, reference_spec
+
 
 def traj(*pairs: tuple[float, float]) -> SampleTrajectory:
     return SampleTrajectory("s", tuple(LevelOutcome(a, t) for a, t in pairs))
@@ -42,12 +43,10 @@ def traj(*pairs: tuple[float, float]) -> SampleTrajectory:
 
 def test_01_gain_then_loss_identity():
     # (0,1,0,1) over doubling tokens: 100/200 - 400/200 + 400/800 = -1.0.
-    score, _ = arise_sample(
-        traj((0.0, 100.0), (1.0, 200.0), (0.0, 400.0), (1.0, 800.0))
-    )
+    score = arise_sample(traj((0.0, 100.0), (1.0, 200.0), (0.0, 400.0), (1.0, 800.0))).arise
     assert abs(score - (-1.0)) <= 1e-12
     # Shorter gain-then-loss shape lands on the same value.
-    score3, _ = arise_sample(traj((0.0, 100.0), (1.0, 200.0), (0.0, 300.0)))
+    score3 = arise_sample(traj((0.0, 100.0), (1.0, 200.0), (0.0, 300.0))).arise
     assert abs(score3 - (-1.0)) <= 1e-12
     print("PASS 01: alternating gain/loss trajectories score -1.0 within 1e-12")
 
@@ -72,7 +71,7 @@ def test_02_binary_case_table_exhaustive():
                 tokens = sorted(rng.uniform(1.0, 1e5) for _ in range(length))
                 if len(set(tokens)) != length:
                     continue
-                score, _ = arise_sample(traj(*zip(accs, tokens)))
+                score = arise_sample(traj(*zip(accs, tokens))).arise
                 assert abs(score - expected(accs, tokens)) <= 1e-12
                 checked += 1
     print(f"PASS 02: {checked} binary pattern x token-sequence scores match the case table")
@@ -89,7 +88,7 @@ def test_03_score_bounds_hold_on_random_trajectories():
         else:
             accs = [float(rng.randint(0, 1)) for _ in range(length)]
         t = traj(*zip(accs, tokens))
-        score, _ = arise_sample(t)
+        score = arise_sample(t).arise
         assert score < 1.0
         if any(b != a for a, b in zip(accs, accs[1:])):
             transitions_seen += 1
@@ -220,7 +219,7 @@ def test_10_high_trial_count_recovers_ground_truth():
 def test_11_run_then_recompute_is_bit_identical(tmp_path: Path):
     start = time.monotonic()
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(reference_spec().to_dict()))
+    spec_path.write_text(json.dumps(reference_config()))
     out = tmp_path / "runs"
     runner = CliRunner()
     ran = runner.invoke(
@@ -253,7 +252,7 @@ def test_12_token_rescaling_invariance():
             SampleTrajectory(f"s{i}", tuple(LevelOutcome(a, t * c) for a, t in zip(accs, tokens)))
         )
     for before, after in zip(trajs, scaled_trajs):
-        assert abs(arise_sample(after)[0] - arise_sample(before)[0]) <= 1e-12
+        assert abs(arise_sample(after).arise - arise_sample(before).arise) <= 1e-12
 
     # dataset-level: group into equal-length cohorts so curves are well-formed
     cohort = [t for t in trajs if len(t.levels) == len(trajs[0].levels)][:10]

@@ -12,6 +12,7 @@ import types
 from contextlib import contextmanager
 
 import pytest
+import requests
 
 from arise import (
     BackendConfig,
@@ -76,6 +77,14 @@ class TestResolvePointer:
         with pytest.raises((IndexError, ValueError)):
             resolve_pointer(self.DOC, "/choices/5/message")
 
+    def test_a_scalar_has_no_children(self):
+        with pytest.raises(KeyError) as err:
+            resolve_pointer(self.DOC, "/usage/completion_tokens/value")
+        assert err.value.args == ("value",)
+
+    def test_empty_segments_are_skipped(self):
+        assert resolve_pointer(self.DOC, "usage//completion_tokens/") == 57
+
 
 class TestRenderTemplate:
     def test_replaces_placeholders_everywhere(self):
@@ -136,6 +145,11 @@ class TestJudges:
     def test_external_judge_bad_exit_code_raises(self):
         judge = ExternalJudge((sys.executable, "-c", "import sys; sys.exit(3)"))
         with pytest.raises(BackendError, match="^judge command exited 3: $"):
+            judge.judge("text", "s")
+
+    def test_an_external_judge_that_cannot_start_raises(self, tmp_path):
+        judge = ExternalJudge((str(tmp_path / "no-such-judge"),))
+        with pytest.raises(BackendError, match="^judge command failed to run: "):
             judge.judge("text", "s")
 
     def test_external_judge_bad_output_raises(self):
@@ -360,6 +374,45 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="after 3 attempts"):
             make_backend(mock_server).evaluate("q1", 0, 0)
 
+    def test_a_connection_error_is_retried(self, mock_server, api_key, monkeypatch):
+        naps: list[float] = []
+        monkeypatch.setattr("arise.backend.time.sleep", naps.append)
+        real_post = requests.Session.post
+        attempts: list[int] = []
+
+        def post(session, *args, **kwargs):
+            attempts.append(len(attempts) + 1)
+            if len(attempts) < 3:
+                raise requests.ConnectionError(f"refused {attempts[-1]}")
+            return real_post(session, *args, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        backend = make_backend(mock_server, retry={"max_attempts": 3, "backoff_base": 0.25})
+        assert backend.evaluate("q1", 0, 0) == TrialOutcome(1.0, 128.0)
+        assert attempts == [1, 2, 3]
+        assert naps == [0.25, 0.5]
+        assert len(mock_server.bodies) == 1
+
+    def test_connection_errors_on_every_attempt_raise_the_last(self, mock_server, api_key,
+                                                               monkeypatch):
+        naps: list[float] = []
+        monkeypatch.setattr("arise.backend.time.sleep", naps.append)
+        errors: list[requests.ConnectionError] = []
+
+        def post(session, *args, **kwargs):
+            errors.append(requests.ConnectionError(f"refused {len(errors) + 1}"))
+            raise errors[-1]
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        backend = make_backend(mock_server, retry={"max_attempts": 3, "backoff_base": 0.25})
+        with pytest.raises(BackendError) as err:
+            backend.evaluate("q1", 0, 0)
+        assert str(err.value) == "request failed after 3 attempts: refused 3"
+        assert err.value.__cause__ is errors[-1]
+        assert len(errors) == 3
+        assert naps == [0.25, 0.5]
+        assert mock_server.bodies == []
+
     def test_non_retryable_status_fails_immediately(self, mock_server, api_key):
         mock_server.status_queue = [404]
         with pytest.raises(BackendError, match="HTTP 404"):
@@ -377,6 +430,15 @@ class TestHttpBackend:
             "usage": {"completion_tokens": 12.7},
         }
         with pytest.raises(BackendError, match="not an integer"):
+            make_backend(mock_server).evaluate("q1", 0, 0)
+
+    def test_a_usage_value_that_is_text_is_refused(self, mock_server, api_key):
+        mock_server.reply = lambda body: {
+            "choices": [{"message": {"content": "42"}}],
+            "usage": {"completion_tokens": "128"},
+        }
+        with pytest.raises(BackendError, match=re.escape(
+                "usage value at '/usage/completion_tokens' is not a number: '128'")):
             make_backend(mock_server).evaluate("q1", 0, 0)
 
     @pytest.mark.parametrize("reply", [b"nope", b"[" * 100_000 + b"]" * 100_000],

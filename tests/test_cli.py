@@ -14,10 +14,10 @@ import yaml
 from click.testing import CliRunner
 
 import arise.store
-from arise import ConfigurationError, IncompleteRunError, RunManifest, cli, reference_spec
+from arise import ConfigurationError, IncompleteRunError, RunManifest, cli
 from arise.cli import main
 
-from conftest import backend_config_dict, keyed_reply
+from conftest import backend_config_dict, keyed_reply, reference_config
 
 
 @pytest.fixture()
@@ -36,7 +36,7 @@ def all_text(result) -> str:
 @pytest.fixture()
 def spec_file(tmp_path: Path) -> Path:
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(reference_spec().to_dict()))
+    path.write_text(json.dumps(reference_config()))
     return path
 
 
@@ -164,7 +164,7 @@ class TestRun:
     ], ids=["run", "simulate"])
     def test_a_one_level_spec_is_refused_before_any_write(self, runner, tmp_path, monkeypatch,
                                                            command):
-        spec = reference_spec().to_dict()
+        spec = reference_config()
         for sample in spec["samples"]:
             del sample["levels"][1:]
         path = tmp_path / "one_level.json"
@@ -196,11 +196,11 @@ class TestMalformedConfigs:
         (http_config, lambda c: c["tasks"].append("q1"), "tasks[1] must be a mapping, got str"),
         (http_config, lambda c: c["tasks"][0]["judge"].pop("expected"),
          "tasks[0].judge has no 'expected'"),
-        (lambda: reference_spec().to_dict(), lambda c: c["samples"][0].update(levels=[0.5, 0.9]),
+        (lambda: reference_config(), lambda c: c["samples"][0].update(levels=[0.5, 0.9]),
          "simulator spec samples[0].levels[0] must be a mapping, got float"),
-        (lambda: reference_spec().to_dict(), lambda c: c.update(samples={"s01": c["samples"][0]}),
+        (lambda: reference_config(), lambda c: c.update(samples={"s01": c["samples"][0]}),
          "simulator spec samples must be a list, got dict"),
-        (lambda: reference_spec().to_dict(), lambda c: c["samples"].append("s09"),
+        (lambda: reference_config(), lambda c: c["samples"].append("s09"),
          "simulator spec samples[8] must be a mapping, got str"),
         (http_config, lambda c: c["backend"].update(max_in_flight=None),
          "backend config 'max_in_flight': "),
@@ -226,15 +226,15 @@ class TestMalformedConfigs:
          "tasks[0] 'prompt' must be a non-empty string, got None"),
         (http_config, lambda c: c["tasks"][0].update(prompt=""),
          "tasks[0] 'prompt' must be a non-empty string, got ''"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][0]["levels"][1].update(p_correct=None),
          "simulator spec samples[0].levels[1] 'p_correct': float() argument must be"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][2]["levels"][0].update(token_log_std="wide"),
          "simulator spec samples[2].levels[0] 'token_log_std': could not convert string"),
-        (lambda: reference_spec().to_dict(), lambda c: c.update(seed=None),
+        (lambda: reference_config(), lambda c: c.update(seed=None),
          "simulator spec 'seed': int() argument must be"),
-        (lambda: reference_spec().to_dict(), lambda c: c["samples"][3].update(id=None),
+        (lambda: reference_config(), lambda c: c["samples"][3].update(id=None),
          "simulator spec samples[3] 'id' must be a non-empty string, got None"),
         (http_config, lambda c: c["backend"]["levels"][0].update(label=None),
          "backend config levels[0] 'label' must be a non-empty string, got None"),
@@ -254,13 +254,13 @@ class TestMalformedConfigs:
          "backend config retry 'max_attempts': must be an integer, got 2.9"),
         (http_config, lambda c: c["backend"].update(max_in_flight=True),
          "backend config 'max_in_flight': must be an integer, got True"),
-        (lambda: reference_spec().to_dict(), lambda c: c.update(seed=4.5),
+        (lambda: reference_config(), lambda c: c.update(seed=4.5),
          "simulator spec 'seed': must be an integer, got 4.5"),
-        (lambda: reference_spec().to_dict(), lambda c: c.update(sed=7),
+        (lambda: reference_config(), lambda c: c.update(sed=7),
          "simulator spec has unknown key 'sed'"),
-        (lambda: reference_spec().to_dict(), lambda c: c["samples"][0].update(name="first"),
+        (lambda: reference_config(), lambda c: c["samples"][0].update(name="first"),
          "simulator spec samples[0] has unknown key 'name'"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][1]["levels"][2].update(p_corect=0.5),
          "simulator spec samples[1].levels[2] has unknown key 'p_corect'"),
         (http_config, lambda c: c["backend"].update(max_inflight=4),
@@ -299,19 +299,26 @@ class TestMalformedConfigs:
          lambda c: c["tasks"][0].update(judge={"type": "numeric_match", "expected": 42,
                                                "tol": float("nan")}),
          "numeric_match tol must be >= 0, got nan"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][0]["levels"][1].update(token_log_std=float("nan")),
          "sample 's01' level 1: token_log_std nan must be finite and >= 0"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][0]["levels"][1].update(token_log_mean=float("inf")),
          "sample 's01' level 1: token_log_mean inf must be finite and <= 709.78"),
-        (lambda: reference_spec().to_dict(),
+        (lambda: reference_config(),
          lambda c: c["samples"][0]["levels"][1].update(token_log_mean=1000),
          "sample 's01' level 1: token_log_mean 1000.0 must be finite and <= 709.78"),
         (http_config,
          lambda c: c["backend"]["levels"][1]["request_overrides"].update(x="{{level.effort}}"),
          "backend config has unknown placeholders ['level.effort']; "
          "known: prompt, model, level.label, level.kind\n"),
+        (http_config, lambda c: c["backend"].update(max_in_flight=0),
+         "max_in_flight must be >= 1, got 0\n"),
+        (http_config, lambda c: c["tasks"][0].update(judge="exact_match"),
+         "tasks[0].judge must be a mapping, got str\n"),
+        (http_config, lambda c: c["tasks"].append(dict(c["tasks"][0])),
+         "task sample ids must be unique\n"),
+        (http_config, lambda c: c.pop("tasks"), "backend run config has no tasks\n"),
     ], ids=["no-base-url", "level-without-kind", "retry-not-a-mapping", "task-without-prompt",
             "task-a-string", "judge-without-expected", "levels-numbers", "samples-an-object",
             "sample-a-string", "max-in-flight-null", "max-attempts-null", "judge-command-a-number",
@@ -329,7 +336,8 @@ class TestMalformedConfigs:
             "request-template-a-string", "request-template-a-list", "request-overrides-a-number",
             "min-request-interval-inf", "min-request-interval-nan", "tol-negative", "tol-nan",
             "token-log-std-nan", "token-log-mean-inf", "token-log-mean-overflows",
-            "unknown-placeholder"])
+            "unknown-placeholder", "max-in-flight-zero", "judge-a-string", "task-sample-id-twice",
+            "no-tasks"])
     def test_a_malformed_config_exits_one_with_an_error(self, runner, tmp_path, config, edit,
                                                        expected):
         data = config()
@@ -559,6 +567,16 @@ class TestCompute:
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
         result = runner.invoke(main, ["compute", str(out / "r1.jsonl")])
         assert result.exit_code == 0, result.output
+
+    def test_a_store_of_one_run_needs_no_run_id(self, runner, spec_file, tmp_path):
+        out = tmp_path / "runs"
+        do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")
+        bundle = out / "r1.bundle.json"
+        live = bundle.read_bytes()
+        bundle.unlink()
+        result = runner.invoke(main, ["compute", str(out)])
+        assert result.exit_code == 0, result.output
+        assert bundle.read_bytes() == live
 
     def test_empty_store_exits_one(self, runner, tmp_path):
         """No run to continue: exit 2 is only for a run that `run --resume` continues."""
@@ -1653,7 +1671,8 @@ class TestMalformedStoredFiles:
         (lambda text: text.replace('"adaptive"', '"bogus"').replace('"naive"', '"bogus"'),
          "mode: must be one of adaptive, fixed_budget, naive, got 'bogus'"),
         (lambda text: f'{{"run_id": {DEEP}}}', "JSON value nests too deeply to decode"),
-    ], ids=["json", "field", "deep"])
+        (lambda text: "[]", "manifest: must be a JSON object, got list"),
+    ], ids=["json", "field", "deep", "not-an-object"])
     def test_a_bad_manifest_names_its_file(self, runner, spec_file, tmp_path, damage, expected):
         out = tmp_path / "runs"
         do_run(runner, spec_file, out, "--naive", "1", "--run-id", "r1")

@@ -16,6 +16,8 @@ import pytest
 
 import arise
 
+from conftest import reference_config
+
 SRC = str(Path(arise.__file__).resolve().parent.parent)
 HTTP_MODULES = ("requests", "arise.backend")
 
@@ -46,7 +48,7 @@ def loaded_by(code: str, *argv: str, cwd: Path) -> list[str]:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("lazy")
-    (path / "spec.json").write_text(json.dumps(arise.reference_spec().to_dict()))
+    (path / "spec.json").write_text(json.dumps(reference_config()))
     return path
 
 
@@ -64,6 +66,11 @@ def test_import_arise_leaves_the_backend_unloaded(workdir):
 ], ids=lambda argv: argv[0])
 def test_command_leaves_the_backend_unloaded(workdir, argv):
     assert loaded_by(CLI, *argv, cwd=workdir) == []
+
+
+def test_dir_lists_the_backend_names(workdir):
+    code = "import arise\nassert 'HttpBackend' in dir(arise)\n" + LOADED
+    assert loaded_by(code, cwd=workdir) == list(HTTP_MODULES)
 
 
 def test_backend_names_load_on_first_use(workdir):

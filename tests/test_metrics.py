@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from arise import (
     LevelOutcome,
+    SampleScore,
     SampleTrajectory,
     ScalingCurve,
     TransitionMatrix,
@@ -68,32 +69,29 @@ class TestTransitionContribution:
 
 class TestSampleScore:
     def test_gain_then_loss_cancels_to_minus_one(self):
-        score, diags = arise_sample(traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 300.0)))
-        assert score == -1.0
-        assert (diags.improve, diags.degrade, diags.unchanged) == (1, 1, 0)
-        assert not diags.non_monotone_tokens
+        row = arise_sample(traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 300.0)))
+        assert row == SampleScore("s", -1.0, non_monotone_tokens=False, improve=1, degrade=1,
+                                  unchanged=0)
 
     def test_alternating_pattern_over_doubling_tokens(self):
         # 100/200 - 400/200 + 400/800 = 0.5 - 2.0 + 0.5 = -1.0 exactly.
-        score, diags = arise_sample(
-            traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 400.0), (1.0, 800.0))
-        )
-        assert score == -1.0
-        assert (diags.improve, diags.degrade, diags.unchanged) == (2, 1, 0)
+        row = arise_sample(traj("s", (0.0, 100.0), (1.0, 200.0), (0.0, 400.0), (1.0, 800.0)))
+        assert row.arise == -1.0
+        assert (row.improve, row.degrade, row.unchanged) == (2, 1, 0)
 
     def test_rejects_single_level(self):
         with pytest.raises(ValueError, match="at least 2"):
             arise_sample(traj("s", (1.0, 100.0)))
 
     def test_non_monotone_tokens_flagged_but_scored(self):
-        score, diags = arise_sample(traj("s", (0.0, 300.0), (1.0, 100.0)))
-        assert diags.non_monotone_tokens
-        assert score == 3.0  # raw formula applied as-is
+        row = arise_sample(traj("s", (0.0, 300.0), (1.0, 100.0)))
+        assert row.non_monotone_tokens
+        assert row.arise == 3.0  # raw formula applied as-is
 
     def test_all_unchanged_scores_zero(self):
-        score, diags = arise_sample(traj("s", (1.0, 100.0), (1.0, 200.0), (1.0, 400.0)))
-        assert score == 0.0
-        assert (diags.improve, diags.degrade, diags.unchanged) == (0, 0, 2)
+        row = arise_sample(traj("s", (1.0, 100.0), (1.0, 200.0), (1.0, 400.0)))
+        assert row.arise == 0.0
+        assert (row.improve, row.degrade, row.unchanged) == (0, 0, 2)
 
 
 class TestAggregate:
@@ -111,7 +109,7 @@ class TestAggregate:
             traj(f"s{i}", *[(rng.random(), 100.0 * (j + 1)) for j in range(4)])
             for i in range(25)
         ]
-        total = sum(arise_sample(t)[0] for t in trajs)
+        total = sum(arise_sample(t).arise for t in trajs)
         assert arise_aggregate(trajs) == pytest.approx(total / 25, abs=1e-12)
 
     def test_rejects_mismatched_level_counts(self):
@@ -224,7 +222,7 @@ class TestBinaryCaseTable:
                     while len(set(tokens)) != length:  # pragma: no cover
                         tokens = sorted(rng.uniform(1.0, 1e5) for _ in range(length))
                     t = traj("s", *zip(map(float, accs), tokens))
-                    score, _ = arise_sample(t)
+                    score = arise_sample(t).arise
                     assert score == pytest.approx(case_table_score(accs, tokens), abs=1e-12)
 
 
@@ -247,7 +245,7 @@ class TestScoreBounds:
         rng = random.Random(99)
         for i in range(10_000):
             t = random_trajectory(rng, fractional=bool(i % 2))
-            score, _ = arise_sample(t)
+            score = arise_sample(t).arise
             assert score < 1.0
             deltas = [b.accuracy - a.accuracy for a, b in zip(t.levels, t.levels[1:])]
             if any(d != 0 for d in deltas):
@@ -311,8 +309,8 @@ class TestTokenScaleInvariance:
         scaled = traj(
             t.sample_id, *((lv.accuracy, lv.tokens * c) for lv in t.levels)
         )
-        original, _ = arise_sample(t)
-        rescored, _ = arise_sample(scaled)
+        original = arise_sample(t).arise
+        rescored = arise_sample(scaled).arise
         assert rescored == pytest.approx(original, abs=1e-9, rel=1e-9)
 
     @settings(max_examples=300, deadline=None)
@@ -341,9 +339,9 @@ class TestTokenScaleInvariance:
     @given(trajectories())
     def test_zero_transitions_score_zero(self, t):
         flat = traj(t.sample_id, *((0.5, lv.tokens) for lv in t.levels))
-        score, diags = arise_sample(flat)
-        assert score == 0.0
-        assert diags.improve == 0 and diags.degrade == 0
+        row = arise_sample(flat)
+        assert row.arise == 0.0
+        assert row.improve == 0 and row.degrade == 0
 
 
 # ----------------------------------------------------------------------

@@ -36,14 +36,13 @@ from arise import (
     check_mode,
     parse_mode,
     parse_tasks,
-    reference_spec,
     run_configuration,
     run_evaluation,
     should_continue,
 )
 
 from arise.sampling import _RunningCV, _two_pass
-from conftest import FailingBackend, ScriptedBackend, backend_config_dict
+from conftest import FailingBackend, ScriptedBackend, backend_config_dict, reference_spec
 
 
 def outcomes(*pairs: tuple[float, float]) -> tuple[TrialOutcome, ...]:
@@ -522,6 +521,15 @@ class TestRunningStopCheck:
         assert should_continue(CountingRunningCV(trials, cfg, exact_at), cfg)
         assert exact_at == []
 
+    def test_a_denominator_inside_its_band_is_left_to_the_two_pass(self):
+        # token values 1e8 and about -1e8: their mean, 4.5e-7, lies within four guard bands of
+        # zero, where the running CV's bound is not claimed, though that CV is far from tau
+        trials = [TrialOutcome(0.5, 1e8), TrialOutcome(0.5, -1e8 + 9.1e-7)]
+        cfg = ConvergenceConfig(m_min=1, m_max=5, tau=0.5)
+        exact_at: list[int] = []
+        assert CountingRunningCV(trials, cfg, exact_at).cv_combined == two_pass(trials)[2]
+        assert exact_at == [2]
+
     def test_run_configuration_checks_the_running_accumulator(self, monkeypatch):
         seen: list[type] = []
         real = arise.sampling.should_continue
@@ -634,7 +642,7 @@ class TestModes:
     def test_bare_budget_uses_the_default(self):
         assert parse_mode("budget") == FixedBudgetMode(None)
 
-    @pytest.mark.parametrize("text", ["", "naive", "naive:x", "budget:x", "magic:3"])
+    @pytest.mark.parametrize("text", ["", "naive", "naive:x", "budget:x", "magic:3", "adaptive:3"])
     def test_parse_mode_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_mode(text)
@@ -805,7 +813,8 @@ class TestRunEvaluation:
         no_draws = NoDraws()
 
         def replay(preloaded):
-            return run_evaluation(no_draws, run.samples, run.levels, cfg, mode, preloaded=preloaded)
+            return run_evaluation(no_draws, spec.sample_ids, spec.level_labels, cfg, mode,
+                                  preloaded=preloaded)
 
         assert replay(stored) == run
         assert no_draws.calls == []

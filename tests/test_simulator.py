@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import statistics
 from pathlib import Path
 
@@ -23,10 +24,11 @@ from arise import (
     config_hash,
     derive_seed,
     ground_truth_trajectories,
-    reference_spec,
     replicate_study,
     simulate_trial,
 )
+
+from conftest import reference_spec
 
 
 def tiny_spec(seed: int = 1) -> SyntheticModelSpec:
@@ -241,7 +243,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("key", ["p_correct", "token_log_mean", "token_log_std"])
     def test_a_bool_setting_is_refused(self, key):
-        data = tiny_spec().to_dict()
+        data = SimulatorBackend(tiny_spec()).outcome_config
         data["samples"][0]["levels"][0][key] = True
         with pytest.raises(ValueError, match=(
                 f"^simulator spec samples\\[0\\].levels\\[0\\] '{key}': must be a number, "
@@ -252,10 +254,10 @@ class TestSpecValidation:
 class TestSpecSerialization:
     def test_round_trip_preserves_exact_values(self):
         spec = reference_spec()
-        assert SyntheticModelSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticModelSpec.from_dict(SimulatorBackend(spec).outcome_config) == spec
 
     def test_dict_uses_documented_field_names(self):
-        data = tiny_spec().to_dict()
+        data = SimulatorBackend(tiny_spec()).outcome_config
         assert set(data) == {"seed", "samples"}
         assert set(data["samples"][0]) == {"id", "levels"}
         assert set(data["samples"][0]["levels"][0]) == {
@@ -266,21 +268,18 @@ class TestSpecSerialization:
 
     def test_the_config_hash_of_the_reference_spec_is_unchanged(self):
         # `run --resume` refuses a run whose stored hash differs from its spec's
-        assert config_hash(reference_spec().to_dict()) == "0d724eeacbb7b3785dc31152f4af8511"
+        outcome_config = SimulatorBackend(reference_spec()).outcome_config
+        assert config_hash(outcome_config) == "0d724eeacbb7b3785dc31152f4af8511"
 
     def test_from_file_reads_json_and_yaml(self, tmp_path: Path):
         spec = tiny_spec()
         as_json = tmp_path / "spec.json"
-        as_json.write_text(json.dumps(spec.to_dict()))
+        as_json.write_text(json.dumps(SimulatorBackend(spec).outcome_config))
         assert SyntheticModelSpec.from_file(as_json) == spec
         as_yaml = tmp_path / "spec.yaml"
-        as_yaml.write_text(yaml.safe_dump(spec.to_dict()))
+        as_yaml.write_text(yaml.safe_dump(SimulatorBackend(spec).outcome_config))
         assert not as_yaml.read_text().lstrip().startswith("{")
         assert SyntheticModelSpec.from_file(as_yaml) == spec
-
-    def test_committed_reference_file_matches_builtin(self):
-        committed = Path(__file__).parent.parent / "configs" / "reference_spec.json"
-        assert SyntheticModelSpec.from_file(committed) == reference_spec()
 
 
 class TestReplication:
@@ -339,6 +338,14 @@ class TestReplication:
         replicate_study(tiny_spec(), ConvergenceConfig(), modes, replications)
         assert pool_sizes == expected
 
+    @pytest.mark.parametrize("cpu_count, expected", [(3, [2]), (None, [])])
+    def test_without_an_affinity_set_the_cpu_count_decides(self, pool_sizes, monkeypatch,
+                                                           cpu_count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        replicate_study(tiny_spec(), ConvergenceConfig(), [NaiveMode(2)], 2)
+        assert pool_sizes == expected
+
     def test_without_fork_the_study_runs_in_this_process(self, cpus, pool_sizes, monkeypatch):
         import multiprocessing
 
@@ -365,6 +372,8 @@ class TestReferenceSpec:
         assert spec.n_levels == 3
 
     def test_custom_seed_keeps_parameters(self):
-        a, b = reference_spec(), reference_spec(seed=7)
-        assert b.seed == 7
-        assert dataclasses.replace(b, seed=42) == a
+        # `arise --seed 7 run` replaces the spec's seed; its outcome config changes there alone
+        spec = reference_spec()
+        reseeded = dataclasses.replace(spec, seed=7)
+        assert (SimulatorBackend(reseeded).outcome_config
+                == {**SimulatorBackend(spec).outcome_config, "seed": 7})

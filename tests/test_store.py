@@ -39,7 +39,6 @@ from arise import (
     TrialOutcome,
     arise_aggregate,
     read_mapping,
-    reference_spec,
     render_table,
     run_evaluation,
     write_atomic,
@@ -48,6 +47,8 @@ import arise.store
 from arise.cli import _load_run_config, main
 from arise.store import (_check_record, _decode, _encode, _read_line, decode_file, now_rfc3339,
                          read_config, write_document)
+
+from conftest import reference_spec
 
 # a trial record's keys in the order every line holds them, spelled out apart from the store's copy
 RECORD_FIELDS = ("run_id", "model", "sample_id", "level_index", "level_label", "trial_index",
